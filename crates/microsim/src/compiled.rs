@@ -17,7 +17,11 @@
 //!   from the workload RNG only when the previous one enters the system,
 //!   keeping memory proportional to in-flight requests;
 //! * the O(cores) linear scan per call admission is replaced by a
-//!   [`CoreHeap`] min-heap of core free times.
+//!   [`CoreHeap`] min-heap of core free times;
+//! * the global event heap is replaced by a calendar queue (`Calendar`):
+//!   sorted buckets over one slab, sized to the live event count and as
+//!   wide as a few mean event gaps, so scheduling and popping an event
+//!   cost O(1) on average instead of O(log events).
 //!
 //! # Determinism
 //!
@@ -31,6 +35,9 @@
 //! 2. Events are ordered by `(time, class, seq)` where arrivals get class
 //!    0 and derived events class 1 — the same tie-break the reference
 //!    engine achieves by numbering all arrivals before any derived event.
+//!    Keys are unique (every event takes a fresh `seq`) and every push
+//!    lands above the last popped key, so any exact min-queue pops the same
+//!    sequence: the calendar is interchangeable with a binary heap.
 //! 3. [`CoreHeap`] removes one instance of the minimum free time and
 //!    inserts the finish time, the same multiset transformation the
 //!    reference's first-minimum linear scan performs, so tied cores are
@@ -332,19 +339,205 @@ impl CEvent {
     }
 }
 
-impl Ord for CEvent {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse order: the binary heap is a max-heap, we want the
-        // earliest (time, class, seq) key first. Keys are unique (every
-        // event carries a distinct `seq`), so the pop sequence is the
-        // unique ascending key order.
-        other.key.cmp(&self.key)
-    }
+/// Ticks per simulated second of a fresh calendar: buckets of 2^-14 s
+/// (~61 µs), about four mean event gaps of SocialNetwork at 1,000 qps on
+/// the ten-Pixel cloudlet.
+const CALENDAR_START_SCALE: f64 = 16_384.0;
+
+/// Bucket count of a fresh calendar (a power of two).
+const CALENDAR_MIN_BUCKETS: usize = 256;
+
+/// A resize sets the bucket width to this many mean gaps between popped
+/// events (Brown suggests about three), rounded to a power of two...
+const CALENDAR_GAPS_PER_BUCKET: f64 = 4.0;
+
+/// ...when at least this many pops since the last resize measure the gap.
+const CALENDAR_MIN_SAMPLE: u64 = 64;
+
+/// End of a calendar list (bucket heads and `next` links are slab indices).
+const NIL: u32 = u32::MAX;
+
+/// A slab node: an event, its tick under the current bucket width and the
+/// next node of its bucket list (or of the free list).
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    event: CEvent,
+    tick: u64,
+    next: u32,
 }
 
-impl PartialOrd for CEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+/// The event queue of [`CompiledSim::run_with`]: a calendar queue (R.
+/// Brown, "Calendar queues", CACM 31(10), 1988) over the packed `(time,
+/// class, seq)` keys.
+///
+/// Simulated time is cut into ticks of one bucket width; tick `t` lives in
+/// bucket `t mod buckets`, so `buckets` consecutive ticks make one
+/// calendar "year". Each bucket is a singly linked list in ascending key
+/// order, threaded through one slab of nodes with a free list, so the
+/// queue makes a single growing allocation.
+///
+/// Popping scans forward from the current tick for the first bucket whose
+/// head falls in the tick being scanned. When a whole year holds no such
+/// head, the smallest head seen during that scan is the minimum. The scan
+/// never moves backwards, which is valid because the event loop only
+/// pushes keys above the last popped one (see [`Calendar::push`]).
+///
+/// The bucket count doubles when live events exceed twice the bucket
+/// count and halves (down to [`CALENDAR_MIN_BUCKETS`]) when they fall
+/// below half of it. Each such resize also re-chooses the bucket width
+/// from the mean gap between the events popped since the last resize, so
+/// a dense overload gets narrow buckets and a light load wide ones. The
+/// width only changes how fast the queue runs: the pop order is fixed by
+/// the keys alone.
+#[derive(Debug)]
+struct Calendar {
+    slab: Vec<Node>,
+    free: u32,
+    /// Per-bucket list heads; the length is a power of two.
+    heads: Vec<u32>,
+    /// Ticks per simulated second, a power of two, so `time * scale` is
+    /// exact and an event's tick never depends on rounding.
+    scale: f64,
+    /// Time and tick of the last popped event.
+    now: f64,
+    tick: u64,
+    len: usize,
+    /// Pops since the last resize, which happened at simulated time
+    /// `resized_at`.
+    pops: u64,
+    resized_at: f64,
+}
+
+impl Calendar {
+    fn new() -> Self {
+        Self {
+            slab: Vec::with_capacity(CALENDAR_MIN_BUCKETS),
+            free: NIL,
+            heads: vec![NIL; CALENDAR_MIN_BUCKETS],
+            scale: CALENDAR_START_SCALE,
+            now: 0.0,
+            tick: 0,
+            len: 0,
+            pops: 0,
+            resized_at: 0.0,
+        }
+    }
+
+    #[inline]
+    fn bucket(&self, tick: u64) -> usize {
+        (tick as usize) & (self.heads.len() - 1)
+    }
+
+    /// Inserts `event`, whose key must exceed every key popped so far. The
+    /// event loop guarantees that: derived events are scheduled at or after
+    /// `now` with a fresh, larger `seq`, and the next arrival is admitted
+    /// while an arrival at or before it is handled.
+    fn push(&mut self, event: CEvent) {
+        let node = Node {
+            event,
+            tick: 0,
+            next: NIL,
+        };
+        let index = if self.free == NIL {
+            debug_assert!(self.slab.len() < NIL as usize, "slab indices fit u32");
+            self.slab.push(node);
+            (self.slab.len() - 1) as u32
+        } else {
+            let index = self.free;
+            self.free = self.slab[index as usize].next;
+            self.slab[index as usize] = node;
+            index
+        };
+        self.link(index, event.key);
+        self.len += 1;
+        if self.len > 2 * self.heads.len() {
+            self.resize(2 * self.heads.len());
+        }
+    }
+
+    /// Files slab node `index`, holding an event with `key`, into its
+    /// bucket's sorted list. Callers pass the key they hold: re-reading it
+    /// from the node `push` has just written measured slower.
+    fn link(&mut self, index: u32, key: u128) {
+        let tick = (f64::from_bits((key >> 64) as u64) * self.scale) as u64;
+        debug_assert!(tick >= self.tick, "calendar pushes never go back in time");
+        let bucket = self.bucket(tick);
+        let mut prev = NIL;
+        let mut cur = self.heads[bucket];
+        while cur != NIL && self.slab[cur as usize].event.key < key {
+            prev = cur;
+            cur = self.slab[cur as usize].next;
+        }
+        self.slab[index as usize].tick = tick;
+        self.slab[index as usize].next = cur;
+        if prev == NIL {
+            self.heads[bucket] = index;
+        } else {
+            self.slab[prev as usize].next = index;
+        }
+    }
+
+    /// Removes and returns the event with the smallest key.
+    fn pop(&mut self) -> Option<CEvent> {
+        if self.len == 0 {
+            return None;
+        }
+        let mut found = NIL;
+        let mut smallest = NIL;
+        for tick in self.tick..self.tick + self.heads.len() as u64 {
+            let head = self.heads[self.bucket(tick)];
+            if head == NIL {
+                continue;
+            }
+            let node = &self.slab[head as usize];
+            if node.tick == tick {
+                found = head;
+                break;
+            }
+            if smallest == NIL || node.event.key < self.slab[smallest as usize].event.key {
+                smallest = head;
+            }
+        }
+        if found == NIL {
+            // A whole year without a due head: every bucket was visited,
+            // and each head is its bucket's minimum.
+            found = smallest;
+        }
+        let Node { event, tick, next } = self.slab[found as usize];
+        let bucket = self.bucket(tick);
+        self.heads[bucket] = next;
+        self.slab[found as usize].next = self.free;
+        self.free = found;
+        self.len -= 1;
+        self.now = event.time();
+        self.tick = tick;
+        self.pops += 1;
+        if self.len < self.heads.len() / 2 && self.heads.len() > CALENDAR_MIN_BUCKETS {
+            self.resize(self.heads.len() / 2);
+        }
+        Some(event)
+    }
+
+    /// Re-files every live event into `buckets` buckets, first re-choosing
+    /// the bucket width from the events popped since the last resize.
+    fn resize(&mut self, buckets: usize) {
+        if self.pops >= CALENDAR_MIN_SAMPLE && self.now > self.resized_at {
+            let gap = (self.now - self.resized_at) / self.pops as f64;
+            let exponent = -(CALENDAR_GAPS_PER_BUCKET * gap).log2().round();
+            // Widths from 2^-20 s (~1 µs) to 2^-10 s (~1 ms).
+            self.scale = 2_f64.powi(exponent.clamp(10.0, 20.0) as i32);
+            self.tick = (self.now * self.scale) as u64;
+        }
+        self.pops = 0;
+        self.resized_at = self.now;
+        let heads = std::mem::replace(&mut self.heads, vec![NIL; buckets]);
+        for mut cur in heads {
+            while cur != NIL {
+                let next = self.slab[cur as usize].next;
+                self.link(cur, self.slab[cur as usize].event.key);
+                cur = next;
+            }
+        }
     }
 }
 
@@ -570,7 +763,7 @@ impl CompiledSim {
         let mut client = CoreHeap::new(self.client_workers as usize, 0.0);
         let mut link_avail = 0.0_f64;
 
-        let mut events: BinaryHeap<CEvent> = BinaryHeap::with_capacity(256);
+        let mut events = Calendar::new();
         let mut states: Vec<ReqState> = Vec::with_capacity(256);
         let mut free_slots: Vec<u32> = Vec::new();
         // Completions are kept for the whole run (they are the output), so
@@ -593,7 +786,7 @@ impl CompiledSim {
             arrival: Option<(f64, usize)>,
             states: &mut Vec<ReqState>,
             free_slots: &mut Vec<u32>,
-            events: &mut BinaryHeap<CEvent>,
+            events: &mut Calendar,
             seq: &mut u64,
             offered: &mut usize,
         ) {
@@ -952,6 +1145,123 @@ mod tests {
         let nodes = ten_pixel_cloudlet();
         let placement = Placement::swarm_spread(&app, &nodes, 11).unwrap();
         Simulation::new(app, nodes, placement, NetworkModel::phone_wifi()).unwrap()
+    }
+
+    /// The order the calendar replaced: `BinaryHeap` is a max-heap, so the
+    /// comparison is reversed to pop the smallest key first.
+    impl Ord for CEvent {
+        fn cmp(&self, other: &Self) -> Ordering {
+            other.key.cmp(&self.key)
+        }
+    }
+
+    impl PartialOrd for CEvent {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// Feeds one seeded monotone trace to a [`Calendar`] and to a
+    /// `BinaryHeap<CEvent>`, asserting identical pops. Step `i` pushes
+    /// `0..=fanout(i)` events at `now + gap` with fresh sequence numbers (an
+    /// arrival-class event at `now` only after an arrival was popped, as in
+    /// the event loop), then pops one; the end drains both queues. Returns
+    /// the calendar, the peak live event count and the peak bucket count.
+    fn replay(
+        seed: u64,
+        steps: usize,
+        fanout: impl Fn(usize) -> u32,
+        gap: impl Fn(&mut StdRng) -> f64,
+    ) -> (Calendar, usize, usize) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut calendar = Calendar::new();
+        let mut heap = BinaryHeap::new();
+        let (mut now, mut arrival_popped, mut seq) = (0.0, true, 0_u64);
+        let (mut peak, mut buckets) = (0, 0);
+        for step in 0..steps {
+            for _ in 0..rng.random::<u32>() % (fanout(step) + 1) {
+                let time = now + gap(&mut rng);
+                let class = if time > now || arrival_popped {
+                    u128::from(rng.random::<u32>() % 2)
+                } else {
+                    CLASS_DERIVED
+                };
+                let event = CEvent {
+                    key: event_key(time, class, seq),
+                    request: (seq % 97) as u32,
+                    step: CStep::Complete,
+                };
+                seq += 1;
+                calendar.push(event);
+                heap.push(event);
+                peak = peak.max(heap.len());
+                buckets = buckets.max(calendar.heads.len());
+            }
+            let popped = calendar.pop();
+            assert_eq!(popped, heap.pop());
+            if let Some(event) = popped {
+                now = event.time();
+                arrival_popped = (event.key >> 63) & 1 == CLASS_ARRIVAL;
+            }
+        }
+        while let Some(event) = heap.pop() {
+            assert_eq!(calendar.pop(), Some(event));
+        }
+        assert_eq!(calendar.pop(), None);
+        (calendar, peak, buckets)
+    }
+
+    #[test]
+    fn calendar_breaks_timestamp_ties_by_class_then_seq() {
+        for seed in 0..8 {
+            // Gaps of 0 or 0.1 ms: many events share a timestamp, in both
+            // classes, inside one bucket.
+            replay(
+                seed,
+                4_000,
+                |_| 3,
+                |rng| f64::from(rng.random::<u32>() % 2) * 1e-4,
+            );
+        }
+    }
+
+    #[test]
+    fn calendar_matches_heap_through_growth_and_shrinking() {
+        for seed in 0..4 {
+            // Four pushes per pop on average climb past several growth
+            // thresholds (twice the bucket count); then half a push per pop
+            // drains the queue through the halvings while pushes continue.
+            let (calendar, peak, buckets) = replay(
+                seed,
+                6_000,
+                |step| if step < 2_000 { 8 } else { 1 },
+                |rng| rng.random::<f64>() * 0.05,
+            );
+            assert!(peak > 8 * CALENDAR_MIN_BUCKETS, "peak {peak}");
+            assert!(buckets >= peak / 2, "buckets {buckets} for peak {peak}");
+            assert_eq!(calendar.heads.len(), CALENDAR_MIN_BUCKETS);
+            // The resizes re-chose the bucket width from the pop density.
+            assert_ne!(calendar.scale, CALENDAR_START_SCALE);
+        }
+    }
+
+    #[test]
+    fn calendar_finds_events_more_than_a_year_ahead() {
+        // A fresh year is 256 buckets of 2^-14 s (~16 ms); gaps of up to
+        // 2 s leave whole years empty, so pops take the direct-search path.
+        for seed in 0..8 {
+            let (_, _, buckets) = replay(seed, 2_000, |_| 2, |rng| rng.random::<f64>() * 2.0);
+            assert_eq!(buckets, CALENDAR_MIN_BUCKETS);
+        }
+    }
+
+    #[test]
+    fn calendar_reuses_freed_slab_slots() {
+        // About one push per pop over 20k steps: the slab never holds more
+        // nodes than were ever live at once.
+        let (calendar, peak, _) = replay(5, 20_000, |_| 2, |rng| rng.random::<f64>() * 0.01);
+        assert_eq!(calendar.slab.len(), peak);
+        assert!(peak < 1_000, "peak {peak}");
     }
 
     #[test]

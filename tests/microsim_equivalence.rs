@@ -23,6 +23,7 @@ use junkyard::microsim::sim::{
     CoreLayout, Phase, QueueDiscipline, ServerModel, Simulation, Workload,
 };
 use junkyard::microsim::sweep::SweepConfig;
+use junkyard::microsim::RunMetrics;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -124,6 +125,27 @@ fn random_cluster(seed: u64) -> Vec<NodeSpec> {
             )
         })
         .collect()
+}
+
+/// The most requests simultaneously in the system: between arrival and
+/// arrival + latency.
+fn peak_in_flight(metrics: &RunMetrics) -> usize {
+    let mut edges: Vec<(f64, i32)> = metrics
+        .completions()
+        .iter()
+        .flat_map(|c| {
+            let arrival = c.arrival_s();
+            [(arrival, 1), (arrival + c.latency_ms() / 1_000.0, -1)]
+        })
+        .collect();
+    // Departures first at equal times, so the peak is not overstated.
+    edges.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let (mut live, mut peak) = (0_i32, 0_i32);
+    for (_, step) in edges {
+        live += step;
+        peak = peak.max(live);
+    }
+    usize::try_from(peak).unwrap()
 }
 
 proptest! {
@@ -266,6 +288,76 @@ proptest! {
         if model.queue_size().is_none() {
             prop_assert_eq!(reference.dropped(), 0);
         }
+    }
+
+    /// Sparse load: at most 5 qps between multi-second idle phases, so the
+    /// event queue is nearly empty and its next event is often seconds
+    /// ahead, many turns of the compiled engine's event calendar away.
+    #[test]
+    fn compiled_engine_matches_reference_under_sparse_load(
+        app_seed in 0u64..1_000_000,
+        model_seed in 0u64..1_000_000,
+        workload_seed in 0u64..1_000_000,
+        qps_a in 0.2f64..5.0,
+        qps_b in 0.2f64..5.0,
+        idle in 1.0f64..6.0,
+    ) {
+        let app = random_app(app_seed);
+        let nodes = random_cluster(app_seed);
+        let placement = Placement::swarm_spread(&app, &nodes, app_seed % 1_000).unwrap();
+        let sim = Simulation::new(app, nodes, placement, NetworkModel::phone_wifi())
+            .unwrap()
+            .with_server_model(random_server_model(model_seed));
+        let workload = Workload::phased(
+            vec![
+                Phase::idle(idle),
+                Phase::new(qps_a, 4.0, None),
+                Phase::idle(idle),
+                Phase::new(qps_b, 4.0, None),
+            ],
+            workload_seed,
+        );
+        let reference = sim.run_reference(&workload).unwrap();
+        let compiled = sim.run(&workload).unwrap();
+        prop_assert_eq!(reference, compiled);
+    }
+
+    /// Deep unbounded-cFCFS overload: 2–3x the knee for 3 s, so thousands
+    /// of requests queue and the compiled engine's event queue grows far
+    /// past its initial size, then drains.
+    #[test]
+    fn compiled_engine_matches_reference_in_deep_overload(
+        app_seed in 0u64..1_000_000,
+        workload_seed in 0u64..1_000_000,
+        cores in 2u32..6,
+        knee_qps in 600.0f64..900.0,
+        multiple in 2.0f64..3.0,
+    ) {
+        let app = random_app(app_seed);
+        // One node on a loopback network, its core speed scaled so that the
+        // CPU work of one `req-0` saturates it at `knee_qps`. Leaving out
+        // the fixed per-call RPC overhead makes that an upper bound on the
+        // true knee.
+        let cpu_ms: f64 = app.request_types()[0]
+            .stages()
+            .iter()
+            .flat_map(|stage| stage.calls())
+            .map(|call| call.cpu_ms())
+            .sum();
+        let speed = knee_qps * cpu_ms / (1_000.0 * f64::from(cores));
+        let nodes = vec![NodeSpec::new("node-0", cores, speed, 64.0)];
+        let placement = Placement::single_node(&app);
+        let sim =
+            Simulation::new(app, nodes, placement, NetworkModel::single_node_loopback()).unwrap();
+        let workload = Workload::steady(multiple * knee_qps, 3.0, Some("req-0"), workload_seed);
+        let reference = sim.run_reference(&workload).unwrap();
+        let compiled = sim.run(&workload).unwrap();
+        prop_assert_eq!(&reference, &compiled);
+        prop_assert_eq!(compiled.dropped(), 0);
+        // Every request in flight holds at least one pending event until
+        // its final client hop, so this bounds the queue's peak from below.
+        let peak = peak_in_flight(&compiled);
+        prop_assert!(peak > 1_500, "only {} requests in flight at peak", peak);
     }
 
     /// The threaded sweep produces the same curve as a serial sweep, in the
