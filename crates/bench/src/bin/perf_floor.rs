@@ -10,14 +10,17 @@
 //!   the `"scenarios"` array, and every row must carry exactly one, so a
 //!   new report section can neither add nor mask a floor;
 //! * when the sweep actually fanned out (`workers >= 2`), the threaded
-//!   sweep must beat the serial one by at least `min_sweep_speedup`. On
+//!   sweep must beat the serial one by at least `min_sweep_speedup`.
+//!   `workers` and `speedup` are read only from the single `"sweep"`
+//!   object, each exactly once. On
 //!   a one-core runner (`workers == 1`) the check is skipped and says
 //!   so — a capped fan-out is an environment fact, not a regression,
 //!   and the report now records the worker count so nobody mistakes
 //!   one for the other again.
 //!
 //! The floor file is committed and only ever tightened deliberately;
-//! this binary never rewrites it.
+//! this binary never rewrites it. Each floor key must appear in it
+//! exactly once.
 //!
 //! Usage: `cargo run --release --bin perf_floor [BENCH_microsim.json [bench_floor.json]]`
 
@@ -75,20 +78,50 @@ fn bracketed_len(value: &str) -> Option<usize> {
     None
 }
 
+/// The value of `key` in `json`, which must be a complete array or
+/// object opening with `open`: fails unless the key appears exactly once.
+fn section<'a>(json: &'a str, key: &str, open: char) -> Result<&'a str, String> {
+    let needle = format!("\"{key}\":");
+    let (Some(at), 1) = (json.find(&needle), json.matches(&needle).count()) else {
+        return Err(format!("expected exactly one \"{key}\" key"));
+    };
+    let value = json[at + needle.len()..].trim_start();
+    let len = bracketed_len(value)
+        .filter(|_| value.starts_with(open))
+        .ok_or_else(|| format!("\"{key}\" is not a complete `{open}` value"))?;
+    Ok(&value[..len])
+}
+
+/// The number for `key` in `json`: fails unless the key appears exactly
+/// once and holds a number.
+fn single_number(json: &str, key: &str) -> Result<f64, String> {
+    let keys = json.matches(&format!("\"{key}\":")).count();
+    match (keys, &numbers_for(json, key)[..]) {
+        (1, &[value]) => Ok(value),
+        (0, _) => Err(format!("missing \"{key}\"")),
+        (1, _) => Err(format!("\"{key}\" is not a number")),
+        (n, _) => Err(format!("\"{key}\" appears {n} times, expected once")),
+    }
+}
+
+/// The sweep's `(workers, speedup)`, read only from the report's single
+/// `"sweep"` object, so a number of the same name in another section can
+/// neither enable nor satisfy the speed-up floor.
+fn sweep_stats(bench: &str) -> Result<(f64, f64), String> {
+    let sweep = section(bench, "sweep", '{')?;
+    Ok((
+        single_number(sweep, "workers")?,
+        single_number(sweep, "speedup")?,
+    ))
+}
+
 /// The `events_per_sec` of each row of the report's `"scenarios"` array,
 /// in row order. Fails unless the report has exactly one such array and
 /// every row carries exactly one rate, so rates elsewhere in the report
 /// can neither add nor mask a floor.
 fn scenario_rates(bench: &str) -> Result<Vec<f64>, String> {
-    let needle = "\"scenarios\":";
-    let (Some(at), 1) = (bench.find(needle), bench.matches(needle).count()) else {
-        return Err("expected exactly one \"scenarios\" key".to_owned());
-    };
-    let array = bench[at + needle.len()..].trim_start();
-    let len = bracketed_len(array)
-        .filter(|_| array.starts_with('['))
-        .ok_or("\"scenarios\" is not a complete array")?;
-    let mut rest = &array[1..len - 1];
+    let array = section(bench, "scenarios", '[')?;
+    let mut rest = &array[1..array.len() - 1];
     let mut rates = Vec::new();
     loop {
         rest = rest.trim_start_matches(|c: char| c.is_whitespace() || c == ',');
@@ -116,13 +149,6 @@ fn scenario_rates(bench: &str) -> Result<Vec<f64>, String> {
     Ok(rates)
 }
 
-/// The first number for `key`, or an explicit failure naming the file.
-fn number_for(json: &str, key: &str, file: &str) -> f64 {
-    *numbers_for(json, key)
-        .first()
-        .unwrap_or_else(|| panic!("{file} is missing \"{key}\""))
-}
-
 fn main() -> ExitCode {
     let bench_path = std::env::args()
         .nth(1)
@@ -134,19 +160,27 @@ fn main() -> ExitCode {
     let bench = std::fs::read_to_string(&bench_path).expect("bench report is readable");
     let floor = std::fs::read_to_string(&floor_path).expect("floor file is readable");
 
-    let min_events_per_sec = number_for(&floor, "min_events_per_sec", &floor_path);
-    let min_sweep_speedup = number_for(&floor, "min_sweep_speedup", &floor_path);
-
-    let mut failures = 0usize;
     println!("Performance floor ({bench_path} vs {floor_path}):\n");
-
-    let rates = match scenario_rates(&bench) {
-        Ok(rates) => rates,
+    let read = || -> Result<_, String> {
+        let floor_number =
+            |key| single_number(&floor, key).map_err(|p| format!("{floor_path}: {p}"));
+        let in_bench = |p: String| format!("{bench_path}: {p}");
+        Ok((
+            floor_number("min_events_per_sec")?,
+            floor_number("min_sweep_speedup")?,
+            scenario_rates(&bench).map_err(in_bench)?,
+            sweep_stats(&bench).map_err(in_bench)?,
+        ))
+    };
+    let (min_events_per_sec, min_sweep_speedup, rates, (workers, speedup)) = match read() {
+        Ok(read) => read,
         Err(problem) => {
-            println!("  {bench_path}: {problem}\n\nfloor check FAILED");
+            println!("  {problem}\n\nfloor check FAILED");
             return ExitCode::FAILURE;
         }
     };
+
+    let mut failures = 0usize;
     for (i, rate) in rates.iter().enumerate() {
         let ok = *rate >= min_events_per_sec;
         if !ok {
@@ -158,8 +192,6 @@ fn main() -> ExitCode {
         );
     }
 
-    let workers = number_for(&bench, "workers", &bench_path);
-    let speedup = number_for(&bench, "speedup", &bench_path);
     if workers >= 2.0 {
         let ok = speedup >= min_sweep_speedup;
         if !ok {
@@ -216,6 +248,49 @@ mod tests {
         assert!(scenario_rates(missing).unwrap_err().contains("row 1 has 0"));
         let doubled = r#"{"scenarios": [{"events_per_sec": 1, "x": {"events_per_sec": 2}}]}"#;
         assert!(scenario_rates(doubled).unwrap_err().contains("row 0 has 2"));
+    }
+
+    const SWEEP: &str =
+        r#""sweep": {"points": 8, "workers": 2, "speedup": 1.9, "worker_utilisation": [1.0, 1.0]}"#;
+
+    #[test]
+    fn reads_workers_and_speedup_from_the_sweep_object_only() {
+        // Decoy sections before and after the sweep: read, their numbers
+        // would enable the speed-up check or satisfy it.
+        let bench = format!(
+            "{{\"fleet\": {{\"workers\": 9, \"speedup\": 0.5}}, {SWEEP}, \
+             \"planner\": {{\"speedup\": 99}}}}"
+        );
+        assert_eq!(sweep_stats(&bench), Ok((2.0, 1.9)));
+    }
+
+    #[test]
+    fn rejects_a_sweep_with_missing_or_doubled_keys() {
+        for bench in [
+            r#"{"sweep": {"workers": 2}}"#,
+            r#"{"sweep": {"speedup": 1.9}}"#,
+            r#"{"sweep": {"workers": 2, "speedup": 1.9, "x": {"speedup": 3}}}"#,
+            r#"{"sweep": {"workers": 2, "workers": 1, "speedup": 1.9}}"#,
+            r#"{"sweep": {"workers": "two", "speedup": 1.9}}"#,
+            r#"{"sweep": [2, 1.9]}"#,
+            r#"{"fleet": {"workers": 2, "speedup": 1.9}}"#,
+            r#"{"sweep": {"workers": 2, "speedup": 1.9}, "again": {"sweep": {}}}"#,
+        ] {
+            assert!(sweep_stats(bench).is_err(), "{bench}");
+        }
+    }
+
+    #[test]
+    fn floor_keys_must_appear_exactly_once() {
+        let floor = r#"{"min_events_per_sec": 2500000, "min_sweep_speedup": 1.5}"#;
+        assert_eq!(single_number(floor, "min_sweep_speedup"), Ok(1.5));
+        let doubled = r#"{"min_sweep_speedup": 1.5, "old": {"min_sweep_speedup": 0.1}}"#;
+        assert!(single_number(doubled, "min_sweep_speedup")
+            .unwrap_err()
+            .contains("2 times"));
+        assert!(single_number(floor, "min_speedup")
+            .unwrap_err()
+            .contains("missing"));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! the gCO2e/request price of each additional nine is explicit.
 
 use junkyard_fleet::faults::{DegradationLadder, FaultConfig, ResiliencePolicy, RetryPolicy};
-use junkyard_fleet::lifecycle::{LifecycleConfig, LifecycleResult, LifecycleSim};
+use junkyard_fleet::lifecycle::{LifecycleConfig, LifecycleResult, LifecycleSim, MeasuredSlices};
 use junkyard_fleet::routing::RoutingPolicy;
 use junkyard_fleet::schedule::DiurnalSchedule;
 
@@ -286,21 +286,30 @@ impl ResilienceStudy {
     /// Returns [`DeploymentError`] if a fleet cannot be built or a
     /// simulation fails.
     pub fn run(&self) -> Result<ResilienceStudyResult, DeploymentError> {
-        let run = |sim: LifecycleSim| sim.run().map_err(DeploymentError::Sim);
+        // The strategy fleets serve the same sites under one seed, so
+        // their healthy windows replay identical slices: one table
+        // measures each distinct slice once. Each fleet is built, run
+        // and dropped in turn.
+        let mut slices = MeasuredSlices::new();
+        let mut run = |sim: LifecycleSim| sim.run_shared(&mut slices).map_err(DeploymentError::Sim);
 
         // The fault-free baseline, twice: once without the machinery and
         // once with it disabled. Anything but bit-identity is a defect in
-        // the failure-aware path.
+        // the failure-aware path. The disabled twin runs standalone, so it
+        // re-simulates every slice and the check stays a real one.
         let baseline = run(self.build_fleet(0, false, None, None)?)?;
-        let disabled = run(self.build_fleet(
-            0,
-            false,
-            Some(FaultConfig::disabled()),
-            Some(
-                self.lagged_policy()
-                    .retry(RetryPolicy::new(self.max_retries)),
-            ),
-        )?)?;
+        let disabled = self
+            .build_fleet(
+                0,
+                false,
+                Some(FaultConfig::disabled()),
+                Some(
+                    self.lagged_policy()
+                        .retry(RetryPolicy::new(self.max_retries)),
+                ),
+            )?
+            .run()
+            .map_err(DeploymentError::Sim)?;
         let baseline_bit_identical = baseline == disabled;
 
         let faults = self.fault_config();

@@ -31,8 +31,10 @@
 //!   multi-year coupling of all of the above. Device cohorts wear their
 //!   batteries day by day under the simulated smart-charging schedule,
 //!   fail stochastically and are refilled from junkyard stock; routing
-//!   re-plans every window as capacity shrinks and recovers; (year, site)
-//!   cells fan out with the same deterministic slot pattern.
+//!   re-plans every window as capacity shrinks and recovers; each
+//!   distinct microsim slice fans out into a pre-assigned slot, and a
+//!   [`MeasuredSlices`](lifecycle::MeasuredSlices) table lets fleets run
+//!   one after another measure a shared slice once.
 //!
 //! # Example
 //!
@@ -92,7 +94,7 @@ pub use faults::{
 };
 pub use lifecycle::{
     CohortDevice, LifecycleCell, LifecycleConfig, LifecycleResult, LifecycleSim, LifecycleSite,
-    SiteConfigError, WindowHealth,
+    MeasuredSlices, SiteConfigError, WindowHealth,
 };
 pub use routing::{RoutingPolicy, SiteWindowInput, WindowAssignment};
 pub use schedule::{DiurnalSchedule, LoadWindow};

@@ -19,21 +19,30 @@
 //! * grid traces extend periodically over the horizon
 //!   ([`IntensityTrace::day_periodic`] tiling), and routing is re-planned
 //!   every window from the cohort capacity actually alive that day;
-//! * accounting cells are one *(year, site)* pair, fanned across scoped
-//!   worker threads with the same order-preserving slot pattern as the
-//!   sweep and fleet layers, so results are bit-identical serial or
-//!   threaded.
+//! * accounting cells are one *(year, site)* pair.
 //!
-//! The serving measurements reuse the compiled microsim: within a cell,
-//! identical `(start, end)` load windows share one measured slice (the
-//! schedule repeats daily and capacities are piecewise-constant between
-//! failure events, so the memo keeps multi-year horizons tractable).
+//! The serving measurements reuse the compiled microsim in three passes.
+//! A serial pass plans each cell's distinct slices: within a cell,
+//! identical `(start, end)` load windows share one slice, seeded from the
+//! first window with that pair (the schedule repeats daily and capacities
+//! are piecewise-constant between failure events, so a multi-year horizon
+//! needs only a few hundred slices). One fan-out then runs the distinct
+//! slices on scoped worker threads that claim them one at a time, each
+//! into a pre-assigned slot, so results are bit-identical serial or
+//! threaded. A last serial pass does each cell's accounting from the
+//! measured slices. A caller-owned [`MeasuredSlices`] table carries the
+//! measurements from one run to the next, so fleets over the same sites
+//! ([`LifecycleSim::run_shared`]) simulate each distinct slice once.
+//!
 //! While part of a cohort is down the full-strength compiled topology
 //! still serves the slice and the measured utilisation is scaled by the
 //! inverse alive fraction — latency during outages is therefore slightly
 //! optimistic, which is acceptable for carbon accounting.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::thread;
 
 use serde::{Deserialize, Serialize};
@@ -1315,9 +1324,9 @@ impl LifecycleResult {
     }
 }
 
-/// What one memoised microsim slice measured: the utilisation that prices
-/// the window's energy, the latency percentiles the SLO hooks track, and
-/// the fraction of accepted requests dropped at bounded queues.
+/// What one microsim slice measured: the utilisation that prices the
+/// window's energy, the latency percentiles the SLO hooks track, and the
+/// fraction of accepted requests dropped at bounded queues.
 #[derive(Debug, Clone, Copy)]
 struct SliceMeasure {
     utilization: f64,
@@ -1325,6 +1334,112 @@ struct SliceMeasure {
     tail_ms: f64,
     p99_ms: f64,
     drop_fraction: f64,
+}
+
+/// The exact identity of one slice: the site simulation (an index into
+/// [`MeasuredSlices`]' distinct simulations, request type included) and
+/// the bit patterns of everything its workload is built from. Two slices
+/// with equal keys replay the same events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct SliceKey {
+    sim: usize,
+    warmup_bits: u64,
+    slice_bits: u64,
+    start_bits: u64,
+    end_bits: u64,
+    seed: u64,
+}
+
+/// One slice the fan-out simulates: the site that serves it, its load
+/// endpoints and its workload seed.
+#[derive(Debug, Clone, Copy)]
+struct SliceJob {
+    site: usize,
+    qps_start: f64,
+    qps_end: f64,
+    seed: u64,
+}
+
+/// Microsim slices measured by lifecycle runs, kept for the runs after
+/// them.
+///
+/// The caller owns the table and passes it to
+/// [`LifecycleSim::run_shared`] for each fleet in turn. A run looks up
+/// every slice it needs, simulates only the missing ones and adds them.
+/// A slice is shared only on exact identity: an equal compiled
+/// simulation and request type, and the same bit patterns of warm-up,
+/// slice length, load endpoints and seed. So each run's result is
+/// bit-identical to its standalone [`LifecycleSim::run`]. The table lives
+/// as long as the caller's value and no longer.
+#[derive(Debug, Default)]
+pub struct MeasuredSlices {
+    /// Distinct site simulations with their request types; a
+    /// [`SliceKey`] names one by position.
+    sims: Vec<(CompiledSim, Option<String>)>,
+    /// Each measured slice's position in `measures`.
+    index: BTreeMap<SliceKey, usize>,
+    measures: Vec<SliceMeasure>,
+}
+
+impl MeasuredSlices {
+    /// An empty table.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of distinct slices measured so far.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.measures.len()
+    }
+
+    /// `true` before any slice has been measured.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.measures.is_empty()
+    }
+
+    /// The position of `site`'s simulation and request type among the
+    /// table's distinct simulations, adding them when new.
+    fn sim_index(&mut self, site: &LifecycleSite) -> usize {
+        let known = self
+            .sims
+            .iter()
+            .position(|(sim, request_type)| *request_type == site.request_type && *sim == site.sim);
+        known.unwrap_or_else(|| {
+            self.sims
+                .push((site.sim.clone(), site.request_type.clone()));
+            self.sims.len() - 1
+        })
+    }
+}
+
+/// The days of one (year, site) cell: at most one year, and a day-capped
+/// horizon leaves the last cell short.
+fn cell_days(year: usize, total_days: usize) -> Range<usize> {
+    year * DAYS_PER_YEAR..((year + 1) * DAYS_PER_YEAR).min(total_days)
+}
+
+/// The load one window's measured slice replays at one site, or `None`
+/// when nothing was delivered there and no slice is measured. The slice
+/// replays only the traffic delivered on first attempt: a fault's
+/// `ratio < 1.0` scales the planned endpoints, and the healthy branch
+/// leaves their bits untouched. Slice planning and cell accounting both
+/// call this, so they agree on every slice.
+fn slice_endpoints(
+    plan: &WindowAssignment,
+    resolution: Option<&WindowResolution>,
+    site: usize,
+) -> Option<(f64, f64)> {
+    let (qps_start, qps_end) = plan.shares()[site];
+    let ratio = resolution.map_or(1.0, |r| r.delivered_ratio[site]);
+    let (eff_start, eff_end) = if ratio < 1.0 {
+        (qps_start * ratio, qps_end * ratio)
+    } else {
+        (qps_start, qps_end)
+    };
+    ((eff_start + eff_end) / 2.0 > 0.0).then_some((eff_start, eff_end))
 }
 
 /// The runtime state of one cohort slot during the dynamics pass.
@@ -1583,14 +1698,18 @@ impl LifecycleSim {
     /// Runs the lifecycle and returns the accounting grid.
     ///
     /// The serial passes (per-site daily dynamics, per-window routing
-    /// plans) run first; the (year, site) measurement cells then fan out
-    /// across scoped worker threads into pre-assigned slots, so the
-    /// result is bit-identical at any worker count.
+    /// plans, the plan of each cell's distinct slices) run first. The
+    /// distinct slices then fan out across scoped worker threads into
+    /// pre-assigned slots, and a serial pass accounts every (year, site)
+    /// cell from them, so the result is bit-identical at any worker
+    /// count. Nothing is kept between calls: this is
+    /// [`LifecycleSim::run_shared`] with a fresh table.
     ///
     /// # Errors
     ///
-    /// Propagates microsim errors; with multiple failures the
-    /// lowest-index cell's error wins.
+    /// Propagates microsim errors; with multiple failures the first
+    /// failing slice in (cell, window) order wins, which is the
+    /// lowest-index cell's error.
     pub fn run(&self) -> Result<LifecycleResult, SimError> {
         self.run_with(&mut NoopRecorder)
     }
@@ -1601,17 +1720,42 @@ impl LifecycleSim {
     /// per-day carbon identity) are recorded into `recorder`.
     ///
     /// Every hook fires on the **serial driver side**, from state the
-    /// plain run already computes — the (year, site) fan-out is
-    /// untouched and the returned [`LifecycleResult`] is bit-identical
-    /// to [`LifecycleSim::run`] for any recorder.
+    /// plain run already computes — workers never touch the recorder,
+    /// and the returned [`LifecycleResult`] is bit-identical to
+    /// [`LifecycleSim::run`] for any recorder. Like `run`, it starts
+    /// from a fresh slice table.
     ///
     /// # Errors
     ///
-    /// Propagates microsim errors; with multiple failures the
-    /// lowest-index cell's error wins. A violated conservation identity
-    /// is not an error here — it is recorded as a `ledger` event with
-    /// `"violation"` as its key, so the trace stays a faithful witness.
+    /// Propagates microsim errors as [`LifecycleSim::run`] does. A
+    /// violated conservation identity is not an error here — it is
+    /// recorded as a `ledger` event with `"violation"` as its key, so the
+    /// trace stays a faithful witness.
     pub fn run_with<R: Recorder>(&self, recorder: &mut R) -> Result<LifecycleResult, SimError> {
+        self.run_inner(&mut MeasuredSlices::new(), recorder)
+    }
+
+    /// [`LifecycleSim::run`] against a caller-owned slice table: slices
+    /// `slices` already holds are reused, and the slices this run
+    /// measures are added for the runs after it. Fleets run one after
+    /// another over the same sites (the resilience study's strategies)
+    /// thus simulate each distinct slice once. The result is
+    /// bit-identical to a standalone [`LifecycleSim::run`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates microsim errors as [`LifecycleSim::run`] does; a failed
+    /// run adds no slices to the table.
+    pub fn run_shared(&self, slices: &mut MeasuredSlices) -> Result<LifecycleResult, SimError> {
+        self.run_inner(slices, &mut NoopRecorder)
+    }
+
+    /// The one body behind `run`, `run_with` and `run_shared`.
+    fn run_inner<R: Recorder>(
+        &self,
+        slices: &mut MeasuredSlices,
+        recorder: &mut R,
+    ) -> Result<LifecycleResult, SimError> {
         let days = self.config.total_days();
         let years_spanned = days.div_ceil(DAYS_PER_YEAR);
         let wpd = self.config.windows_per_day;
@@ -1795,70 +1939,103 @@ impl LifecycleSim {
             .and_then(ResiliencePolicy::retry_policy)
             .map_or(0.0, crate::faults::RetryPolicy::attempt_grams);
 
-        // Parallel pass: (year, site) cells into order-preserving slots.
+        // Serial pass 4: plan each cell's distinct slices. Within a cell a
+        // slice takes its seed from the first window with its (start, end)
+        // load pair; slices the table already holds are not run again.
         let n = years_spanned * sites;
+        let site_sims: Vec<usize> = self.sites.iter().map(|s| slices.sim_index(s)).collect();
+        let base = slices.len();
+        let mut new_keys: BTreeMap<SliceKey, usize> = BTreeMap::new();
+        let mut jobs: Vec<SliceJob> = Vec::new();
+        let mut cell_slices: Vec<BTreeMap<(u64, u64), usize>> = Vec::with_capacity(n);
+        for cell in 0..n {
+            let (year, site) = (cell / sites, cell % sites);
+            let mut by_load = BTreeMap::new();
+            for w in cell_days(year, days).flat_map(|day| day * wpd..(day + 1) * wpd) {
+                let resolution = resolutions.map(|res| &res[w]);
+                let Some((qps_start, qps_end)) = slice_endpoints(&plans[w], resolution, site)
+                else {
+                    continue;
+                };
+                let load = (qps_start.to_bits(), qps_end.to_bits());
+                if by_load.contains_key(&load) {
+                    continue;
+                }
+                let seed = decorrelate_seed(self.config.seed, index_u64(w * sites + site) + 1);
+                let key = SliceKey {
+                    sim: site_sims[site],
+                    warmup_bits: self.config.warmup_s.to_bits(),
+                    slice_bits: self.config.sim_slice_s.to_bits(),
+                    start_bits: load.0,
+                    end_bits: load.1,
+                    seed,
+                };
+                let index = match slices.index.get(&key) {
+                    Some(&known) => known,
+                    None => *new_keys.entry(key).or_insert_with(|| {
+                        jobs.push(SliceJob {
+                            site,
+                            qps_start,
+                            qps_end,
+                            seed,
+                        });
+                        base + jobs.len() - 1
+                    }),
+                };
+                by_load.insert(load, index);
+            }
+            cell_slices.push(by_load);
+        }
+
+        // Parallel pass: the new slices into pre-assigned slots. Workers
+        // claim slices one at a time, so slices of unequal cost spread
+        // evenly over the workers.
+        let results: Vec<OnceLock<Result<SliceMeasure, SimError>>> =
+            jobs.iter().map(|_| OnceLock::new()).collect();
         let workers = self
             .config
             .parallelism
             .unwrap_or_else(|| thread::available_parallelism().map_or(1, std::num::NonZero::get))
-            .min(n)
+            .min(jobs.len())
             .max(1);
-        let cell_inputs: Vec<(usize, usize)> = (0..n).map(|i| (i / sites, i % sites)).collect();
-        let mut slots: Vec<Option<Result<LifecycleCell, SimError>>> =
-            (0..n).map(|_| None).collect();
+        let next = AtomicUsize::new(0);
         if workers == 1 {
-            for (slot, &(year, site)) in slots.iter_mut().zip(&cell_inputs) {
-                *slot = Some(self.measure_cell(
-                    year,
-                    site,
-                    days,
+            self.measure_claimed(&jobs, &results, &next);
+        } else {
+            thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(|| self.measure_claimed(&jobs, &results, &next));
+                }
+            });
+        }
+        // The first failing slice in plan order, which is (cell, window)
+        // order, wins; a failed run adds nothing to the table.
+        let measured = results
+            .into_iter()
+            .map(|slot| slot.into_inner().unwrap_or(Err(SimError::WorkerLost)))
+            .collect::<Result<Vec<SliceMeasure>, SimError>>()?;
+        slices.measures.extend(measured);
+        slices.index.append(&mut new_keys);
+
+        // Serial pass 5: each cell's accounting from the measured slices.
+        let cells: Vec<LifecycleCell> = cell_slices
+            .iter()
+            .enumerate()
+            .map(|(cell, by_load)| {
+                self.account_cell(
+                    cell / sites,
+                    cell % sites,
                     &windows,
                     &plans,
                     &intensities,
                     &dynamics,
                     resolutions,
                     retry_grams,
-                ));
-            }
-        } else {
-            type CellSlot<'s> = (
-                usize,
-                usize,
-                &'s mut Option<Result<LifecycleCell, SimError>>,
-            );
-            let mut shares: Vec<Vec<CellSlot<'_>>> = (0..workers).map(|_| Vec::new()).collect();
-            for (index, (slot, &(year, site))) in slots.iter_mut().zip(&cell_inputs).enumerate() {
-                shares[index % workers].push((year, site, slot));
-            }
-            thread::scope(|scope| {
-                for share in shares {
-                    let windows = &windows;
-                    let plans = &plans;
-                    let intensities = &intensities;
-                    let dynamics = &dynamics;
-                    scope.spawn(move || {
-                        for (year, site, slot) in share {
-                            *slot = Some(self.measure_cell(
-                                year,
-                                site,
-                                days,
-                                windows,
-                                plans,
-                                intensities,
-                                dynamics,
-                                resolutions,
-                                retry_grams,
-                            ));
-                        }
-                    });
-                }
-            });
-        }
-
-        let mut cells = Vec::with_capacity(n);
-        for slot in slots {
-            cells.push(slot.ok_or(SimError::WorkerLost)??);
-        }
+                    by_load,
+                    &slices.measures,
+                )
+            })
+            .collect();
 
         let mut day_ledger = vec![
             DayLedger {
@@ -1999,29 +2176,24 @@ impl LifecycleSim {
     }
 
     /// Aggregates one (year, site) cell: every window of the year at this
-    /// site, with microsim slices memoised by their `(start, end)` load
-    /// pair — the schedule repeats daily and capacity is
-    /// piecewise-constant between failure events, so only a handful of
-    /// distinct slices are actually simulated.
+    /// site, priced from the measured slices. `by_load` maps each of the
+    /// cell's distinct `(start, end)` slice loads to its position in
+    /// `measures`.
     #[allow(clippy::too_many_arguments)] // the cell's full serial context, passed by reference
-    fn measure_cell(
+    fn account_cell(
         &self,
         year: usize,
         site_idx: usize,
-        total_days: usize,
         windows: &[LoadWindow],
         plans: &[WindowAssignment],
         intensities: &[Vec<CarbonIntensity>],
         dynamics: &[Vec<DayDynamics>],
         resolutions: Option<&[WindowResolution]>,
         retry_grams: f64,
-    ) -> Result<LifecycleCell, SimError> {
-        let site = &self.sites[site_idx];
+        by_load: &BTreeMap<(u64, u64), usize>,
+        measures: &[SliceMeasure],
+    ) -> LifecycleCell {
         let wpd = self.config.windows_per_day;
-        let sites = self.sites.len();
-        // Slices are memoised by exact (start, end) bit pattern and
-        // never iterated; window order drives the accumulation.
-        let mut memo: HashMap<(u64, u64), SliceMeasure> = HashMap::new();
 
         let mut requests = 0.0;
         let mut dropped_requests = 0.0;
@@ -2036,11 +2208,9 @@ impl LifecycleSim {
         let mut worst_tail_ms: f64 = 0.0;
         let mut worst_p99_ms: f64 = 0.0;
 
-        // The cell covers at most one year; a day-capped horizon leaves
-        // the last cell short.
-        let cell_start = year * DAYS_PER_YEAR;
-        let cell_end = ((year + 1) * DAYS_PER_YEAR).min(total_days);
-        let year_days = &dynamics[site_idx][cell_start..cell_end];
+        let cell = cell_days(year, dynamics[site_idx].len());
+        let cell_start = cell.start;
+        let year_days = &dynamics[site_idx][cell];
         let mut daily = Vec::with_capacity(year_days.len());
         for (offset, state) in year_days.iter().enumerate() {
             let day = cell_start + offset;
@@ -2061,53 +2231,36 @@ impl LifecycleSim {
                 // the retry/hedge/degradation traffic landed here. The
                 // fault-free defaults reduce every expression below to
                 // the plain path bit-for-bit.
-                let (ratio, avail, extra_mean, attempt_mean) = match resolutions {
-                    Some(res) => {
-                        let r = &res[w];
-                        (
-                            r.delivered_ratio[site_idx],
-                            r.avail[site_idx],
-                            r.extra_served_mean[site_idx],
-                            r.retry_attempt_mean[site_idx],
-                        )
-                    }
+                let resolution = resolutions.map(|res| &res[w]);
+                let (ratio, avail, extra_mean, attempt_mean) = match resolution {
+                    Some(r) => (
+                        r.delivered_ratio[site_idx],
+                        r.avail[site_idx],
+                        r.extra_served_mean[site_idx],
+                        r.retry_attempt_mean[site_idx],
+                    ),
                     None => (1.0, 1.0, 0.0, 0.0),
                 };
-                // The measured slice replays only the traffic actually
-                // delivered on first attempt: `ratio < 1.0` scales the
-                // endpoints (and thereby the memo key); the healthy
-                // branch leaves the original bits untouched.
-                let (eff_start, eff_end) = if ratio < 1.0 {
-                    (qps_start * ratio, qps_end * ratio)
-                } else {
-                    (qps_start, qps_end)
-                };
-                let eff_mean = (eff_start + eff_end) / 2.0;
-                let (utilization, median_ms, tail_ms, p99_ms, drop_fraction) = if eff_mean > 0.0 {
-                    let key = (eff_start.to_bits(), eff_end.to_bits());
-                    let measured = if let Some(cached) = memo.get(&key) {
-                        *cached
-                    } else {
-                        let seed =
-                            decorrelate_seed(self.config.seed, index_u64(w * sites + site_idx) + 1);
-                        let measured = self.measure_slice(site, eff_start, eff_end, seed)?;
-                        memo.insert(key, measured);
-                        measured
+                let (utilization, median_ms, tail_ms, p99_ms, drop_fraction) =
+                    match slice_endpoints(&plans[w], resolution, site_idx) {
+                        Some((eff_start, eff_end)) => {
+                            let measured =
+                                measures[by_load[&(eff_start.to_bits(), eff_end.to_bits())]];
+                            // The alive *and available* devices do all the
+                            // work: the independent-failure scale is further
+                            // inflated by the fault availability (strictly
+                            // positive here, or nothing would have been
+                            // delivered to measure).
+                            (
+                                (measured.utilization * (state.utilization_scale / avail)).min(1.0),
+                                measured.median_ms,
+                                measured.tail_ms,
+                                measured.p99_ms,
+                                measured.drop_fraction,
+                            )
+                        }
+                        None => (0.0, 0.0, 0.0, 0.0, 0.0),
                     };
-                    // The alive *and available* devices do all the work:
-                    // the independent-failure scale is further inflated
-                    // by the fault availability (strictly positive here,
-                    // or nothing would have been delivered to measure).
-                    (
-                        (measured.utilization * (state.utilization_scale / avail)).min(1.0),
-                        measured.median_ms,
-                        measured.tail_ms,
-                        measured.p99_ms,
-                        measured.drop_fraction,
-                    )
-                } else {
-                    (0.0, 0.0, 0.0, 0.0, 0.0)
-                };
                 worst_median_ms = worst_median_ms.max(median_ms);
                 worst_tail_ms = worst_tail_ms.max(tail_ms);
                 worst_p99_ms = worst_p99_ms.max(p99_ms);
@@ -2184,7 +2337,7 @@ impl LifecycleSim {
             });
         }
 
-        Ok(LifecycleCell {
+        LifecycleCell {
             year,
             site: site_idx,
             requests,
@@ -2200,7 +2353,31 @@ impl LifecycleSim {
             worst_tail_ms: Millis::from_millis(worst_tail_ms),
             worst_p99_ms: Millis::from_millis(worst_p99_ms),
             daily,
-        })
+        }
+    }
+
+    /// Measures the jobs claimed one at a time from `next` until none are
+    /// left, each into its own pre-assigned slot. Every worker of the
+    /// slice fan-out runs this loop; the serial path runs it alone.
+    fn measure_claimed(
+        &self,
+        jobs: &[SliceJob],
+        results: &[OnceLock<Result<SliceMeasure, SimError>>],
+        next: &AtomicUsize,
+    ) {
+        loop {
+            // `Relaxed` suffices: the counter only hands out indices, each
+            // exactly once; the slot's `OnceLock` and the scope's join
+            // publish the results.
+            let claimed = next.fetch_add(1, Ordering::Relaxed);
+            let (Some(job), Some(slot)) = (jobs.get(claimed), results.get(claimed)) else {
+                return;
+            };
+            let measured =
+                self.measure_slice(&self.sites[job.site], job.qps_start, job.qps_end, job.seed);
+            // Each slot is claimed exactly once, so it is always empty here.
+            let _ = slot.set(measured);
+        }
     }
 
     /// Runs one representative microsim slice (warm-up at the start rate,
@@ -2364,6 +2541,41 @@ mod tests {
         for workers in [2, 4, 7] {
             assert_eq!(serial, run(workers), "worker count {workers}");
         }
+    }
+
+    #[test]
+    fn a_shared_table_measures_each_distinct_slice_once() {
+        let sim = LifecycleSim::new(
+            vec![cohort_site(5, 3), leased_site(700.0)],
+            DiurnalSchedule::office_day(600.0),
+            RoutingPolicy::carbon_aware(),
+            quick_config(1).horizon_days(30),
+        );
+        let mut slices = MeasuredSlices::new();
+        assert!(slices.is_empty());
+        let first = sim.run_shared(&mut slices).unwrap();
+        assert_eq!(first, sim.run().unwrap());
+        let measured = slices.len();
+        assert!(measured > 0);
+        // The same fleet again finds every slice in the table.
+        assert_eq!(sim.run_shared(&mut slices).unwrap(), first);
+        assert_eq!(slices.len(), measured);
+    }
+
+    #[test]
+    fn a_failed_run_adds_nothing_to_the_table() {
+        let broken = LifecycleSim::new(
+            vec![cohort_site(5, 2).request_type("no-such-request")],
+            DiurnalSchedule::office_day(300.0),
+            RoutingPolicy::Static,
+            quick_config(1).horizon_days(3).parallelism(2),
+        );
+        let mut slices = MeasuredSlices::new();
+        assert_eq!(
+            broken.run_shared(&mut slices),
+            Err(SimError::UnknownRequestType("no-such-request".into()))
+        );
+        assert!(slices.is_empty());
     }
 
     #[test]

@@ -30,10 +30,9 @@
 //!   sees these; the fleet and lifecycle simulators measure them per cell
 //!   and surface them as `queue_dropped_requests`.
 //!
-//! Fleet-level *shed* is the sum of the two. The historical
-//! [`WindowAssignment::shed_mean_qps`] accessor is kept as an alias for
-//! the declined component only, because at this layer nothing has been
-//! simulated yet.
+//! Fleet-level *shed* is the sum of the two. At this layer nothing has
+//! been simulated yet, so a [`WindowAssignment`] reports only the
+//! declined component.
 
 use serde::{Deserialize, Serialize};
 
@@ -106,14 +105,6 @@ impl WindowAssignment {
     /// module docs on shed semantics).
     #[must_use]
     pub fn declined_mean_qps(&self) -> f64 {
-        self.declined_mean_qps
-    }
-
-    /// Alias for [`Self::declined_mean_qps`], kept for callers that
-    /// predate the declined/dropped split. At the routing layer nothing
-    /// has been simulated yet, so "shed" here means router-declined only.
-    #[must_use]
-    pub fn shed_mean_qps(&self) -> f64 {
         self.declined_mean_qps
     }
 
@@ -261,7 +252,7 @@ mod tests {
         let plan = plan_window(RoutingPolicy::Static, &sites, &one_window(400.0));
         assert!((plan.site_mean_qps(0) - 300.0).abs() < 1e-9);
         assert!((plan.site_mean_qps(1) - 100.0).abs() < 1e-9);
-        assert_eq!(plan.shed_mean_qps(), 0.0);
+        assert_eq!(plan.declined_mean_qps(), 0.0);
     }
 
     #[test]
@@ -293,8 +284,6 @@ mod tests {
                 (plan.declined_mean_qps() - 500.0).abs() < 1e-9,
                 "{policy:?}"
             );
-            // The legacy name is an exact alias for the declined component.
-            assert_eq!(plan.shed_mean_qps(), plan.declined_mean_qps());
         }
     }
 
@@ -309,7 +298,7 @@ mod tests {
             &one_window(800.0),
         );
         assert!((plan.site_mean_qps(0) - 500.0).abs() < 1e-9);
-        assert!((plan.shed_mean_qps() - 300.0).abs() < 1e-9);
+        assert!((plan.declined_mean_qps() - 300.0).abs() < 1e-9);
     }
 
     #[test]
@@ -317,7 +306,7 @@ mod tests {
         let sites = vec![site("a", 100.0, 1_000.0)];
         let plan = plan_window(RoutingPolicy::Static, &sites, &one_window(0.0));
         assert_eq!(plan.shares(), &[(0.0, 0.0)]);
-        assert_eq!(plan.shed_mean_qps(), 0.0);
+        assert_eq!(plan.declined_mean_qps(), 0.0);
     }
 
     #[test]

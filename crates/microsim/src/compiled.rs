@@ -162,7 +162,7 @@ impl CoreHeap {
 
 /// One pre-resolved call: target node index, per-node service times and
 /// shared-channel transmission times, all computed once at compile time.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct CompiledCall {
     node: u32,
     same_node: bool,
@@ -173,7 +173,7 @@ struct CompiledCall {
 }
 
 /// One pre-resolved request type: flat call array with per-stage ranges.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct CompiledType {
     /// `calls[lo..hi]` ranges, one per stage, in execution order.
     stage_ranges: Vec<(u32, u32)>,
@@ -188,8 +188,10 @@ struct CompiledType {
 /// Build one with [`Simulation::compile`] (or [`CompiledSim::compile`]) and
 /// reuse it across workloads — compilation resolves the placement and
 /// service-time maths once, and [`CompiledSim::run`] is `&self`, so a
-/// compiled simulation can be shared across sweep worker threads.
-#[derive(Debug, Clone)]
+/// compiled simulation can be shared across sweep worker threads. Two
+/// compiled simulations compare equal only when every table matches, so
+/// they replay any workload identically.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledSim {
     node_names: Vec<String>,
     node_cores: Vec<u32>,

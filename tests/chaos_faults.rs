@@ -14,6 +14,10 @@
 //!    that never constructed it; and with a truthful health view
 //!    (zero detection lag) nothing ever fails, because the router never
 //!    assigns traffic to capacity that is not there.
+//! 4. **Shared slices change nothing** — fleets run one after another
+//!    through one [`MeasuredSlices`] table each reproduce their
+//!    standalone run bit for bit, and a fleet whose site simulation
+//!    differs reuses none of the table's slices.
 //!
 //! The vendored proptest seeds its RNG from the test name, so this is a
 //! fixed-seed suite: every CI run exercises the same fault plans.
@@ -24,7 +28,7 @@ use junkyard::fleet::faults::{
     DegradationLadder, FaultConfig, FaultPlan, ResiliencePolicy, RetryPolicy,
 };
 use junkyard::fleet::lifecycle::{
-    CohortDevice, LifecycleConfig, LifecycleResult, LifecycleSim, LifecycleSite,
+    CohortDevice, LifecycleConfig, LifecycleResult, LifecycleSim, LifecycleSite, MeasuredSlices,
 };
 use junkyard::fleet::routing::RoutingPolicy;
 use junkyard::fleet::schedule::DiurnalSchedule;
@@ -38,9 +42,11 @@ use junkyard::microsim::placement::Placement;
 use junkyard::microsim::sim::Simulation;
 use proptest::prelude::*;
 
-fn tiny_sim() -> Simulation {
+/// A small simulation of `phones` Pixel 3A nodes; two keep each proptest
+/// case fast.
+fn phone_sim(phones: usize) -> Simulation {
     let app = hotel_reservation();
-    let nodes = vec![NodeSpec::pixel_3a(0), NodeSpec::pixel_3a(1)];
+    let nodes: Vec<NodeSpec> = (0..phones).map(NodeSpec::pixel_3a).collect();
     let placement = Placement::swarm_spread(&app, &nodes, 11).unwrap();
     Simulation::new(app, nodes, placement, NetworkModel::phone_wifi()).unwrap()
 }
@@ -56,13 +62,13 @@ fn phone_slot(capacity: f64) -> CohortDevice {
     .power(Watts::new(0.8), Watts::new(1.7))
 }
 
-fn cohort_site(seed: u64) -> LifecycleSite {
+fn cohort_site(seed: u64, sim: &Simulation) -> LifecycleSite {
     let trace = CaisoSynthesizer::new(seed, 2)
         .step(TimeSpan::from_hours(1.0))
         .intensity_trace();
     LifecycleSite::cohort(
         "cloudlet",
-        &tiny_sim(),
+        sim,
         GridRegion::new("caiso", trace),
         vec![phone_slot(400.0), phone_slot(400.0)],
         GramsCo2e::from_kilograms(15.0),
@@ -72,20 +78,15 @@ fn cohort_site(seed: u64) -> LifecycleSite {
     .unwrap()
 }
 
-fn leased_site(capacity: f64) -> LifecycleSite {
+fn leased_site(capacity: f64, sim: &Simulation) -> LifecycleSite {
     let trace = IntensityTrace::constant(
         CarbonIntensity::from_grams_per_kwh(420.0),
         TimeSpan::from_hours(1.0),
         TimeSpan::from_days(1.0),
     );
-    LifecycleSite::leased(
-        "datacenter",
-        &tiny_sim(),
-        GridRegion::new("gas", trace),
-        capacity,
-    )
-    .power(Watts::new(50.0), Watts::new(40.0))
-    .embodied(GramsCo2e::from_kilograms(500.0), TimeSpan::from_years(4.0))
+    LifecycleSite::leased("datacenter", sim, GridRegion::new("gas", trace), capacity)
+        .power(Watts::new(50.0), Watts::new(40.0))
+        .embodied(GramsCo2e::from_kilograms(500.0), TimeSpan::from_years(4.0))
 }
 
 /// A random-but-bounded fault configuration: every process enabled with
@@ -109,8 +110,24 @@ fn build(
     faults: Option<FaultConfig>,
     policy: Option<ResiliencePolicy>,
 ) -> LifecycleResult {
+    fleet(seed, base_qps, workers, faults, policy, 2)
+        .run()
+        .unwrap()
+}
+
+/// A cloudlet plus a leased fallback, both serving from a `phones`-node
+/// simulation.
+fn fleet(
+    seed: u64,
+    base_qps: f64,
+    workers: usize,
+    faults: Option<FaultConfig>,
+    policy: Option<ResiliencePolicy>,
+    phones: usize,
+) -> LifecycleSim {
+    let site_sim = phone_sim(phones);
     let mut sim = LifecycleSim::new(
-        vec![cohort_site(seed), leased_site(400.0)],
+        vec![cohort_site(seed, &site_sim), leased_site(400.0, &site_sim)],
         DiurnalSchedule::office_day(base_qps),
         RoutingPolicy::carbon_aware(),
         LifecycleConfig::new(1)
@@ -127,7 +144,7 @@ fn build(
     if let Some(policy) = policy {
         sim = sim.with_resilience(policy);
     }
-    sim.run().unwrap()
+    sim
 }
 
 /// The conserved-buckets identity, relative tolerance 1e-6 (panics on
@@ -234,6 +251,44 @@ proptest! {
         );
         prop_assert_eq!(omniscient.failed_requests(), 0.0);
         assert_conserved(&omniscient);
+    }
+
+    /// Fleets run one after another through one shared slice table: a
+    /// fault-free fleet, then a faulty one over the same sites, then one
+    /// whose site simulation has one more phone. Each reproduces its
+    /// standalone run bit for bit, and the third fleet reuses nothing:
+    /// the table grows by exactly its standalone slice count.
+    #[test]
+    fn shared_slices_reproduce_standalone_runs(
+        seed in 0u64..1_000,
+        base_qps in 300.0f64..900.0,
+        outage_mean in 3.0f64..20.0,
+        firmware_mean in 3.0f64..20.0,
+        lag in 0usize..3,
+        workers in 1usize..5,
+    ) {
+        let faults = fault_config(outage_mean, firmware_mean, 0.5, 10.0);
+        let policy = ResiliencePolicy::new()
+            .detection_lag_windows(lag)
+            .retry(RetryPolicy::new(2).hedge_to_fallback())
+            .fallback_site(1);
+        let fleets = [
+            fleet(seed, base_qps, workers, None, None, 2),
+            fleet(seed, base_qps, workers, Some(faults), Some(policy), 2),
+        ];
+        let mut shared = MeasuredSlices::new();
+        for sim in &fleets {
+            let result = sim.run_shared(&mut shared).unwrap();
+            prop_assert_eq!(result, sim.run().unwrap());
+        }
+
+        let bigger = fleet(seed, base_qps, workers, None, None, 3);
+        let mut own = MeasuredSlices::new();
+        let standalone = bigger.run_shared(&mut own).unwrap();
+        let before = shared.len();
+        prop_assert_eq!(bigger.run_shared(&mut shared).unwrap(), standalone);
+        prop_assert!(!own.is_empty());
+        prop_assert_eq!(shared.len(), before + own.len());
     }
 }
 

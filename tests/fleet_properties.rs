@@ -163,10 +163,10 @@ proptest! {
                 placed_mean += plan.site_mean_qps(i);
             }
             prop_assert!(
-                (placed_mean + plan.shed_mean_qps() - window.mean_qps()).abs()
+                (placed_mean + plan.declined_mean_qps() - window.mean_qps()).abs()
                     <= 1e-9 * window.mean_qps().max(1.0)
             );
-            prop_assert!(plan.shed_mean_qps() >= 0.0);
+            prop_assert!(plan.declined_mean_qps() >= 0.0);
         }
     }
 

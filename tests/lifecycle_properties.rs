@@ -1,7 +1,7 @@
 //! Property tests on the lifecycle layer: the multi-year accounting is
 //! conservative (per-(year, site) cells sum to the lifetime totals and to
-//! the per-day ledger) and the slot-threaded fan-out is deterministic at
-//! any worker count.
+//! the per-day ledger) and the slot-threaded slice fan-out is
+//! deterministic at any worker count.
 
 use junkyard::battery::state::BatteryState;
 use junkyard::carbon::units::{CarbonIntensity, GramsCo2e, TimeSpan, Watts};
@@ -147,19 +147,21 @@ proptest! {
             <= tol(result.total_carbon().grams()));
     }
 
-    /// Serial and threaded lifecycle runs are bit-identical.
+    /// Serial and threaded lifecycle runs are bit-identical — for a
+    /// two-site, two-year fleet and for a single-site, single-year one,
+    /// whose one cell still fans its slices across every worker.
     #[test]
     fn lifecycle_runs_are_identical_across_worker_counts(
         base_qps in 50.0f64..700.0,
         seed in 0u64..1_000,
         workers in 2usize..9,
     ) {
-        let run = |parallelism: usize| {
+        let run = |sites: Vec<LifecycleSite>, years: usize, parallelism: usize| {
             LifecycleSim::new(
-                vec![cohort_site(seed, 2, 400.0), leased_site(300.0)],
+                sites,
                 DiurnalSchedule::office_day(base_qps),
                 RoutingPolicy::carbon_aware(),
-                LifecycleConfig::new(2)
+                LifecycleConfig::new(years)
                     .windows_per_day(2)
                     .sim_slice_s(1.0)
                     .warmup_s(0.0)
@@ -169,7 +171,12 @@ proptest! {
             .run()
             .unwrap()
         };
-        prop_assert_eq!(run(1), run(workers));
+        let two_sites = || vec![cohort_site(seed, 2, 400.0), leased_site(300.0)];
+        prop_assert_eq!(run(two_sites(), 2, 1), run(two_sites(), 2, workers));
+        let one_cell = || vec![cohort_site(seed, 2, 400.0)];
+        let single = run(one_cell(), 1, 1);
+        prop_assert_eq!(single.cells().len(), 1);
+        prop_assert_eq!(single, run(one_cell(), 1, workers));
     }
 }
 
