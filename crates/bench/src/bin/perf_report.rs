@@ -8,10 +8,9 @@
 //! [`junkyard_obs::Profiler`]: the report gains a `"profile"` section
 //! (per-stage inclusive wall ms) and a collapsed-stack sidecar
 //! (`PROFILE.folded`, flamegraph-ready) next to the JSON. The sweep
-//! entry reports the worker count actually used and each worker's
-//! deterministic event share, so a silently capped fan-out (one-core
-//! runner, `available_parallelism() == 1`) is visible in the numbers
-//! instead of masquerading as a threading regression.
+//! entry reports the worker count actually used, so a silently capped
+//! fan-out (one-core runner, `available_parallelism() == 1`) is visible
+//! in the numbers instead of masquerading as a threading regression.
 //!
 //! Usage: `cargo run --release --bin perf_report [output.json [profile.folded]]`
 //! (defaults: `BENCH_microsim.json` and `PROFILE.folded` in the working
@@ -145,21 +144,19 @@ fn main() {
     let sweep_threaded_ms = profiler
         .stage_ms("perf_report;sweep;threaded")
         .expect("threaded stage timed");
-    // The same sweep once more with the recorder attached: the per-point
-    // engine event counts give each worker's deterministic share of the
-    // work (wall clocks cannot cross the fan-out boundary).
+    // The same sweep once more with the recorder attached: tracing must
+    // not move a single point.
     let sweep_workers = sweep.effective_workers();
     let mut sweep_recorder = TraceRecorder::new();
-    let traced_sweep = profiler.time("traced", || {
+    let traced_curve = profiler.time("traced", || {
         sweep
             .run_compiled_traced("phones", &social, &mut sweep_recorder)
             .expect("traced sweep runs")
     });
     assert_eq!(
-        traced_sweep.curve, threaded_curve,
+        traced_curve, threaded_curve,
         "the traced sweep must reproduce the untraced curve"
     );
-    let sweep_utilisation = traced_sweep.worker_utilisation();
     profiler.stop();
 
     // The coupled fleet path: the quick two-region study (both routing
@@ -227,24 +224,15 @@ fn main() {
             if i + 1 < scenarios.len() { "," } else { "" },
         );
     }
-    let mut utilisation_json = String::new();
-    for (i, u) in sweep_utilisation.iter().enumerate() {
-        if i > 0 {
-            utilisation_json.push_str(", ");
-        }
-        let _ = write!(utilisation_json, "{u:.4}");
-    }
     let _ = writeln!(
         json,
         "  ],\n  \"sweep\": {{\"points\": {}, \"workers\": {}, \"wall_ms_serial\": {:.3}, \
-         \"wall_ms_threaded\": {:.3}, \"speedup\": {:.4}, \
-         \"worker_utilisation\": [{}]}},",
+         \"wall_ms_threaded\": {:.3}, \"speedup\": {:.4}}},",
         sweep_points.len(),
         sweep_workers,
         sweep_serial_ms,
         sweep_threaded_ms,
         sweep_serial_ms / sweep_threaded_ms,
-        utilisation_json,
     );
     let _ = writeln!(
         json,
@@ -333,14 +321,12 @@ fn main() {
         );
     }
     println!(
-        "\n  sweep ({} points, {} workers): serial {:.1} ms, threaded {:.1} ms ({:.2}x), \
-         worker event shares [{}]",
+        "\n  sweep ({} points, {} workers): serial {:.1} ms, threaded {:.1} ms ({:.2}x)",
         sweep_points.len(),
         sweep_workers,
         sweep_serial_ms,
         sweep_threaded_ms,
         sweep_serial_ms / sweep_threaded_ms,
-        utilisation_json,
     );
     println!(
         "  fleet study ({} cells across both policies): {:.1} ms, \

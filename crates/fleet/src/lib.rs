@@ -18,8 +18,8 @@
 //!   (window, site) cell through the compiled engine, integrates
 //!   operational carbon from measured utilisation and amortised embodied
 //!   carbon per window, and reports fleet-wide gCO2e per request. Cells
-//!   fan out across scoped threads with pre-assigned output slots, so
-//!   results are identical serial or threaded.
+//!   fan out with `junkyard_microsim::fanout::fan_out`, which returns
+//!   them in cell order, so results are identical serial or threaded.
 //! * [`faults`] — correlated fault injection and the failure-aware
 //!   serving path: deterministic [`FaultPlan`](faults::FaultPlan)s of
 //!   grid outages, firmware-batch failures and thermal shutdowns; a
@@ -31,8 +31,8 @@
 //!   multi-year coupling of all of the above. Device cohorts wear their
 //!   batteries day by day under the simulated smart-charging schedule,
 //!   fail stochastically and are refilled from junkyard stock; routing
-//!   re-plans every window as capacity shrinks and recovers; each
-//!   distinct microsim slice fans out into a pre-assigned slot, and a
+//!   re-plans every window as capacity shrinks and recovers; the
+//!   distinct microsim slices fan out with the same `fan_out`, and a
 //!   [`MeasuredSlices`](lifecycle::MeasuredSlices) table lets fleets run
 //!   one after another measure a shared slice once.
 //!

@@ -26,9 +26,9 @@
 //! identical `(start, end)` load windows share one slice, seeded from the
 //! first window with that pair (the schedule repeats daily and capacities
 //! are piecewise-constant between failure events, so a multi-year horizon
-//! needs only a few hundred slices). One fan-out then runs the distinct
-//! slices on scoped worker threads that claim them one at a time, each
-//! into a pre-assigned slot, so results are bit-identical serial or
+//! needs only a few hundred slices). One [`fan_out`] then runs the
+//! distinct slices on worker threads that claim them one at a time and
+//! hands them back in plan order, so results are bit-identical serial or
 //! threaded. A last serial pass does each cell's accounting from the
 //! measured slices. A caller-owned [`MeasuredSlices`] table carries the
 //! measurements from one run to the next, so fleets over the same sites
@@ -41,9 +41,6 @@
 
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-use std::thread;
 
 use serde::{Deserialize, Serialize};
 
@@ -56,6 +53,7 @@ use junkyard_carbon::units::{CarbonIntensity, GramsCo2e, Millis, TimeSpan, Watts
 use junkyard_devices::battery::BatterySpec;
 use junkyard_grid::trace::IntensityTrace;
 use junkyard_microsim::compiled::CompiledSim;
+use junkyard_microsim::fanout::{self, fan_out};
 use junkyard_microsim::sim::{Phase, SimError, Simulation, Workload};
 use junkyard_microsim::sweep::decorrelate_seed;
 use junkyard_obs::{ConservedLedger, EventKind, NoopRecorder, Recorder, TraceEvent};
@@ -1699,8 +1697,8 @@ impl LifecycleSim {
     ///
     /// The serial passes (per-site daily dynamics, per-window routing
     /// plans, the plan of each cell's distinct slices) run first. The
-    /// distinct slices then fan out across scoped worker threads into
-    /// pre-assigned slots, and a serial pass accounts every (year, site)
+    /// distinct slices then fan out across worker threads with
+    /// [`fan_out`], and a serial pass accounts every (year, site)
     /// cell from them, so the result is bit-identical at any worker
     /// count. Nothing is kept between calls: this is
     /// [`LifecycleSim::run_shared`] with a fresh table.
@@ -1987,33 +1985,19 @@ impl LifecycleSim {
             cell_slices.push(by_load);
         }
 
-        // Parallel pass: the new slices into pre-assigned slots. Workers
-        // claim slices one at a time, so slices of unequal cost spread
-        // evenly over the workers.
-        let results: Vec<OnceLock<Result<SliceMeasure, SimError>>> =
-            jobs.iter().map(|_| OnceLock::new()).collect();
-        let workers = self
-            .config
-            .parallelism
-            .unwrap_or_else(|| thread::available_parallelism().map_or(1, std::num::NonZero::get))
-            .min(jobs.len())
-            .max(1);
-        let next = AtomicUsize::new(0);
-        if workers == 1 {
-            self.measure_claimed(&jobs, &results, &next);
-        } else {
-            thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| self.measure_claimed(&jobs, &results, &next));
-                }
-            });
-        }
-        // The first failing slice in plan order, which is (cell, window)
-        // order, wins; a failed run adds nothing to the table.
-        let measured = results
-            .into_iter()
-            .map(|slot| slot.into_inner().unwrap_or(Err(SimError::WorkerLost)))
-            .collect::<Result<Vec<SliceMeasure>, SimError>>()?;
+        // Parallel pass: the new slices, claimed one at a time so slices
+        // of unequal cost spread evenly over the workers. The first
+        // failing slice in plan order, which is (cell, window) order,
+        // wins; a failed run adds nothing to the table.
+        let measured = fan_out(
+            &jobs,
+            fanout::workers(self.config.parallelism, jobs.len()),
+            |_, job| {
+                self.measure_slice(&self.sites[job.site], job.qps_start, job.qps_end, job.seed)
+            },
+        )?
+        .into_iter()
+        .collect::<Result<Vec<SliceMeasure>, SimError>>()?;
         slices.measures.extend(measured);
         slices.index.append(&mut new_keys);
 
@@ -2353,30 +2337,6 @@ impl LifecycleSim {
             worst_tail_ms: Millis::from_millis(worst_tail_ms),
             worst_p99_ms: Millis::from_millis(worst_p99_ms),
             daily,
-        }
-    }
-
-    /// Measures the jobs claimed one at a time from `next` until none are
-    /// left, each into its own pre-assigned slot. Every worker of the
-    /// slice fan-out runs this loop; the serial path runs it alone.
-    fn measure_claimed(
-        &self,
-        jobs: &[SliceJob],
-        results: &[OnceLock<Result<SliceMeasure, SimError>>],
-        next: &AtomicUsize,
-    ) {
-        loop {
-            // `Relaxed` suffices: the counter only hands out indices, each
-            // exactly once; the slot's `OnceLock` and the scope's join
-            // publish the results.
-            let claimed = next.fetch_add(1, Ordering::Relaxed);
-            let (Some(job), Some(slot)) = (jobs.get(claimed), results.get(claimed)) else {
-                return;
-            };
-            let measured =
-                self.measure_slice(&self.sites[job.site], job.qps_start, job.qps_end, job.seed);
-            // Each slot is claimed exactly once, so it is always empty here.
-            let _ = slot.set(measured);
         }
     }
 

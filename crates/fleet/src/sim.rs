@@ -3,19 +3,17 @@
 //! carbon integrated per window.
 //!
 //! Cells are independent simulations, so [`FleetSim::run`] fans them out
-//! across `std::thread::scope` workers with the same order-preserving slot
-//! pattern as the sweep layer: workers write into pre-assigned slots and
-//! totals are accumulated in cell order after the join, so the result is
-//! identical whatever the worker count. Per-cell workload seeds come from
-//! [`decorrelate_seed`], so neighbouring cells replay independent arrival
-//! sequences.
-
-use std::thread;
+//! with the same [`fan_out`] as the sweep layer: the cells come back in
+//! cell order and totals are accumulated in that order after the join, so
+//! the result is identical whatever the worker count. Per-cell workload
+//! seeds come from [`decorrelate_seed`], so neighbouring cells replay
+//! independent arrival sequences.
 
 use serde::{Deserialize, Serialize};
 
 use junkyard_carbon::convert::{count_f64, floor_index, index_u64};
 use junkyard_carbon::units::{CarbonIntensity, GramsCo2e, Joules, Millis, Qps, TimeSpan};
+use junkyard_microsim::fanout::{self, fan_out};
 use junkyard_microsim::sim::{Phase, SimError, Workload};
 use junkyard_microsim::sweep::decorrelate_seed;
 use junkyard_obs::{EventKind, NoopRecorder, Recorder, TraceEvent};
@@ -469,10 +467,9 @@ impl FleetSim {
 
     /// Runs the fleet and returns the accounting grid.
     ///
-    /// Cells fan out across scoped worker threads, strided so expensive
-    /// peak-hour cells spread over workers; every worker writes its cells
-    /// into pre-assigned slots and the totals are accumulated in cell
-    /// order afterwards, so the result is bit-identical to a serial run.
+    /// Cells fan out across worker threads with [`fan_out`], which hands
+    /// them back in cell order; the totals are accumulated in that order
+    /// afterwards, so the result is bit-identical to a serial run.
     ///
     /// # Errors
     ///
@@ -520,42 +517,16 @@ impl FleetSim {
         }
         let sites = self.sites.len();
         let n = windows.len() * sites;
-        let workers = self
-            .config
-            .parallelism
-            .unwrap_or_else(|| thread::available_parallelism().map_or(1, std::num::NonZero::get))
-            .min(n)
-            .max(1);
-
-        let cell_inputs: Vec<(usize, usize)> = (0..n).map(|i| (i / sites, i % sites)).collect();
-        let mut slots: Vec<Option<Result<FleetCell, SimError>>> = (0..n).map(|_| None).collect();
-        if workers == 1 {
-            for (slot, &(w, s)) in slots.iter_mut().zip(&cell_inputs) {
-                *slot = Some(self.measure_cell(w, s, &windows[w], &assignments[w]));
-            }
-        } else {
-            type CellSlot<'s> = (usize, usize, &'s mut Option<Result<FleetCell, SimError>>);
-            let mut shares: Vec<Vec<CellSlot<'_>>> = (0..workers).map(|_| Vec::new()).collect();
-            for (index, (slot, &(w, s))) in slots.iter_mut().zip(&cell_inputs).enumerate() {
-                shares[index % workers].push((w, s, slot));
-            }
-            thread::scope(|scope| {
-                for share in shares {
-                    let windows = &windows;
-                    let assignments = &assignments;
-                    scope.spawn(move || {
-                        for (w, s, slot) in share {
-                            *slot = Some(self.measure_cell(w, s, &windows[w], &assignments[w]));
-                        }
-                    });
-                }
-            });
-        }
-
-        let mut cells = Vec::with_capacity(n);
-        for slot in slots {
-            cells.push(slot.ok_or(SimError::WorkerLost)??);
-        }
+        let cells = fan_out(
+            0..n,
+            fanout::workers(self.config.parallelism, n),
+            |cell, _| {
+                let w = cell / sites;
+                self.measure_cell(w, cell % sites, &windows[w], &assignments[w])
+            },
+        )?
+        .into_iter()
+        .collect::<Result<Vec<FleetCell>, SimError>>()?;
         let mut total_requests = 0.0;
         let mut dropped_requests = 0.0;
         let mut total_operational = GramsCo2e::ZERO;

@@ -1,7 +1,8 @@
 //! The workspace call graph and the `fanout-purity` analysis.
 //!
-//! Roots are the closures handed to `thread::scope` spawn sites (any
-//! `.spawn(` call outside test code). From each root the analysis walks
+//! Roots are the argument lists of every `fan_out(` call (the worker
+//! closure handed to the workspace's one fan-out primitive) and every
+//! `.spawn(` call outside test code. From each root the analysis walks
 //! name-resolved call edges (see [`crate::symbols`]) to every reachable
 //! function and checks each one for effects that would break the
 //! bit-identical-at-any-worker-count contract: wall-clock reads,
@@ -25,7 +26,7 @@ use crate::symbols::{Call, FnRef, Symbols};
 #[derive(Debug, Default)]
 pub struct Fanout {
     /// Per file: sorted significant-token ranges that are on a fan-out
-    /// path (spawn-closure argument ranges and reachable fn bodies).
+    /// path (root argument ranges and reachable fn bodies).
     pub scopes: Vec<Vec<(usize, usize)>>,
     /// `fanout-purity` findings.
     pub findings: Vec<Finding>,
@@ -42,12 +43,12 @@ impl Fanout {
     }
 }
 
-/// One `.spawn(` call site.
+/// One fan-out root: a `fan_out(` or `.spawn(` call site.
 #[derive(Debug)]
-struct SpawnSite {
+struct Root {
     file: usize,
     line: u32,
-    /// Significant-token range of the spawn call's argument list.
+    /// Significant-token range of the call's argument list.
     range: (usize, usize),
 }
 
@@ -83,22 +84,21 @@ fn collect_calls(file: &SourceFile, start: usize, end: usize) -> Vec<Call> {
     calls
 }
 
-/// Finds every non-test `.spawn(` call and the sig range of its
-/// argument list (which contains the worker closure).
-fn spawn_sites(files: &[SourceFile]) -> Vec<SpawnSite> {
+/// Finds every non-test `fan_out(` call (but not a `fn fan_out`
+/// definition) and `.spawn(` call, and the sig range of its argument
+/// list (which contains the worker closure).
+fn roots(files: &[SourceFile]) -> Vec<Root> {
     let mut sites = Vec::new();
     for (file_idx, file) in files.iter().enumerate() {
         let n = file.sig.len();
         for i in 0..n {
-            if file.sig_text(i) != "spawn"
-                || i == 0
-                || file.sig_text(i - 1) != "."
-                || i + 1 >= n
-                || file.sig_text(i + 1) != "("
-            {
-                continue;
-            }
-            if file.sig_in_test(i) {
+            let before = if i == 0 { "" } else { file.sig_text(i - 1) };
+            let root = match file.sig_text(i) {
+                "fan_out" => before != "fn",
+                "spawn" => before == ".",
+                _ => false,
+            };
+            if !root || i + 1 >= n || file.sig_text(i + 1) != "(" || file.sig_in_test(i) {
                 continue;
             }
             // Match the argument parens.
@@ -120,7 +120,7 @@ fn spawn_sites(files: &[SourceFile]) -> Vec<SpawnSite> {
                 }
                 j += 1;
             };
-            sites.push(SpawnSite {
+            sites.push(Root {
                 file: file_idx,
                 line: file.sig_line(i),
                 range: (i + 2, close),
@@ -141,7 +141,7 @@ struct Impurity {
 /// profiler module) are allowed wall clocks — that is their whole job.
 ///
 /// The `recorder-in-fanout` facet is zero-tolerance everywhere: a
-/// spawn-reachable range must never touch the serial-side
+/// fan-out-reachable range must never touch the serial-side
 /// `TraceRecorder` (including its `.absorb(` merge). Workers record
 /// through per-slot `TraceShard`s minted before the fan-out, so the
 /// merged trace cannot depend on worker count or interleaving.
@@ -203,7 +203,7 @@ fn impurities(
     out
 }
 
-/// Runs the whole fan-out analysis: spawn roots → reachability →
+/// Runs the whole fan-out analysis: fan-out roots → reachability →
 /// purity findings + per-file scopes. `clock_sanctioned[i]` marks files
 /// allowed to read wall clocks (the bench crate and the obs profiler
 /// module).
@@ -214,7 +214,7 @@ pub fn analyze(
     symbols: &Symbols,
     clock_sanctioned: &[bool],
 ) -> Fanout {
-    let sites = spawn_sites(files);
+    let sites = roots(files);
     // Per-file hash context, computed once.
     let per_file_bindings: Vec<Vec<String>> = files.iter().map(hash_bindings).collect();
     let per_file_points: Vec<Vec<(usize, String)>> = files
@@ -223,7 +223,7 @@ pub fn analyze(
         .map(|(f, b)| hash_iteration_points(f, b))
         .collect();
 
-    // BFS over call edges from each spawn site's closure.
+    // BFS over call edges from each root's closure.
     let mut visited: BTreeSet<FnRef> = BTreeSet::new();
     let mut origin: BTreeMap<FnRef, usize> = BTreeMap::new(); // site index
     let mut queue: VecDeque<FnRef> = VecDeque::new();
@@ -261,7 +261,7 @@ pub fn analyze(
         }
     }
 
-    // Findings: direct impurities inside spawn closures...
+    // Findings: direct impurities inside root closures...
     let mut findings = Vec::new();
     for site in &sites {
         let file = &files[site.file];
@@ -277,7 +277,7 @@ pub fn analyze(
                 path: file.rel_path.clone(),
                 line: imp.line,
                 message: format!(
-                    "spawn closure (`thread::scope` fan-out at {}:{}) {}",
+                    "fan-out closure (at {}:{}) {}",
                     file.rel_path, site.line, imp.what
                 ),
                 suppressed: None,
@@ -312,7 +312,7 @@ pub fn analyze(
             path: file.rel_path.clone(),
             line: f.line,
             message: format!(
-                "fn `{}` is reachable from the `thread::scope` fan-out at {}:{} and {}",
+                "fn `{}` is reachable from the fan-out at {}:{} and {}",
                 f.qualified(),
                 files[site.file].rel_path,
                 site.line,
@@ -322,7 +322,7 @@ pub fn analyze(
         });
     }
 
-    // Scopes: spawn ranges plus reachable fn bodies, per file.
+    // Scopes: root ranges plus reachable fn bodies, per file.
     let mut scopes: Vec<Vec<(usize, usize)>> = vec![Vec::new(); files.len()];
     for site in &sites {
         scopes[site.file].push(site.range);
@@ -396,6 +396,30 @@ mod tests {
         assert_eq!(fanout.findings.len(), 1);
         assert!(fanout.findings[0].message.contains("mutable static"));
         assert!(fanout.findings[0].message.contains("W::step"));
+    }
+
+    #[test]
+    fn fan_out_calls_are_roots_but_fan_out_definitions_are_not() {
+        let (_, _, fanout) = run(&[
+            (
+                "crates/a/src/fanout.rs",
+                "pub fn fan_out(started: std::time::Instant, job: impl Fn()) { job(); }\n",
+            ),
+            (
+                "crates/b/src/lib.rs",
+                "struct Meter;\nimpl Meter {\n    fn first(&self) {}\n    \
+                 fn read(&self) { let _t = std::time::Instant::now(); }\n}\n\
+                 pub fn run(m: &Meter) {\n    fan_out(0..4, 2, |_, _| m.read());\n}\n",
+            ),
+        ]);
+        // Only the second method, reached through the `fan_out(` call on
+        // line 7, is flagged; the `Instant` in the definition's parameter
+        // list is not a fan-out closure.
+        assert_eq!(fanout.findings.len(), 1, "{:?}", fanout.findings);
+        let f = &fanout.findings[0];
+        assert_eq!((f.path.as_str(), f.line), ("crates/b/src/lib.rs", 4));
+        assert!(f.message.contains("Meter::read"), "{}", f.message);
+        assert!(f.message.contains("crates/b/src/lib.rs:7"), "{}", f.message);
     }
 
     #[test]

@@ -113,6 +113,9 @@ pub struct Analysis {
     pub unused_suppressions: Vec<UnusedSuppression>,
     /// Number of source files scanned.
     pub files_scanned: usize,
+    /// Non-test lines of code per crate directory (`junkyard` for the
+    /// root package), in name order. Report-only: no gate reads it.
+    pub loc: Vec<(String, usize)>,
 }
 
 impl Analysis {
@@ -155,6 +158,12 @@ impl Analysis {
             }
         }
         out
+    }
+
+    /// Non-test lines of code across the workspace.
+    #[must_use]
+    pub fn loc_total(&self) -> usize {
+        self.loc.iter().map(|(_, lines)| lines).sum()
     }
 
     /// Whether the gate passes.
@@ -274,7 +283,7 @@ pub fn analyze(root: &Path, config: &Config, baseline: &Baseline) -> Result<Anal
     // the profiler module's methods are wall-clock-sanctioned even when
     // (mis)resolved as reachable from a fan-out, otherwise every
     // `.start(`/`.time(` method call in sim code would drag
-    // `Profiler`'s `Instant`s into the spawn-reachable set by bare-name
+    // `Profiler`'s `Instant`s into the fan-out-reachable set by bare-name
     // resolution.
     let clock_sanctioned: Vec<bool> = files
         .iter()
@@ -396,10 +405,20 @@ pub fn analyze(root: &Path, config: &Config, baseline: &Baseline) -> Result<Anal
         })
         .collect();
 
+    let mut loc: BTreeMap<String, usize> = BTreeMap::new();
+    for file in &files {
+        let krate = match file.rel_path.strip_prefix("crates/") {
+            Some(rest) => rest.split('/').next().unwrap_or(rest),
+            None => "junkyard",
+        };
+        *loc.entry(krate.to_string()).or_default() += file.code_lines();
+    }
+
     Ok(Analysis {
         findings,
         stats,
         unused_suppressions: unused,
         files_scanned: files.len(),
+        loc: loc.into_iter().collect(),
     })
 }

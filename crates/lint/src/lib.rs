@@ -22,9 +22,10 @@
 //!   bodies) over the lexer; deliberately not a full Rust grammar.
 //! * [`symbols`] — the workspace symbol table: every fn, indexed for
 //!   name-based (over-approximate) call resolution.
-//! * [`callgraph`] — spawn-closure roots, transitive reachability, the
-//!   `fanout-purity` rule, and the fan-out scopes that re-scope the
-//!   hash-declaration facet of `nondeterministic-iteration`.
+//! * [`callgraph`] — fan-out roots (`fan_out(` and `.spawn(` closures),
+//!   transitive reachability, the `fanout-purity` rule, and the fan-out
+//!   scopes that re-scope the hash-declaration facet of
+//!   `nondeterministic-iteration`.
 //! * [`dims`] — the dimension algebra behind `unit-suffix-consistency`:
 //!   unit suffixes (`_ms`, `_qps`, `_grams`, ...) become dimensions;
 //!   add/sub/compare require equality, `*`/`/` compose, conversion

@@ -152,6 +152,11 @@ pub fn parse(file: &SourceFile) -> ParsedFile {
             "fn" => {
                 let (item, next) = parse_fn(file, i, impl_stack.last().map(|(_, t)| t.as_str()));
                 if let Some(item) = item {
+                    // `parse_fn` resumes just inside the body: count its
+                    // `{` so the body's `}` does not pop an enclosing impl.
+                    if item.body.is_some() {
+                        depth += 1;
+                    }
                     out.fns.push(item);
                 }
                 i = next;
@@ -593,6 +598,19 @@ mod tests {
         assert_eq!(names, vec!["Foo::get".to_string(), "Foo::fmt".to_string()]);
         // Receiver `&self` is not a param.
         assert!(parsed.fns[0].params.is_empty());
+    }
+
+    #[test]
+    fn every_method_of_an_impl_gets_its_self_type() {
+        let parsed = parse_src(
+            "impl Meter {\n    fn first(&self) {}\n    fn second(&self) { if true { } }\n    \
+             fn third(&self) {}\n}\nfn free() {}\n",
+        );
+        let names: Vec<String> = parsed.fns.iter().map(FnItem::qualified).collect();
+        assert_eq!(
+            names,
+            ["Meter::first", "Meter::second", "Meter::third", "free"]
+        );
     }
 
     #[test]

@@ -10,8 +10,9 @@ use crate::engine::Analysis;
 pub fn human(analysis: &Analysis) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "junkyard_lint: {} files scanned\n\n",
-        analysis.files_scanned
+        "junkyard_lint: {} files scanned, {} non-test lines of code\n\n",
+        analysis.files_scanned,
+        analysis.loc_total()
     ));
     for stats in &analysis.stats {
         let rule = stats.rule;
@@ -87,17 +88,31 @@ pub fn human(analysis: &Analysis) -> String {
     out
 }
 
-/// Renders `LINT_report.json`: every finding (suppressed included), the
-/// per-rule totals and ratchet status, and the contract each rule
-/// encodes. Hand-rolled JSON — the crate stays zero-dependency.
+/// Renders `LINT_report.json`: the non-test lines of code per crate,
+/// every finding (suppressed included), the per-rule totals and ratchet
+/// status, and the contract each rule encodes. Hand-rolled JSON — the
+/// crate stays zero-dependency.
 #[must_use]
 pub fn json(analysis: &Analysis) -> String {
-    let mut out = String::from("{\n  \"schema\": 2,\n");
+    let mut out = String::from("{\n  \"schema\": 3,\n");
     out.push_str(&format!(
         "  \"files_scanned\": {},\n  \"passed\": {},\n",
         analysis.files_scanned,
         analysis.passed()
     ));
+    out.push_str(&format!(
+        "  \"loc\": {{\"total\": {}, \"crates\": [\n",
+        analysis.loc_total()
+    ));
+    let last = analysis.loc.len().checked_sub(1);
+    for (i, (krate, lines)) in analysis.loc.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"crate\": {}, \"lines\": {lines}}}{}\n",
+            escape(krate),
+            if Some(i) == last { "" } else { "," }
+        ));
+    }
+    out.push_str("  ]},\n");
     out.push_str("  \"rules\": [\n");
     let last = analysis.stats.len() - 1;
     for (i, stats) in analysis.stats.iter().enumerate() {

@@ -29,9 +29,9 @@ pub enum RuleId {
     /// Arithmetic mixing unit dimensions inferred from name suffixes
     /// (`_ms` vs `_secs`, `_grams` vs `_kg`, ...).
     UnitSuffixConsistency,
-    /// A function reachable from a `thread::scope` spawn closure that
-    /// touches wall clocks, ambient RNG, mutable statics or
-    /// hash-iteration.
+    /// A function reachable from a fan-out closure (`fan_out(` or
+    /// `.spawn(`) that touches wall clocks, ambient RNG, mutable statics
+    /// or hash-iteration.
     FanoutPurity,
     /// `unwrap()`/`.expect(` /`panic!` in non-test library code.
     PanicInLibrary,
@@ -109,7 +109,7 @@ impl RuleId {
                  never add, compare or assign across dimensions"
             }
             RuleId::FanoutPurity => {
-                "every function reachable from a thread::scope spawn closure is pure of wall \
+                "every function reachable from a fan_out or spawn closure is pure of wall \
                  clocks, ambient RNG, mutable statics and hash iteration"
             }
             RuleId::UntypedQuantity => {
@@ -213,7 +213,7 @@ pub(crate) const AMBIENT_RNG_IDENTS: [&str; 6] = [
 
 /// Runs every pattern rule over one file, appending findings.
 /// `fanout_ranges` are the file's significant-token ranges that sit on a
-/// `thread::scope` fan-out path (see `callgraph`).
+/// fan-out path (see `callgraph`).
 pub fn scan_file(
     file: &SourceFile,
     parsed: &ParsedFile,
@@ -275,7 +275,7 @@ fn nondeterministic_iteration(
             RuleId::NondeterministicIteration,
             file.sig_line(i),
             format!(
-                "`{text}` on a thread::scope fan-out path: iteration order is hash-randomized; \
+                "`{text}` on a fan-out path: iteration order is hash-randomized; \
                  use `BTreeMap`/`BTreeSet` or justify with \
                  `lint:allow(nondeterministic-iteration): lookup-only ...`"
             ),

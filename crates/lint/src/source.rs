@@ -116,6 +116,18 @@ impl SourceFile {
             .any(|&(lo, hi)| start >= lo && start < hi)
     }
 
+    /// The number of lines holding non-test code: blank lines, comment
+    /// lines and test code do not count.
+    #[must_use]
+    pub fn code_lines(&self) -> usize {
+        let mut lines: Vec<u32> = (0..self.sig.len())
+            .filter(|&i| !self.sig_in_test(i))
+            .map(|i| self.sig_line(i))
+            .collect();
+        lines.dedup();
+        lines.len()
+    }
+
     /// Whether the `i`-th significant token sits inside a `use`
     /// declaration. Scans back to the previous `;` (statement boundary);
     /// braces do *not* stop the scan because `use a::{B, C};` groups put
@@ -315,6 +327,14 @@ mod tests {
         assert!(!lookup("a"));
         assert!(lookup("b"));
         assert!(!lookup("c"));
+    }
+
+    #[test]
+    fn code_lines_skip_blanks_comments_and_tests() {
+        let src = "//! Doc.\n\nfn a() {\n    // note\n    let x = 1; let y = x;\n}\n\
+                   #[cfg(test)]\nmod tests {\n    fn b() {}\n}\n";
+        // `fn a() {`, the two-statement line and the closing brace.
+        assert_eq!(file(src).code_lines(), 3);
     }
 
     #[test]

@@ -54,12 +54,19 @@ fn every_rule_fires_and_every_suppression_suppresses() {
         vec![(11, false), (23, false), (26, true)]
     );
 
-    // Rule 2: every wall-clock read fires — inside `clocked` (35) and
-    // `stamped` (42) and in serial code (57); the one-liner under the
-    // allow is suppressed (two mentions on one line dedup to one).
+    // Rule 2: every wall-clock read fires — inside `clocked` (35),
+    // `stamped` (42) and `Meter::read` (121) and in serial code (57);
+    // the one-liner under the allow is suppressed (two mentions on one
+    // line dedup to one).
     assert_eq!(
         lines_of(&analysis, RuleId::WallClockInSim),
-        vec![(35, false), (42, false), (57, false), (62, true)]
+        vec![
+            (35, false),
+            (42, false),
+            (57, false),
+            (62, true),
+            (121, false)
+        ]
     );
 
     // Rule 3: entropy-seeded RNG fires; test code stays quiet.
@@ -70,10 +77,15 @@ fn every_rule_fires_and_every_suppression_suppresses() {
     // allow over `stamped` suppresses it, `clocked` stays active, and
     // `merge_trace` (line 105) trips the zero-tolerance
     // recorder-in-fanout facet twice over (mint + shard merge). The
+    // `fan_out(` call on line 126 is a root too: its closure reaches
+    // `Meter::read` (line 120), the second method of its impl. The
     // equally impure `wall_elapsed` (line 56) is off-path and NOT
-    // flagged here.
+    // flagged here, and the `fn fan_out` definition is no root.
     let fanout = lines_of(&analysis, RuleId::FanoutPurity);
-    assert_eq!(fanout, vec![(34, false), (41, true), (105, false)]);
+    assert_eq!(
+        fanout,
+        vec![(34, false), (41, true), (105, false), (120, false)]
+    );
     assert!(analysis.findings.iter().any(|f| {
         f.rule == RuleId::FanoutPurity
             && f.message.contains("fn `clocked`")
@@ -84,6 +96,11 @@ fn every_rule_fires_and_every_suppression_suppresses() {
             && f.message.contains("fn `merge_trace`")
             && f.message.contains("TraceRecorder")
             && f.message.contains(".absorb(")
+    }));
+    assert!(analysis.findings.iter().any(|f| {
+        f.rule == RuleId::FanoutPurity
+            && f.message.contains("fn `Meter::read`")
+            && f.message.contains("crates/x/src/lib.rs:126")
     }));
 
     // Rule 5 (dimension algebra): adding ms to secs fires on the `+`
@@ -141,8 +158,8 @@ fn every_rule_fires_and_every_suppression_suppresses() {
     assert_eq!(analysis.unused_suppressions[0].rule, "ambient-rng");
 
     // Test code fired nothing: every finding sits outside the
-    // `#[cfg(test)]` module (first line 111).
-    assert!(analysis.findings.iter().all(|f| f.line < 111));
+    // `#[cfg(test)]` module (first line 129).
+    assert!(analysis.findings.iter().all(|f| f.line < 129));
 }
 
 #[test]

@@ -108,6 +108,24 @@ fn merge_trace(jobs: &[u64]) -> u64 {
     0
 }
 
+// A `fan_out(` call is a fan-out root: its closure reaches `Meter::read`,
+// the second method of its impl, which reads the wall clock.
+pub struct Meter;
+
+impl Meter {
+    fn first(&self) -> u64 {
+        0
+    }
+
+    fn read(&self) -> u64 {
+        std::time::Instant::now().elapsed().as_secs()
+    }
+}
+
+pub fn metered(meter: &Meter, jobs: Vec<u64>) -> Vec<u64> {
+    fan_out(jobs, 2, |_, job| meter.read() + job)
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::HashSet;

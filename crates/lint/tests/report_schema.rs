@@ -64,11 +64,12 @@ fn report_schema_is_stable() {
     let json = fixture_report();
 
     // Schema version and top-level shape, in order.
-    assert!(json.starts_with("{\n  \"schema\": 2,\n"));
+    assert!(json.starts_with("{\n  \"schema\": 3,\n"));
     let top_level = [
         "\"schema\":",
         "\"files_scanned\":",
         "\"passed\":",
+        "\"loc\": {\"total\":",
         "\"rules\":",
         "\"findings\":",
         "\"unused_suppressions\":",
@@ -82,6 +83,7 @@ fn report_schema_is_stable() {
     }
 
     // Per-object shapes.
+    assert_eq!(object_keys(&json, "\"crates\": [\n"), ["crate", "lines"]);
     assert_eq!(
         object_keys(&json, "\"rules\": [\n"),
         [

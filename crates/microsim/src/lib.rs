@@ -16,6 +16,8 @@
 //! * [`metrics`] — latency distributions and per-node utilisation traces.
 //! * [`sweep`] — throughput sweeps (Figure 7, threaded across load
 //!   points) and the phased utilisation scenario (Figure 8).
+//! * [`fanout`] — the order-preserving thread fan-out every parallel
+//!   layer of the workspace runs on.
 //!
 //! # Example
 //!
@@ -42,6 +44,7 @@
 
 pub mod app;
 pub mod compiled;
+pub mod fanout;
 pub mod metrics;
 pub mod network;
 pub mod node;

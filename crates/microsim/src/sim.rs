@@ -387,9 +387,10 @@ pub enum SimError {
     NoNodes,
     /// A phase requested a request type the application does not define.
     UnknownRequestType(String),
-    /// A fan-out worker terminated without filling its result slot (only
-    /// possible if the worker itself died; never observed on a healthy
-    /// run, but typed so the fan-out drivers stay panic-free).
+    /// A [`fan_out`](crate::fanout::fan_out) output slot was left
+    /// unfilled (a panicking job panics the caller instead, so this is
+    /// never observed on a healthy run; it is typed so the fan-out stays
+    /// panic-free).
     WorkerLost,
 }
 

@@ -2,19 +2,17 @@
 //! utilisation scenario (Figure 8).
 //!
 //! Sweep points are independent simulations, so [`SweepConfig::run`] fans
-//! them out across `std::thread::scope` workers: the simulation is compiled
-//! once, shared by reference, and each worker writes its points into
-//! pre-assigned output slots — results are deterministic and in offered-load
-//! order regardless of scheduling.
-
-use std::thread;
+//! them out with [`fan_out`]: the simulation is compiled once, shared by
+//! reference, and the points come back in offered-load order — results are
+//! deterministic regardless of scheduling.
 
 use junkyard_carbon::convert::{counts_ratio, index_u64};
-use junkyard_obs::{TraceRecorder, TraceShard};
+use junkyard_obs::{NoopRecorder, Recorder, TraceRecorder, TraceShard};
 
 use serde::{Deserialize, Serialize};
 
 use crate::compiled::CompiledSim;
+use crate::fanout::{self, fan_out};
 use crate::metrics::RunMetrics;
 use crate::sim::{Phase, SimError, Simulation, Workload};
 
@@ -273,8 +271,14 @@ impl SweepConfig {
         }
     }
 
-    /// Measures one load point against a compiled simulation.
-    fn measure_point(&self, sim: &CompiledSim, index: usize) -> Result<CurvePoint, SimError> {
+    /// Measures one load point against a compiled simulation, recording
+    /// its admissions, drops and completions into `recorder`.
+    fn measure_point<R: Recorder>(
+        &self,
+        sim: &CompiledSim,
+        index: usize,
+        recorder: &mut R,
+    ) -> Result<CurvePoint, SimError> {
         let qps = self.qps_points[index];
         let workload = Workload::steady(
             qps,
@@ -282,7 +286,7 @@ impl SweepConfig {
             self.request_type.as_deref(),
             self.point_seed(index),
         );
-        let metrics = sim.run(&workload)?;
+        let metrics = sim.run_with(&workload, recorder)?;
         let stats = metrics.latency_stats_between(self.warmup_s, self.warmup_s + self.duration_s);
         let dropped = metrics.dropped_between(self.warmup_s, self.warmup_s + self.duration_s);
         let measured = stats.count() + dropped;
@@ -299,44 +303,10 @@ impl SweepConfig {
         .with_drop_fraction(drop_fraction))
     }
 
-    /// [`SweepConfig::measure_point`] with the point's trace shard:
-    /// admissions, drops and completions land in `shard`, and the
-    /// engine's processed-event count is returned for load accounting.
-    fn measure_point_traced(
-        &self,
-        sim: &CompiledSim,
-        index: usize,
-        shard: &mut TraceShard,
-    ) -> Result<(CurvePoint, u64), SimError> {
-        let qps = self.qps_points[index];
-        let workload = Workload::steady(
-            qps,
-            self.warmup_s + self.duration_s,
-            self.request_type.as_deref(),
-            self.point_seed(index),
-        );
-        let metrics = sim.run_with(&workload, shard)?;
-        let stats = metrics.latency_stats_between(self.warmup_s, self.warmup_s + self.duration_s);
-        let dropped = metrics.dropped_between(self.warmup_s, self.warmup_s + self.duration_s);
-        let measured = stats.count() + dropped;
-        let drop_fraction = if measured == 0 {
-            0.0
-        } else {
-            counts_ratio(dropped, measured)
-        };
-        let point = CurvePoint::new(
-            qps,
-            stats.median_ms().unwrap_or(0.0),
-            stats.tail_ms().unwrap_or(0.0),
-        )
-        .with_drop_fraction(drop_fraction);
-        Ok((point, metrics.events_processed()))
-    }
-
     /// Runs the sweep against a simulation and collects its latency curve.
     ///
     /// Compiles the simulation once, then fans the load points out across
-    /// scoped worker threads (see [`SweepConfig::run_compiled`]).
+    /// worker threads (see [`SweepConfig::run_compiled`]).
     ///
     /// # Errors
     ///
@@ -351,15 +321,13 @@ impl SweepConfig {
 
     /// Runs the sweep against an already-compiled simulation.
     ///
-    /// Load points are dealt across `std::thread::scope` workers in
-    /// boustrophedon (snake) order — round 0 hands points to workers
-    /// `0, 1, ..., k-1`, round 1 reverses to `k-1, ..., 1, 0`, and so
-    /// on (see [`snake_worker`]) — so on an ascending sweep, where
-    /// per-point cost grows with offered load, no worker systematically
-    /// collects the heavy end. Every worker writes into its own
-    /// pre-assigned output slots, so the curve's point order and values
-    /// are identical to a serial sweep. Use this entry point to amortise one
-    /// [`Simulation::compile`] across many sweeps.
+    /// The load points fan out with [`fan_out`], whose workers claim the
+    /// highest unclaimed point first: on an ascending sweep, where
+    /// per-point cost grows with offered load, the heavy points start
+    /// first and no worker is left holding the heavy end. The curve's
+    /// point order and values are identical to a serial sweep. Use this
+    /// entry point to amortise one [`Simulation::compile`] across many
+    /// sweeps.
     ///
     /// # Errors
     ///
@@ -370,45 +338,8 @@ impl SweepConfig {
         label: impl Into<String>,
         sim: &CompiledSim,
     ) -> Result<LatencyCurve, SimError> {
-        let n = self.qps_points.len();
-        let workers = self
-            .parallelism
-            .unwrap_or_else(|| thread::available_parallelism().map_or(1, std::num::NonZero::get))
-            .min(n)
-            .max(1);
-        let mut slots: Vec<Option<Result<CurvePoint, SimError>>> = (0..n).map(|_| None).collect();
-        if workers == 1 {
-            for (index, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(self.measure_point(sim, index));
-            }
-        } else {
-            // Deal the points in snake order rather than contiguous chunks
-            // or a plain stride: sweeps are usually ascending in offered
-            // load and per-point cost grows with load, so chunking piles
-            // the slow points onto the last worker — and a plain stride
-            // still hands worker k-1 the heaviest point of *every* round.
-            // Each point still lands in its own slot.
-            type PointSlot<'s> = (usize, &'s mut Option<Result<CurvePoint, SimError>>);
-            let mut assignments: Vec<Vec<PointSlot<'_>>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (index, slot) in slots.iter_mut().enumerate() {
-                assignments[snake_worker(index, workers)].push((index, slot));
-            }
-            thread::scope(|scope| {
-                for share in assignments {
-                    scope.spawn(move || {
-                        for (index, slot) in share {
-                            *slot = Some(self.measure_point(sim, index));
-                        }
-                    });
-                }
-            });
-        }
-        let mut points = Vec::with_capacity(n);
-        for slot in slots {
-            points.push(slot.ok_or(SimError::WorkerLost)??);
-        }
-        Ok(LatencyCurve::new(label, points))
+        let recorders = self.qps_points.iter().map(|_| NoopRecorder);
+        self.run_points(label, sim, recorders)
     }
 
     /// The number of fan-out workers [`SweepConfig::run_compiled`] will
@@ -416,18 +347,13 @@ impl SweepConfig {
     /// available parallelism) capped by the point count.
     #[must_use]
     pub fn effective_workers(&self) -> usize {
-        self.parallelism
-            .unwrap_or_else(|| thread::available_parallelism().map_or(1, std::num::NonZero::get))
-            .min(self.qps_points.len())
-            .max(1)
+        fanout::workers(self.parallelism, self.qps_points.len())
     }
 
     /// [`SweepConfig::run_compiled`] with tracing: each load point
-    /// records its microsim events into its own [`TraceShard`] (minted
+    /// records its microsim events into its own [`TraceShard`], minted
     /// from and absorbed back into `recorder` in point order, so the
-    /// merged trace is byte-identical at any worker count), and the
-    /// per-point engine event counts are returned for worker-load
-    /// accounting.
+    /// merged trace is byte-identical at any worker count.
     ///
     /// # Errors
     ///
@@ -438,121 +364,34 @@ impl SweepConfig {
         label: impl Into<String>,
         sim: &CompiledSim,
         recorder: &mut TraceRecorder,
-    ) -> Result<TracedSweep, SimError> {
-        let n = self.qps_points.len();
-        let workers = self.effective_workers();
-        let mut slots: Vec<Option<Result<(CurvePoint, u64), SimError>>> =
-            (0..n).map(|_| None).collect();
-        let mut shards: Vec<Option<TraceShard>> = (0..n)
-            .map(|index| Some(recorder.shard(index_u64(index))))
+    ) -> Result<LatencyCurve, SimError> {
+        let mut shards: Vec<TraceShard> = (0..self.qps_points.len())
+            .map(|index| recorder.shard(index_u64(index)))
             .collect();
-        if workers == 1 {
-            for (index, (slot, shard)) in slots.iter_mut().zip(shards.iter_mut()).enumerate() {
-                if let Some(sh) = shard.as_mut() {
-                    *slot = Some(self.measure_point_traced(sim, index, sh));
-                }
-            }
-        } else {
-            // The same snake-dealt fan-out as the untraced sweep; each
-            // slot's shard travels with it, so no worker ever touches
-            // another point's recorder state.
-            type TracedSlot<'s> = (
-                usize,
-                &'s mut Option<Result<(CurvePoint, u64), SimError>>,
-                &'s mut Option<TraceShard>,
-            );
-            let mut assignments: Vec<Vec<TracedSlot<'_>>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (index, (slot, shard)) in slots.iter_mut().zip(shards.iter_mut()).enumerate() {
-                assignments[snake_worker(index, workers)].push((index, slot, shard));
-            }
-            thread::scope(|scope| {
-                for share in assignments {
-                    scope.spawn(move || {
-                        for (index, slot, shard) in share {
-                            if let Some(sh) = shard.as_mut() {
-                                *slot = Some(self.measure_point_traced(sim, index, sh));
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        // Serial merge, in slot (point) order — worker-count invariant.
-        for shard in shards.into_iter().flatten() {
+        let curve = self.run_points(label, sim, shards.iter_mut());
+        for shard in shards {
             recorder.absorb(shard);
         }
-        let mut points = Vec::with_capacity(n);
-        let mut point_events = Vec::with_capacity(n);
-        for slot in slots {
-            let (point, events) = slot.ok_or(SimError::WorkerLost)??;
-            points.push(point);
-            point_events.push(events);
-        }
-        Ok(TracedSweep {
-            curve: LatencyCurve::new(label, points),
-            point_events,
-            workers,
-        })
+        curve
     }
-}
 
-/// The worker that takes the point at `index` when `workers` threads
-/// deal an ascending sweep in boustrophedon (snake) order: even rounds
-/// run `0..workers`, odd rounds run back `workers..0`. With costs
-/// monotone in the point index, consecutive rounds cancel instead of
-/// compounding — on an 8-point linear-cost sweep over 2 workers the
-/// plain stride leaves the last worker 25% overloaded while the snake
-/// deal is exactly balanced.
-#[must_use]
-pub fn snake_worker(index: usize, workers: usize) -> usize {
-    if workers <= 1 {
-        return 0;
-    }
-    let round = index / workers;
-    let position = index % workers;
-    if round.is_multiple_of(2) {
-        position
-    } else {
-        workers - 1 - position
-    }
-}
-
-/// A traced sweep: the latency curve plus the bookkeeping the bench
-/// reporter turns into `workers` / per-worker-utilisation fields.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TracedSweep {
-    /// The latency curve, identical to an untraced [`SweepConfig::run_compiled`].
-    pub curve: LatencyCurve,
-    /// Engine events processed per load point (the deterministic unit
-    /// of sweep work — wall clocks are not available on this side of
-    /// the profiling boundary).
-    pub point_events: Vec<u64>,
-    /// Fan-out workers used (after the point-count cap).
-    pub workers: usize,
-}
-
-impl TracedSweep {
-    /// Per-worker utilisation under the snake deal (see
-    /// [`snake_worker`]): each worker's share of total engine events,
-    /// normalised so a perfectly balanced fan-out reads 1.0 for every
-    /// worker.
-    #[must_use]
-    pub fn worker_utilisation(&self) -> Vec<f64> {
-        let total: u64 = self.point_events.iter().sum();
-        if total == 0 || self.workers == 0 {
-            return vec![0.0; self.workers];
-        }
-        let mut per_worker = vec![0u64; self.workers];
-        for (index, &events) in self.point_events.iter().enumerate() {
-            per_worker[snake_worker(index, self.workers)] += events;
-        }
-        let fair_share = counts_ratio(usize::try_from(total).unwrap_or(usize::MAX), 1)
-            / counts_ratio(self.workers, 1);
-        per_worker
-            .iter()
-            .map(|&w| counts_ratio(usize::try_from(w).unwrap_or(usize::MAX), 1) / fair_share)
-            .collect()
+    /// The one sweep body: point `index` records into the `index`-th of
+    /// `recorders`.
+    fn run_points<R: Recorder + Send>(
+        &self,
+        label: impl Into<String>,
+        sim: &CompiledSim,
+        recorders: impl IntoIterator<Item = R>,
+    ) -> Result<LatencyCurve, SimError> {
+        let points = fan_out(
+            recorders,
+            self.effective_workers(),
+            |index, mut recorder| self.measure_point(sim, index, &mut recorder),
+        )?;
+        Ok(LatencyCurve::new(
+            label,
+            points.into_iter().collect::<Result<_, _>>()?,
+        ))
     }
 }
 

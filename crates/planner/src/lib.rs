@@ -23,10 +23,9 @@
 //!   with a saturation pre-screen built on
 //!   [`LatencyCurve::max_sustainable_qps`](junkyard_microsim::sweep::LatencyCurve::max_sustainable_qps).
 //! * [`search`] — successive halving over fidelity plus seeded local
-//!   search, fanning candidate evaluations across scoped worker threads
-//!   with the workspace's order-preserving-slot pattern: results,
-//!   frontier and even cache-hit counts are bit-identical at any worker
-//!   count.
+//!   search, fanning candidate evaluations across worker threads with
+//!   the workspace's one order-preserving `fan_out`: results, frontier
+//!   and even cache-hit counts are bit-identical at any worker count.
 //! * [`pareto`] — the reported frontier: gCO2e/request versus p99
 //!   latency versus fleet size, plus the carbon argmin.
 
