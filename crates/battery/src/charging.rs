@@ -8,15 +8,13 @@
 //! whenever its battery drops below a safety floor (25 % in the paper) so it
 //! always retains backup capacity.
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_carbon::units::{CarbonIntensity, Watts};
 use junkyard_devices::battery::BatterySpec;
 
 use crate::trace_ext::DayStats;
 
 /// Tunable parameters of the smart-charging policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SmartChargePolicy {
     min_charge_fraction: f64,
     percentile_headroom: f64,
@@ -127,7 +125,7 @@ impl Default for SmartChargePolicy {
 }
 
 /// Outcome of one smart-charging decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChargeDecision {
     /// Plug in because the grid is currently green enough.
     ChargeGreen,

@@ -9,8 +9,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_carbon::convert::{count_f64, counts_ratio};
 use junkyard_carbon::units::{CarbonIntensity, GramsCo2e, TimeSpan, Watts};
 use junkyard_devices::battery::BatterySpec;
@@ -21,7 +19,7 @@ use crate::state::BatteryState;
 use crate::trace_ext::{sorted_percentile, DayStats};
 
 /// Configuration of one smart-charging simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SmartChargingConfig {
     label: String,
     device_power: Watts,
@@ -133,7 +131,7 @@ impl SmartChargingConfig {
 }
 
 /// Carbon ledger of one simulated day of smart charging.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DayRun {
     threshold: CarbonIntensity,
     baseline_carbon: GramsCo2e,
@@ -246,7 +244,7 @@ pub fn simulate_day(
 }
 
 /// Result of one simulated day.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DayOutcome {
     day_index: usize,
     threshold: CarbonIntensity,
@@ -327,7 +325,7 @@ impl DayOutcome {
 }
 
 /// Result of a full smart-charging simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SmartChargingOutcome {
     label: String,
     days: Vec<DayOutcome>,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_carbon::units::{GramsCo2e, Joules, TimeSpan, Watts};
 use junkyard_devices::battery::BatterySpec;
 
@@ -12,7 +10,7 @@ use junkyard_devices::battery::BatterySpec;
 /// Tracks the charge level, the cumulative *equivalent full cycles* the pack
 /// has endured (Section 4.3 assumes a pack dies after ~2,500 of them) and how
 /// many replacement packs have been fitted so far.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatteryState {
     spec: BatterySpec,
     charge: Joules,

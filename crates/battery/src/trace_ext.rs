@@ -1,7 +1,5 @@
 //! Per-day intensity statistics used by the smart-charging threshold rule.
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_carbon::convert::{count_f64, percentile_rank};
 use junkyard_carbon::units::CarbonIntensity;
 use junkyard_grid::trace::IntensityTrace;
@@ -10,7 +8,7 @@ use junkyard_grid::trace::IntensityTrace;
 ///
 /// The smart-charging threshold is a percentile of the previous day's
 /// intensities; sorting once per day keeps the simulation linear.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DayStats {
     sorted_grams_per_kwh: Vec<f64>,
 }

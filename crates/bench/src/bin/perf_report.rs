@@ -12,11 +12,17 @@
 //! fan-out (one-core runner, `available_parallelism() == 1`) is visible
 //! in the numbers instead of masquerading as a threading regression.
 //!
+//! After writing both files the report checks its own numbers against two
+//! performance floors ([`MIN_EVENTS_PER_SEC`], [`MIN_SWEEP_SPEEDUP`]),
+//! prints one ok/FAIL line per check and exits 1 on any miss, so the same
+//! run is CI's performance gate.
+//!
 //! Usage: `cargo run --release --bin perf_report [output.json [profile.folded]]`
 //! (defaults: `BENCH_microsim.json` and `PROFILE.folded` in the working
 //! directory).
 
 use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::time::Instant;
 
 use junkyard_core::fleet_study::FleetStudy;
@@ -31,6 +37,51 @@ use junkyard_microsim::placement::Placement;
 use junkyard_microsim::sim::{Simulation, Workload};
 use junkyard_microsim::sweep::SweepConfig;
 use junkyard_obs::{Profiler, TraceRecorder};
+
+/// Every fixed scenario must sustain at least this many engine events per
+/// wall second. Exact timings on shared runners are too noisy to gate on, so
+/// the floor sits about 4x below the slowest scenario measured when it was
+/// set: only a real regression trips it. Raise it by hand once an engine
+/// gain is real; never lower it to pass.
+const MIN_EVENTS_PER_SEC: f64 = 2_500_000.0;
+
+/// When the sweep fans out over two or more workers, the threaded sweep must
+/// beat the serial one by at least this factor. On one worker the check is
+/// skipped: a capped fan-out is a fact of the host, not a regression.
+const MIN_SWEEP_SPEEDUP: f64 = 1.5;
+
+/// The floor verdict on one report: one printable line per check and
+/// whether it passed (a skipped check passes). Takes each scenario's
+/// events/sec, the sweep's worker count and its threaded speed-up.
+fn floor_checks(rates: &[f64], workers: usize, speedup: f64) -> Vec<(bool, String)> {
+    let verdict = |ok: bool| if ok { "ok" } else { "FAIL" };
+    let mut checks: Vec<(bool, String)> = rates
+        .iter()
+        .enumerate()
+        .map(|(i, &rate)| {
+            let ok = rate >= MIN_EVENTS_PER_SEC;
+            let line = format!(
+                "scenario {i}: {rate:.0} events/sec (floor {MIN_EVENTS_PER_SEC:.0}) {}",
+                verdict(ok)
+            );
+            (ok, line)
+        })
+        .collect();
+    checks.push(if workers >= 2 {
+        let ok = speedup >= MIN_SWEEP_SPEEDUP;
+        let line = format!(
+            "sweep: {speedup:.2}x over {workers} workers (floor {MIN_SWEEP_SPEEDUP:.2}x) {}",
+            verdict(ok)
+        );
+        (ok, line)
+    } else {
+        let line = format!(
+            "sweep: {speedup:.2}x — skipped, fan-out capped at {workers} worker (one-core runner)"
+        );
+        (true, line)
+    });
+    checks
+}
 
 /// Timed result of one fixed scenario.
 struct ScenarioResult {
@@ -86,7 +137,7 @@ fn phone_cloudlet(app: junkyard_microsim::app::Application) -> Simulation {
     Simulation::new(app, nodes, placement, NetworkModel::phone_wifi()).expect("sim builds")
 }
 
-fn main() {
+fn main() -> ExitCode {
     let output = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_microsim.json".to_owned());
@@ -144,6 +195,7 @@ fn main() {
     let sweep_threaded_ms = profiler
         .stage_ms("perf_report;sweep;threaded")
         .expect("threaded stage timed");
+    let sweep_speedup = sweep_serial_ms / sweep_threaded_ms;
     // The same sweep once more with the recorder attached: tracing must
     // not move a single point.
     let sweep_workers = sweep.effective_workers();
@@ -232,7 +284,7 @@ fn main() {
         sweep_workers,
         sweep_serial_ms,
         sweep_threaded_ms,
-        sweep_serial_ms / sweep_threaded_ms,
+        sweep_speedup,
     );
     let _ = writeln!(
         json,
@@ -326,7 +378,7 @@ fn main() {
         sweep_workers,
         sweep_serial_ms,
         sweep_threaded_ms,
-        sweep_serial_ms / sweep_threaded_ms,
+        sweep_speedup,
     );
     println!(
         "  fleet study ({} cells across both policies): {:.1} ms, \
@@ -363,4 +415,47 @@ fn main() {
             .unwrap_or(0.0)
             * 1_000.0,
     );
+
+    println!("\nPerformance floor:\n");
+    let rates: Vec<f64> = scenarios.iter().map(|s| s.events_per_sec).collect();
+    let checks = floor_checks(&rates, sweep_workers, sweep_speedup);
+    for (_, line) in &checks {
+        println!("  {line}");
+    }
+    let failures = checks.iter().filter(|(ok, _)| !ok).count();
+    if failures > 0 {
+        println!("\n{failures} floor check(s) FAILED");
+        return ExitCode::FAILURE;
+    }
+    println!("\nall floor checks passed");
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn passed(checks: &[(bool, String)]) -> Vec<bool> {
+        checks.iter().map(|(ok, _)| *ok).collect()
+    }
+
+    #[test]
+    fn a_rate_below_the_floor_fails() {
+        let checks = floor_checks(&[2_500_000.0, 2_499_999.0], 1, 1.0);
+        assert_eq!(passed(&checks), [true, false, true]);
+        assert!(checks[1].1.ends_with("FAIL"), "{}", checks[1].1);
+    }
+
+    #[test]
+    fn a_slow_sweep_fails_at_two_workers() {
+        assert_eq!(passed(&floor_checks(&[3e6], 2, 1.49)), [true, false]);
+        assert_eq!(passed(&floor_checks(&[3e6], 2, 1.5)), [true, true]);
+    }
+
+    #[test]
+    fn the_sweep_check_is_skipped_at_one_worker() {
+        let checks = floor_checks(&[3e6], 1, 0.9);
+        assert_eq!(passed(&checks), [true, true]);
+        assert!(checks[1].1.contains("skipped"), "{}", checks[1].1);
+    }
 }

@@ -16,15 +16,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::embodied::{battery_replacement_carbon, EmbodiedCarbon};
 use crate::operational::{compute_carbon, NetworkProfile};
 use crate::ops::{OpCount, OpUnit, Throughput};
 use crate::units::{CarbonIntensity, GramsCo2e, TimeSpan, Watts};
 
 /// The carbon numerator of CCI, split into the paper's three terms.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CarbonBreakdown {
     manufacturing: GramsCo2e,
     compute: GramsCo2e,
@@ -93,7 +91,7 @@ impl fmt::Display for CarbonBreakdown {
 }
 
 /// A CCI value: grams of CO2-equivalent per unit of work.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cci {
     grams_per_op: f64,
     unit: OpUnit,
@@ -185,7 +183,7 @@ impl fmt::Display for CciError {
 impl std::error::Error for CciError {}
 
 /// One point of a lifetime-CCI curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CciPoint {
     months: f64,
     cci: Cci,
@@ -212,7 +210,7 @@ impl CciPoint {
 }
 
 /// A CCI-versus-lifetime series, as plotted in Figures 2, 5, 6 and 9.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CciSeries {
     label: String,
     points: Vec<CciPoint>,
@@ -268,7 +266,7 @@ impl CciSeries {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CciCalculator {
     unit: OpUnit,
     embodied: EmbodiedCarbon,
@@ -283,7 +281,7 @@ pub struct CciCalculator {
 
 /// Battery replacement schedule: embodied carbon per pack and how long a
 /// pack lasts under the configured duty cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct BatterySchedule {
     per_battery: GramsCo2e,
     battery_lifetime: TimeSpan,
@@ -496,7 +494,7 @@ pub fn crossover_months(
 /// The alternate, two-life CCI formulation of Eq. 7: the device's original
 /// manufacturing carbon is amortised over the work of both its first life
 /// (as a consumer phone) and its second life (as a junkyard compute node).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SecondLifeCci {
     manufacturing: GramsCo2e,
     first_life_carbon: GramsCo2e,

@@ -8,12 +8,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::units::{GramsCo2e, TimeSpan};
 
 /// One line item contributing manufacturing carbon to a system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmbodiedItem {
     label: String,
     per_unit: GramsCo2e,
@@ -82,7 +80,7 @@ impl fmt::Display for EmbodiedItem {
 ///     .with_item("smart plug", GramsCo2e::from_kilograms(3.0), 54.0);
 /// assert!((cm.total().kilograms() - (9.3 + 3.0 * 54.0)).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EmbodiedCarbon {
     items: Vec<EmbodiedItem>,
 }

@@ -7,8 +7,6 @@
 //! networking energy comes from a sustained data rate and a per-byte energy
 //! intensity (5 µJ/byte WiFi, 11 µJ/byte LTE in Section 5.2).
 
-use serde::{Deserialize, Serialize};
-
 use crate::units::{CarbonIntensity, DataRate, EnergyPerByte, GramsCo2e, Joules, TimeSpan, Watts};
 
 /// Carbon released by powering a device drawing `average_power` for
@@ -46,7 +44,7 @@ pub fn network_carbon(
 
 /// A networking profile: how much data the system moves and what each byte
 /// costs in energy.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NetworkProfile {
     rate: DataRate,
     energy_per_byte: EnergyPerByte,

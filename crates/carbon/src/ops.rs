@@ -11,12 +11,10 @@
 use std::fmt;
 use std::ops::{Add, Mul};
 
-use serde::{Deserialize, Serialize};
-
 use crate::units::TimeSpan;
 
 /// The kind of work a benchmark measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum OpUnit {
     /// Billions of floating point operations (SGEMM).
@@ -52,7 +50,7 @@ impl fmt::Display for OpUnit {
 }
 
 /// An amount of completed work, tagged with the unit it is measured in.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpCount {
     amount: f64,
     unit: OpUnit,
@@ -145,7 +143,7 @@ impl fmt::Display for UnitMismatch {
 impl std::error::Error for UnitMismatch {}
 
 /// A sustained rate of work, in `unit` per second.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Throughput {
     per_second: f64,
     unit: OpUnit,

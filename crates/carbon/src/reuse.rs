@@ -9,12 +9,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::units::GramsCo2e;
 
 /// One subcomponent of a device together with whether the new role reuses it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentUse {
     name: String,
     embodied: GramsCo2e,
@@ -52,7 +50,7 @@ impl ComponentUse {
 }
 
 /// The reuse factor of a repurposing scenario.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReuseFactor {
     components: Vec<ComponentUse>,
 }

@@ -8,14 +8,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::units::Watts;
 
 /// Power Usage Effectiveness of a facility (Eq. 14).
 ///
 /// `PUE = (P_IT + P_cooling + P_lighting) / P_IT`, with 1.0 as the ideal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pue {
     it: Watts,
     cooling: Watts,
@@ -86,7 +84,7 @@ impl fmt::Display for Pue {
 ///
 /// * Cooling power scales with IT power by `cooling_per_watt`.
 /// * Lighting power scales with floor space by `lighting_per_rack_unit`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FacilityModel {
     cooling_per_watt: f64,
     lighting_watts_per_rack_unit: f64,

@@ -22,8 +22,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Number of joules in one kilowatt-hour.
 pub const JOULES_PER_KWH: f64 = 3.6e6;
 /// Number of milliseconds in one second.
@@ -40,7 +38,7 @@ pub const SECONDS_PER_MONTH: f64 = SECONDS_PER_YEAR / 12.0;
 macro_rules! quantity {
     ($(#[$meta:meta])* $name:ident, $unit:literal) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(f64);
 
         impl $name {
@@ -463,7 +461,7 @@ impl Mul<Watts> for TimeSpan {
 /// The paper quotes grid intensities in gCO2e/kWh (for example 257 for the
 /// California mix, 48 for solar, 602 for gas — Section 5.1); this type keeps
 /// that unit as canonical and converts to per-joule where needed.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct CarbonIntensity(f64);
 
 impl CarbonIntensity {
@@ -536,7 +534,7 @@ impl Add for CarbonIntensity {
 /// Energy cost of moving data, in joules per byte.
 ///
 /// Section 5.2 uses 5 µJ/byte for WiFi and 11 µJ/byte for LTE.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct EnergyPerByte(f64);
 
 impl EnergyPerByte {
@@ -573,7 +571,7 @@ impl Mul<Bytes> for EnergyPerByte {
 }
 
 /// A sustained data rate in bytes per second.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct DataRate(f64);
 
 impl DataRate {

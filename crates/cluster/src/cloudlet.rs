@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_carbon::embodied::EmbodiedCarbon;
 use junkyard_carbon::ops::Throughput;
 use junkyard_carbon::units::{GramsCo2e, TimeSpan, Watts};
@@ -17,7 +15,7 @@ use crate::topology::NetworkTopology;
 
 /// A cloudlet: `device_count` identical devices, their peripherals and their
 /// network, operated together.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CloudletDesign {
     name: String,
     device: DeviceSpec,

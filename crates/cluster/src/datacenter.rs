@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_carbon::scale::{FacilityModel, Pue};
 use junkyard_carbon::units::Watts;
 use junkyard_devices::power::LoadProfile;
@@ -16,7 +14,7 @@ use junkyard_devices::power::LoadProfile;
 use crate::cloudlet::CloudletDesign;
 
 /// A warehouse-scale deployment of identical units.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatacenterDesign {
     name: String,
     unit_power: Watts,

@@ -8,12 +8,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_carbon::units::{GramsCo2e, Watts};
 
 /// One kind of peripheral and how many of it the cloudlet uses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Peripheral {
     label: String,
     embodied_each: GramsCo2e,

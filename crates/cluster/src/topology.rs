@@ -9,12 +9,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_carbon::units::DataRate;
 
 /// How the cluster's devices are networked.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum NetworkTopology {
     /// Devices connect to pre-existing wired switches with the given

@@ -3,10 +3,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A rectangular table with named columns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     title: String,
     headers: Vec<String>,
@@ -107,7 +105,7 @@ impl fmt::Display for Table {
 }
 
 /// One labelled line of a chart: `(x, y)` points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeriesLine {
     label: String,
     points: Vec<(f64, f64)>,
@@ -144,7 +142,7 @@ impl SeriesLine {
 
 /// A chart: several labelled lines over a shared x axis, standing in for one
 /// panel of a paper figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Chart {
     title: String,
     x_label: String,

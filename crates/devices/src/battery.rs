@@ -9,8 +9,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_carbon::units::{GramsCo2e, Joules, TimeSpan, Watts};
 
 /// Nominal lithium-ion cell voltage used to convert amp-hours to energy.
@@ -21,7 +19,7 @@ pub const NOMINAL_CELL_VOLTAGE: f64 = 3.85;
 pub const DEFAULT_CYCLE_LIFE: u32 = 2_500;
 
 /// Specification of a device's battery pack.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatterySpec {
     capacity_amp_hours: f64,
     voltage: f64,

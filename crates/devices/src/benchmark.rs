@@ -9,12 +9,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_carbon::ops::{OpUnit, Throughput};
 
 /// One of the four microbenchmarks used throughout the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum Benchmark {
     /// Single-precision dense matrix multiply, measured in Gflops.
@@ -71,7 +69,7 @@ impl fmt::Display for Benchmark {
 }
 
 /// Single-core and multi-core throughput of a device on one benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchmarkScore {
     benchmark: Benchmark,
     single_core: f64,
@@ -147,7 +145,7 @@ impl BenchmarkScore {
 }
 
 /// The full set of benchmark scores for one device.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct BenchmarkSuite {
     scores: BTreeMap<Benchmark, BenchmarkScore>,
 }

@@ -9,13 +9,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_carbon::reuse::{ComponentUse, ReuseFactor};
 use junkyard_carbon::units::GramsCo2e;
 
 /// Functional subcomponent categories of a consumer device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum Component {
     /// SoC and RAM.
@@ -68,7 +66,7 @@ impl fmt::Display for Component {
 }
 
 /// Embodied carbon attributed to each subcomponent of a device.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ComponentBreakdown {
     parts: BTreeMap<Component, GramsCo2e>,
 }

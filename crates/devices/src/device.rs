@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_carbon::ops::Throughput;
 use junkyard_carbon::units::{DataRate, GramsCo2e, Watts};
 
@@ -14,7 +12,7 @@ use crate::components::ComponentBreakdown;
 use crate::power::{LoadProfile, PowerCurve};
 
 /// Broad class of a device, used to pick defaults and for reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum DeviceClass {
     /// Rack-mount server hardware.
@@ -48,7 +46,7 @@ impl fmt::Display for DeviceClass {
 }
 
 /// Wireless interfaces available on a device.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RadioSpec {
     wifi: Option<DataRate>,
     lte: Option<DataRate>,
@@ -84,7 +82,7 @@ impl RadioSpec {
 ///
 /// Use [`DeviceSpec::builder`] to construct one; the catalog module provides
 /// ready-made specifications for every device the paper evaluates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     name: String,
     class: DeviceClass,

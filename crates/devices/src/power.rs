@@ -10,8 +10,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_carbon::ops::Throughput;
 use junkyard_carbon::units::Watts;
 
@@ -19,7 +17,7 @@ use junkyard_carbon::units::Watts;
 ///
 /// The curve is piecewise-linear through the measured anchor points
 /// `(0.0, idle)`, `(0.10, p10)`, `(0.50, p50)`, `(1.0, p100)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerCurve {
     idle: Watts,
     p10: Watts,
@@ -127,7 +125,7 @@ impl fmt::Display for PowerCurve {
 }
 
 /// One segment of a duty cycle: a CPU load level held for a fraction of time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadSegment {
     load: f64,
     time_fraction: f64,
@@ -186,7 +184,7 @@ impl fmt::Display for InvalidProfile {
 impl std::error::Error for InvalidProfile {}
 
 /// A duty cycle: a set of load levels and the fraction of time spent at each.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadProfile {
     segments: Vec<LoadSegment>,
 }

@@ -8,10 +8,8 @@
 //! with the same trend (documented as a synthetic reconstruction in
 //! `DESIGN.md`).
 
-use serde::{Deserialize, Serialize};
-
 /// Capability snapshot of one phone model at release.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhoneRelease {
     name: &'static str,
     year: u16,
@@ -131,7 +129,7 @@ pub fn popular_android_phones() -> Vec<PhoneRelease> {
 }
 
 /// An AWS T4g instance size, plotted as a reference line in Figure 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct T4gInstance {
     name: &'static str,
     /// Performance normalised to an Intel Core i3 (= 1.0).
@@ -189,7 +187,7 @@ pub fn t4g_instances() -> Vec<T4gInstance> {
 }
 
 /// Summary statistics of one release year, as plotted in Figure 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct YearSummary {
     year: u16,
     performance_mean: f64,

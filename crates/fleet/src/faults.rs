@@ -32,8 +32,6 @@
 //! arithmetic on mean rates — no simulation — and the lifecycle layer
 //! folds the outcome into its carbon and availability accounting.
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_carbon::convert::{count_f64, index_u64, unit_draw as convert_unit_draw};
 use junkyard_microsim::sweep::decorrelate_seed;
 
@@ -44,7 +42,7 @@ fn unit_draw(draw: u64) -> f64 {
 }
 
 /// The kind of a correlated fault event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FaultKind {
     /// A regional grid outage: the whole site is dark for the duration.
@@ -70,7 +68,7 @@ impl FaultKind {
 }
 
 /// One correlated fault event of a [`FaultPlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     site: usize,
     kind: FaultKind,
@@ -113,7 +111,7 @@ impl FaultEvent {
 
 /// Rates and shapes of the correlated fault processes. All three kinds
 /// default to disabled; enable each with its builder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     grid_outage_mean_days: f64,
     grid_outage_duration_windows: usize,
@@ -249,7 +247,7 @@ impl FaultConfig {
 
 /// A deterministic schedule of correlated fault events over a horizon,
 /// reduced to a per-(window, site) availability multiplier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     windows: usize,
     sites: usize,
@@ -368,7 +366,7 @@ impl FaultPlan {
 /// timeout and exponential backoff, each attempt charged its network
 /// carbon, with an optional hedge to the standby fallback site once
 /// retries exhaust.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     max_retries: usize,
     timeout_s: f64,
@@ -465,7 +463,7 @@ impl RetryPolicy {
 /// What the operator does once client retries exhaust: reroute to real
 /// spare capacity, shed a low-priority fraction, then brown-out — serve
 /// the remainder at degraded quality by stretching capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradationLadder {
     reroute: bool,
     low_priority_fraction: f64,
@@ -536,7 +534,7 @@ impl Default for DegradationLadder {
 /// router's health view is, what clients do about failures, what the
 /// operator does when retries exhaust, and which site (if any) is held
 /// back as a standby fallback.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResiliencePolicy {
     detection_lag_windows: usize,
     retry: Option<RetryPolicy>,

@@ -42,8 +42,6 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_battery::charging::SmartChargePolicy;
 use junkyard_battery::sim::simulate_day;
 use junkyard_battery::state::BatteryState;
@@ -100,7 +98,7 @@ impl std::error::Error for SiteConfigError {}
 /// One device slot of a cohort site: the phone model occupying it, its
 /// battery, what a junkyard replacement costs in embodied carbon and what
 /// the slot contributes to serving capacity and power.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CohortDevice {
     model: String,
     serving_power: Watts,
@@ -224,37 +222,13 @@ impl LifecycleSite {
     /// smart-charging policy and failures are disabled until
     /// [`LifecycleSite::failures`] turns them on.
     ///
-    /// # Panics
-    ///
-    /// Panics if the cohort is empty or the region's trace does not cover
-    /// a whole number of days (at least one): periodic day tiling and the
-    /// sample-level wrap-around of window means must agree over a
-    /// multi-year horizon.
-    #[must_use]
-    pub fn cohort(
-        name: impl Into<String>,
-        sim: &Simulation,
-        region: GridRegion,
-        devices: Vec<CohortDevice>,
-        install_embodied: GramsCo2e,
-    ) -> Self {
-        match Self::try_cohort(name, sim, region, devices, install_embodied) {
-            Ok(site) => site,
-            // lint:allow(panic-in-library): the documented panicking
-            // facade over `try_cohort`, kept for tests and examples.
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`LifecycleSite::cohort`]: returns a typed
-    /// [`SiteConfigError`] instead of panicking, for user-reachable
-    /// configuration paths (study configs, the planner's search space).
-    ///
     /// # Errors
     ///
     /// Returns an error if the cohort is empty, the region's trace does
-    /// not cover a whole number of days (at least one), or the trace
-    /// contains a non-finite intensity sample.
+    /// not cover a whole number of days (at least one) — periodic day
+    /// tiling and the sample-level wrap-around of window means must agree
+    /// over a multi-year horizon — or the trace contains a non-finite
+    /// intensity sample.
     pub fn try_cohort(
         name: impl Into<String>,
         sim: &Simulation,
@@ -288,28 +262,6 @@ impl LifecycleSite {
     /// Creates a leased site (the datacenter backend): fixed
     /// `capacity_qps`, no power draw and no embodied carbon until the
     /// builders set them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacity is not strictly positive or the region's
-    /// trace does not cover a whole number of days.
-    #[must_use]
-    pub fn leased(
-        name: impl Into<String>,
-        sim: &Simulation,
-        region: GridRegion,
-        capacity_qps: f64,
-    ) -> Self {
-        match Self::try_leased(name, sim, region, capacity_qps) {
-            Ok(site) => site,
-            // lint:allow(panic-in-library): the documented panicking
-            // facade over `try_leased`, kept for tests and examples.
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`LifecycleSite::leased`]: returns a typed
-    /// [`SiteConfigError`] instead of panicking.
     ///
     /// # Errors
     ///
@@ -523,7 +475,7 @@ impl LifecycleSite {
 }
 
 /// Tunables of a lifecycle run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LifecycleConfig {
     years: usize,
     horizon_days: Option<usize>,
@@ -655,7 +607,7 @@ impl LifecycleConfig {
 /// The per-day state of one site, produced by the serial dynamics pass:
 /// who is alive, what the site can serve, what its power model looks like
 /// and what embodied carbon the day's events charged.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DayDynamics {
     alive: usize,
     capacity_qps: f64,
@@ -722,12 +674,11 @@ impl DayDynamics {
 /// The per-day ledger merged across a fleet: what the day served and
 /// emitted, for cumulative (lifetime-amortised) trajectories at day
 /// granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DayLedger {
     requests: f64,
     operational: GramsCo2e,
     embodied: GramsCo2e,
-    #[serde(default)]
     retry: GramsCo2e,
 }
 
@@ -765,16 +716,14 @@ impl DayLedger {
 }
 
 /// One (year, site) cell of the lifecycle accounting grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifecycleCell {
     year: usize,
     site: usize,
     requests: f64,
-    #[serde(default)]
     dropped_requests: f64,
     operational: GramsCo2e,
     embodied: GramsCo2e,
-    #[serde(default)]
     retry_carbon: GramsCo2e,
     battery_replacements: u32,
     device_failures: u32,
@@ -896,7 +845,7 @@ impl LifecycleCell {
 /// sites, what was actually delivered (including retries, hedges and
 /// degraded serving), and what finally failed. Request counts, not rates;
 /// queue drops are accounted separately in the cells.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowHealth {
     offered: f64,
     served: f64,
@@ -941,7 +890,7 @@ impl WindowHealth {
 ///
 /// lint: conserved — every numeric field below must be pinned by a test
 /// under `tests/` (the conservation audit fails otherwise).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifecycleResult {
     policy: RoutingPolicy,
     site_names: Vec<String>,
@@ -950,28 +899,18 @@ pub struct LifecycleResult {
     cells: Vec<LifecycleCell>,
     day_ledger: Vec<DayLedger>,
     declined_requests: f64,
-    #[serde(default)]
     dropped_requests: f64,
     total_requests: f64,
     total_operational: GramsCo2e,
     total_embodied: GramsCo2e,
-    #[serde(default)]
     failed_requests: f64,
-    #[serde(default)]
     retried_ok_requests: f64,
-    #[serde(default)]
     hedged_requests: f64,
-    #[serde(default)]
     rerouted_requests: f64,
-    #[serde(default)]
     brownout_requests: f64,
-    #[serde(default)]
     low_priority_shed_requests: f64,
-    #[serde(default)]
     total_retry_carbon: GramsCo2e,
-    #[serde(default)]
     window_health: Vec<WindowHealth>,
-    #[serde(default)]
     horizon_seconds: f64,
 }
 
@@ -2410,20 +2349,22 @@ mod tests {
     }
 
     fn cohort_site(seed: u64, devices: usize) -> LifecycleSite {
-        LifecycleSite::cohort(
+        LifecycleSite::try_cohort(
             "cloudlet",
             &tiny_sim(),
             diurnal_region(seed),
             (0..devices).map(|_| phone_slot(300.0)).collect(),
             GramsCo2e::from_kilograms(20.0),
         )
+        .expect("the test cohort is valid")
         .overhead_power(Watts::new(4.0))
         .failures(400.0, 5)
         .unwrap()
     }
 
     fn leased_site(capacity: f64) -> LifecycleSite {
-        LifecycleSite::leased("datacenter", &tiny_sim(), flat_region(420.0), capacity)
+        LifecycleSite::try_leased("datacenter", &tiny_sim(), flat_region(420.0), capacity)
+            .expect("the test capacity is valid")
             .power(Watts::new(120.0), Watts::new(90.0))
             .embodied(
                 GramsCo2e::from_kilograms(1_344.0),
@@ -2548,13 +2489,14 @@ mod tests {
             "caiso-month",
             CaisoSynthesizer::april_2021_like(3).intensity_trace(),
         );
-        let site = LifecycleSite::cohort(
+        let site = LifecycleSite::try_cohort(
             "cloudlet",
             &tiny_sim(),
             region,
             vec![phone_slot(300.0), phone_slot(300.0)],
             GramsCo2e::ZERO,
-        );
+        )
+        .expect("the month-long cohort is valid");
         let sim = LifecycleSim::new(
             vec![site],
             DiurnalSchedule::flat(100.0),
@@ -2657,19 +2599,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "whole number of days")]
-    fn partial_day_region_panics() {
+    fn partial_day_region_is_rejected() {
         let trace = IntensityTrace::constant(
             CarbonIntensity::from_grams_per_kwh(300.0),
             TimeSpan::from_hours(1.0),
             TimeSpan::from_hours(30.0),
         );
-        let _ = LifecycleSite::cohort(
+        let err = LifecycleSite::try_cohort(
             "bad",
             &tiny_sim(),
             GridRegion::new("bad", trace),
             vec![phone_slot(100.0)],
             GramsCo2e::ZERO,
+        )
+        .unwrap_err();
+        assert!(
+            err.message().contains("whole number of days"),
+            "unexpected message: {err}"
         );
     }
 

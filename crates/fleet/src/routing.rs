@@ -34,15 +34,13 @@
 //! been simulated yet, so a [`WindowAssignment`] reports only the
 //! declined component.
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_carbon::units::CarbonIntensity;
 
 use crate::schedule::LoadWindow;
 use crate::site::FleetSite;
 
 /// A traffic-assignment policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum RoutingPolicy {
     /// Capacity-proportional fixed shares (the paper's static placement).
@@ -76,7 +74,7 @@ impl RoutingPolicy {
 }
 
 /// The per-site split of one window's traffic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowAssignment {
     window: usize,
     /// Per-site `(qps_start, qps_end)`, same order as the fleet's sites.
@@ -120,7 +118,7 @@ impl WindowAssignment {
 /// much the site can take and how dirty its grid is over the window. The
 /// lifecycle simulator re-plans every window from these as cohort
 /// capacity shrinks and recovers, without rebuilding [`FleetSite`]s.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SiteWindowInput {
     /// Highest offered load the router may assign, requests/second.
     pub capacity_qps: f64,

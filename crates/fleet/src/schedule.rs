@@ -8,8 +8,6 @@
 //! day, and slices it into [`LoadWindow`]s — the accounting granularity of
 //! the fleet simulation.
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_carbon::convert::{count_f64, floor_index};
 use junkyard_carbon::units::TimeSpan;
 
@@ -22,7 +20,7 @@ pub const OFFICE_DAY_SHAPE: [f64; 24] = [
 ];
 
 /// A periodic, piecewise-linear daily load curve repeated over `days` days.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiurnalSchedule {
     base_qps: f64,
     hourly: [f64; 24],
@@ -146,7 +144,7 @@ impl DiurnalSchedule {
 
 /// One accounting window of a schedule: a span of wall-clock time with the
 /// fleet-wide offered load linearised between its endpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadWindow {
     index: usize,
     start: TimeSpan,

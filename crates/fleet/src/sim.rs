@@ -9,8 +9,6 @@
 //! seeds come from [`decorrelate_seed`], so neighbouring cells replay
 //! independent arrival sequences.
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_carbon::convert::{count_f64, floor_index, index_u64};
 use junkyard_carbon::units::{CarbonIntensity, GramsCo2e, Joules, Millis, Qps, TimeSpan};
 use junkyard_microsim::fanout::{self, fan_out};
@@ -24,7 +22,7 @@ use crate::site::FleetSite;
 
 /// Tunables of a fleet run: accounting granularity, the length of the
 /// representative microsim slice per cell, seeding and threading.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetConfig {
     windows_per_day: usize,
     sim_slice_s: f64,
@@ -129,14 +127,13 @@ impl Default for FleetConfig {
 }
 
 /// One (window, site) cell of the accounting grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetCell {
     window: usize,
     site: usize,
     qps_start: Qps,
     qps_end: Qps,
     requests: f64,
-    #[serde(default)]
     dropped_requests: f64,
     utilization: f64,
     median_ms: Millis,
@@ -248,7 +245,7 @@ impl FleetCell {
 ///
 /// lint: conserved — every numeric field below must be pinned by a test
 /// under `tests/` (the conservation audit fails otherwise).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetResult {
     policy: RoutingPolicy,
     site_names: Vec<String>,
@@ -257,7 +254,6 @@ pub struct FleetResult {
     /// Window-major: `cells[window * sites + site]`.
     cells: Vec<FleetCell>,
     declined_requests: f64,
-    #[serde(default)]
     dropped_requests: f64,
     total_requests: f64,
     total_operational: GramsCo2e,

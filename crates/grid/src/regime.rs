@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_carbon::convert::count_f64;
 use junkyard_carbon::units::{CarbonIntensity, TimeSpan};
 
@@ -11,7 +9,7 @@ use crate::synth::CaisoSynthesizer;
 use crate::trace::IntensityTrace;
 
 /// An energy-supply regime for powering a device or cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum PowerRegime {
     /// The California grid mix (mean 257 gCO2e/kWh).

@@ -7,12 +7,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_carbon::units::CarbonIntensity;
 
 /// A grid generation source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum EnergySource {
     /// Utility-scale photovoltaics.
@@ -81,7 +79,7 @@ impl fmt::Display for EnergySource {
 }
 
 /// An instantaneous generation mix: how many gigawatts each source supplies.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GenerationMix {
     entries: Vec<(EnergySource, f64)>,
 }

@@ -11,7 +11,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use junkyard_carbon::convert::{count_f64, round_count};
 use junkyard_carbon::units::{CarbonIntensity, TimeSpan};
@@ -20,7 +19,7 @@ use crate::sources::{EnergySource, GenerationMix};
 use crate::trace::IntensityTrace;
 
 /// Configuration of the synthetic CAISO generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CaisoSynthesizer {
     seed: u64,
     days: usize,

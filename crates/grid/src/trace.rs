@@ -9,8 +9,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_carbon::convert::{ceil_index, count_f64, floor_index, percentile_rank, round_count};
 use junkyard_carbon::units::{CarbonIntensity, TimeSpan};
 
@@ -27,7 +25,7 @@ use junkyard_carbon::units::{CarbonIntensity, TimeSpan};
 /// other: a "day" is `round(86 400 s / step)` samples (exact whenever the
 /// step divides a day evenly) and `day_count` is precisely the number of
 /// indices for which `day(i)` returns `Some`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntensityTrace {
     step: TimeSpan,
     values: Vec<CarbonIntensity>,

@@ -5,7 +5,9 @@
 //!
 //! The parser is a deliberately tiny, zero-dependency JSON-subset reader
 //! (one object of string keys mapping to integers or one level of nested
-//! object) — exactly the shape this file has, nothing more.
+//! object) — exactly the shape this file has, nothing more. It rejects a
+//! repeated key at any level: keeping either copy would let a stray
+//! duplicate silently loosen or mask a ratchet.
 
 use std::collections::BTreeMap;
 
@@ -116,7 +118,11 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
+            let at = self.pos;
             let key = self.string()?;
+            if entries.iter().any(|(seen, _)| *seen == key) {
+                return Err(format!("duplicate key `{key}` at offset {at}"));
+            }
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -196,5 +202,15 @@ mod tests {
         assert!(Baseline::parse("{\"ratchets\": [1]}").is_err());
         assert!(Baseline::parse("{\"surprise\": 1}").is_err());
         assert!(Baseline::parse("{\"ratchets\": {\"r\": 1}} tail").is_err());
+    }
+
+    #[test]
+    fn rejects_a_repeated_key_at_any_level() {
+        let nested = r#"{"schema":1,"ratchets":{"panic-in-library":66,"panic-in-library":999}}"#;
+        let top = r#"{"schema":1,"ratchets":{"panic-in-library":66},"ratchets":{"panic-in-library":999}}"#;
+        for (text, key) in [(nested, "panic-in-library"), (top, "ratchets")] {
+            let err = Baseline::parse(text).unwrap_err();
+            assert!(err.contains(&format!("duplicate key `{key}`")), "{err}");
+        }
     }
 }

@@ -16,13 +16,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::service::{ServiceKind, ServiceSpec};
 
 /// One RPC issued while serving a request: which service runs, how much CPU
 /// it burns and how large the request/response messages are.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceCall {
     service: String,
     cpu_ms: f64,
@@ -89,7 +87,7 @@ impl ServiceCall {
 
 /// A stage of a request: a set of calls issued in parallel from the
 /// request's frontend; the stage finishes when all calls have returned.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stage {
     calls: Vec<ServiceCall>,
 }
@@ -126,7 +124,7 @@ impl Stage {
 }
 
 /// One request type of an application (for example "compose post").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestType {
     name: String,
     weight: f64,
@@ -243,7 +241,7 @@ impl fmt::Display for RequestType {
 }
 
 /// A complete microservice application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Application {
     name: String,
     frontend: String,

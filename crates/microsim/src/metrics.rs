@@ -2,10 +2,9 @@
 //! utilisation traces.
 
 use junkyard_carbon::convert::{count_f64, counts_ratio, floor_index, percentile_rank};
-use serde::{Deserialize, Serialize};
 
 /// A latency distribution, in milliseconds.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LatencyStats {
     sorted_ms: Vec<f64>,
 }
@@ -83,7 +82,7 @@ impl LatencyStats {
 
 /// Per-second CPU utilisation of one node, split into user (service work)
 /// and system (RPC handling) time, as plotted per phone in Figure 8.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeUtilization {
     node: String,
     cores: u32,
@@ -200,7 +199,7 @@ impl NodeUtilization {
 /// so the per-node conservation law `calls_arrived == calls_served +
 /// dropped` holds for every run; drops can only be nonzero when the
 /// simulation's [`crate::sim::ServerModel`] bounds its queues.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeQueueStats {
     node: String,
     calls_arrived: u64,
@@ -259,7 +258,7 @@ impl NodeQueueStats {
 }
 
 /// A completed request: when it arrived and how long it took.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompletedRequest {
     arrival_s: f64,
     latency_ms: f64,
@@ -292,16 +291,14 @@ impl CompletedRequest {
 ///
 /// lint: conserved — every numeric field below must be pinned by a test
 /// under `tests/` (the conservation audit fails otherwise).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunMetrics {
     duration_s: f64,
     offered: usize,
     events: u64,
     completions: Vec<CompletedRequest>,
     node_utilization: Vec<NodeUtilization>,
-    #[serde(default)]
     dropped_arrivals: Vec<f64>,
-    #[serde(default)]
     queue_stats: Vec<NodeQueueStats>,
 }
 

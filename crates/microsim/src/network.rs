@@ -7,12 +7,10 @@
 //! unlimited (the paper's methodology also runs the load generator on the
 //! same instance).
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_carbon::units::DataRate;
 
 /// Network characteristics of a deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     intra_node_latency_ms: f64,
     inter_node_latency_ms: f64,

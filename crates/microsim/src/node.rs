@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_devices::benchmark::Benchmark;
 use junkyard_devices::device::DeviceSpec;
 
@@ -12,7 +10,7 @@ use junkyard_devices::device::DeviceSpec;
 pub const REFERENCE_SINGLE_CORE_SGEMM: f64 = 8.84;
 
 /// A node of the simulated cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     name: String,
     cores: u32,

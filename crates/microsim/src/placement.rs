@@ -12,7 +12,6 @@ use std::fmt;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::app::Application;
 use crate::node::NodeSpec;
@@ -61,7 +60,7 @@ impl fmt::Display for PlacementError {
 impl std::error::Error for PlacementError {}
 
 /// A mapping from service name to hosting node index.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Placement {
     assignments: BTreeMap<String, usize>,
 }

@@ -8,10 +8,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Broad role of a service, used for placement spreading and reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum ServiceKind {
     /// HTTP entry point (nginx, frontend).
@@ -50,7 +48,7 @@ impl fmt::Display for ServiceKind {
 }
 
 /// One deployable microservice.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceSpec {
     name: String,
     kind: ServiceKind,

@@ -32,7 +32,6 @@ use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::app::Application;
 use crate::compiled::CompiledSim;
@@ -54,7 +53,7 @@ pub(crate) const CLIENT_REQUEST_BYTES: f64 = 500.0;
 pub const RSS_TABLE_ENTRIES: usize = 128;
 
 /// How arriving calls queue for a node's application cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueDiscipline {
     /// One work-conserving FIFO queue per node: an arriving call is served
     /// by whichever core frees first. This is the engine's historical
@@ -70,7 +69,7 @@ pub enum QueueDiscipline {
 
 /// How a node's cores are divided between network processing and
 /// application work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoreLayout {
     /// Every core handles both the per-RPC system overhead and the
     /// application work in one combined reservation (the historical
@@ -107,13 +106,10 @@ impl CoreLayout {
 /// per-queue bound. The default — centralised FCFS, combined cores,
 /// unbounded queues — reproduces the engine's historical behaviour
 /// bit-identically.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ServerModel {
-    #[serde(default)]
     discipline: QueueDiscipline,
-    #[serde(default)]
     layout: CoreLayout,
-    #[serde(default)]
     queue_size: Option<usize>,
 }
 
@@ -170,7 +166,7 @@ impl ServerModel {
 /// An RSS-style indirection table: `RSS_TABLE_ENTRIES` entries mapping a
 /// flow hash to one of a node's core-local queues, filled round-robin
 /// (`entries[i] = i mod queues`) like a NIC's default RETA programming.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RssTable {
     entries: Vec<u32>,
 }
@@ -226,7 +222,7 @@ pub fn flow_hash(flow: u64) -> u64 {
 /// Poisson process. Constant phases skip the acceptance draw entirely, so
 /// their RNG consumption — and therefore every pre-existing workload — is
 /// bit-identical to the pre-ramp engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Phase {
     qps: f64,
     qps_end: Option<f64>,
@@ -334,7 +330,7 @@ impl Phase {
 
 /// A workload: one or more phases of offered load plus the random seed for
 /// arrival times and mix sampling.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     phases: Vec<Phase>,
     seed: u64,
@@ -408,14 +404,13 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// A ready-to-run simulation of one application on one deployment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Simulation {
     app: Application,
     nodes: Vec<NodeSpec>,
     placement: Placement,
     network: NetworkModel,
     colocated_client: bool,
-    #[serde(default)]
     server: ServerModel,
 }
 

@@ -9,8 +9,6 @@
 use junkyard_carbon::convert::{counts_ratio, index_u64};
 use junkyard_obs::{NoopRecorder, Recorder, TraceRecorder, TraceShard};
 
-use serde::{Deserialize, Serialize};
-
 use crate::compiled::CompiledSim;
 use crate::fanout::{self, fan_out};
 use crate::metrics::RunMetrics;
@@ -37,12 +35,11 @@ pub fn decorrelate_seed(seed: u64, index: u64) -> u64 {
 }
 
 /// One point of a latency-versus-throughput curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurvePoint {
     qps: f64,
     median_ms: f64,
     tail_ms: f64,
-    #[serde(default)]
     drop_fraction: f64,
 }
 
@@ -94,7 +91,7 @@ impl CurvePoint {
 }
 
 /// A labelled latency-versus-throughput curve (one line of Figure 7).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyCurve {
     label: String,
     points: Vec<CurvePoint>,
@@ -175,7 +172,7 @@ impl LatencyCurve {
 }
 
 /// Configuration of a throughput sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepConfig {
     qps_points: Vec<f64>,
     duration_s: f64,

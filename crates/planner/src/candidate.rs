@@ -10,12 +10,10 @@
 //!
 //! [`PlannerSpace`]: crate::space::PlannerSpace
 
-use serde::{Deserialize, Serialize};
-
 /// One fully-specified deployment: a cohort choice per grid region plus
 /// the fleet-wide policy knobs, all as indices into the owning
 /// [`PlannerSpace`](crate::space::PlannerSpace).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CandidateDeployment {
     /// Cohort-option index per region, in the space's region order.
     site_cohorts: Vec<usize>,

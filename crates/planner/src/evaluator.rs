@@ -10,15 +10,13 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::candidate::CandidateDeployment;
 use crate::slo::Slo;
 
 /// How much simulated time a candidate is scored over — the
 /// successive-halving resource axis. Coarse rungs run a couple of days
 /// at few windows; survivors earn longer horizons and finer slices.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fidelity {
     horizon_days: usize,
     windows_per_day: usize,
@@ -124,7 +122,7 @@ impl Fidelity {
 
 /// What one candidate scored at one fidelity: the carbon objective, the
 /// SLO-relevant latencies and shed, and the frontier's secondary axes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Evaluation {
     grams_per_request: Option<f64>,
     worst_median_ms: f64,
@@ -245,7 +243,7 @@ impl Evaluation {
 /// properties of the candidate (a cohort the placement cannot fit, a
 /// workload the application does not define), so they are cached like
 /// successes and simply excluded from ranking.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EvalError {
     /// The candidate's deployment could not be assembled.
     Build(String),

@@ -11,8 +11,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_microsim::fanout::{self, fan_out};
 use junkyard_microsim::sweep::decorrelate_seed;
 use junkyard_obs::{EventKind, NoopRecorder, Recorder, TraceEvent};
@@ -24,7 +22,7 @@ use crate::slo::Slo;
 use crate::space::PlannerSpace;
 
 /// Tunables of one planner search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchConfig {
     seed: u64,
     rungs: Vec<Fidelity>,
@@ -155,7 +153,7 @@ impl Default for SearchConfig {
 
 /// One scored deployment of the outcome: the candidate, its final-
 /// fidelity evaluation and a human-readable label.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlannedDeployment {
     candidate: CandidateDeployment,
     evaluation: Evaluation,
@@ -200,7 +198,7 @@ impl PlannedDeployment {
 
 /// What a search produced: the SLO-satisfying Pareto frontier, the
 /// carbon argmin, and the bookkeeping the perf report tracks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchOutcome {
     frontier: Vec<PlannedDeployment>,
     best: Option<PlannedDeployment>,

@@ -7,12 +7,10 @@
 //! and 90th-percentile latency ceilings) plus a shed ceiling so a
 //! deployment cannot "meet" the latency bounds by refusing traffic.
 
-use serde::{Deserialize, Serialize};
-
 use crate::evaluator::Evaluation;
 
 /// Latency and availability bounds a candidate deployment must satisfy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Slo {
     median_limit_ms: f64,
     tail_limit_ms: f64,

@@ -5,12 +5,10 @@
 //! fans, each adding 4 W of electrical draw and ~9.3 kgCO2e of embodied
 //! carbon.
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_carbon::units::{GramsCo2e, Watts};
 
 /// A commodity server fan used to cool a phone cloudlet.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerFan {
     rated_cooling: Watts,
     electrical_power: Watts,
@@ -73,7 +71,7 @@ impl Default for ServerFan {
 }
 
 /// A cooling plan: how many fans a cluster needs and what they cost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoolingPlan {
     fan: ServerFan,
     fans_needed: u32,

@@ -8,8 +8,6 @@
 //! own simplification (footnote 3): each phone is a block of silicon-like
 //! material exchanging heat with a uniform body of enclosed air.
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_carbon::units::Watts;
 
 /// Specific heat capacity of air at constant pressure, J/(kg·K).
@@ -21,7 +19,7 @@ pub const SILICON_SPECIFIC_HEAT: f64 = 705.0;
 
 /// Thermal behaviour of one phone: heat capacity, coupling to the
 /// surrounding air, and the throttle / shutdown set points of its firmware.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhoneThermalModel {
     /// Effective thermal mass of the handset, J/K.
     heat_capacity: f64,
@@ -167,7 +165,7 @@ impl PhoneThermalModel {
 }
 
 /// The sealed enclosure the phones sit in.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Enclosure {
     /// Interior volume, m³.
     volume_m3: f64,

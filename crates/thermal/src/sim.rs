@@ -1,15 +1,13 @@
 //! Time-stepping thermal stress-test simulation (Figure 3) and the Eq. 9
 //! thermal-power estimate.
 
-use serde::{Deserialize, Serialize};
-
 use junkyard_carbon::units::{TimeSpan, Watts};
 use junkyard_devices::power::{LoadProfile, PowerCurve};
 
 use crate::model::{Enclosure, PhoneThermalModel, SILICON_SPECIFIC_HEAT};
 
 /// One phone placed in the enclosure for a stress test.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TestPhone {
     label: String,
     thermal: PhoneThermalModel,
@@ -41,7 +39,7 @@ impl TestPhone {
 }
 
 /// Temperature and performance trajectory of one phone during a test.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhoneTimeline {
     label: String,
     temperatures: Vec<f64>,
@@ -86,7 +84,7 @@ impl PhoneTimeline {
 }
 
 /// Full result of a thermal stress test.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalTimeline {
     step: TimeSpan,
     air_temperatures: Vec<f64>,
@@ -171,7 +169,7 @@ impl ThermalTimeline {
 
 /// A thermal stress test: a set of phones in an enclosure running a duty
 /// cycle for a fixed duration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StressTest {
     enclosure: Enclosure,
     phones: Vec<TestPhone>,

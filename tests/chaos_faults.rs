@@ -66,13 +66,14 @@ fn cohort_site(seed: u64, sim: &Simulation) -> LifecycleSite {
     let trace = CaisoSynthesizer::new(seed, 2)
         .step(TimeSpan::from_hours(1.0))
         .intensity_trace();
-    LifecycleSite::cohort(
+    LifecycleSite::try_cohort(
         "cloudlet",
         sim,
         GridRegion::new("caiso", trace),
         vec![phone_slot(400.0), phone_slot(400.0)],
         GramsCo2e::from_kilograms(15.0),
     )
+    .expect("the test cohort is valid")
     .overhead_power(Watts::new(2.0))
     .failures(300.0, 4)
     .unwrap()
@@ -84,7 +85,8 @@ fn leased_site(capacity: f64, sim: &Simulation) -> LifecycleSite {
         TimeSpan::from_hours(1.0),
         TimeSpan::from_days(1.0),
     );
-    LifecycleSite::leased("datacenter", sim, GridRegion::new("gas", trace), capacity)
+    LifecycleSite::try_leased("datacenter", sim, GridRegion::new("gas", trace), capacity)
+        .expect("the test capacity is valid")
         .power(Watts::new(50.0), Watts::new(40.0))
         .embodied(GramsCo2e::from_kilograms(500.0), TimeSpan::from_years(4.0))
 }

@@ -1,7 +1,11 @@
 //! Smoke tests for the workspace wiring: every facade re-export resolves,
-//! the crates agree on each other's types across the dependency edges, and
-//! the version constant is populated. These tests exist to fail loudly if a
-//! crate is dropped from the workspace or a facade re-export is renamed.
+//! the crates agree on each other's types across the dependency edges,
+//! every declared edge is used, and the version constant is populated.
+//! These tests exist to fail loudly if a crate is dropped from the
+//! workspace or a facade re-export is renamed.
+
+use std::fs;
+use std::path::Path;
 
 use junkyard::battery::SmartChargePolicy;
 use junkyard::carbon::cci::CciCalculator;
@@ -64,4 +68,74 @@ fn facade_study_layer_drives_the_stack_end_to_end() {
     for line in chart.lines() {
         assert!(line.final_value().is_some());
     }
+}
+
+#[test]
+fn every_declared_dependency_is_used() {
+    // An edge no source file names still builds the dependency and
+    // misstates the crate graph. Each name under `[dependencies]` and
+    // `[dev-dependencies]` of `crates/*/Cargo.toml` must appear as a whole
+    // identifier (`-` read as `_`) in that crate's own sources.
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut unused = Vec::new();
+    for entry in fs::read_dir(&crates).expect("crates/ is readable") {
+        let krate = entry.expect("crates/ entry is readable").path();
+        let manifest = fs::read_to_string(krate.join("Cargo.toml")).expect("crate manifest");
+        let mut sources = String::new();
+        for dir in ["src", "tests", "benches", "examples"] {
+            append_rust_sources(&krate.join(dir), &mut sources);
+        }
+        for dependency in declared_dependencies(&manifest) {
+            if !names_identifier(&sources, &dependency.replace('-', "_")) {
+                unused.push(format!("{}: {dependency}", krate.display()));
+            }
+        }
+    }
+    assert!(unused.is_empty(), "declared but never named: {unused:#?}");
+}
+
+/// The dependency names declared under `[dependencies]` and
+/// `[dev-dependencies]` (`name = ..` or `name.workspace = true`).
+fn declared_dependencies(manifest: &str) -> Vec<String> {
+    let mut in_dependencies = false;
+    let mut names = Vec::new();
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_dependencies = matches!(line, "[dependencies]" | "[dev-dependencies]");
+        } else if let Some((key, _)) = line.split_once('=').filter(|_| in_dependencies) {
+            let name = key.split('.').next().unwrap_or(key).trim();
+            if !name.starts_with('#') {
+                names.push(name.to_owned());
+            }
+        }
+    }
+    names
+}
+
+fn append_rust_sources(dir: &Path, out: &mut String) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries {
+        let path = entry.expect("source entry is readable").path();
+        if path.is_dir() {
+            append_rust_sources(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push_str(&fs::read_to_string(&path).expect("source file is readable"));
+            out.push('\n');
+        }
+    }
+}
+
+/// Whether `ident` occurs in `source` with no identifier character on
+/// either side.
+fn names_identifier(source: &str, ident: &str) -> bool {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    source.match_indices(ident).any(|(at, _)| {
+        !source[..at].chars().next_back().is_some_and(is_ident)
+            && !source[at + ident.len()..]
+                .chars()
+                .next()
+                .is_some_and(is_ident)
+    })
 }
