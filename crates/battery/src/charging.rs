@@ -51,12 +51,6 @@ impl SmartChargePolicy {
         }
     }
 
-    /// The battery floor below which the device charges unconditionally.
-    #[must_use]
-    pub fn min_charge_fraction(self) -> f64 {
-        self.min_charge_fraction
-    }
-
     /// Fraction of time the device must spend plugged in to sustain
     /// `device_power` given the pack's charging rate: `P` in the paper's
     /// threshold rule.

@@ -20,7 +20,7 @@
 //! use junkyard_devices::battery::BatterySpec;
 //! use junkyard_grid::synth::CaisoSynthesizer;
 //!
-//! let trace = CaisoSynthesizer::april_2021_like(7).intensity_trace();
+//! let trace = CaisoSynthesizer::new(7, 30).intensity_trace();
 //! let outcome = SmartChargingConfig::new("Pixel 3A", Watts::new(1.54), BatterySpec::pixel_3a())
 //!     .run(&trace);
 //! println!("{outcome}");

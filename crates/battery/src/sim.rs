@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use junkyard_carbon::convert::{count_f64, counts_ratio};
+use junkyard_carbon::convert::count_f64;
 use junkyard_carbon::units::{CarbonIntensity, GramsCo2e, TimeSpan, Watts};
 use junkyard_devices::battery::BatterySpec;
 use junkyard_grid::trace::IntensityTrace;
@@ -56,12 +56,6 @@ impl SmartChargingConfig {
     #[must_use]
     pub fn label(&self) -> &str {
         &self.label
-    }
-
-    /// The device's average power draw.
-    #[must_use]
-    pub fn device_power(&self) -> Watts {
-        self.device_power
     }
 
     /// The battery pack being managed.
@@ -310,18 +304,6 @@ impl DayOutcome {
     pub fn step(&self) -> TimeSpan {
         self.step
     }
-
-    /// Fraction of the day spent plugged in.
-    #[must_use]
-    pub fn charging_fraction(&self) -> f64 {
-        if self.charging_flags.is_empty() {
-            return 0.0;
-        }
-        counts_ratio(
-            self.charging_flags.iter().filter(|c| **c).count(),
-            self.charging_flags.len(),
-        )
-    }
 }
 
 /// Result of a full smart-charging simulation.
@@ -495,7 +477,7 @@ mod tests {
     use junkyard_grid::synth::CaisoSynthesizer;
 
     fn month_trace() -> IntensityTrace {
-        CaisoSynthesizer::april_2021_like(2021).intensity_trace()
+        CaisoSynthesizer::new(2021, 30).intensity_trace()
     }
 
     fn pixel_config() -> SmartChargingConfig {
@@ -560,13 +542,10 @@ mod tests {
     #[test]
     fn charging_fraction_is_small_for_the_pixel() {
         let outcome = pixel_config().run(&month_trace());
-        let day = outcome.representative_day().unwrap();
-        assert!(
-            day.charging_fraction() < 0.35,
-            "got {}",
-            day.charging_fraction()
-        );
-        assert!(day.charging_fraction() > 0.02);
+        let flags = outcome.representative_day().unwrap().charging_flags();
+        let fraction = flags.iter().filter(|c| **c).count() as f64 / flags.len() as f64;
+        assert!(fraction < 0.35, "got {fraction}");
+        assert!(fraction > 0.02);
     }
 
     #[test]

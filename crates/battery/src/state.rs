@@ -58,30 +58,10 @@ impl BatteryState {
         self.spec
     }
 
-    /// Current stored energy.
-    #[must_use]
-    pub fn charge(&self) -> Joules {
-        self.charge
-    }
-
     /// Current state of charge as a fraction of capacity (0–1).
     #[must_use]
     pub fn state_of_charge(&self) -> f64 {
         self.charge.value() / self.spec.energy().value()
-    }
-
-    /// Cumulative equivalent full cycles of the *current* pack.
-    #[must_use]
-    pub fn equivalent_cycles(&self) -> f64 {
-        self.equivalent_cycles
-    }
-
-    /// Cumulative equivalent full cycles across *every* pack this device
-    /// has worn, including replaced ones (never reset by
-    /// [`BatteryState::replace`]).
-    #[must_use]
-    pub fn lifetime_equivalent_cycles(&self) -> f64 {
-        self.lifetime_cycles
     }
 
     /// Number of replacement packs fitted so far.
@@ -192,7 +172,7 @@ mod tests {
         let shortfall = b.discharge(Watts::new(half), TimeSpan::from_secs(1.0));
         assert_eq!(shortfall, Joules::ZERO);
         assert!((b.state_of_charge() - 0.5).abs() < 1e-9);
-        assert!((b.equivalent_cycles() - 0.5).abs() < 1e-9);
+        assert!((b.equivalent_cycles - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -200,7 +180,7 @@ mod tests {
         let mut b = BatteryState::new_at(BatterySpec::pixel_3a(), 0.01);
         let shortfall = b.discharge(Watts::new(100.0), TimeSpan::from_hours(1.0));
         assert!(shortfall.value() > 0.0);
-        assert_eq!(b.charge(), Joules::ZERO);
+        assert_eq!(b.charge, Joules::ZERO);
     }
 
     #[test]
@@ -243,8 +223,8 @@ mod tests {
         // Same wall draw while charging flat out (the charger's rating is a
         // wall-side figure), but the lossy pack stores only 90% of it.
         assert!((lossy_draw.value() - lossless_draw.value()).abs() < 1e-9);
-        assert!((lossy.charge().value() - 0.9 * lossy_draw.value()).abs() < 1e-6);
-        assert!((lossless.charge().value() - lossless_draw.value()).abs() < 1e-6);
+        assert!((lossy.charge.value() - 0.9 * lossy_draw.value()).abs() < 1e-6);
+        assert!((lossless.charge.value() - lossless_draw.value()).abs() < 1e-6);
         // Filling the remaining headroom still bills the wall for the loss.
         let mut nearly_full = BatteryState::new_at(spec, 0.99);
         let headroom = spec.energy().value() * 0.01;
@@ -262,8 +242,8 @@ mod tests {
         }
         assert!(b.is_worn_out());
         b.replace();
-        assert!((b.equivalent_cycles() - 0.0).abs() < 1e-9);
-        assert!((b.lifetime_equivalent_cycles() - 2_500.0).abs() < 1e-6);
+        assert!((b.equivalent_cycles - 0.0).abs() < 1e-9);
+        assert!((b.lifetime_cycles - 2_500.0).abs() < 1e-6);
         // A whole cycle life of wear prices exactly one pack.
         assert!((b.amortized_replacement_carbon().kilograms() - 2.0).abs() < 1e-6);
         // Half a cycle life more wear adds half a pack's embodied carbon.

@@ -63,18 +63,6 @@ impl CarbonBreakdown {
     pub fn total(self) -> GramsCo2e {
         self.manufacturing + self.compute + self.network
     }
-
-    /// Fraction of the total contributed by manufacturing, in `[0, 1]`.
-    /// Returns `None` when the total is zero.
-    #[must_use]
-    pub fn manufacturing_fraction(self) -> Option<f64> {
-        let total = self.total().grams();
-        if total > 0.0 {
-            Some(self.manufacturing.grams() / total)
-        } else {
-            None
-        }
-    }
 }
 
 impl fmt::Display for CarbonBreakdown {
@@ -194,18 +182,6 @@ impl CciPoint {
     #[must_use]
     pub fn new(months: f64, cci: Cci) -> Self {
         Self { months, cci }
-    }
-
-    /// Service lifetime in months.
-    #[must_use]
-    pub fn months(self) -> f64 {
-        self.months
-    }
-
-    /// CCI at that lifetime.
-    #[must_use]
-    pub fn cci(self) -> Cci {
-        self.cci
     }
 }
 
@@ -396,12 +372,6 @@ impl CciCalculator {
     #[must_use]
     pub fn unit(&self) -> OpUnit {
         self.unit
-    }
-
-    /// The configured throughput, if any.
-    #[must_use]
-    pub fn configured_throughput(&self) -> Option<Throughput> {
-        self.throughput
     }
 
     /// The carbon breakdown after `lifetime` of service.
@@ -604,7 +574,6 @@ mod tests {
         let b = calc.breakdown_at(TimeSpan::from_years(3.0));
         let total = b.manufacturing() + b.compute() + b.network();
         assert!((total.grams() - b.total().grams()).abs() < 1e-9);
-        assert!(b.manufacturing_fraction().unwrap() > 0.0);
     }
 
     #[test]
@@ -659,8 +628,8 @@ mod tests {
         assert_eq!(series.points().len(), 3);
         assert_eq!(series.label(), "server");
         let direct = calc.cci_at(TimeSpan::from_months(12.0)).unwrap();
-        assert!((series.points()[1].cci().grams_per_op() - direct.grams_per_op()).abs() < 1e-12);
-        assert_eq!(series.last().unwrap().months(), 24.0);
+        assert!((series.points()[1].cci.grams_per_op() - direct.grams_per_op()).abs() < 1e-12);
+        assert_eq!(series.last().unwrap().months, 24.0);
     }
 
     #[test]

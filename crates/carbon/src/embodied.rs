@@ -35,12 +35,6 @@ impl EmbodiedItem {
         &self.label
     }
 
-    /// Embodied carbon per unit.
-    #[must_use]
-    pub fn per_unit(&self) -> GramsCo2e {
-        self.per_unit
-    }
-
     /// Number of units.
     #[must_use]
     pub fn quantity(&self) -> f64 {

@@ -12,7 +12,7 @@
 //! * [`embodied`] — manufacturing carbon bills (`C_M`), including battery
 //!   replacement schedules and added peripherals.
 //! * [`operational`] — compute (`C_C`) and networking (`C_N`) carbon.
-//! * [`cci`] — the [`CciCalculator`](cci::CciCalculator) that combines all
+//! * [`cci`] — the [`CciCalculator`] that combines all
 //!   three terms and amortises them over lifetime work (Eqs. 1–7).
 //! * [`reuse`] — the component-level Reuse Factor (Eq. 8).
 //! * [`scale`] — facility PUE and datacenter-scale CCI (Eqs. 14–15).

@@ -80,18 +80,6 @@ impl NetworkProfile {
         Self::new(rate, EnergyPerByte::from_microjoules_per_byte(11.0))
     }
 
-    /// The sustained data rate.
-    #[must_use]
-    pub fn rate(self) -> DataRate {
-        self.rate
-    }
-
-    /// The per-byte energy intensity.
-    #[must_use]
-    pub fn energy_per_byte(self) -> EnergyPerByte {
-        self.energy_per_byte
-    }
-
     /// Average electrical power dedicated to networking under this profile.
     #[must_use]
     pub fn average_power(self) -> Watts {

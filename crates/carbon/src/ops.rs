@@ -63,12 +63,6 @@ impl OpCount {
         Self { amount, unit }
     }
 
-    /// Zero work in the given unit.
-    #[must_use]
-    pub const fn zero(unit: OpUnit) -> Self {
-        Self::new(0.0, unit)
-    }
-
     /// The amount of work, in [`Self::unit`] units.
     #[must_use]
     pub const fn amount(self) -> f64 {

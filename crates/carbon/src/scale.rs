@@ -47,18 +47,6 @@ impl Pue {
         self.it
     }
 
-    /// Cooling power.
-    #[must_use]
-    pub fn cooling_power(self) -> Watts {
-        self.cooling
-    }
-
-    /// Lighting power.
-    #[must_use]
-    pub fn lighting_power(self) -> Watts {
-        self.lighting
-    }
-
     /// Total facility power.
     #[must_use]
     pub fn total_power(self) -> Watts {
@@ -149,7 +137,7 @@ mod tests {
 
     #[test]
     fn ideal_facility_has_pue_one() {
-        let pue = Pue::new(Watts::from_kilowatts(100.0), Watts::ZERO, Watts::ZERO);
+        let pue = Pue::new(Watts::new(100_000.0), Watts::ZERO, Watts::ZERO);
         assert!((pue.value() - 1.0).abs() < 1e-12);
     }
 

@@ -229,12 +229,6 @@ impl GramsCo2e {
         Self::new(kg * 1_000.0)
     }
 
-    /// Creates a carbon mass from milligrams of CO2-equivalent.
-    #[must_use]
-    pub fn from_milligrams(mg: f64) -> Self {
-        Self::new(mg / 1_000.0)
-    }
-
     /// Returns the mass in grams.
     #[must_use]
     pub fn grams(self) -> f64 {
@@ -246,37 +240,13 @@ impl GramsCo2e {
     pub fn kilograms(self) -> f64 {
         self.value() / 1_000.0
     }
-
-    /// Returns the mass in milligrams.
-    #[must_use]
-    pub fn milligrams(self) -> f64 {
-        self.value() * 1_000.0
-    }
 }
 
 impl Joules {
-    /// Creates an energy amount from kilowatt-hours.
-    #[must_use]
-    pub fn from_kwh(kwh: f64) -> Self {
-        Self::new(kwh * JOULES_PER_KWH)
-    }
-
-    /// Creates an energy amount from kilojoules.
-    #[must_use]
-    pub fn from_kilojoules(kj: f64) -> Self {
-        Self::new(kj * 1_000.0)
-    }
-
     /// Creates an energy amount from watt-hours.
     #[must_use]
     pub fn from_watt_hours(wh: f64) -> Self {
         Self::new(wh * SECONDS_PER_HOUR)
-    }
-
-    /// Returns the energy in kilowatt-hours.
-    #[must_use]
-    pub fn kwh(self) -> f64 {
-        self.value() / JOULES_PER_KWH
     }
 
     /// Returns the energy in kilojoules.
@@ -289,20 +259,6 @@ impl Joules {
     #[must_use]
     pub fn average_power(self, span: TimeSpan) -> Watts {
         Watts::new(self.value() / span.seconds())
-    }
-}
-
-impl Watts {
-    /// Creates a power value from kilowatts.
-    #[must_use]
-    pub fn from_kilowatts(kw: f64) -> Self {
-        Self::new(kw * 1_000.0)
-    }
-
-    /// Returns the power in kilowatts.
-    #[must_use]
-    pub fn kilowatts(self) -> f64 {
-        self.value() / 1_000.0
     }
 }
 
@@ -367,30 +323,10 @@ impl TimeSpan {
         self.value() / SECONDS_PER_DAY
     }
 
-    /// Returns the span in average months.
-    #[must_use]
-    pub fn months(self) -> f64 {
-        self.value() / SECONDS_PER_MONTH
-    }
-
     /// Returns the span in Julian years.
     #[must_use]
     pub fn years(self) -> f64 {
         self.value() / SECONDS_PER_YEAR
-    }
-}
-
-impl Bytes {
-    /// Creates a data volume from gigabytes (10^9 bytes).
-    #[must_use]
-    pub fn from_gigabytes(gb: f64) -> Self {
-        Self::new(gb * 1e9)
-    }
-
-    /// Returns the volume in gigabytes (10^9 bytes).
-    #[must_use]
-    pub fn gigabytes(self) -> f64 {
-        self.value() / 1e9
     }
 }
 
@@ -399,12 +335,6 @@ impl Millis {
     #[must_use]
     pub const fn from_millis(ms: f64) -> Self {
         Self::new(ms)
-    }
-
-    /// Creates a latency from seconds.
-    #[must_use]
-    pub fn from_seconds(secs: f64) -> Self {
-        Self::new(secs * MILLIS_PER_SEC)
     }
 
     /// Returns the latency in milliseconds.
@@ -431,12 +361,6 @@ impl Qps {
     #[must_use]
     pub const fn per_second(self) -> f64 {
         self.value()
-    }
-
-    /// Total requests arriving at this rate over `span`.
-    #[must_use]
-    pub fn requests_over(self, span: TimeSpan) -> f64 {
-        self.value() * span.seconds()
     }
 }
 
@@ -538,12 +462,6 @@ impl Add for CarbonIntensity {
 pub struct EnergyPerByte(f64);
 
 impl EnergyPerByte {
-    /// Creates an energy intensity from joules per byte.
-    #[must_use]
-    pub const fn from_joules_per_byte(joules_per_byte: f64) -> Self {
-        Self(joules_per_byte)
-    }
-
     /// Creates an energy intensity from microjoules per byte.
     #[must_use]
     pub fn from_microjoules_per_byte(uj_per_byte: f64) -> Self {
@@ -578,12 +496,6 @@ impl DataRate {
     /// No traffic.
     pub const ZERO: Self = Self(0.0);
 
-    /// Creates a data rate from bytes per second.
-    #[must_use]
-    pub const fn from_bytes_per_sec(bytes_per_sec: f64) -> Self {
-        Self(bytes_per_sec)
-    }
-
     /// Creates a data rate from megabits per second.
     #[must_use]
     pub fn from_megabits_per_sec(mbps: f64) -> Self {
@@ -606,12 +518,6 @@ impl DataRate {
     #[must_use]
     pub fn megabits_per_sec(self) -> f64 {
         self.0 * 8.0 / 1e6
-    }
-
-    /// Returns the rate in gigabits per second.
-    #[must_use]
-    pub fn gigabits_per_sec(self) -> f64 {
-        self.0 * 8.0 / 1e9
     }
 
     /// Data moved when sustaining this rate for `span`.
@@ -657,13 +563,12 @@ mod tests {
         let g = GramsCo2e::from_kilograms(12.5);
         assert!((g.grams() - 12_500.0).abs() < 1e-9);
         assert!((g.kilograms() - 12.5).abs() < 1e-9);
-        assert!((g.milligrams() - 12_500_000.0).abs() < 1e-6);
     }
 
     #[test]
     fn power_times_time_is_energy() {
         let e = Watts::new(100.0) * TimeSpan::from_hours(1.0);
-        assert!((e.kwh() - 0.1).abs() < 1e-12);
+        assert!((e.value() - 360_000.0).abs() < 1e-6);
         let e2 = TimeSpan::from_hours(1.0) * Watts::new(100.0);
         assert_eq!(e, e2);
     }
@@ -672,7 +577,7 @@ mod tests {
     fn carbon_intensity_emissions() {
         // 1 kWh at California's 257 gCO2e/kWh releases 257 g.
         let ci = CarbonIntensity::from_grams_per_kwh(257.0);
-        let emitted = ci * Joules::from_kwh(1.0);
+        let emitted = ci * Joules::new(JOULES_PER_KWH);
         assert!((emitted.grams() - 257.0).abs() < 1e-9);
     }
 
@@ -680,7 +585,7 @@ mod tests {
     fn energy_per_byte_wifi() {
         // 5 uJ/byte over 1 GB is 5 kJ.
         let ei = EnergyPerByte::from_microjoules_per_byte(5.0);
-        let e = ei * Bytes::from_gigabytes(1.0);
+        let e = ei * Bytes::new(1e9);
         assert!((e.kilojoules() - 5.0).abs() < 1e-9);
     }
 
@@ -689,12 +594,12 @@ mod tests {
         let r = DataRate::from_gigabits_per_sec(1.0);
         assert!((r.megabits_per_sec() - 1_000.0).abs() < 1e-9);
         let vol = r * TimeSpan::from_secs(8.0);
-        assert!((vol.gigabytes() - 1.0).abs() < 1e-9);
+        assert!((vol.value() - 1e9).abs() < 1e-3);
     }
 
     #[test]
     fn timespan_constructors_consistent() {
-        assert!((TimeSpan::from_years(1.0).months() - 12.0).abs() < 1e-9);
+        assert!((TimeSpan::from_months(12.0).years() - 1.0).abs() < 1e-9);
         assert!((TimeSpan::from_months(6.0).years() - 0.5).abs() < 1e-9);
         assert!((TimeSpan::from_days(1.0).hours() - 24.0).abs() < 1e-9);
         assert!((TimeSpan::from_minutes(90.0).hours() - 1.5).abs() < 1e-9);
@@ -736,7 +641,7 @@ mod tests {
 
     #[test]
     fn average_power_from_energy() {
-        let e = Joules::from_kwh(1.0);
+        let e = Joules::new(JOULES_PER_KWH);
         let p = e.average_power(TimeSpan::from_hours(2.0));
         assert!((p.value() - 500.0).abs() < 1e-9);
     }

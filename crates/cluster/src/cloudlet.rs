@@ -151,12 +151,6 @@ impl CloudletDesign {
         self.topology
     }
 
-    /// The recorded smart-charging saving fraction.
-    #[must_use]
-    pub fn smart_charging_fraction(&self) -> f64 {
-        self.smart_charging_savings
-    }
-
     /// The operational-carbon scale factor implied by smart charging
     /// (1.0 when smart charging is off).
     #[must_use]
@@ -315,7 +309,7 @@ mod tests {
     #[test]
     fn without_smart_charging_strips_plugs() {
         let solar = pixel_cloudlet().without_smart_charging();
-        assert_eq!(solar.smart_charging_fraction(), 0.0);
+        assert_eq!(solar.smart_charging_savings, 0.0);
         assert!((solar.operational_scale() - 1.0).abs() < 1e-12);
         assert!(solar
             .peripherals()

@@ -9,9 +9,6 @@ use std::fmt;
 
 use junkyard_carbon::scale::{FacilityModel, Pue};
 use junkyard_carbon::units::Watts;
-use junkyard_devices::power::LoadProfile;
-
-use crate::cloudlet::CloudletDesign;
 
 /// A warehouse-scale deployment of identical units.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,7 +17,6 @@ pub struct DatacenterDesign {
     unit_power: Watts,
     unit_count: u64,
     rack_units_per_unit: f64,
-    facility: FacilityModel,
 }
 
 impl DatacenterDesign {
@@ -44,24 +40,7 @@ impl DatacenterDesign {
             unit_power,
             unit_count,
             rack_units_per_unit,
-            facility: FacilityModel::air_cooled_default(),
         }
-    }
-
-    /// Builds a datacenter by replicating a cloudlet design `unit_count`
-    /// times under the given duty cycle.
-    #[must_use]
-    pub fn from_cloudlet(
-        cloudlet: &CloudletDesign,
-        profile: &LoadProfile,
-        unit_count: u64,
-    ) -> Self {
-        Self::new(
-            format!("{} datacenter", cloudlet.name()),
-            cloudlet.average_power(profile),
-            unit_count,
-            2.0,
-        )
     }
 
     /// The paper's 170,000-unit PowerEdge design (308 W per unit, 2U each).
@@ -77,13 +56,6 @@ impl DatacenterDesign {
         Self::new("Pixel 3A cluster 50 MW", Watts::new(84.0), 170_000, 2.0)
     }
 
-    /// Overrides the facility overhead model.
-    #[must_use]
-    pub fn facility(mut self, facility: FacilityModel) -> Self {
-        self.facility = facility;
-        self
-    }
-
     /// Design name.
     #[must_use]
     pub fn name(&self) -> &str {
@@ -96,23 +68,20 @@ impl DatacenterDesign {
         self.unit_count
     }
 
-    /// Average power of one unit.
-    #[must_use]
-    pub fn unit_power(&self) -> Watts {
-        self.unit_power
-    }
-
     /// Total IT power of the facility.
     #[must_use]
     pub fn it_power(&self) -> Watts {
         self.unit_power * self.unit_count as f64
     }
 
-    /// The facility PUE (Eq. 14).
+    /// The facility PUE (Eq. 14), under the paper's air-cooled overheads.
     #[must_use]
     pub fn pue(&self) -> Pue {
-        self.facility
-            .pue_for(self.unit_count, self.unit_power, self.rack_units_per_unit)
+        FacilityModel::air_cooled_default().pue_for(
+            self.unit_count,
+            self.unit_power,
+            self.rack_units_per_unit,
+        )
     }
 }
 
@@ -132,7 +101,6 @@ impl fmt::Display for DatacenterDesign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::presets;
 
     #[test]
     fn paper_pue_values() {
@@ -149,18 +117,6 @@ mod tests {
         let dc = DatacenterDesign::paper_server_datacenter();
         assert!((dc.it_power().value() / 1e6 - 52.36).abs() < 0.01);
         assert_eq!(dc.unit_count(), 170_000);
-    }
-
-    #[test]
-    fn from_cloudlet_uses_cluster_power() {
-        let dc = DatacenterDesign::from_cloudlet(
-            &presets::pixel_cloudlet(),
-            &LoadProfile::light_medium(),
-            1_000,
-        );
-        assert!(dc.unit_power().value() > 80.0);
-        assert!(dc.name().contains("Pixel"));
-        assert!(dc.pue().value() > 1.0);
     }
 
     #[test]

@@ -61,17 +61,6 @@ impl Peripheral {
         )
     }
 
-    /// A small Ethernet switch for wired clusters: ~25 kgCO2e, 10 W.
-    #[must_use]
-    pub fn ethernet_switch(quantity: u32) -> Self {
-        Self::new(
-            "ethernet switch",
-            GramsCo2e::from_kilograms(25.0),
-            Watts::new(10.0),
-            quantity,
-        )
-    }
-
     /// Description of the peripheral.
     #[must_use]
     pub fn label(&self) -> &str {
@@ -82,12 +71,6 @@ impl Peripheral {
     #[must_use]
     pub fn embodied_each(&self) -> GramsCo2e {
         self.embodied_each
-    }
-
-    /// Electrical power per unit.
-    #[must_use]
-    pub fn power_each(&self) -> Watts {
-        self.power_each
     }
 
     /// How many units the cloudlet uses.
@@ -143,7 +126,7 @@ mod tests {
 
     #[test]
     fn zero_quantity_is_free() {
-        let none = Peripheral::ethernet_switch(0);
+        let none = Peripheral::smart_plug(0);
         assert_eq!(none.total_embodied(), GramsCo2e::ZERO);
         assert_eq!(none.total_power(), Watts::ZERO);
     }

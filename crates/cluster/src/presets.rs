@@ -112,7 +112,7 @@ mod tests {
         let pixel = pixel_cloudlet();
         assert_eq!(pixel.device_count(), 54);
         assert_eq!(pixel.management_count(), 11);
-        assert!((pixel.smart_charging_fraction() - 0.07).abs() < 1e-12);
+        assert!((pixel.operational_scale() - 0.93).abs() < 1e-12);
         assert_eq!(pixel.peripherals().len(), 2);
     }
 
@@ -125,8 +125,8 @@ mod tests {
 
     #[test]
     fn smart_charging_only_on_battery_backed_cloudlets() {
-        assert_eq!(proliant_cloudlet().smart_charging_fraction(), 0.0);
-        assert_eq!(poweredge_baseline().smart_charging_fraction(), 0.0);
-        assert!(thinkpad_cloudlet().smart_charging_fraction() > 0.0);
+        assert_eq!(proliant_cloudlet().operational_scale(), 1.0);
+        assert_eq!(poweredge_baseline().operational_scale(), 1.0);
+        assert!(thinkpad_cloudlet().operational_scale() < 1.0);
     }
 }

@@ -132,7 +132,7 @@ mod tests {
     #[test]
     fn wired_capacity_is_the_uplink() {
         let t = NetworkTopology::wired_gigabit();
-        assert!((t.per_device_capacity().gigabits_per_sec() - 1.0).abs() < 1e-9);
+        assert!((t.per_device_capacity().megabits_per_sec() - 1_000.0).abs() < 1e-9);
         assert!(!t.needs_cellular());
         assert_eq!(t.gateways_needed(100), 0);
     }

@@ -99,12 +99,6 @@ pub struct Figure7Result {
 }
 
 impl Figure7Result {
-    /// The workload the curves belong to.
-    #[must_use]
-    pub fn workload(&self) -> CloudletWorkload {
-        self.workload
-    }
-
     /// The per-deployment latency curves.
     #[must_use]
     pub fn curves(&self) -> &[LatencyCurve] {

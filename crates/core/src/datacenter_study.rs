@@ -11,10 +11,12 @@ use junkyard_devices::power::LoadProfile;
 
 use crate::report::Table;
 
+/// Service lifetime of both designs, years (Section 5.3).
+const LIFETIME_YEARS: f64 = 3.0;
+
 /// Comparison of the two 50 MW designs of Section 5.3.
 #[derive(Debug, Clone)]
 pub struct DatacenterStudy {
-    lifetime: TimeSpan,
     grid: CarbonIntensity,
 }
 
@@ -24,16 +26,8 @@ impl DatacenterStudy {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            lifetime: TimeSpan::from_years(3.0),
             grid: CarbonIntensity::from_grams_per_kwh(257.0),
         }
-    }
-
-    /// Overrides the amortisation lifetime.
-    #[must_use]
-    pub fn lifetime(mut self, lifetime: TimeSpan) -> Self {
-        self.lifetime = lifetime;
-        self
     }
 
     /// The PUE comparison table (server ≈ 1.31, phones ≈ 1.32 in the paper).
@@ -120,7 +114,7 @@ impl DatacenterStudy {
             for benchmark in benchmarks {
                 let cci = self
                     .unit_calculator(benchmark, phones)
-                    .cci_at(self.lifetime)?;
+                    .cci_at(TimeSpan::from_years(LIFETIME_YEARS))?;
                 row.push(format!("{:.3}", cci.milligrams_per_op()));
             }
             table.push_row(row);
@@ -137,10 +131,10 @@ impl DatacenterStudy {
     pub fn smartphone_advantage(&self, benchmark: Benchmark) -> Result<f64, CciError> {
         let server = self
             .unit_calculator(benchmark, false)
-            .cci_at(self.lifetime)?;
+            .cci_at(TimeSpan::from_years(LIFETIME_YEARS))?;
         let phones = self
             .unit_calculator(benchmark, true)
-            .cci_at(self.lifetime)?;
+            .cci_at(TimeSpan::from_years(LIFETIME_YEARS))?;
         Ok(server.grams_per_op() / phones.grams_per_op())
     }
 }

@@ -34,10 +34,12 @@ const FAN_EMBODIED_KG: f64 = 9.3;
 /// Flat carbon intensity of the datacenter's gas-heavy grid, gCO2e/kWh.
 const DATACENTER_GRID_G_PER_KWH: f64 = 420.0;
 
+/// Peak-hour base demand of the day curve, requests per second.
+const BASE_QPS: f64 = 4_000.0;
+
 /// Configuration of the two-region fleet study.
 #[derive(Debug, Clone)]
 pub struct FleetStudy {
-    base_qps: f64,
     days: usize,
     windows_per_day: usize,
     sim_slice_s: f64,
@@ -52,7 +54,6 @@ impl FleetStudy {
     #[must_use]
     pub fn paper_scale() -> Self {
         Self {
-            base_qps: 4_000.0,
             days: 1,
             windows_per_day: 24,
             sim_slice_s: 4.0,
@@ -67,7 +68,6 @@ impl FleetStudy {
     #[must_use]
     pub fn quick() -> Self {
         Self {
-            base_qps: 4_000.0,
             days: 1,
             windows_per_day: 6,
             sim_slice_s: 1.0,
@@ -75,18 +75,6 @@ impl FleetStudy {
             seed: 42,
             parallelism: None,
         }
-    }
-
-    /// Overrides the peak-hour fleet demand, requests per second.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate is negative.
-    #[must_use]
-    pub fn base_qps(mut self, qps: f64) -> Self {
-        assert!(qps >= 0.0, "offered load cannot be negative");
-        self.base_qps = qps;
-        self
     }
 
     /// Overrides the number of simulated days.
@@ -245,7 +233,7 @@ impl FleetStudy {
             self.phone_site("cloudlet-east", east)?,
             self.datacenter_site("datacenter")?,
         ];
-        let schedule = DiurnalSchedule::office_day(self.base_qps).days(self.days);
+        let schedule = DiurnalSchedule::office_day(BASE_QPS).days(self.days);
         let mut config = FleetConfig::new()
             .windows_per_day(self.windows_per_day)
             .sim_slice_s(self.sim_slice_s)
@@ -425,10 +413,10 @@ mod tests {
         let site = study.phone_site("west", west).unwrap();
         // Reuse factor < 1 leaves a non-zero embodied share; battery
         // replacements and the fan add to it.
-        assert!(site.embodied_total().kilograms() > 9.3);
+        assert!(site.embodied_over(TimeSpan::from_years(3.0)).kilograms() > 9.3);
         // Smart charging saves a few percent of operational carbon.
         let scale = site.operational_scale_factor();
         assert!(scale < 1.0 && scale > 0.8, "scale {scale}");
-        assert!(site.idle_power().value() > 0.0);
+        assert!(site.power_at(0.0).value() > 0.0);
     }
 }

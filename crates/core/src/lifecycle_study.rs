@@ -50,11 +50,13 @@ const PIXELS_PER_SITE: usize = 6;
 /// Nexus 4 slots per cloudlet.
 const NEXUSES_PER_SITE: usize = 4;
 
+/// Peak-hour base demand of the day curve, requests per second.
+const BASE_QPS: f64 = 1_600.0;
+
 /// Configuration of the cloudlet-versus-datacenter lifecycle study.
 #[derive(Debug, Clone)]
 pub struct LifecycleStudy {
     years: usize,
-    base_qps: f64,
     windows_per_day: usize,
     sim_slice_s: f64,
     warmup_s: f64,
@@ -76,7 +78,6 @@ impl LifecycleStudy {
     pub fn paper_scale() -> Self {
         Self {
             years: 10,
-            base_qps: 1_600.0,
             windows_per_day: 24,
             sim_slice_s: 2.0,
             warmup_s: 1.0,
@@ -96,7 +97,6 @@ impl LifecycleStudy {
     pub fn quick() -> Self {
         Self {
             years: 5,
-            base_qps: 1_600.0,
             windows_per_day: 4,
             sim_slice_s: 1.0,
             warmup_s: 1.0,
@@ -119,18 +119,6 @@ impl LifecycleStudy {
     pub fn years(mut self, years: usize) -> Self {
         assert!(years > 0, "the study needs at least one year");
         self.years = years;
-        self
-    }
-
-    /// Overrides the peak-hour fleet demand, requests per second.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate is negative.
-    #[must_use]
-    pub fn base_qps(mut self, qps: f64) -> Self {
-        assert!(qps >= 0.0, "offered load cannot be negative");
-        self.base_qps = qps;
         self
     }
 
@@ -328,7 +316,7 @@ impl LifecycleStudy {
         ];
         Ok(LifecycleSim::new(
             sites,
-            DiurnalSchedule::office_day(self.base_qps),
+            DiurnalSchedule::office_day(BASE_QPS),
             RoutingPolicy::carbon_aware(),
             self.config(),
         ))
@@ -344,7 +332,7 @@ impl LifecycleStudy {
         let site = self.datacenter_site("datacenter")?;
         Ok(LifecycleSim::new(
             vec![site],
-            DiurnalSchedule::office_day(self.base_qps),
+            DiurnalSchedule::office_day(BASE_QPS),
             RoutingPolicy::Static,
             self.config(),
         ))

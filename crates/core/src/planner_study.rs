@@ -61,10 +61,12 @@ fn study_slo() -> Slo {
     Slo::new(150.0, 250.0).shed_ceiling(0.01)
 }
 
+/// Peak-hour base demand of the day curve, requests per second.
+const BASE_QPS: f64 = 1_600.0;
+
 /// Configuration of the provisioning-search study.
 #[derive(Debug, Clone)]
 pub struct PlannerStudy {
-    base_qps: f64,
     seed: u64,
     parallelism: Option<usize>,
     mean_days_between_failures: f64,
@@ -75,13 +77,13 @@ pub struct PlannerStudy {
 
 impl PlannerStudy {
     /// The full-scale study: the lifecycle study's demand and grids, the
-    /// knee-headroom SLO (see [`study_slo`]), a three-rung fidelity ladder ending at four simulated
-    /// weeks, and the rich search space (five cohort options, two
-    /// charging floors, two refill lags, three fallback shares).
+    /// knee-headroom SLO (median 150 ms, tail 250 ms, 1 % shed), a
+    /// three-rung fidelity ladder ending at four simulated weeks, and the
+    /// rich search space (five cohort options, two charging floors, two
+    /// refill lags, three fallback shares).
     #[must_use]
     pub fn paper_scale() -> Self {
         Self {
-            base_qps: 1_600.0,
             seed: 42,
             parallelism: None,
             mean_days_between_failures: 1_500.0,
@@ -97,7 +99,6 @@ impl PlannerStudy {
     #[must_use]
     pub fn quick() -> Self {
         Self {
-            base_qps: 1_600.0,
             seed: 42,
             parallelism: None,
             mean_days_between_failures: 1_500.0,
@@ -105,18 +106,6 @@ impl PlannerStudy {
             slo: study_slo(),
             rich_space: false,
         }
-    }
-
-    /// Overrides the peak-hour fleet demand, requests per second.
-    ///
-    /// # Panics
-    ///
-    /// Panics if not strictly positive.
-    #[must_use]
-    pub fn base_qps(mut self, qps: f64) -> Self {
-        assert!(qps > 0.0, "the study needs offered load");
-        self.base_qps = qps;
-        self
     }
 
     /// Overrides the random seed (grid traces, workloads, failures and
@@ -244,7 +233,7 @@ impl PlannerStudy {
             self.space(),
             social_network(),
             NetworkModel::phone_wifi(),
-            DiurnalSchedule::office_day(self.base_qps),
+            DiurnalSchedule::office_day(BASE_QPS),
             self.seed,
         )
         .request_type(SN_COMPOSE_POST)

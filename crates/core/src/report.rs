@@ -36,29 +36,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Adds a row (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row length does not match the header count.
-    #[must_use]
-    pub fn with_row(mut self, row: Vec<String>) -> Self {
-        self.push_row(row);
-        self
-    }
-
-    /// The table title.
-    #[must_use]
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
-    /// The column headers.
-    #[must_use]
-    pub fn headers(&self) -> &[String] {
-        &self.headers
-    }
-
     /// The rows.
     #[must_use]
     pub fn rows(&self) -> &[Vec<String>] {
@@ -178,24 +155,6 @@ impl Chart {
         self.lines.push(line);
     }
 
-    /// Chart title.
-    #[must_use]
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
-    /// X-axis label.
-    #[must_use]
-    pub fn x_label(&self) -> &str {
-        &self.x_label
-    }
-
-    /// Y-axis label.
-    #[must_use]
-    pub fn y_label(&self) -> &str {
-        &self.y_label
-    }
-
     /// The chart's lines.
     #[must_use]
     pub fn lines(&self) -> &[SeriesLine] {
@@ -263,9 +222,9 @@ mod tests {
 
     #[test]
     fn table_round_trip() {
-        let table = Table::new("t", vec!["a".into(), "b".into()])
-            .with_row(vec!["1".into(), "2".into()])
-            .with_row(vec!["3".into(), "4".into()]);
+        let mut table = Table::new("t", vec!["a".into(), "b".into()]);
+        table.push_row(vec!["1".into(), "2".into()]);
+        table.push_row(vec!["3".into(), "4".into()]);
         assert_eq!(table.rows().len(), 2);
         assert!(table.to_csv().contains("1,2"));
         let rendered = table.to_string();
@@ -276,7 +235,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "row width")]
     fn mismatched_row_panics() {
-        let _ = Table::new("t", vec!["a".into()]).with_row(vec!["1".into(), "2".into()]);
+        Table::new("t", vec!["a".into()]).push_row(vec!["1".into(), "2".into()]);
     }
 
     #[test]

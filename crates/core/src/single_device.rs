@@ -55,7 +55,6 @@ pub fn device_calculator(
 pub struct SingleDeviceStudy {
     benchmark: Benchmark,
     grid: CarbonIntensity,
-    months: Vec<f64>,
 }
 
 impl SingleDeviceStudy {
@@ -66,7 +65,6 @@ impl SingleDeviceStudy {
         Self {
             benchmark,
             grid: CarbonIntensity::from_grams_per_kwh(257.0),
-            months: lifetime_months_axis(),
         }
     }
 
@@ -74,18 +72,6 @@ impl SingleDeviceStudy {
     #[must_use]
     pub fn grid(mut self, grid: CarbonIntensity) -> Self {
         self.grid = grid;
-        self
-    }
-
-    /// Overrides the lifetime axis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the axis is empty.
-    #[must_use]
-    pub fn months(mut self, months: Vec<f64>) -> Self {
-        assert!(!months.is_empty(), "the lifetime axis cannot be empty");
-        self.months = months;
         self
     }
 
@@ -104,8 +90,7 @@ impl SingleDeviceStudy {
         );
         let mut add = |device: &DeviceSpec, reused: bool| {
             let calc = device_calculator(device, self.benchmark, self.grid, reused);
-            let points = self
-                .months
+            let points = lifetime_months_axis()
                 .iter()
                 .map(|m| {
                     let cci = calc

@@ -42,28 +42,10 @@ pub fn run_thermal_study() -> ThermalStudyResult {
 }
 
 impl ThermalStudyResult {
-    /// The 100 %-load timeline (Figure 3a).
-    #[must_use]
-    pub fn full_load(&self) -> &ThermalTimeline {
-        &self.full_load
-    }
-
     /// The light-medium timeline (Figure 3b).
     #[must_use]
     pub fn light_medium(&self) -> &ThermalTimeline {
         &self.light_medium
-    }
-
-    /// Per-device thermal power at 100 % load (the paper measures ≈2.6 W).
-    #[must_use]
-    pub fn full_load_thermal_power_per_device(&self) -> Watts {
-        self.full_load_thermal_power_per_device
-    }
-
-    /// Per-device thermal power on the light-medium cycle (≈1.2 W).
-    #[must_use]
-    pub fn light_medium_thermal_power_per_device(&self) -> Watts {
-        self.light_medium_thermal_power_per_device
     }
 
     /// Renders one scenario as a chart: air temperature plus each phone's
@@ -158,17 +140,16 @@ mod tests {
     fn study_reproduces_the_papers_qualitative_findings() {
         let result = run_thermal_study();
         // (a) Nexus 4s protect themselves under sustained full load.
-        assert!(result.full_load().shutdown_count() >= 1);
+        assert!(result.full_load.shutdown_count() >= 1);
         // (c) performance/temperature is worse at full load than light-medium.
         assert!(
-            result.full_load().peak_air_temperature()
-                > result.light_medium().peak_air_temperature()
+            result.full_load.peak_air_temperature() > result.light_medium().peak_air_temperature()
         );
         // (d) thermal power stays below the 5 W TDP.
-        assert!(result.full_load_thermal_power_per_device().value() < 5.0);
+        assert!(result.full_load_thermal_power_per_device.value() < 5.0);
         assert!(
-            result.light_medium_thermal_power_per_device().value()
-                < result.full_load_thermal_power_per_device().value()
+            result.light_medium_thermal_power_per_device.value()
+                < result.full_load_thermal_power_per_device.value()
         );
     }
 

@@ -118,18 +118,6 @@ impl BatterySpec {
         )
     }
 
-    /// Usable capacity in amp-hours.
-    #[must_use]
-    pub fn capacity_amp_hours(self) -> f64 {
-        self.capacity_amp_hours
-    }
-
-    /// Nominal pack voltage.
-    #[must_use]
-    pub fn voltage(self) -> f64 {
-        self.voltage
-    }
-
     /// Maximum charging power the device accepts.
     #[must_use]
     pub fn max_charge_power(self) -> Watts {
@@ -160,17 +148,6 @@ impl BatterySpec {
         Joules::from_watt_hours(self.capacity_amp_hours * self.voltage)
     }
 
-    /// Time a full charge lasts while the device draws `power`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `power` is not strictly positive.
-    #[must_use]
-    pub fn runtime_at(self, power: Watts) -> TimeSpan {
-        assert!(power.value() > 0.0, "device power must be positive");
-        TimeSpan::from_secs(self.energy().value() / power.value())
-    }
-
     /// Full charge cycles per day needed to sustain `average_power`.
     #[must_use]
     pub fn cycles_per_day(self, average_power: Watts) -> f64 {
@@ -189,21 +166,6 @@ impl BatterySpec {
         assert!(average_power.value() > 0.0, "device power must be positive");
         let cycles_per_day = self.cycles_per_day(average_power);
         TimeSpan::from_days(f64::from(self.cycle_life) / cycles_per_day)
-    }
-
-    /// Minimum time needed to charge the pack from empty to full at the
-    /// maximum charging power (ignoring taper).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the maximum charging power is not strictly positive.
-    #[must_use]
-    pub fn full_charge_time(self) -> TimeSpan {
-        assert!(
-            self.max_charge_power.value() > 0.0,
-            "charging power must be positive"
-        );
-        TimeSpan::from_secs(self.energy().value() / self.max_charge_power.value())
     }
 }
 
@@ -261,7 +223,7 @@ mod tests {
         // Section 4.3: a 25% Pixel charge lasts slightly under 2 hours on the
         // light-medium workload.
         let spec = BatterySpec::pixel_3a();
-        let quarter = TimeSpan::from_secs(spec.runtime_at(Watts::new(1.54)).seconds() * 0.25);
+        let quarter = TimeSpan::from_secs(spec.energy().value() / 1.54 * 0.25);
         assert!(
             quarter.hours() > 1.3 && quarter.hours() < 2.3,
             "got {} h",
@@ -277,7 +239,8 @@ mod tests {
 
     #[test]
     fn full_charge_time_is_reasonable() {
-        let t = BatterySpec::pixel_3a().full_charge_time();
+        let spec = BatterySpec::pixel_3a();
+        let t = TimeSpan::from_secs(spec.energy().value() / spec.max_charge_power.value());
         assert!(
             t.minutes() > 30.0 && t.minutes() < 90.0,
             "got {} min",

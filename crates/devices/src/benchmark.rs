@@ -127,12 +127,6 @@ impl BenchmarkScore {
         Throughput::per_second(self.multi_core, self.benchmark.op_unit())
     }
 
-    /// Single-core throughput as a typed [`Throughput`].
-    #[must_use]
-    pub fn single_core_throughput(self) -> Throughput {
-        Throughput::per_second(self.single_core, self.benchmark.op_unit())
-    }
-
     /// Multi-core speed-up over one core.
     #[must_use]
     pub fn parallel_speedup(self) -> f64 {

@@ -158,44 +158,6 @@ pub fn nexus_4() -> DeviceSpec {
         .build()
 }
 
-/// The LG/Google Nexus 5 smartphone (2013), used in the thermal experiment.
-///
-/// The paper does not benchmark the Nexus 5; the scores here are interpolated
-/// between the Nexus 4 and Pixel 3A and only used for the thermal study.
-#[must_use]
-pub fn nexus_5() -> DeviceSpec {
-    DeviceSpec::builder("Nexus 5", DeviceClass::Smartphone)
-        .release_year(2013)
-        .hardware(4, 2.0)
-        .benchmarks(
-            BenchmarkSuite::new()
-                .with_score(Benchmark::Sgemm, 3.1, 11.5)
-                .with_score(Benchmark::PdfRender, 19.0, 55.0)
-                .with_score(Benchmark::Dijkstra, 0.75, 2.7)
-                .with_score(Benchmark::MemoryCopy, 2.8, 3.8),
-        )
-        .power(PowerCurve::from_measurements(
-            Watts::new(0.7),
-            Watts::new(1.1),
-            Watts::new(2.4),
-            Watts::new(3.3),
-        ))
-        .battery(BatterySpec::new(
-            2.3,
-            crate::battery::NOMINAL_CELL_VOLTAGE,
-            Watts::new(10.0),
-            GramsCo2e::from_kilograms(1.2),
-            crate::battery::DEFAULT_CYCLE_LIFE,
-        ))
-        .embodied(GramsCo2e::from_kilograms(45.0))
-        .radios(RadioSpec::new(
-            Some(DataRate::from_megabits_per_sec(150.0)),
-            Some(DataRate::from_megabits_per_sec(42.0)),
-        ))
-        .purchase_cost_usd(30.0)
-        .build()
-}
-
 /// Sizes of the AWS EC2 C5 instances used as baselines in Section 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
@@ -315,7 +277,7 @@ pub fn reused_devices() -> Vec<DeviceSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::power::LoadProfile;
+    use crate::power::{LoadProfile, LoadSegment};
 
     #[test]
     fn table2_average_powers_match_paper() {
@@ -370,16 +332,16 @@ mod tests {
 
     #[test]
     fn phones_have_batteries_and_radios() {
-        for phone in [pixel_3a(), nexus_4(), nexus_5()] {
+        for phone in [pixel_3a(), nexus_4()] {
             assert!(phone.battery().is_some(), "{}", phone.name());
-            assert!(phone.radios().wifi().is_some(), "{}", phone.name());
+            assert_ne!(phone.radios(), RadioSpec::none(), "{}", phone.name());
         }
         assert!(poweredge_r740().battery().is_none());
     }
 
     #[test]
     fn c5_sizes_scale_monotonically() {
-        let profile = LoadProfile::constant(0.10);
+        let profile = LoadProfile::new(vec![LoadSegment::new(0.10, 1.0)]).unwrap();
         let mut last_power = 0.0;
         let mut last_embodied = 0.0;
         for size in C5Size::ALL {

@@ -64,18 +64,6 @@ impl RadioSpec {
     pub fn new(wifi: Option<DataRate>, lte: Option<DataRate>) -> Self {
         Self { wifi, lte }
     }
-
-    /// WiFi link rate, if the device has WiFi.
-    #[must_use]
-    pub fn wifi(self) -> Option<DataRate> {
-        self.wifi
-    }
-
-    /// LTE link rate, if the device has a cellular modem.
-    #[must_use]
-    pub fn lte(self) -> Option<DataRate> {
-        self.lte
-    }
 }
 
 /// Full specification of a device.
@@ -110,12 +98,6 @@ impl DeviceSpec {
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Device class.
-    #[must_use]
-    pub fn class(&self) -> DeviceClass {
-        self.class
     }
 
     /// Year the device was released.
@@ -209,19 +191,6 @@ impl DeviceSpec {
     ) -> Option<Throughput> {
         self.throughput(benchmark)
             .map(|t| profile.average_throughput(t))
-    }
-
-    /// Single-core throughput relative to another device on a benchmark.
-    /// Used by the microservice simulator to derive per-core speed ratios.
-    #[must_use]
-    pub fn single_core_ratio(&self, other: &DeviceSpec, benchmark: Benchmark) -> Option<f64> {
-        let ours = self.benchmarks.get(benchmark)?.single_core();
-        let theirs = other.benchmarks.get(benchmark)?.single_core();
-        if theirs > 0.0 {
-            Some(ours / theirs)
-        } else {
-            None
-        }
     }
 }
 
@@ -376,7 +345,7 @@ mod tests {
     fn builder_populates_fields() {
         let d = sample();
         assert_eq!(d.name(), "Testphone");
-        assert_eq!(d.class(), DeviceClass::Smartphone);
+        assert_eq!(d.class, DeviceClass::Smartphone);
         assert_eq!(d.release_year(), 2019);
         assert_eq!(d.cores(), 8);
         assert!((d.memory_gib() - 4.0).abs() < 1e-12);
@@ -403,14 +372,6 @@ mod tests {
             .average_throughput(Benchmark::Sgemm, &LoadProfile::light_medium())
             .unwrap();
         assert!((avg.rate() - 39.0 * 0.305).abs() < 1e-9);
-    }
-
-    #[test]
-    fn single_core_ratio() {
-        let a = sample();
-        let b = sample();
-        assert!((a.single_core_ratio(&b, Benchmark::Sgemm).unwrap() - 1.0).abs() < 1e-12);
-        assert!(a.single_core_ratio(&b, Benchmark::MemoryCopy).is_none());
     }
 
     #[test]

@@ -103,12 +103,6 @@ impl PowerCurve {
         };
         y0 + (y1 - y0) * frac
     }
-
-    /// Dynamic range of the curve (full load minus idle).
-    #[must_use]
-    pub fn dynamic_range(self) -> Watts {
-        self.p100 - self.idle
-    }
 }
 
 impl fmt::Display for PowerCurve {
@@ -228,24 +222,6 @@ impl LoadProfile {
         // lint:allow(panic-in-library): a single full-weight segment
         // always passes validation
         Self::new(vec![LoadSegment::new(1.0, 1.0)]).expect("single segment sums to 1")
-    }
-
-    /// A constant-load duty cycle at the given utilisation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `load` lies outside `[0, 1]`.
-    #[must_use]
-    pub fn constant(load: f64) -> Self {
-        // lint:allow(panic-in-library): documented panic — the segment
-        // weight is constant 1.0; only an out-of-range `load` can fail
-        Self::new(vec![LoadSegment::new(load, 1.0)]).expect("single segment sums to 1")
-    }
-
-    /// The profile's segments.
-    #[must_use]
-    pub fn segments(&self) -> &[LoadSegment] {
-        &self.segments
     }
 
     /// Time-weighted average CPU load of the profile.
@@ -396,8 +372,7 @@ mod tests {
     fn constant_curve_and_profile() {
         let fan = PowerCurve::constant(Watts::new(4.0));
         assert_eq!(fan.power_at(0.3), Watts::new(4.0));
-        assert_eq!(fan.dynamic_range(), Watts::ZERO);
-        let half = LoadProfile::constant(0.5);
+        let half = LoadProfile::new(vec![LoadSegment::new(0.5, 1.0)]).unwrap();
         assert!((half.average_load() - 0.5).abs() < 1e-12);
     }
 

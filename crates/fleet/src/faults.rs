@@ -95,18 +95,6 @@ impl FaultEvent {
     pub fn start_window(&self) -> usize {
         self.start_window
     }
-
-    /// Number of consecutive windows the event lasts.
-    #[must_use]
-    pub fn duration_windows(&self) -> usize {
-        self.duration_windows
-    }
-
-    /// Fraction of the site's capacity the event removes, in `(0, 1]`.
-    #[must_use]
-    pub fn severity(&self) -> f64 {
-        self.severity
-    }
 }
 
 /// Rates and shapes of the correlated fault processes. All three kinds
@@ -335,12 +323,6 @@ impl FaultPlan {
         self.windows
     }
 
-    /// Number of sites the plan covers.
-    #[must_use]
-    pub fn sites(&self) -> usize {
-        self.sites
-    }
-
     /// The availability multiplier of one (window, site) pair, in
     /// `[0, 1]`: the fraction of the site's capacity the faults leave
     /// standing.
@@ -362,6 +344,14 @@ impl FaultPlan {
     }
 }
 
+/// Per-attempt client timeout of a retry policy, seconds.
+const RETRY_TIMEOUT_S: f64 = 0.25;
+/// Base of a retry policy's exponential backoff, seconds.
+const RETRY_BACKOFF_BASE_S: f64 = 0.1;
+/// Network carbon charged per re-sent attempt, gCO2e (the extra
+/// radio/WAN transfer of the retry).
+const RETRY_NETWORK_GRAMS_PER_ATTEMPT: f64 = 0.002;
+
 /// What a client does after a request fails: bounded retries with
 /// timeout and exponential backoff, each attempt charged its network
 /// carbon, with an optional hedge to the standby fallback site once
@@ -369,9 +359,6 @@ impl FaultPlan {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     max_retries: usize,
-    timeout_s: f64,
-    backoff_base_s: f64,
-    network_grams_per_attempt: f64,
     hedge_to_fallback: bool,
 }
 
@@ -388,39 +375,8 @@ impl RetryPolicy {
         assert!(max_retries > 0, "a retry policy needs at least one retry");
         Self {
             max_retries,
-            timeout_s: 0.25,
-            backoff_base_s: 0.1,
-            network_grams_per_attempt: 0.002,
             hedge_to_fallback: false,
         }
-    }
-
-    /// Overrides the per-attempt timeout and the exponential backoff
-    /// base (seconds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either is negative.
-    #[must_use]
-    pub fn timing(mut self, timeout_s: f64, backoff_base_s: f64) -> Self {
-        assert!(timeout_s >= 0.0, "the timeout cannot be negative");
-        assert!(backoff_base_s >= 0.0, "the backoff base cannot be negative");
-        self.timeout_s = timeout_s;
-        self.backoff_base_s = backoff_base_s;
-        self
-    }
-
-    /// Overrides the network carbon charged per re-sent attempt, grams
-    /// of CO2e (covers the extra radio/WAN transfer of the retry).
-    ///
-    /// # Panics
-    ///
-    /// Panics if negative.
-    #[must_use]
-    pub fn network_grams_per_attempt(mut self, grams: f64) -> Self {
-        assert!(grams >= 0.0, "network carbon cannot be negative");
-        self.network_grams_per_attempt = grams;
-        self
     }
 
     /// After the retry rounds exhaust, hedge what is left to the
@@ -446,7 +402,7 @@ impl RetryPolicy {
     /// Network carbon charged per re-sent attempt, gCO2e.
     #[must_use]
     pub fn attempt_grams(&self) -> f64 {
-        self.network_grams_per_attempt
+        RETRY_NETWORK_GRAMS_PER_ATTEMPT
     }
 
     /// Worst-case client-side latency penalty of a request that burns
@@ -455,7 +411,7 @@ impl RetryPolicy {
     #[must_use]
     pub fn worst_case_penalty_s(&self) -> f64 {
         (0..self.max_retries)
-            .map(|round| self.timeout_s + self.backoff_base_s * count_f64(1 << round))
+            .map(|round| RETRY_TIMEOUT_S + RETRY_BACKOFF_BASE_S * count_f64(1 << round))
             .sum()
     }
 }
@@ -902,7 +858,7 @@ mod tests {
 
     #[test]
     fn retry_penalty_sums_timeout_and_exponential_backoff() {
-        let retry = RetryPolicy::new(3).timing(0.25, 0.1);
+        let retry = RetryPolicy::new(3);
         // 3 rounds: (0.25 + 0.1) + (0.25 + 0.2) + (0.25 + 0.4).
         assert!((retry.worst_case_penalty_s() - 1.45).abs() < 1e-12);
     }

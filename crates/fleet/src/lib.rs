@@ -14,26 +14,26 @@
 //! * [`routing`] — per-window traffic assignment: the paper's static
 //!   placement as baseline, and a carbon-aware policy that shifts load
 //!   towards the region that is cleanest *right now*.
-//! * [`sim`] — [`FleetSim`](sim::FleetSim): drives every
+//! * [`sim`] — [`FleetSim`]: drives every
 //!   (window, site) cell through the compiled engine, integrates
 //!   operational carbon from measured utilisation and amortised embodied
 //!   carbon per window, and reports fleet-wide gCO2e per request. Cells
 //!   fan out with `junkyard_microsim::fanout::fan_out`, which returns
 //!   them in cell order, so results are identical serial or threaded.
 //! * [`faults`] — correlated fault injection and the failure-aware
-//!   serving path: deterministic [`FaultPlan`](faults::FaultPlan)s of
+//!   serving path: deterministic [`FaultPlan`]s of
 //!   grid outages, firmware-batch failures and thermal shutdowns; a
 //!   stale health view with detection lag; bounded
-//!   [`RetryPolicy`](faults::RetryPolicy) retries and hedging, every
+//!   [`RetryPolicy`] retries and hedging, every
 //!   attempt charged its carbon; and a degradation ladder
 //!   (reroute → shed low-priority → brown-out) when retries exhaust.
-//! * [`lifecycle`] — [`LifecycleSim`](lifecycle::LifecycleSim): the
+//! * [`lifecycle`] — [`LifecycleSim`]: the
 //!   multi-year coupling of all of the above. Device cohorts wear their
 //!   batteries day by day under the simulated smart-charging schedule,
 //!   fail stochastically and are refilled from junkyard stock; routing
 //!   re-plans every window as capacity shrinks and recovers; the
 //!   distinct microsim slices fan out with the same `fan_out`, and a
-//!   [`MeasuredSlices`](lifecycle::MeasuredSlices) table lets fleets run
+//!   [`MeasuredSlices`] table lets fleets run
 //!   one after another measure a shared slice once.
 //!
 //! # Example

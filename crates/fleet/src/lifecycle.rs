@@ -16,9 +16,10 @@
 //!   so runs are deterministic at any worker count) and are replaced from
 //!   junkyard stock after a configurable lag, each replacement charging
 //!   its Reuse-Factor embodied share;
-//! * grid traces extend periodically over the horizon
-//!   ([`IntensityTrace::day_periodic`] tiling), and routing is re-planned
-//!   every window from the cohort capacity actually alive that day;
+//! * grid traces repeat over the horizon: each site's trace is split into
+//!   whole days once ([`IntensityTrace::day`]) and horizon day `d` reads
+//!   day `d % trace_days`; routing is re-planned every window from the
+//!   cohort capacity actually alive that day;
 //! * accounting cells are one *(year, site)* pair.
 //!
 //! The serving measurements reuse the compiled microsim in three passes.
@@ -78,12 +79,6 @@ impl SiteConfigError {
         Self {
             message: message.into(),
         }
-    }
-
-    /// The actionable error message.
-    #[must_use]
-    pub fn message(&self) -> &str {
-        &self.message
     }
 }
 
@@ -151,12 +146,6 @@ impl CohortDevice {
         self.idle_power = idle;
         self.dynamic_power = dynamic;
         self
-    }
-
-    /// The phone model occupying the slot.
-    #[must_use]
-    pub fn model(&self) -> &str {
-        &self.model
     }
 
     /// The slot's battery pack specification.
@@ -455,15 +444,6 @@ impl LifecycleSite {
         &self.region
     }
 
-    /// Serving capacity with every device alive, requests/second.
-    #[must_use]
-    pub fn full_capacity_qps(&self) -> f64 {
-        match &self.backend {
-            Backend::Cohort { devices, .. } => devices.iter().map(CohortDevice::capacity_qps).sum(),
-            Backend::Leased { capacity_qps, .. } => *capacity_qps,
-        }
-    }
-
     /// Number of device slots (zero for leased sites).
     #[must_use]
     pub fn device_count(&self) -> usize {
@@ -626,12 +606,6 @@ pub struct DayDynamics {
 }
 
 impl DayDynamics {
-    /// Devices alive at the start of the day (zero for leased sites).
-    #[must_use]
-    pub fn alive(&self) -> usize {
-        self.alive
-    }
-
     /// Serving capacity available to the router that day.
     #[must_use]
     pub fn capacity_qps(&self) -> f64 {
@@ -656,18 +630,6 @@ impl DayDynamics {
     #[must_use]
     pub fn battery_replacements(&self) -> u32 {
         self.battery_replacements
-    }
-
-    /// Devices that failed at the end of the day.
-    #[must_use]
-    pub fn device_failures(&self) -> u32 {
-        self.device_failures
-    }
-
-    /// Failed slots refilled from junkyard stock at the start of the day.
-    #[must_use]
-    pub fn devices_replaced(&self) -> u32 {
-        self.devices_replaced
     }
 }
 
@@ -742,25 +704,11 @@ impl LifecycleCell {
         self.year
     }
 
-    /// Site index of the cell.
-    #[must_use]
-    pub fn site(&self) -> usize {
-        self.site
-    }
-
     /// Requests the site served during the year (assigned demand minus
     /// the slice-measured queue-drop share).
     #[must_use]
     pub fn requests(&self) -> f64 {
         self.requests
-    }
-
-    /// Requests the site accepted but dropped at bounded application
-    /// queues during the year (zero under the default unbounded
-    /// `ServerModel`).
-    #[must_use]
-    pub fn dropped_requests(&self) -> f64 {
-        self.dropped_requests
     }
 
     /// Operational carbon of the year.
@@ -806,12 +754,6 @@ impl LifecycleCell {
     #[must_use]
     pub fn devices_replaced(&self) -> u32 {
         self.devices_replaced
-    }
-
-    /// Mean devices alive across the year (zero for leased sites).
-    #[must_use]
-    pub fn mean_alive(&self) -> f64 {
-        self.mean_alive
     }
 
     /// The worst measured median latency of the year's slices, ms.
@@ -1455,12 +1397,6 @@ impl LifecycleSim {
         }
         self.resilience = Some(policy);
         self
-    }
-
-    /// The fleet's sites.
-    #[must_use]
-    pub fn sites(&self) -> &[LifecycleSite] {
-        &self.sites
     }
 
     /// The run configuration.
@@ -2415,7 +2351,7 @@ mod tests {
         let full = dynamics[0].capacity_qps();
         assert!((full - 1_200.0).abs() < 1e-9);
         // Outage days exist and carry reduced capacity.
-        let shrunk: Vec<&DayDynamics> = dynamics.iter().filter(|d| d.alive() < 4).collect();
+        let shrunk: Vec<&DayDynamics> = dynamics.iter().filter(|d| d.alive < 4).collect();
         assert!(!shrunk.is_empty(), "no outages in two years");
         assert!(shrunk.iter().all(|d| d.capacity_qps() < full));
         // And capacity recovers after the lag.
@@ -2487,7 +2423,7 @@ mod tests {
         // fidelity the paper's Figure 4 uses.
         let region = GridRegion::new(
             "caiso-month",
-            CaisoSynthesizer::april_2021_like(3).intensity_trace(),
+            CaisoSynthesizer::new(3, 30).intensity_trace(),
         );
         let site = LifecycleSite::try_cohort(
             "cloudlet",
@@ -2614,7 +2550,7 @@ mod tests {
         )
         .unwrap_err();
         assert!(
-            err.message().contains("whole number of days"),
+            err.message.contains("whole number of days"),
             "unexpected message: {err}"
         );
     }
@@ -2629,18 +2565,18 @@ mod tests {
     fn leased_failures_return_an_actionable_error_instead_of_panicking() {
         let err = leased_site(500.0).failures(300.0, 4).unwrap_err();
         assert!(
-            err.message().contains("cohort sites only"),
+            err.message.contains("cohort sites only"),
             "unexpected message: {err}"
         );
         assert!(
-            err.message().contains("FaultConfig"),
+            err.message.contains("FaultConfig"),
             "the error should point at the fault layer: {err}"
         );
         // Out-of-range parameters error too, on any backend.
         let err = cohort_site(1, 2).failures(0.0, 4).unwrap_err();
-        assert!(err.message().contains("positive"), "got: {err}");
+        assert!(err.message.contains("positive"), "got: {err}");
         let err = cohort_site(1, 2).failures(f64::NAN, 4).unwrap_err();
-        assert!(err.message().contains("finite"), "got: {err}");
+        assert!(err.message.contains("finite"), "got: {err}");
     }
 
     #[test]

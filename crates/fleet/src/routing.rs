@@ -83,12 +83,6 @@ pub struct WindowAssignment {
 }
 
 impl WindowAssignment {
-    /// Index of the window this assignment covers.
-    #[must_use]
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
     /// Per-site `(qps_start, qps_end)` pairs, in fleet site order.
     #[must_use]
     pub fn shares(&self) -> &[(f64, f64)] {

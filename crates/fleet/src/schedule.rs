@@ -81,22 +81,10 @@ impl DiurnalSchedule {
         self
     }
 
-    /// The base (multiplier 1.0) rate, requests per second.
-    #[must_use]
-    pub fn base_qps(&self) -> f64 {
-        self.base_qps
-    }
-
     /// Number of days the schedule covers.
     #[must_use]
     pub fn day_count(&self) -> usize {
         self.days
-    }
-
-    /// Total schedule duration.
-    #[must_use]
-    pub fn total_duration(&self) -> TimeSpan {
-        TimeSpan::from_days(count_f64(self.days))
     }
 
     /// Offered load at offset `t` from the schedule start: the base rate
@@ -269,7 +257,7 @@ mod tests {
             assert!((pair[0].qps_end() - pair[1].qps_start()).abs() < 1e-9);
         }
         let covered: f64 = windows.iter().map(|w| w.duration().seconds()).sum();
-        assert!((covered - schedule.total_duration().seconds()).abs() < 1e-6);
+        assert!((covered - TimeSpan::from_days(2.0).seconds()).abs() < 1e-6);
         // Every window's load stays within the day curve's envelope.
         for w in &windows {
             assert!(w.peak_qps() <= 2_000.0 * 1.15 + 1e-9);

@@ -145,12 +145,6 @@ pub struct FleetCell {
 }
 
 impl FleetCell {
-    /// Window index of the cell.
-    #[must_use]
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
     /// Site index of the cell.
     #[must_use]
     pub fn site(&self) -> usize {
@@ -191,12 +185,6 @@ impl FleetCell {
         self.requests + self.dropped_requests
     }
 
-    /// Mean CPU utilisation (0–1) measured across the site's nodes.
-    #[must_use]
-    pub fn utilization(&self) -> f64 {
-        self.utilization
-    }
-
     /// Median request latency of the cell's slice, ms (0 when idle).
     #[must_use]
     pub fn median_ms(&self) -> f64 {
@@ -214,12 +202,6 @@ impl FleetCell {
     #[must_use]
     pub fn energy(&self) -> Joules {
         self.energy
-    }
-
-    /// Window-mean grid carbon intensity of the site's region.
-    #[must_use]
-    pub fn intensity(&self) -> CarbonIntensity {
-        self.intensity
     }
 
     /// Operational carbon of the window (grid intensity × energy, scaled).
@@ -434,18 +416,6 @@ impl FleetSim {
     pub fn with_policy(mut self, policy: RoutingPolicy) -> Self {
         self.policy = policy;
         self
-    }
-
-    /// The fleet's sites.
-    #[must_use]
-    pub fn sites(&self) -> &[FleetSite] {
-        &self.sites
-    }
-
-    /// The load schedule.
-    #[must_use]
-    pub fn schedule(&self) -> &DiurnalSchedule {
-        &self.schedule
     }
 
     /// The routing plan for every window of the schedule. Assignments
@@ -667,7 +637,7 @@ mod tests {
         assert!(result.grams_per_request().unwrap() > 0.0);
         // Loaded cells record utilisation and latency.
         let busy = result.cell(1, 0);
-        assert!(busy.utilization() > 0.0);
+        assert!(busy.utilization > 0.0);
         assert!(busy.median_ms() > 0.0);
         assert!(busy.tail_ms() >= busy.median_ms());
         // Energy never drops below idle for any cell.
@@ -740,7 +710,7 @@ mod tests {
         assert!(result.total_operational().grams() > 0.0);
         assert!(result.total_embodied().grams() > 0.0);
         for cell in result.cells() {
-            assert_eq!(cell.utilization(), 0.0);
+            assert_eq!(cell.utilization, 0.0);
             assert_eq!(cell.requests(), 0.0);
         }
     }

@@ -208,30 +208,6 @@ impl FleetSite {
         self.capacity_qps
     }
 
-    /// Power drawn at zero utilisation.
-    #[must_use]
-    pub fn idle_power(&self) -> Watts {
-        self.idle_power
-    }
-
-    /// Additional power drawn at 100 % utilisation.
-    #[must_use]
-    pub fn dynamic_power(&self) -> Watts {
-        self.dynamic_power
-    }
-
-    /// Attributable embodied carbon.
-    #[must_use]
-    pub fn embodied_total(&self) -> GramsCo2e {
-        self.embodied
-    }
-
-    /// Lifetime the embodied carbon amortises over.
-    #[must_use]
-    pub fn amortization(&self) -> TimeSpan {
-        self.amortization
-    }
-
     /// The operational-carbon scale factor.
     #[must_use]
     pub fn operational_scale_factor(&self) -> f64 {

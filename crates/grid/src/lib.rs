@@ -17,7 +17,7 @@
 //! ```
 //! use junkyard_grid::synth::CaisoSynthesizer;
 //!
-//! let trace = CaisoSynthesizer::april_2021_like(42).intensity_trace();
+//! let trace = CaisoSynthesizer::new(42, 30).intensity_trace();
 //! // The synthetic month is calibrated to the paper's 257 gCO2e/kWh mean.
 //! assert!((trace.mean().grams_per_kwh() - 257.0).abs() < 2.0);
 //! ```

@@ -116,15 +116,6 @@ impl GenerationMix {
         }
     }
 
-    /// Gigawatts supplied by `source` (zero if absent).
-    #[must_use]
-    pub fn gigawatts_of(&self, source: EnergySource) -> f64 {
-        self.entries
-            .iter()
-            .find(|(s, _)| *s == source)
-            .map_or(0.0, |(_, gw)| *gw)
-    }
-
     /// Total generation in gigawatts.
     #[must_use]
     pub fn total_gigawatts(&self) -> f64 {
@@ -150,31 +141,6 @@ impl GenerationMix {
             .map(|(source, gw)| source.carbon_intensity().grams_per_kwh() * gw)
             .sum();
         Some(CarbonIntensity::from_grams_per_kwh(weighted / total))
-    }
-
-    /// Fraction of generation that is renewable (solar, wind, hydro,
-    /// geothermal). Returns `None` when there is no generation.
-    #[must_use]
-    pub fn renewable_fraction(&self) -> Option<f64> {
-        let total = self.total_gigawatts();
-        if total <= 0.0 {
-            return None;
-        }
-        let renewable: f64 = self
-            .entries
-            .iter()
-            .filter(|(source, _)| {
-                matches!(
-                    source,
-                    EnergySource::Solar
-                        | EnergySource::Wind
-                        | EnergySource::Hydro
-                        | EnergySource::Geothermal
-                )
-            })
-            .map(|(_, gw)| gw)
-            .sum();
-        Some(renewable / total)
     }
 }
 
@@ -202,7 +168,6 @@ mod tests {
     fn pure_solar_mix_matches_solar_intensity() {
         let mix = GenerationMix::new().with(EnergySource::Solar, 10.0);
         assert!((mix.carbon_intensity().unwrap().grams_per_kwh() - 48.0).abs() < 1e-12);
-        assert!((mix.renewable_fraction().unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -212,13 +177,11 @@ mod tests {
             .with(EnergySource::Gas, 5.0);
         let ci = mix.carbon_intensity().unwrap().grams_per_kwh();
         assert!((ci - (48.0 + 602.0) / 2.0).abs() < 1e-9);
-        assert!((mix.renewable_fraction().unwrap() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn empty_mix_has_no_intensity() {
         assert!(GenerationMix::new().carbon_intensity().is_none());
-        assert!(GenerationMix::new().renewable_fraction().is_none());
         assert_eq!(GenerationMix::new().total_gigawatts(), 0.0);
     }
 
@@ -227,7 +190,7 @@ mod tests {
         let mut mix = GenerationMix::new();
         mix.add(EnergySource::Wind, 1.0);
         mix.add(EnergySource::Wind, 2.0);
-        assert!((mix.gigawatts_of(EnergySource::Wind) - 3.0).abs() < 1e-12);
+        assert!((mix.total_gigawatts() - 3.0).abs() < 1e-12);
         assert_eq!(mix.iter().count(), 1);
     }
 

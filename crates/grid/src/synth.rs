@@ -15,8 +15,17 @@ use rand::{Rng, SeedableRng};
 use junkyard_carbon::convert::{count_f64, round_count};
 use junkyard_carbon::units::{CarbonIntensity, TimeSpan};
 
-use crate::sources::{EnergySource, GenerationMix};
 use crate::trace::IntensityTrace;
+
+/// The calibrated mean carbon intensity, gCO2e/kWh: the paper's April 2021
+/// California average.
+const MEAN_GRAMS_PER_KWH: f64 = 257.0;
+/// Depth of the midday solar trough, gCO2e/kWh.
+const SOLAR_DEPTH: f64 = 110.0;
+/// Height of the evening gas peak, gCO2e/kWh.
+const EVENING_PEAK: f64 = 70.0;
+/// Relative day-to-day variation in how sunny and how loaded a day is.
+const DAILY_JITTER: f64 = 0.12;
 
 /// Configuration of the synthetic CAISO generator.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,10 +33,6 @@ pub struct CaisoSynthesizer {
     seed: u64,
     days: usize,
     step: TimeSpan,
-    mean_intensity: CarbonIntensity,
-    solar_depth: f64,
-    evening_peak: f64,
-    daily_jitter: f64,
 }
 
 impl CaisoSynthesizer {
@@ -45,17 +50,7 @@ impl CaisoSynthesizer {
             seed,
             days,
             step: TimeSpan::from_minutes(5.0),
-            mean_intensity: CarbonIntensity::from_grams_per_kwh(257.0),
-            solar_depth: 110.0,
-            evening_peak: 70.0,
-            daily_jitter: 0.12,
         }
-    }
-
-    /// An April-2021-like month: 30 days, default calibration.
-    #[must_use]
-    pub fn april_2021_like(seed: u64) -> Self {
-        Self::new(seed, 30)
     }
 
     /// Overrides the sampling step.
@@ -67,20 +62,6 @@ impl CaisoSynthesizer {
     pub fn step(mut self, step: TimeSpan) -> Self {
         assert!(step.seconds() > 0.0, "step must be positive");
         self.step = step;
-        self
-    }
-
-    /// Overrides the target mean carbon intensity.
-    #[must_use]
-    pub fn mean_intensity(mut self, mean: CarbonIntensity) -> Self {
-        self.mean_intensity = mean;
-        self
-    }
-
-    /// Overrides the depth (gCO2e/kWh) of the midday solar trough.
-    #[must_use]
-    pub fn solar_depth(mut self, depth: f64) -> Self {
-        self.solar_depth = depth;
         self
     }
 
@@ -120,57 +101,25 @@ impl CaisoSynthesizer {
         let mut raw = Vec::with_capacity(samples_per_day * self.days);
         for _ in 0..self.days {
             // Day-to-day variation in how sunny and how loaded the day is.
-            let solar_factor = 1.0 + self.daily_jitter * (rng.random::<f64>() * 2.0 - 1.0);
-            let demand_factor = 1.0 + self.daily_jitter * 0.6 * (rng.random::<f64>() * 2.0 - 1.0);
+            let solar_factor = 1.0 + DAILY_JITTER * (rng.random::<f64>() * 2.0 - 1.0);
+            let demand_factor = 1.0 + DAILY_JITTER * 0.6 * (rng.random::<f64>() * 2.0 - 1.0);
             for i in 0..samples_per_day {
                 let hour = 24.0 * count_f64(i) / count_f64(samples_per_day);
                 let base = 290.0 * demand_factor;
-                let dip = self.solar_depth * solar_factor * Self::solar_shape(hour);
-                let peak = self.evening_peak * demand_factor * Self::evening_shape(hour);
+                let dip = SOLAR_DEPTH * solar_factor * Self::solar_shape(hour);
+                let peak = EVENING_PEAK * demand_factor * Self::evening_shape(hour);
                 let noise = 6.0 * (rng.random::<f64>() * 2.0 - 1.0);
                 raw.push((base - dip + peak + noise).max(50.0));
             }
         }
         // Calibrate the mean to the configured California average.
         let mean: f64 = raw.iter().sum::<f64>() / count_f64(raw.len());
-        let scale = self.mean_intensity.grams_per_kwh() / mean;
+        let scale = MEAN_GRAMS_PER_KWH / mean;
         let values = raw
             .into_iter()
             .map(|v| CarbonIntensity::from_grams_per_kwh(v * scale))
             .collect();
         IntensityTrace::new(self.step, values)
-    }
-
-    /// Synthesises the generation-mix trace shown in the supply panel of
-    /// Figure 4a: one [`GenerationMix`] per sample.
-    #[must_use]
-    pub fn mix_trace(&self) -> Vec<GenerationMix> {
-        let samples_per_day = round_count(TimeSpan::from_days(1.0).seconds() / self.step.seconds());
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x5eed);
-        let mut mixes = Vec::with_capacity(samples_per_day * self.days);
-        for _ in 0..self.days {
-            let solar_factor = 1.0 + self.daily_jitter * (rng.random::<f64>() * 2.0 - 1.0);
-            let wind_base = 2.0 + 3.0 * rng.random::<f64>();
-            for i in 0..samples_per_day {
-                let hour = 24.0 * count_f64(i) / count_f64(samples_per_day);
-                let demand =
-                    23.0 + 4.0 * Self::evening_shape(hour) - 2.0 * Self::solar_shape(hour) * 0.3;
-                let solar = 13.0 * solar_factor * Self::solar_shape(hour);
-                let wind = wind_base + 0.5 * (rng.random::<f64>() * 2.0 - 1.0);
-                let hydro = 3.0;
-                let import = 3.0 + 1.5 * Self::evening_shape(hour);
-                let gas = (demand - solar - wind - hydro - import).max(1.0);
-                mixes.push(
-                    GenerationMix::new()
-                        .with(EnergySource::Solar, solar)
-                        .with(EnergySource::Wind, wind.max(0.0))
-                        .with(EnergySource::Hydro, hydro)
-                        .with(EnergySource::Import, import)
-                        .with(EnergySource::Gas, gas),
-                );
-            }
-        }
-        mixes
     }
 }
 
@@ -180,7 +129,7 @@ mod tests {
 
     #[test]
     fn mean_is_calibrated_to_california_average() {
-        let trace = CaisoSynthesizer::april_2021_like(7).intensity_trace();
+        let trace = CaisoSynthesizer::new(7, 30).intensity_trace();
         assert!(
             (trace.mean().grams_per_kwh() - 257.0).abs() < 1.0,
             "{}",
@@ -199,7 +148,7 @@ mod tests {
 
     #[test]
     fn midday_is_cleaner_than_evening() {
-        let trace = CaisoSynthesizer::april_2021_like(1).intensity_trace();
+        let trace = CaisoSynthesizer::new(1, 30).intensity_trace();
         let day = trace.day(5).unwrap();
         let at = |h: f64| day.value_at(TimeSpan::from_hours(h)).grams_per_kwh();
         let midday = (at(12.0) + at(13.0) + at(14.0)) / 3.0;
@@ -214,7 +163,6 @@ mod tests {
         let synth = CaisoSynthesizer::new(9, 7);
         let trace = synth.intensity_trace();
         assert_eq!(trace.day_count(), 7);
-        assert_eq!(synth.mix_trace().len(), trace.len());
     }
 
     #[test]
@@ -226,24 +174,8 @@ mod tests {
     }
 
     #[test]
-    fn mix_trace_has_solar_at_noon_and_none_at_midnight() {
-        let mixes = CaisoSynthesizer::new(3, 1).mix_trace();
-        let samples_per_day = mixes.len();
-        let noon = &mixes[samples_per_day / 2];
-        let midnight = &mixes[0];
-        assert!(noon.gigawatts_of(EnergySource::Solar) > 5.0);
-        assert_eq!(midnight.gigawatts_of(EnergySource::Solar), 0.0);
-        // The mix-implied intensity follows the same day shape: cleaner at
-        // noon than at midnight.
-        assert!(
-            noon.carbon_intensity().unwrap().grams_per_kwh()
-                < midnight.carbon_intensity().unwrap().grams_per_kwh()
-        );
-    }
-
-    #[test]
     fn intensities_stay_physical() {
-        let trace = CaisoSynthesizer::april_2021_like(11).intensity_trace();
+        let trace = CaisoSynthesizer::new(11, 30).intensity_trace();
         assert!(trace.min().grams_per_kwh() > 40.0);
         assert!(trace.max().grams_per_kwh() < 500.0);
     }

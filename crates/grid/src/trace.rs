@@ -180,39 +180,6 @@ impl IntensityTrace {
             .unwrap_or(0)
     }
 
-    /// Extracts one whole day with periodic tiling: day `index` of the
-    /// infinitely repeated trace, i.e. `day(index % day_count())`. This is
-    /// the day-granular counterpart of [`IntensityTrace::value_at`]'s
-    /// wrap-around and what lets a one-month synthetic trace drive a
-    /// multi-year lifecycle simulation. Returns `None` only when the trace
-    /// covers no whole day at all.
-    #[must_use]
-    pub fn day_periodic(&self, index: usize) -> Option<IntensityTrace> {
-        let count = self.day_count();
-        if count == 0 {
-            return None;
-        }
-        self.day(index % count)
-    }
-
-    /// Materialises `repeats` periodic copies of the trace back to back —
-    /// an explicitly tiled multi-year trace for consumers that need the
-    /// samples in memory rather than the implicit wrap-around of
-    /// [`IntensityTrace::value_at`] / [`IntensityTrace::day_periodic`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `repeats` is zero.
-    #[must_use]
-    pub fn tile(&self, repeats: usize) -> IntensityTrace {
-        assert!(repeats > 0, "tiling needs at least one repeat");
-        let mut values = Vec::with_capacity(self.values.len() * repeats);
-        for _ in 0..repeats {
-            values.extend_from_slice(&self.values);
-        }
-        IntensityTrace::new(self.step, values)
-    }
-
     /// Extracts one whole day (day 0 is the first) as its own trace.
     /// Returns `None` if the trace does not cover that day completely —
     /// exactly when `index >= day_count()`.
@@ -385,48 +352,6 @@ mod tests {
             }
             assert!(trace.day(count).is_none(), "step {step_h} h day {count}");
         }
-    }
-
-    #[test]
-    fn periodic_day_tiling_wraps_and_tile_materialises_it() {
-        let trace = IntensityTrace::new(
-            TimeSpan::from_hours(1.0),
-            (0..48)
-                .map(|i| CarbonIntensity::from_grams_per_kwh(f64::from(i)))
-                .collect(),
-        );
-        assert_eq!(trace.day_count(), 2);
-        // Day 5 of the tiled series replays day 1.
-        assert_eq!(trace.day_periodic(5).unwrap(), trace.day(1).unwrap());
-        assert_eq!(trace.day_periodic(4).unwrap(), trace.day(0).unwrap());
-        // tile() agrees with the implicit wrap, sample by sample.
-        let tiled = trace.tile(3);
-        assert_eq!(tiled.len(), trace.len() * 3);
-        assert_eq!(tiled.day_count(), 6);
-        for day in 0..6 {
-            assert_eq!(
-                tiled.day(day).unwrap(),
-                trace.day_periodic(day).unwrap(),
-                "day {day}"
-            );
-        }
-        for offset_h in [0.0, 30.0, 47.5, 95.0] {
-            let t = TimeSpan::from_hours(offset_h);
-            assert_eq!(tiled.value_at(t), trace.value_at(t));
-        }
-        // A sub-day trace has no periodic day to give.
-        let stub = IntensityTrace::constant(
-            CarbonIntensity::from_grams_per_kwh(100.0),
-            TimeSpan::from_hours(1.0),
-            TimeSpan::from_hours(3.0),
-        );
-        assert!(stub.day_periodic(0).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one repeat")]
-    fn zero_tile_panics() {
-        let _ = ramp(4).tile(0);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The ratchet baseline: the committed `lint_baseline.json` records, per
 //! ratcheted rule, how many legacy findings the workspace is allowed to
-//! carry. The gate fails the moment a count *rises*; counts falling is
-//! progress, and the report suggests tightening the file when they do.
+//! carry, and how many non-test lines of code (`loc`). The gate fails the
+//! moment a count *rises*; counts falling is progress, and the report
+//! suggests tightening the file when they do.
 //!
 //! The parser is a deliberately tiny, zero-dependency JSON-subset reader
 //! (one object of string keys mapping to integers or one level of nested
@@ -16,6 +17,8 @@ use std::collections::BTreeMap;
 pub struct Baseline {
     /// Allowed finding counts per ratcheted rule name.
     pub ratchets: BTreeMap<String, u64>,
+    /// Allowed non-test lines of code across the workspace, if pinned.
+    pub loc: Option<u64>,
 }
 
 impl Baseline {
@@ -36,9 +39,11 @@ impl Baseline {
             return Err(format!("trailing bytes at offset {}", p.pos));
         }
         let mut ratchets = BTreeMap::new();
+        let mut loc = None;
         for (key, value) in top {
             match (key.as_str(), value) {
                 ("schema", Value::Number(_)) => {}
+                ("loc", Value::Number(n)) => loc = Some(n),
                 ("ratchets", Value::Object(entries)) => {
                     for (rule, count) in entries {
                         match count {
@@ -54,14 +59,18 @@ impl Baseline {
                 (other, _) => return Err(format!("unexpected baseline key `{other}`")),
             }
         }
-        Ok(Self { ratchets })
+        Ok(Self { ratchets, loc })
     }
 
     /// Renders the canonical committed form (sorted keys, 2-space
     /// indent, trailing newline).
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": 1,\n  \"ratchets\": {\n");
+        let mut out = String::from("{\n  \"schema\": 1,\n");
+        if let Some(loc) = self.loc {
+            out.push_str(&format!("  \"loc\": {loc},\n"));
+        }
+        out.push_str("  \"ratchets\": {\n");
         let last = self.ratchets.len().saturating_sub(1);
         for (i, (rule, count)) in self.ratchets.iter().enumerate() {
             out.push_str(&format!(
@@ -192,6 +201,9 @@ mod tests {
             .ratchets
             .insert("panic-in-library".to_string(), 411);
         baseline.ratchets.insert("unchecked-cast".to_string(), 146);
+        let text = baseline.render();
+        assert_eq!(Baseline::parse(&text).unwrap(), baseline);
+        baseline.loc = Some(20_000);
         let text = baseline.render();
         assert_eq!(Baseline::parse(&text).unwrap(), baseline);
     }

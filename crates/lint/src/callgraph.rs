@@ -1,13 +1,18 @@
-//! The workspace call graph and the `fanout-purity` analysis.
+//! The workspace call graph and the two analyses that walk it:
+//! `fanout-purity` and `unreachable-pub`.
 //!
-//! Roots are the argument lists of every `fan_out(` call (the worker
-//! closure handed to the workspace's one fan-out primitive) and every
-//! `.spawn(` call outside test code. From each root the analysis walks
-//! name-resolved call edges (see [`crate::symbols`]) to every reachable
-//! function and checks each one for effects that would break the
+//! Edges are the fn references `collect_calls` finds (calls, and fns
+//! passed by value), resolved by name (see [`crate::symbols`]); [`reach`]
+//! is the one walk both analyses share.
+//!
+//! `fanout-purity` roots at the argument lists of every `fan_out(` call
+//! (the worker closure handed to the workspace's one fan-out primitive)
+//! and every `.spawn(` call outside test code, and checks each reachable
+//! function for effects that would break the
 //! bit-identical-at-any-worker-count contract: wall-clock reads,
 //! ambient randomness, mutable statics, and iteration over hash-ordered
-//! containers.
+//! containers. `unreachable-pub` roots at every entry point and trait
+//! body, and reports the public library fns the walk never reaches.
 //!
 //! The same reachability defines the **fan-out scope** used to re-scope
 //! the declaration facet of `nondeterministic-iteration`: declaring a
@@ -17,8 +22,10 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::lexer::TokenKind;
-use crate::parser::ParsedFile;
-use crate::rules::{hash_bindings, hash_iteration_points, Finding, RuleId, AMBIENT_RNG_IDENTS};
+use crate::parser::{ParsedFile, Vis};
+use crate::rules::{
+    hash_bindings, hash_iteration_points, FileRole, Finding, RuleId, AMBIENT_RNG_IDENTS,
+};
 use crate::source::SourceFile;
 use crate::symbols::{Call, FnRef, Symbols};
 
@@ -32,17 +39,6 @@ pub struct Fanout {
     pub findings: Vec<Finding>,
 }
 
-impl Fanout {
-    /// Whether significant-token index `i` of file `file_idx` is inside
-    /// the fan-out scope.
-    #[must_use]
-    pub fn in_scope(&self, file_idx: usize, i: usize) -> bool {
-        self.scopes
-            .get(file_idx)
-            .is_some_and(|ranges| ranges.iter().any(|&(lo, hi)| i >= lo && i < hi))
-    }
-}
-
 /// One fan-out root: a `fan_out(` or `.spawn(` call site.
 #[derive(Debug)]
 struct Root {
@@ -52,36 +48,105 @@ struct Root {
     range: (usize, usize),
 }
 
-/// Extracts every call expression in the sig range `[start, end)`.
-fn collect_calls(file: &SourceFile, start: usize, end: usize) -> Vec<Call> {
-    let mut calls = Vec::new();
-    let n = end.min(file.sig.len());
-    for i in start..n {
-        if file.sig_kind(i) != TokenKind::Ident {
-            continue;
-        }
-        if i + 1 >= n || file.sig_text(i + 1) != "(" {
-            continue;
-        }
-        let name = file.sig_text(i).to_string();
-        if i == 0 {
-            calls.push(Call::Plain(name));
-            continue;
-        }
-        match file.sig_text(i - 1) {
-            "fn" => {}
-            "." => calls.push(Call::Method(name)),
-            "::" => {
-                if i >= 2 && file.sig_kind(i - 2) == TokenKind::Ident {
-                    calls.push(Call::Qualified(file.sig_text(i - 2).to_string(), name));
-                } else {
-                    calls.push(Call::Plain(name));
-                }
+/// The names `file` imports with `use`: the last segment of each path
+/// (`parse` in `use crate::parser::{parse, ParsedFile};`).
+fn use_imports(file: &SourceFile) -> BTreeSet<&str> {
+    let mut names = BTreeSet::new();
+    let mut in_use = false;
+    for i in 0..file.sig.len() {
+        match file.sig_text(i) {
+            "use" => in_use = true,
+            ";" => in_use = false,
+            name if in_use
+                && file.sig_kind(i) == TokenKind::Ident
+                && i + 1 < file.sig.len()
+                && matches!(file.sig_text(i + 1), "," | "}" | ";") =>
+            {
+                names.insert(name);
             }
-            _ => calls.push(Call::Plain(name)),
+            _ => {}
         }
     }
+    names
+}
+
+/// Extracts every fn reference in the non-test part of the sig range
+/// `[start, end)`: calls (`f(`, `.m(`, `T::f(`, turbofish included), a
+/// `Path::name` passed by value (`.map(Cell::total)`), and a bare name
+/// the file imports with `use` passed by value (`.map(parse)`).
+fn collect_calls(
+    file: &SourceFile,
+    start: usize,
+    end: usize,
+    imports: &BTreeSet<&str>,
+) -> Vec<Call> {
+    let mut calls = Vec::new();
+    let n = end.min(file.sig.len());
+    let text = |j: usize| if j < n { file.sig_text(j) } else { "" };
+    for i in start..n {
+        if file.sig_kind(i) != TokenKind::Ident || file.sig_in_test(i) {
+            continue;
+        }
+        let name = file.sig_text(i);
+        let before = if i == 0 { "" } else { file.sig_text(i - 1) };
+        let qualifier = (before == "::" && i >= 2 && file.sig_kind(i - 2) == TokenKind::Ident)
+            .then(|| file.sig_text(i - 2).to_string());
+        let called = text(i + 1) == "(" || (text(i + 1) == "::" && text(i + 2) == "<");
+        let call = match (before, called) {
+            ("fn", _) => None,
+            (".", true) => Some(Call::Method(name.to_string())),
+            (".", false) => None,
+            (_, true) => Some(match qualifier {
+                Some(q) => Call::Qualified(q, name.to_string()),
+                None => Call::Plain(name.to_string()),
+            }),
+            // A path's last segment, not a call: a fn passed by value.
+            ("::", false) if text(i + 1) != "::" => {
+                qualifier.map(|q| Call::Qualified(q, name.to_string()))
+            }
+            (_, false) if imports.contains(name) && !matches!(text(i + 1), "!" | "::") => {
+                Some(Call::Plain(name.to_string()))
+            }
+            _ => None,
+        };
+        calls.extend(call);
+    }
     calls
+}
+
+/// Every non-test fn reachable over `collect_calls` edges from the
+/// `(file, sig range)` pairs in `seeds`, mapped to the index of the seed
+/// that reaches it first: each seed's direct references in order, then
+/// breadth-first. The fan-out and `unreachable-pub` analyses share it.
+#[must_use]
+pub fn reach(
+    files: &[SourceFile],
+    parsed: &[ParsedFile],
+    symbols: &Symbols,
+    seeds: &[(usize, (usize, usize))],
+) -> BTreeMap<FnRef, usize> {
+    let imports: Vec<BTreeSet<&str>> = files.iter().map(use_imports).collect();
+    let mut reached: BTreeMap<FnRef, usize> = BTreeMap::new();
+    let mut queue: VecDeque<(usize, (usize, usize), usize)> = seeds
+        .iter()
+        .enumerate()
+        .map(|(seed, &(file, range))| (file, range, seed))
+        .collect();
+    while let Some((file, (start, end), seed)) = queue.pop_front() {
+        for call in collect_calls(&files[file], start, end, &imports[file]) {
+            for r in symbols.resolve(parsed, &call) {
+                let f = &parsed[r.0].fns[r.1];
+                if files[r.0].sig_in_test(f.at) || reached.contains_key(&r) {
+                    continue;
+                }
+                reached.insert(r, seed);
+                if let Some(body) = f.body {
+                    queue.push_back((r.0, body, seed));
+                }
+            }
+        }
+    }
+    reached
 }
 
 /// Finds every non-test `fan_out(` call (but not a `fn fan_out`
@@ -223,43 +288,8 @@ pub fn analyze(
         .map(|(f, b)| hash_iteration_points(f, b))
         .collect();
 
-    // BFS over call edges from each root's closure.
-    let mut visited: BTreeSet<FnRef> = BTreeSet::new();
-    let mut origin: BTreeMap<FnRef, usize> = BTreeMap::new(); // site index
-    let mut queue: VecDeque<FnRef> = VecDeque::new();
-    for (site_idx, site) in sites.iter().enumerate() {
-        let file = &files[site.file];
-        for call in collect_calls(file, site.range.0, site.range.1) {
-            for r in symbols.resolve(parsed, &call) {
-                if files[r.0].whole_file_test || files[r.0].sig_in_test(parsed[r.0].fns[r.1].at) {
-                    continue;
-                }
-                if visited.insert(r) {
-                    origin.insert(r, site_idx);
-                    queue.push_back(r);
-                }
-            }
-        }
-    }
-    while let Some(r) = queue.pop_front() {
-        let Some((start, end)) = parsed[r.0].fns[r.1].body else {
-            continue;
-        };
-        let site_idx = origin[&r];
-        for call in collect_calls(&files[r.0], start, end) {
-            for next in symbols.resolve(parsed, &call) {
-                if files[next.0].whole_file_test
-                    || files[next.0].sig_in_test(parsed[next.0].fns[next.1].at)
-                {
-                    continue;
-                }
-                if visited.insert(next) {
-                    origin.insert(next, site_idx);
-                    queue.push_back(next);
-                }
-            }
-        }
-    }
+    let seeds: Vec<(usize, (usize, usize))> = sites.iter().map(|s| (s.file, s.range)).collect();
+    let reached = reach(files, parsed, symbols, &seeds);
 
     // Findings: direct impurities inside root closures...
     let mut findings = Vec::new();
@@ -285,7 +315,7 @@ pub fn analyze(
         }
     }
     // ... and impure reachable fns, one finding per fn.
-    for &r in &visited {
+    for (&r, &site_idx) in &reached {
         let f = &parsed[r.0].fns[r.1];
         let Some((start, end)) = f.body else { continue };
         let file = &files[r.0];
@@ -299,7 +329,7 @@ pub fn analyze(
         if imps.is_empty() {
             continue;
         }
-        let site = &sites[origin[&r]];
+        let site = &sites[site_idx];
         let mut whats: Vec<String> = imps.iter().map(|i| i.what.clone()).collect();
         whats.dedup();
         let shown = if whats.len() > 3 {
@@ -327,7 +357,7 @@ pub fn analyze(
     for site in &sites {
         scopes[site.file].push(site.range);
     }
-    for &r in &visited {
+    for &r in reached.keys() {
         if let Some(body) = parsed[r.0].fns[r.1].body {
             scopes[r.0].push(body);
         }
@@ -336,6 +366,62 @@ pub fn analyze(
         ranges.sort_unstable();
     }
     Fanout { scopes, findings }
+}
+
+/// The `unreachable-pub` rule: every bare `pub fn` in non-test library
+/// code that no entry point reaches. The walk seeds from the non-test
+/// code of every entry-point file (`roles[i].entry_point`) and the body
+/// of every non-test fn in a `trait` or `impl Trait for` block. Tests are
+/// no roots, so a fn only tests call counts as unreached. Scoped
+/// `pub(crate)` fns are left to rustc's dead-code lint.
+#[must_use]
+pub fn unreachable_pub(
+    files: &[SourceFile],
+    parsed: &[ParsedFile],
+    symbols: &Symbols,
+    roles: &[FileRole],
+) -> Vec<Finding> {
+    let mut seeds = Vec::new();
+    for (i, file) in files.iter().enumerate() {
+        if roles[i].entry_point {
+            seeds.push((i, (0, file.sig.len())));
+        }
+        for f in &parsed[i].fns {
+            if let (true, Some(body)) = (f.in_trait, f.body) {
+                if !file.sig_in_test(f.at) {
+                    seeds.push((i, body));
+                }
+            }
+        }
+    }
+    let reached = reach(files, parsed, symbols, &seeds);
+    let mut findings = Vec::new();
+    for (i, file) in files.iter().enumerate() {
+        if !roles[i].library {
+            continue;
+        }
+        for (j, f) in parsed[i].fns.iter().enumerate() {
+            if f.vis != Vis::Public
+                || f.in_trait
+                || file.sig_in_test(f.at)
+                || reached.contains_key(&(i, j))
+            {
+                continue;
+            }
+            findings.push(Finding {
+                rule: RuleId::UnreachablePub,
+                path: file.rel_path.clone(),
+                line: f.line,
+                message: format!(
+                    "pub fn `{}` is reached from no bin, example, bench or perfbench source \
+                     (tests are not roots): delete it or narrow its visibility",
+                    f.qualified()
+                ),
+                suppressed: None,
+            });
+        }
+    }
+    findings
 }
 
 #[cfg(test)]
@@ -464,6 +550,135 @@ mod tests {
             "{:?}",
             fanout.findings
         );
+    }
+
+    /// The `unreachable-pub` findings (qualified fn names) over `srcs`.
+    /// Files under `/bin/` and `perfbench/` are entry points; the rest
+    /// is library code. As in the engine, `perfbench/` files add no
+    /// symbols, so they must come last.
+    fn unreached(srcs: &[(&str, &str)]) -> Vec<String> {
+        let files: Vec<SourceFile> = srcs
+            .iter()
+            .map(|(path, src)| {
+                let test = path.starts_with("tests/");
+                SourceFile::new((*path).to_string(), (*src).to_string(), test)
+            })
+            .collect();
+        let parsed: Vec<ParsedFile> = files.iter().map(parse).collect();
+        let scanned = files
+            .iter()
+            .take_while(|f| !f.rel_path.starts_with("perfbench/"))
+            .count();
+        let symbols = Symbols::build(&parsed[..scanned]);
+        let roles: Vec<FileRole> = files
+            .iter()
+            .map(|f| {
+                let entry = f.rel_path.contains("/bin/") || f.rel_path.starts_with("perfbench/");
+                FileRole {
+                    library: !entry && !f.rel_path.starts_with("tests/"),
+                    entry_point: entry,
+                    ..FileRole::default()
+                }
+            })
+            .collect();
+        unreachable_pub(&files, &parsed, &symbols, &roles)
+            .iter()
+            .map(|f| f.message.split('`').nth(1).unwrap_or_default().to_string())
+            .collect()
+    }
+
+    const BIN: &str = "crates/b/src/bin/main.rs";
+
+    #[test]
+    fn calls_and_method_calls_reach_pub_fns() {
+        let found = unreached(&[
+            (
+                "crates/a/src/lib.rs",
+                "pub fn called() {}\npub fn orphan() {}\npub(crate) fn scoped() {}\n\
+                 pub struct S;\nimpl S {\n    pub fn method(&self) {}\n    pub fn unused(&self) {}\n}\n",
+            ),
+            (BIN, "fn main() { a::called(); S.method(); }\n"),
+        ]);
+        // `scoped` is left to rustc's dead-code lint.
+        assert_eq!(found, ["orphan", "S::unused"]);
+    }
+
+    #[test]
+    fn a_path_passed_by_value_is_a_reference() {
+        let found = unreached(&[
+            (
+                "crates/a/src/lib.rs",
+                "pub struct Cell;\nimpl Cell {\n    pub fn total(&self) -> u64 { 0 }\n    \
+                 pub fn mean(&self) -> u64 { 0 }\n}\n",
+            ),
+            (
+                BIN,
+                "fn main() { let _: Vec<u64> = cells.iter().map(Cell::total).collect(); }\n",
+            ),
+        ]);
+        assert_eq!(found, ["Cell::mean"]);
+    }
+
+    #[test]
+    fn an_imported_fn_passed_by_value_is_a_reference() {
+        let found = unreached(&[
+            (
+                "crates/a/src/lib.rs",
+                "pub fn parse(s: &str) -> u8 { 0 }\npub fn other() -> u8 { 1 }\n",
+            ),
+            // `other` is a bare name here too, but not an imported one.
+            (
+                BIN,
+                "use a::parse;\nfn main() { let other = 2; let _ = [\"1\"].map(parse); }\n",
+            ),
+        ]);
+        assert_eq!(found, ["other"]);
+    }
+
+    #[test]
+    fn trait_impl_and_default_bodies_are_roots() {
+        let found = unreached(&[(
+            "crates/a/src/lib.rs",
+            "pub fn via_impl() {}\npub fn via_default() {}\npub fn orphan() {}\n\
+             pub struct W;\nimpl std::fmt::Display for W {\n    \
+             fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result { via_impl(); Ok(()) }\n}\n\
+             pub trait Visit {\n    fn visit(&self) { via_default(); }\n}\n",
+        )]);
+        // The trait fns themselves are never findings.
+        assert_eq!(found, ["orphan"]);
+    }
+
+    #[test]
+    fn a_reference_only_file_is_a_root() {
+        let found = unreached(&[
+            (
+                "crates/a/src/lib.rs",
+                "pub fn timed() {}\npub fn untimed() {}\n",
+            ),
+            (
+                "perfbench/src/main.rs",
+                "fn main() { a::timed(); }\npub fn report() {}\n",
+            ),
+        ]);
+        // The benchmark's own pub fns are never findings.
+        assert_eq!(found, ["untimed"]);
+    }
+
+    #[test]
+    fn callers_in_test_code_do_not_count() {
+        let found = unreached(&[
+            (
+                "crates/a/src/lib.rs",
+                "pub fn only_tested() {}\n#[cfg(test)]\nmod tests {\n    \
+                 #[test]\n    fn t() { super::only_tested(); }\n}\n",
+            ),
+            (
+                BIN,
+                "fn main() {}\n#[cfg(test)]\nmod tests {\n    fn t() { a::only_tested(); }\n}\n",
+            ),
+            ("tests/it.rs", "#[test]\nfn t() { a::only_tested(); }\n"),
+        ]);
+        assert_eq!(found, ["only_tested"]);
     }
 
     #[test]

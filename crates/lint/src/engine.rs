@@ -37,6 +37,12 @@ pub struct Config {
     pub units_boundary: Vec<String>,
 }
 
+/// The directory read only for the fn references it makes: each file is
+/// an `unreachable-pub` root, but no rule scans it and it adds no
+/// symbols or lines. It is the benchmark package, which is not a
+/// workspace member.
+const REFERENCE_DIR: &str = "perfbench/src";
+
 impl Config {
     /// The committed configuration for this workspace.
     #[must_use]
@@ -114,8 +120,10 @@ pub struct Analysis {
     /// Number of source files scanned.
     pub files_scanned: usize,
     /// Non-test lines of code per crate directory (`junkyard` for the
-    /// root package), in name order. Report-only: no gate reads it.
+    /// root package), in name order.
     pub loc: Vec<(String, usize)>,
+    /// The committed ceiling on [`Analysis::loc_total`], if any.
+    pub loc_baseline: Option<u64>,
 }
 
 impl Analysis {
@@ -157,7 +165,22 @@ impl Analysis {
                 ));
             }
         }
+        if self.loc_over_baseline() {
+            out.push(format!(
+                "loc: {} non-test lines exceed the committed baseline of {} — delete as much \
+                 as you add, or raise the baseline deliberately",
+                self.loc_total(),
+                self.loc_baseline.unwrap_or_default()
+            ));
+        }
         out
+    }
+
+    /// Whether the non-test line count exceeds its committed baseline.
+    #[must_use]
+    pub fn loc_over_baseline(&self) -> bool {
+        self.loc_baseline
+            .is_some_and(|allowed| self.loc_total() as u64 > allowed)
     }
 
     /// Non-test lines of code across the workspace.
@@ -169,7 +192,7 @@ impl Analysis {
     /// Whether the gate passes.
     #[must_use]
     pub fn passed(&self) -> bool {
-        self.stats.iter().all(|s| !s.failed())
+        self.stats.iter().all(|s| !s.failed()) && !self.loc_over_baseline()
     }
 }
 
@@ -244,6 +267,10 @@ fn classify(rel: &str, config: &Config) -> (FileRole, bool) {
         clock_sanctioned: bench || rel == config.profiler_module,
         cast_audited: config.cast_prefixes.iter().any(|p| rel.starts_with(p)),
         units_boundary: config.units_boundary.iter().any(|p| p == rel),
+        entry_point: rel.starts_with("examples/")
+            || rel.contains("/src/bin/")
+            || rel.ends_with("/src/main.rs")
+            || rel.contains("/benches/"),
     };
     (role, whole_file_test)
 }
@@ -255,18 +282,34 @@ fn classify(rel: &str, config: &Config) -> (FileRole, bool) {
 /// Returns a message on unreadable files or directories.
 pub fn analyze(root: &Path, config: &Config, baseline: &Baseline) -> Result<Analysis, String> {
     let paths = collect_sources(root).map_err(|e| format!("walking {}: {e}", root.display()))?;
-    let mut files = Vec::with_capacity(paths.len());
-    for path in &paths {
+    // Reference-only files go last: `files[..scanned]` is what the rules
+    // scan, and the symbol table covers only that prefix.
+    let scanned = paths.len();
+    let mut reference_paths = Vec::new();
+    walk(&root.join(REFERENCE_DIR), &mut reference_paths)
+        .map_err(|e| format!("walking {REFERENCE_DIR}: {e}"))?;
+    let mut files = Vec::new();
+    let mut roles = Vec::new();
+    for (i, path) in paths.iter().chain(&reference_paths).enumerate() {
         let text =
             fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
         let rel = rel_path(root, path);
-        let (_, whole_file_test) = classify(&rel, config);
+        let (role, whole_file_test) = if i < scanned {
+            classify(&rel, config)
+        } else {
+            let reference = FileRole {
+                entry_point: true,
+                ..FileRole::default()
+            };
+            (reference, false)
+        };
         files.push(SourceFile::new(rel, text, whole_file_test));
+        roles.push(role);
     }
 
     // The conservation corpus: every identifier appearing in `tests/`.
     let mut test_idents: BTreeSet<&str> = BTreeSet::new();
-    for file in &files {
+    for file in &files[..scanned] {
         if file.rel_path.starts_with("tests/") {
             for i in 0..file.sig.len() {
                 if file.sig_kind(i) == crate::lexer::TokenKind::Ident {
@@ -278,28 +321,36 @@ pub fn analyze(root: &Path, config: &Config, baseline: &Baseline) -> Result<Anal
 
     // The semantic layer: parsed items, symbol table, call graph.
     let parsed: Vec<ParsedFile> = files.iter().map(parse).collect();
-    let symbols = Symbols::build(&parsed);
+    let symbols = Symbols::build(&parsed[..scanned]);
     // The callgraph's clock exemption must match `wall-clock-in-sim`'s:
     // the profiler module's methods are wall-clock-sanctioned even when
     // (mis)resolved as reachable from a fan-out, otherwise every
     // `.start(`/`.time(` method call in sim code would drag
     // `Profiler`'s `Instant`s into the fan-out-reachable set by bare-name
     // resolution.
-    let clock_sanctioned: Vec<bool> = files
+    let clock_sanctioned: Vec<bool> = roles[..scanned]
         .iter()
-        .map(|f| classify(&f.rel_path, config).0.clock_sanctioned)
+        .map(|r| r.clock_sanctioned)
         .collect();
-    let fanout = callgraph::analyze(&files, &parsed, &symbols, &clock_sanctioned);
+    let fanout = callgraph::analyze(
+        &files[..scanned],
+        &parsed[..scanned],
+        &symbols,
+        &clock_sanctioned,
+    );
+    let mut walked = fanout.findings;
+    walked.extend(callgraph::unreachable_pub(
+        &files, &parsed, &symbols, &roles,
+    ));
 
     let mut findings: Vec<Finding> = Vec::new();
     let mut used: Vec<(String, u32, String)> = Vec::new(); // (path, line, rule) of used allows
-    for (file_idx, file) in files.iter().enumerate() {
-        let (role, _) = classify(&file.rel_path, config);
+    for (file_idx, file) in files[..scanned].iter().enumerate() {
         let mut raw = Vec::new();
         let empty: Vec<(usize, usize)> = Vec::new();
         let scopes = fanout.scopes.get(file_idx).unwrap_or(&empty);
-        scan_file(file, &parsed[file_idx], role, scopes, &mut raw);
-        for finding in &fanout.findings {
+        scan_file(file, &parsed[file_idx], roles[file_idx], scopes, &mut raw);
+        for finding in &walked {
             if finding.path == file.rel_path {
                 raw.push(finding.clone());
             }
@@ -362,7 +413,7 @@ pub fn analyze(root: &Path, config: &Config, baseline: &Baseline) -> Result<Anal
 
     // Unused reasoned suppressions (stale allows), informational.
     let mut unused = Vec::new();
-    for file in &files {
+    for file in &files[..scanned] {
         for allow in &file.suppressions {
             if RuleId::from_name(&allow.rule).is_some()
                 && !used
@@ -406,7 +457,7 @@ pub fn analyze(root: &Path, config: &Config, baseline: &Baseline) -> Result<Anal
         .collect();
 
     let mut loc: BTreeMap<String, usize> = BTreeMap::new();
-    for file in &files {
+    for file in &files[..scanned] {
         let krate = match file.rel_path.strip_prefix("crates/") {
             Some(rest) => rest.split('/').next().unwrap_or(rest),
             None => "junkyard",
@@ -418,7 +469,8 @@ pub fn analyze(root: &Path, config: &Config, baseline: &Baseline) -> Result<Anal
         findings,
         stats,
         unused_suppressions: unused,
-        files_scanned: files.len(),
+        files_scanned: scanned,
         loc: loc.into_iter().collect(),
+        loc_baseline: baseline.loc,
     })
 }

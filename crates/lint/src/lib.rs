@@ -22,10 +22,11 @@
 //!   bodies) over the lexer; deliberately not a full Rust grammar.
 //! * [`symbols`] — the workspace symbol table: every fn, indexed for
 //!   name-based (over-approximate) call resolution.
-//! * [`callgraph`] — fan-out roots (`fan_out(` and `.spawn(` closures),
-//!   transitive reachability, the `fanout-purity` rule, and the fan-out
-//!   scopes that re-scope the hash-declaration facet of
-//!   `nondeterministic-iteration`.
+//! * [`callgraph`] — one reachability walk over fn references, run from
+//!   the fan-out roots (`fan_out(` and `.spawn(` closures) for the
+//!   `fanout-purity` rule and the fan-out scopes that re-scope the
+//!   hash-declaration facet of `nondeterministic-iteration`, and from
+//!   every entry point and trait body for the `unreachable-pub` rule.
 //! * [`dims`] — the dimension algebra behind `unit-suffix-consistency`:
 //!   unit suffixes (`_ms`, `_qps`, `_grams`, ...) become dimensions;
 //!   add/sub/compare require equality, `*`/`/` compose, conversion
@@ -33,7 +34,7 @@
 //! * [`rules`] — the rules and their severities (zero-tolerance vs
 //!   ratcheted).
 //! * [`baseline`] — the `lint_baseline.json` ratchet: legacy finding
-//!   counts may only go down.
+//!   counts and the non-test line count may only go down.
 //! * [`engine`] — the deterministic driver (sorted file order, ordered
 //!   maps — the linter obeys the contract it enforces).
 //! * [`report`] — the human report and `LINT_report.json`.

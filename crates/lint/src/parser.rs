@@ -2,9 +2,10 @@
 //!
 //! This is deliberately **not** a Rust grammar. It recovers just enough
 //! structure for the semantic rules: function items (name, enclosing
-//! `impl` type, visibility, parameter list, body token range), struct
-//! items (name, visibility, fields with their type heads), and — via
-//! [`crate::callgraph`] — the call and field expressions inside bodies.
+//! `impl` or `trait` type, visibility, parameter list, body token range),
+//! struct items (name, visibility, fields with their type heads), and —
+//! via [`crate::callgraph`] — the call and field expressions inside
+//! bodies.
 //! Everything it cannot recognise it skips without failing; the rules
 //! built on top are written to stay silent on anything unparsed.
 //!
@@ -36,17 +37,31 @@ impl Param {
     }
 }
 
+/// A fn item's visibility qualifier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Vis {
+    /// No `pub` qualifier.
+    Private,
+    /// A scoped qualifier: `pub(crate)`, `pub(super)`, `pub(in path)`.
+    Scoped,
+    /// A bare `pub`.
+    Public,
+}
+
 /// One parsed `fn` item.
 #[derive(Debug, Clone)]
 pub struct FnItem {
     /// The function's own name.
     pub name: String,
-    /// The enclosing `impl` block's self type, if any (`Foo` for
-    /// `impl Foo` and `impl Trait for Foo` alike).
+    /// The type of the block the fn sits directly in, if any: `Foo` for
+    /// `impl Foo` and `impl Trait for Foo` alike, `Trait` for `trait
+    /// Trait`. A fn nested in another fn's body has none.
     pub self_ty: Option<String>,
-    /// Whether the item carries any `pub` qualifier (including scoped
-    /// forms such as `pub(crate)`).
-    pub is_pub: bool,
+    /// Whether the fn sits directly in a `trait` block or an
+    /// `impl Trait for Type` block.
+    pub in_trait: bool,
+    /// The item's visibility qualifier.
+    pub vis: Vis,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
     /// Significant-token index of the `fn` keyword.
@@ -59,6 +74,13 @@ pub struct FnItem {
 }
 
 impl FnItem {
+    /// Whether the item carries any `pub` qualifier (scoped forms such as
+    /// `pub(crate)` included).
+    #[must_use]
+    pub fn is_pub(&self) -> bool {
+        self.vis != Vis::Private
+    }
+
     /// `Type::name` when the fn is a method, otherwise just the name.
     #[must_use]
     pub fn qualified(&self) -> String {
@@ -117,17 +139,40 @@ pub struct ParsedFile {
     pub structs: Vec<StructItem>,
 }
 
+/// One open block that gives the fns directly inside it their
+/// `self_ty` and `in_trait`: an `impl`, a `trait`, or a fn body.
+struct Frame {
+    /// Brace depth just inside the block.
+    depth: usize,
+    self_ty: Option<String>,
+    in_trait: bool,
+}
+
 /// Parses the items of `file`. Never fails; unrecognised constructs are
 /// skipped.
 #[must_use]
 pub fn parse(file: &SourceFile) -> ParsedFile {
     let mut out = ParsedFile::default();
     let n = file.sig.len();
-    // Stack of (brace_depth_when_opened, impl self type).
-    let mut impl_stack: Vec<(usize, String)> = Vec::new();
+    let mut frames: Vec<Frame> = Vec::new();
     let mut depth = 0usize;
     let mut i = 0usize;
     while i < n {
+        let header = match file.sig_text(i) {
+            "impl" => parse_impl_header(file, i),
+            "trait" => parse_trait_header(file, i),
+            _ => None,
+        };
+        if let Some((ty, in_trait, open)) = header {
+            depth += 1;
+            frames.push(Frame {
+                depth,
+                self_ty: Some(ty),
+                in_trait,
+            });
+            i = open + 1;
+            continue;
+        }
         match file.sig_text(i) {
             "{" => {
                 depth += 1;
@@ -135,27 +180,29 @@ pub fn parse(file: &SourceFile) -> ParsedFile {
             }
             "}" => {
                 depth = depth.saturating_sub(1);
-                while impl_stack.last().is_some_and(|(d, _)| *d > depth) {
-                    impl_stack.pop();
+                while frames.last().is_some_and(|f| f.depth > depth) {
+                    frames.pop();
                 }
                 i += 1;
             }
-            "impl" => {
-                if let Some((ty, open)) = parse_impl_header(file, i) {
-                    impl_stack.push((depth + 1, ty));
-                    depth += 1;
-                    i = open + 1;
-                } else {
-                    i += 1;
-                }
-            }
             "fn" => {
-                let (item, next) = parse_fn(file, i, impl_stack.last().map(|(_, t)| t.as_str()));
+                let frame = frames.last();
+                let (item, next) = parse_fn(
+                    file,
+                    i,
+                    frame.and_then(|f| f.self_ty.as_deref()),
+                    frame.is_some_and(|f| f.in_trait),
+                );
                 if let Some(item) = item {
                     // `parse_fn` resumes just inside the body: count its
-                    // `{` so the body's `}` does not pop an enclosing impl.
+                    // `{` and open a frame so nested fns are not methods.
                     if item.body.is_some() {
                         depth += 1;
+                        frames.push(Frame {
+                            depth,
+                            self_ty: None,
+                            in_trait: false,
+                        });
                     }
                     out.fns.push(item);
                 }
@@ -174,10 +221,10 @@ pub fn parse(file: &SourceFile) -> ParsedFile {
     out
 }
 
-/// Parses `impl ... {`, returning the self type's simple name and the
-/// sig index of the opening brace. For `impl Trait for Type` the self
-/// type is `Type`.
-fn parse_impl_header(file: &SourceFile, at: usize) -> Option<(String, usize)> {
+/// Parses `impl ... {`, returning the self type's simple name, whether
+/// it is a trait impl, and the sig index of the opening brace. For
+/// `impl Trait for Type` the self type is `Type`.
+fn parse_impl_header(file: &SourceFile, at: usize) -> Option<(String, bool, usize)> {
     let n = file.sig.len();
     let mut j = at + 1;
     // Skip the generic parameter list, if any.
@@ -185,12 +232,14 @@ fn parse_impl_header(file: &SourceFile, at: usize) -> Option<(String, usize)> {
         j = skip_angles(file, j)?;
     }
     let mut last_ident: Option<String> = None;
+    let mut trait_impl = false;
     let mut guard = 0usize;
     while j < n && guard < 128 {
         match file.sig_text(j) {
-            "{" => return last_ident.map(|ty| (ty, j)),
+            "{" => return last_ident.map(|ty| (ty, trait_impl, j)),
             "for" => {
                 last_ident = None;
+                trait_impl = true;
                 j += 1;
             }
             "<" => {
@@ -212,6 +261,28 @@ fn parse_impl_header(file: &SourceFile, at: usize) -> Option<(String, usize)> {
                 }
                 j += 1;
             }
+        }
+        guard += 1;
+    }
+    None
+}
+
+/// Parses `trait Name ... {`, returning the trait's name, `true` (its
+/// fns are trait fns) and the sig index of the opening brace.
+fn parse_trait_header(file: &SourceFile, at: usize) -> Option<(String, bool, usize)> {
+    let n = file.sig.len();
+    let name_idx = at + 1;
+    if name_idx >= n || file.sig_kind(name_idx) != TokenKind::Ident {
+        return None;
+    }
+    let mut j = name_idx + 1;
+    let mut guard = 0usize;
+    while j < n && guard < 512 {
+        match file.sig_text(j) {
+            "{" => return Some((file.sig_text(name_idx).to_string(), true, j)),
+            ";" => return None,
+            "<" => j = skip_angles(file, j)?,
+            _ => j += 1,
         }
         guard += 1;
     }
@@ -241,29 +312,35 @@ fn skip_angles(file: &SourceFile, open: usize) -> Option<usize> {
     None
 }
 
-/// Whether any of the few tokens before `at` is a `pub` qualifier of the
-/// same item (scans back over `const` / `unsafe` / `extern` / ABI
-/// strings and the closing paren of `pub(crate)`).
-fn has_pub_qualifier(file: &SourceFile, at: usize) -> bool {
+/// The `pub` qualifier among the few tokens before `at`, if any (scans
+/// back over `const` / `unsafe` / `extern` / ABI strings and the
+/// parenthesised scope of `pub(crate)`).
+fn visibility(file: &SourceFile, at: usize) -> Vis {
     let mut j = at;
     let mut guard = 0usize;
     while j > 0 && guard < 8 {
         j -= 1;
         guard += 1;
         match file.sig_text(j) {
-            "pub" => return true,
+            "pub" if j + 1 < at && file.sig_text(j + 1) == "(" => return Vis::Scoped,
+            "pub" => return Vis::Public,
             "const" | "unsafe" | "extern" | "async" | ")" | "(" | "crate" | "super" | "in" => {}
             other if file.sig_kind(j) == TokenKind::Str && other.starts_with('"') => {}
-            _ => return false,
+            _ => return Vis::Private,
         }
     }
-    false
+    Vis::Private
 }
 
 /// Parses a `fn` item starting at the `fn` keyword. Returns the item (if
 /// recognisable) and the sig index to resume scanning from — which is
 /// *inside* the body so nested items are still visited.
-fn parse_fn(file: &SourceFile, at: usize, self_ty: Option<&str>) -> (Option<FnItem>, usize) {
+fn parse_fn(
+    file: &SourceFile,
+    at: usize,
+    self_ty: Option<&str>,
+    in_trait: bool,
+) -> (Option<FnItem>, usize) {
     let n = file.sig.len();
     let name_idx = at + 1;
     if name_idx >= n || file.sig_kind(name_idx) != TokenKind::Ident {
@@ -306,7 +383,8 @@ fn parse_fn(file: &SourceFile, at: usize, self_ty: Option<&str>) -> (Option<FnIt
     let item = FnItem {
         name,
         self_ty: self_ty.map(str::to_string),
-        is_pub: has_pub_qualifier(file, at),
+        in_trait,
+        vis: visibility(file, at),
         line: file.sig_line(at),
         at,
         params,
@@ -446,7 +524,7 @@ fn parse_struct(file: &SourceFile, at: usize) -> (Option<StructItem>, usize) {
         return (None, at + 1);
     }
     let name = file.sig_text(name_idx).to_string();
-    let is_pub = has_pub_qualifier(file, at);
+    let is_pub = visibility(file, at) != Vis::Private;
     let line = file.sig_line(at);
     let mut j = name_idx + 1;
     if j < n && file.sig_text(j) == "<" {
@@ -484,7 +562,7 @@ fn parse_struct(file: &SourceFile, at: usize) -> (Option<StructItem>, usize) {
             at,
             fields,
         }),
-        j + 1,
+        close + 1,
     )
 }
 
@@ -579,13 +657,13 @@ mod tests {
         assert_eq!(parsed.fns.len(), 2);
         let add = &parsed.fns[0];
         assert_eq!(add.name, "add");
-        assert!(add.is_pub);
+        assert_eq!(add.vis, Vis::Public);
         assert_eq!(add.params.len(), 2);
         assert_eq!(add.params[0].name, "a_ms");
         assert!(add.params[0].is_bare_f64());
         assert!(!add.params[1].is_bare_f64());
         assert!(add.body.is_some());
-        assert!(!parsed.fns[1].is_pub);
+        assert_eq!(parsed.fns[1].vis, Vis::Private);
     }
 
     #[test]

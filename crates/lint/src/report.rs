@@ -10,9 +10,12 @@ use crate::engine::Analysis;
 pub fn human(analysis: &Analysis) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "junkyard_lint: {} files scanned, {} non-test lines of code\n\n",
+        "junkyard_lint: {} files scanned, {} non-test lines of code (baseline {})\n\n",
         analysis.files_scanned,
-        analysis.loc_total()
+        analysis.loc_total(),
+        analysis
+            .loc_baseline
+            .map_or("none".to_string(), |b| b.to_string())
     ));
     for stats in &analysis.stats {
         let rule = stats.rule;
@@ -88,21 +91,24 @@ pub fn human(analysis: &Analysis) -> String {
     out
 }
 
-/// Renders `LINT_report.json`: the non-test lines of code per crate,
-/// every finding (suppressed included), the per-rule totals and ratchet
-/// status, and the contract each rule encodes. Hand-rolled JSON — the
-/// crate stays zero-dependency.
+/// Renders `LINT_report.json`: the non-test lines of code per crate and
+/// their baseline, every finding (suppressed included), the per-rule
+/// totals and ratchet status, and the contract each rule encodes.
+/// Hand-rolled JSON — the crate stays zero-dependency.
 #[must_use]
 pub fn json(analysis: &Analysis) -> String {
-    let mut out = String::from("{\n  \"schema\": 3,\n");
+    let mut out = String::from("{\n  \"schema\": 4,\n");
     out.push_str(&format!(
         "  \"files_scanned\": {},\n  \"passed\": {},\n",
         analysis.files_scanned,
         analysis.passed()
     ));
     out.push_str(&format!(
-        "  \"loc\": {{\"total\": {}, \"crates\": [\n",
-        analysis.loc_total()
+        "  \"loc\": {{\"total\": {}, \"baseline\": {}, \"crates\": [\n",
+        analysis.loc_total(),
+        analysis
+            .loc_baseline
+            .map_or("null".to_string(), |b| b.to_string())
     ));
     let last = analysis.loc.len().checked_sub(1);
     for (i, (krate, lines)) in analysis.loc.iter().enumerate() {
@@ -181,12 +187,28 @@ fn escape(s: &str) -> String {
 }
 
 /// Lines describing every ratcheted rule whose active count differs
-/// from its committed baseline. Empty means `lint_baseline.json` is
-/// exactly in sync with reality — the invariant `--strict-ratchet`
-/// (used by CI) enforces so progress is always locked in.
+/// from its committed baseline, and the line count if it differs from
+/// its own. Empty means `lint_baseline.json` is exactly in sync with
+/// reality — the invariant `--strict-ratchet` (used by CI) enforces so
+/// progress is always locked in.
 #[must_use]
 pub fn ratchet_drift(analysis: &Analysis) -> Vec<String> {
     let mut out = Vec::new();
+    let loc = analysis.loc_total() as u64;
+    match analysis.loc_baseline {
+        None => out.push(format!(
+            "loc: {loc} non-test lines but lint_baseline.json has no entry — add \"loc\": {loc}"
+        )),
+        Some(allowed) if loc < allowed => out.push(format!(
+            "loc: baseline says {allowed} but only {loc} non-test lines remain — tighten \
+             lint_baseline.json to {loc} to lock in the progress"
+        )),
+        Some(allowed) if loc > allowed => out.push(format!(
+            "loc: {loc} non-test lines exceed the baseline of {allowed} — delete as much as you \
+             add, or raise the baseline deliberately"
+        )),
+        Some(_) => {}
+    }
     for stats in &analysis.stats {
         if !stats.rule.ratcheted() {
             continue;

@@ -9,8 +9,8 @@
 //!   conserved fields).
 //! * **Ratcheted** — legacy findings are tolerated up to the committed
 //!   count in `lint_baseline.json`; the count may only go *down*. These
-//!   cover pre-existing panics and numeric casts being burned down
-//!   incrementally.
+//!   cover pre-existing panics, numeric casts, bare-f64 quantities and
+//!   public fns only tests call, burned down incrementally.
 
 use crate::parser::ParsedFile;
 use crate::source::SourceFile;
@@ -43,6 +43,9 @@ pub enum RuleId {
     /// A numeric field of a `/// lint: conserved` struct with no
     /// reference from any test under `tests/`.
     ConservationAudit,
+    /// A bare `pub fn` in library code that no bin, example, bench or
+    /// perfbench source reaches (see `callgraph::unreachable_pub`).
+    UnreachablePub,
     /// A `lint:allow` marker that cannot be honoured (bad syntax, no
     /// reason). Never suppressible.
     MalformedSuppression,
@@ -50,7 +53,7 @@ pub enum RuleId {
 
 /// Every real rule, in reporting order (excludes the suppression
 /// meta-rule, which only fires when a marker itself is broken).
-pub const ALL_RULES: [RuleId; 9] = [
+pub const ALL_RULES: [RuleId; 10] = [
     RuleId::NondeterministicIteration,
     RuleId::WallClockInSim,
     RuleId::AmbientRng,
@@ -60,6 +63,7 @@ pub const ALL_RULES: [RuleId; 9] = [
     RuleId::UncheckedCast,
     RuleId::UntypedQuantity,
     RuleId::ConservationAudit,
+    RuleId::UnreachablePub,
 ];
 
 impl RuleId {
@@ -76,6 +80,7 @@ impl RuleId {
             RuleId::UncheckedCast => "unchecked-cast",
             RuleId::UntypedQuantity => "untyped-quantity",
             RuleId::ConservationAudit => "conservation-audit",
+            RuleId::UnreachablePub => "unreachable-pub",
             RuleId::MalformedSuppression => "malformed-suppression",
         }
     }
@@ -92,7 +97,10 @@ impl RuleId {
     pub fn ratcheted(self) -> bool {
         matches!(
             self,
-            RuleId::PanicInLibrary | RuleId::UncheckedCast | RuleId::UntypedQuantity
+            RuleId::PanicInLibrary
+                | RuleId::UncheckedCast
+                | RuleId::UntypedQuantity
+                | RuleId::UnreachablePub
         )
     }
 
@@ -134,6 +142,10 @@ impl RuleId {
                 "every numeric field of a conserved-accounting struct is pinned by at least one \
                  test under tests/"
             }
+            RuleId::UnreachablePub => {
+                "every public library fn is reached from a bin, example, bench or perfbench \
+                 source, not only from tests; the count of unreached ones may only go down"
+            }
             RuleId::MalformedSuppression => "every suppression names a rule and carries a reason",
         }
     }
@@ -173,6 +185,9 @@ pub struct FileRole {
     /// The typed-quantity boundary itself (`units.rs`, `convert.rs`) —
     /// exempt from `untyped-quantity`.
     pub units_boundary: bool,
+    /// An entry point: a bin, example or bench target, or a
+    /// reference-only source. Root of `unreachable-pub`.
+    pub entry_point: bool,
 }
 
 /// Newtype idents counted as numeric for the conservation audit, on top
@@ -546,7 +561,7 @@ fn untyped_quantity(
         }
     }
     for f in &parsed.fns {
-        if !f.is_pub || file.sig_in_test(f.at) {
+        if !f.is_pub() || file.sig_in_test(f.at) {
             continue;
         }
         for param in &f.params {

@@ -6,6 +6,7 @@ use std::path::Path;
 
 use junkyard_lint::baseline::Baseline;
 use junkyard_lint::engine::{analyze, Analysis, Config};
+use junkyard_lint::report;
 use junkyard_lint::rules::RuleId;
 
 const LIB: &str = "crates/x/src/lib.rs";
@@ -26,8 +27,7 @@ fn run(baseline_json: &str) -> Analysis {
 }
 
 /// The exact fixture baseline: the counts the fixture is committed at.
-const EXACT: &str =
-    r#"{"schema":1,"ratchets":{"panic-in-library":1,"unchecked-cast":2,"untyped-quantity":6}}"#;
+const EXACT: &str = r#"{"schema":1,"ratchets":{"panic-in-library":1,"unchecked-cast":2,"untyped-quantity":6,"unreachable-pub":10}}"#;
 
 /// The (line, suppressed) signature of every finding of one rule in the
 /// fixture library file.
@@ -146,6 +146,24 @@ fn every_rule_fires_and_every_suppression_suppresses() {
         .iter()
         .any(|f| f.rule == RuleId::ConservationAudit && f.message.contains("forgotten_total")));
 
+    // Rule 10: the fixture bin (`src/bin/demo.rs`) calls `tally` and
+    // `metered` (whose `fan_out(` call reaches `fan_out`), passes
+    // `x::relabel` and the imported `must` by value, and the
+    // reference-only `perfbench/src/main.rs` calls `probe`. Every other
+    // pub fn is reached from nowhere; the private ones are rustc's
+    // business.
+    assert_eq!(
+        lines_of(&analysis, RuleId::UnreachablePub),
+        [46, 56, 62, 64, 74, 76, 80, 85, 90, 93].map(|line| (line, false))
+    );
+    // The reference-only file is read for its calls, never scanned: its
+    // `Instant` is no finding, and it is not counted as scanned.
+    assert!(analysis
+        .findings
+        .iter()
+        .all(|f| f.path.starts_with("crates/x/src/lib.rs")));
+    assert_eq!(analysis.files_scanned, 3);
+
     // Meta-rule: the reasonless marker and the unknown rule name are
     // both findings; the stale-but-valid allow is only a note.
     assert_eq!(
@@ -190,4 +208,36 @@ fn ratchet_accepts_exact_counts_and_rejects_increases() {
     );
     assert!(!slack.stats_for(RuleId::PanicInLibrary).failed());
     assert_eq!(slack.stats_for(RuleId::PanicInLibrary).baseline, Some(9));
+}
+
+#[test]
+fn loc_ratchet_pins_the_line_count() {
+    let counted = run(EXACT).loc_total();
+    let with_loc = |loc: usize| {
+        run(&EXACT.replacen(
+            "{\"schema\":1,",
+            &format!("{{\"schema\":1,\"loc\":{loc},"),
+            1,
+        ))
+    };
+    // At the committed count: no drift, no loc failure.
+    let exact = with_loc(counted);
+    assert!(!exact.loc_over_baseline());
+    assert!(!report::ratchet_drift(&exact)
+        .iter()
+        .any(|d| d.starts_with("loc:")));
+    // One line over the baseline fails the gate.
+    let over = with_loc(counted - 1);
+    assert!(over.loc_over_baseline());
+    assert!(over.failures().iter().any(|f| f.starts_with("loc:")));
+    // Headroom passes the plain gate but drifts under --strict-ratchet,
+    // and so does a baseline with no loc entry at all.
+    let slack = with_loc(counted + 5);
+    assert!(!slack.loc_over_baseline());
+    assert!(report::ratchet_drift(&slack)
+        .iter()
+        .any(|d| d.contains("tighten")));
+    assert!(report::ratchet_drift(&run(EXACT))
+        .iter()
+        .any(|d| d.starts_with("loc:")));
 }

@@ -13,7 +13,7 @@ use junkyard_lint::report;
 
 /// Every rule the gate enforces, in report order. Appending is fine
 /// (bump nothing); renaming or reordering is a schema break.
-const RULES: [&str; 10] = [
+const RULES: [&str; 11] = [
     "nondeterministic-iteration",
     "wall-clock-in-sim",
     "ambient-rng",
@@ -23,6 +23,7 @@ const RULES: [&str; 10] = [
     "unchecked-cast",
     "untyped-quantity",
     "conservation-audit",
+    "unreachable-pub",
     "malformed-suppression",
 ];
 
@@ -64,12 +65,14 @@ fn report_schema_is_stable() {
     let json = fixture_report();
 
     // Schema version and top-level shape, in order.
-    assert!(json.starts_with("{\n  \"schema\": 3,\n"));
+    assert!(json.starts_with("{\n  \"schema\": 4,\n"));
     let top_level = [
         "\"schema\":",
         "\"files_scanned\":",
         "\"passed\":",
         "\"loc\": {\"total\":",
+        "\"baseline\":",
+        "\"crates\":",
         "\"rules\":",
         "\"findings\":",
         "\"unused_suppressions\":",

@@ -62,22 +62,6 @@ impl LatencyStats {
     pub fn p99_ms(&self) -> Option<f64> {
         self.percentile(99.0)
     }
-
-    /// Mean latency in ms.
-    #[must_use]
-    pub fn mean_ms(&self) -> Option<f64> {
-        if self.sorted_ms.is_empty() {
-            None
-        } else {
-            Some(self.sorted_ms.iter().sum::<f64>() / count_f64(self.sorted_ms.len()))
-        }
-    }
-
-    /// Maximum latency in ms.
-    #[must_use]
-    pub fn max_ms(&self) -> Option<f64> {
-        self.sorted_ms.last().copied()
-    }
 }
 
 /// Per-second CPU utilisation of one node, split into user (service work)
@@ -244,12 +228,6 @@ impl NodeQueueStats {
         self.calls_served
     }
 
-    /// Drops per queue, indexed by queue id.
-    #[must_use]
-    pub fn queue_drops(&self) -> &[u64] {
-        &self.queue_drops
-    }
-
     /// Total calls dropped by the node's queues.
     #[must_use]
     pub fn dropped(&self) -> u64 {
@@ -382,12 +360,6 @@ impl RunMetrics {
         self.dropped_arrivals.len()
     }
 
-    /// Arrival times of dropped requests, in termination order.
-    #[must_use]
-    pub fn dropped_arrivals(&self) -> &[f64] {
-        &self.dropped_arrivals
-    }
-
     /// Number of dropped requests that *arrived* in `[from, to)` seconds —
     /// the companion of [`RunMetrics::latency_stats_between`] for slicing
     /// out warm-up.
@@ -465,8 +437,6 @@ mod tests {
         let stats = LatencyStats::from_samples((1..=100).map(f64::from).collect());
         assert!((stats.median_ms().unwrap() - 50.5).abs() < 1e-9);
         assert!((stats.tail_ms().unwrap() - 90.1).abs() < 0.2);
-        assert!((stats.mean_ms().unwrap() - 50.5).abs() < 1e-9);
-        assert_eq!(stats.max_ms(), Some(100.0));
         assert_eq!(stats.count(), 100);
     }
 
@@ -475,8 +445,6 @@ mod tests {
         let stats = LatencyStats::from_samples(vec![]);
         assert!(stats.is_empty());
         assert!(stats.median_ms().is_none());
-        assert!(stats.mean_ms().is_none());
-        assert!(stats.max_ms().is_none());
     }
 
     #[test]

@@ -60,28 +60,10 @@ impl NetworkModel {
         Self::new(0.08, 0.08, 0.20, None)
     }
 
-    /// Latency of a hop between services on the same node, ms.
-    #[must_use]
-    pub fn intra_node_latency_ms(self) -> f64 {
-        self.intra_node_latency_ms
-    }
-
-    /// Latency of a hop between services on different nodes, ms.
-    #[must_use]
-    pub fn inter_node_latency_ms(self) -> f64 {
-        self.inter_node_latency_ms
-    }
-
     /// Latency between the external client and the frontend, ms.
     #[must_use]
     pub fn client_latency_ms(self) -> f64 {
         self.client_latency_ms
-    }
-
-    /// The shared wireless channel, if the deployment has one.
-    #[must_use]
-    pub fn shared_channel(self) -> Option<DataRate> {
-        self.shared_channel
     }
 
     /// Transmission time of `bytes` on the shared channel, in seconds
@@ -114,8 +96,8 @@ mod tests {
         let wifi = NetworkModel::phone_wifi();
         let lo = NetworkModel::single_node_loopback();
         assert!(wifi.hop_latency_secs(false) > lo.hop_latency_secs(false));
-        assert!(wifi.shared_channel().is_some());
-        assert!(lo.shared_channel().is_none());
+        assert!(wifi.shared_channel.is_some());
+        assert!(lo.shared_channel.is_none());
     }
 
     #[test]

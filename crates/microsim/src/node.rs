@@ -94,22 +94,10 @@ impl NodeSpec {
         self.cores
     }
 
-    /// Per-core speed relative to the reference core.
-    #[must_use]
-    pub fn core_speed(&self) -> f64 {
-        self.core_speed
-    }
-
     /// Memory capacity in GiB.
     #[must_use]
     pub fn memory_gib(&self) -> f64 {
         self.memory_gib
-    }
-
-    /// Total compute capacity in reference-core units.
-    #[must_use]
-    pub fn capacity_ref_cores(&self) -> f64 {
-        f64::from(self.cores) * self.core_speed
     }
 
     /// Wall-clock seconds one of this node's cores needs for `cpu_ms`
@@ -145,14 +133,15 @@ mod tests {
     use super::*;
     use junkyard_devices::catalog::{self, C5Size};
 
+    /// Total compute capacity in reference-core units.
+    fn capacity(node: &NodeSpec) -> f64 {
+        f64::from(node.cores) * node.core_speed
+    }
+
     #[test]
     fn pixel_node_capacity_is_about_4_7_reference_cores() {
         let node = NodeSpec::pixel_3a(0);
-        assert!(
-            (node.capacity_ref_cores() - 4.7).abs() < 0.1,
-            "{}",
-            node.capacity_ref_cores()
-        );
+        assert!((capacity(&node) - 4.7).abs() < 0.1, "{}", capacity(&node));
         assert_eq!(node.cores(), 8);
     }
 
@@ -161,12 +150,9 @@ mod tests {
         // The paper's Figure 7 puts the ten-phone cloudlet between a
         // c5.4xlarge and a c5.12xlarge; the aggregate capacities reflect
         // that (the cloudlet trades raw capacity for network latency).
-        let phones: f64 = ten_pixel_cloudlet()
-            .iter()
-            .map(NodeSpec::capacity_ref_cores)
-            .sum();
-        let c5_4xl = NodeSpec::c5("c5.4xlarge", 16, 32.0).capacity_ref_cores();
-        let c5_12xl = NodeSpec::c5("c5.12xlarge", 48, 96.0).capacity_ref_cores();
+        let phones: f64 = ten_pixel_cloudlet().iter().map(capacity).sum();
+        let c5_4xl = capacity(&NodeSpec::c5("c5.4xlarge", 16, 32.0));
+        let c5_12xl = capacity(&NodeSpec::c5("c5.12xlarge", 48, 96.0));
         assert!(c5_4xl < phones, "4xl {c5_4xl} vs phones {phones}");
         assert!(c5_12xl > phones * 0.55, "12xl {c5_12xl} vs phones {phones}");
     }
@@ -174,12 +160,12 @@ mod tests {
     #[test]
     fn from_device_matches_multicore_capacity() {
         let node = NodeSpec::from_device("pixel", &catalog::pixel_3a());
-        assert!((node.capacity_ref_cores() - 39.0 / 8.84).abs() < 1e-9);
+        assert!((capacity(&node) - 39.0 / 8.84).abs() < 1e-9);
         let c5 = NodeSpec::from_device("c5", &catalog::c5_instance(C5Size::XLarge9));
         // 36 vCPUs at 0.75 parallel efficiency of a 70-Gflop core.
-        assert!(c5.capacity_ref_cores() > 100.0);
+        assert!(capacity(&c5) > 100.0);
         assert_eq!(c5.cores(), 36);
-        assert!(c5.core_speed() > 1.0);
+        assert!(c5.core_speed > 1.0);
     }
 
     #[test]

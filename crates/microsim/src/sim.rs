@@ -192,12 +192,6 @@ impl RssTable {
     pub fn queue_of(&self, flow_hash: u64) -> usize {
         self.entries[(flow_hash % self.entries.len() as u64) as usize] as usize
     }
-
-    /// The raw indirection entries.
-    #[must_use]
-    pub fn entries(&self) -> &[u32] {
-        &self.entries
-    }
 }
 
 /// Hashes a request's flow identifier (its global arrival index) with the

@@ -44,12 +44,6 @@ impl TraceShard {
         }
     }
 
-    /// The result-slot index this shard belongs to.
-    #[must_use]
-    pub fn slot(&self) -> u64 {
-        self.slot
-    }
-
     /// Stored events, in (simulated time, sequence) order.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.values()

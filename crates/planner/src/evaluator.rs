@@ -220,12 +220,6 @@ impl Evaluation {
         self.requests
     }
 
-    /// Total carbon emitted over the evaluated horizon, kg.
-    #[must_use]
-    pub fn total_carbon_kg(&self) -> f64 {
-        self.total_carbon_kg
-    }
-
     /// Phones the candidate provisions — a frontier axis.
     #[must_use]
     pub fn devices(&self) -> usize {
@@ -363,17 +357,6 @@ impl EvalCache {
         self.misses
     }
 
-    /// Hit rate over all lookups (0 when nothing was looked up).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total > 0 {
-            self.hits as f64 / total as f64
-        } else {
-            0.0
-        }
-    }
-
     /// Distinct `(candidate, fidelity)` results stored.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -422,7 +405,6 @@ mod tests {
         assert!(cache.lookup(&candidate, Fidelity::fine()).is_none());
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 2);
-        assert!((cache.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(cache.len(), 1);
     }
 

@@ -38,6 +38,9 @@ const CHARGE_HEADROOM: f64 = 1.25;
 /// Load fractions of nominal capacity the saturation screen sweeps.
 const SCREEN_FRACTIONS: [f64; 3] = [0.6, 0.8, 1.0];
 
+/// Seed of the swarm-spread placement of every cohort's services.
+const PLACEMENT_SEED: u64 = 11;
+
 /// The leased (rented datacenter) backend a candidate may blend in. A
 /// candidate's fallback share scales capacity, power and the amortised
 /// embodied bill proportionally — renting half an instance costs half
@@ -127,7 +130,6 @@ pub struct FleetEvaluator {
     space: PlannerSpace,
     app: Application,
     network: NetworkModel,
-    placement_seed: u64,
     request_type: Option<String>,
     schedule: DiurnalSchedule,
     leased: Option<LeasedBlueprint>,
@@ -173,7 +175,6 @@ impl FleetEvaluator {
             space,
             app,
             network,
-            placement_seed: 11,
             request_type: None,
             schedule,
             leased: None,
@@ -221,15 +222,6 @@ impl FleetEvaluator {
     #[must_use]
     pub fn request_type(mut self, name: impl Into<String>) -> Self {
         self.request_type = Some(name.into());
-        self
-    }
-
-    /// Sets the seed of the swarm-spread placement shuffle (and
-    /// rebuilds the prebuilt cohort simulations under it).
-    #[must_use]
-    pub fn placement_seed(mut self, seed: u64) -> Self {
-        self.placement_seed = seed;
-        self.rebuild_cohort_sims();
         self
     }
 
@@ -362,7 +354,7 @@ impl FleetEvaluator {
             }
         }
         let app = self.app.clone();
-        let placement = Placement::swarm_spread(&app, &nodes, self.placement_seed)
+        let placement = Placement::swarm_spread(&app, &nodes, PLACEMENT_SEED)
             .map_err(|e| EvalError::Build(format!("{}: {e:?}", option.label())))?;
         Simulation::new(app, nodes, placement, self.network)
             .map_err(|e| EvalError::Build(format!("{}: {e}", option.label())))

@@ -87,29 +87,6 @@ impl SearchConfig {
         self
     }
 
-    /// Sets the fraction of each rung's population advancing to the next
-    /// rung.
-    ///
-    /// # Panics
-    ///
-    /// Panics if outside `(0, 1]`.
-    #[must_use]
-    pub fn survivor_fraction(mut self, fraction: f64) -> Self {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "survivor fraction must be in (0, 1]"
-        );
-        self.survivor_fraction = fraction;
-        self
-    }
-
-    /// Sets the floor on survivors per rung.
-    #[must_use]
-    pub fn min_survivors(mut self, survivors: usize) -> Self {
-        self.min_survivors = survivors.max(1);
-        self
-    }
-
     /// Configures the local-search loop: `elites` candidates are kept,
     /// each proposing `mutations_per_elite` neighbours per round for
     /// `rounds` rounds. Zero rounds disables local search.
@@ -815,11 +792,12 @@ mod tests {
         // non-zero fleet (2 devices) — non-dominated whenever scored, but
         // its carbon ranks far below the halving cutoff.
         let pinned = CandidateDeployment::new(vec![0, 1], 1, 0, 0, 1);
-        let base = SearchConfig::new()
+        let mut base = SearchConfig::new()
             .rungs(vec![Fidelity::coarse(), Fidelity::medium()])
-            .survivor_fraction(0.05)
-            .min_survivors(1)
             .local_search(1, 0, 1);
+        // An aggressive halving cutoff: 5% of each rung, down to one.
+        base.survivor_fraction = 0.05;
+        base.min_survivors = 1;
         let without = search(&space, &Synthetic, &slo, &base, &mut EvalCache::new());
         assert!(
             !without.frontier().iter().any(|p| p.candidate() == &pinned),

@@ -212,30 +212,6 @@ impl PlannerSpace {
         &self.regions
     }
 
-    /// The routing-policy options.
-    #[must_use]
-    pub fn routing_options(&self) -> &[RoutingPolicy] {
-        &self.routings
-    }
-
-    /// The battery-floor options.
-    #[must_use]
-    pub fn charge_floor_options(&self) -> &[f64] {
-        &self.charge_floors
-    }
-
-    /// The refill-lag options, days.
-    #[must_use]
-    pub fn refill_lag_options(&self) -> &[usize] {
-        &self.refill_lags
-    }
-
-    /// The leased-fallback share options.
-    #[must_use]
-    pub fn fallback_share_options(&self) -> &[f64] {
-        &self.fallback_shares
-    }
-
     /// The cohort option a candidate assigns to `region`.
     #[must_use]
     pub fn cohort_of(&self, candidate: &CandidateDeployment, region: usize) -> &CohortOption {

@@ -51,12 +51,6 @@ impl ServerFan {
         self.rated_cooling
     }
 
-    /// Electrical power the fan draws.
-    #[must_use]
-    pub fn electrical_power(self) -> Watts {
-        self.electrical_power
-    }
-
     /// Embodied carbon of one fan.
     #[must_use]
     pub fn embodied(self) -> GramsCo2e {
@@ -116,12 +110,6 @@ impl CoolingPlan {
         self.fans_needed
     }
 
-    /// Total electrical power of the fans.
-    #[must_use]
-    pub fn electrical_power(self) -> Watts {
-        self.fan.electrical_power() * f64::from(self.fans_needed)
-    }
-
     /// Total embodied carbon of the fans.
     #[must_use]
     pub fn embodied(self) -> GramsCo2e {
@@ -139,7 +127,6 @@ mod tests {
         let plan = CoolingPlan::for_cluster(ServerFan::paper_cots_fan(), 256, Watts::new(2.6));
         assert!((plan.heat_load().value() - 665.6).abs() < 0.1);
         assert_eq!(plan.fans_needed(), 2);
-        assert!((plan.electrical_power().value() - 8.0).abs() < 1e-9);
         assert!((plan.embodied().kilograms() - 18.6).abs() < 1e-9);
     }
 

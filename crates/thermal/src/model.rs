@@ -117,24 +117,6 @@ impl PhoneThermalModel {
         self.conductance_to_air
     }
 
-    /// Internal temperature where throttling begins, °C.
-    #[must_use]
-    pub fn throttle_start(&self) -> f64 {
-        self.throttle_start
-    }
-
-    /// Internal shutdown temperature, °C.
-    #[must_use]
-    pub fn shutdown_temp(&self) -> f64 {
-        self.shutdown_temp
-    }
-
-    /// SoC thermal design power.
-    #[must_use]
-    pub fn tdp(&self) -> Watts {
-        self.tdp
-    }
-
     /// Equivalent silicon mass for Eq. 9, kg.
     #[must_use]
     pub fn silicon_mass_kg(&self) -> f64 {
@@ -213,12 +195,6 @@ impl Enclosure {
         Self::new(0.0129, 300.0, 0.16, 25.0)
     }
 
-    /// Interior volume, m³.
-    #[must_use]
-    pub fn volume_m3(&self) -> f64 {
-        self.volume_m3
-    }
-
     /// Mass of the enclosed air, kg.
     #[must_use]
     pub fn air_mass_kg(&self) -> f64 {
@@ -276,13 +252,13 @@ mod tests {
         assert!(n4.should_shut_down(78.0));
         assert!(!n4.should_shut_down(70.0));
         // The Nexus 5 tolerates more.
-        assert!(PhoneThermalModel::nexus_5().shutdown_temp() > n4.shutdown_temp());
+        assert!(PhoneThermalModel::nexus_5().shutdown_temp > n4.shutdown_temp);
     }
 
     #[test]
     fn paper_box_dimensions() {
         let b = Enclosure::paper_styrofoam_box();
-        assert!((b.volume_m3() - 0.0129).abs() < 1e-4);
+        assert!((b.volume_m3 - 0.0129).abs() < 1e-4);
         assert!(b.air_mass_kg() < 0.02);
         assert!(b.heat_capacity() > b.air_mass_kg() * AIR_SPECIFIC_HEAT);
         assert_eq!(b.ambient_temp(), 25.0);
@@ -290,7 +266,7 @@ mod tests {
 
     #[test]
     fn tdp_is_5w_for_the_nexus_4() {
-        assert!((PhoneThermalModel::nexus_4().tdp().value() - 5.0).abs() < 1e-12);
+        assert!((PhoneThermalModel::nexus_4().tdp.value() - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -60,26 +60,10 @@ impl PhoneTimeline {
         &self.temperatures
     }
 
-    /// Test-job latency at each sample in seconds; `None` once the phone has
-    /// shut itself off.
-    #[must_use]
-    pub fn job_latencies(&self) -> &[Option<f64>] {
-        &self.job_latencies
-    }
-
     /// When the phone shut itself off, if it did.
     #[must_use]
     pub fn shutdown_at(&self) -> Option<TimeSpan> {
         self.shutdown_at
-    }
-
-    /// Peak internal temperature reached, °C.
-    #[must_use]
-    pub fn peak_temperature(&self) -> f64 {
-        self.temperatures
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
     }
 }
 
@@ -418,8 +402,8 @@ mod tests {
     fn latency_rises_as_phones_heat_up() {
         let (_, timeline) = run_full_load();
         let phone = &timeline.phones()[0];
-        let first = phone.job_latencies()[0].unwrap();
-        let last_alive = phone.job_latencies().iter().rev().find_map(|l| *l).unwrap();
+        let first = phone.job_latencies[0].unwrap();
+        let last_alive = phone.job_latencies.iter().rev().find_map(|l| *l).unwrap();
         assert!(last_alive > first, "latency should grow with temperature");
         assert!((first - 5.0).abs() < 1e-9);
         assert!(last_alive < 20.0);
