@@ -14,7 +14,10 @@ use junkyard_microsim::fanout::{self, fan_out};
 use junkyard_microsim::metrics::RunMetrics;
 use junkyard_microsim::sweep::{run_figure8, LatencyCurve, SweepConfig};
 
-use crate::deployments::{build_deployment, DeploymentError, DeploymentKind};
+use crate::deployments::{
+    build_deployment, DeploymentError, DeploymentKind, FAN_EMBODIED_KG, FAN_WATTS,
+    PHONE_SERVING_WATTS,
+};
 use crate::report::{Chart, SeriesLine};
 
 /// The three end-to-end workloads evaluated in Section 6.
@@ -272,13 +275,13 @@ pub fn figure8_utilization(
 pub fn phone_cloudlet_request_calculator(qps: f64, grid: CarbonIntensity) -> CciCalculator {
     let pixel = catalog::pixel_3a();
     let battery = pixel.battery().expect("the Pixel has a battery");
-    let serving_power_per_phone = Watts::new(1.7);
-    let fan = Watts::new(4.0);
+    let serving_power_per_phone = Watts::new(PHONE_SERVING_WATTS);
+    let fan = Watts::new(FAN_WATTS);
     let cluster_power = serving_power_per_phone * 10.0 + fan;
     CciCalculator::new(OpUnit::Request)
         .embodied(EmbodiedCarbon::reused().with_item(
             "server fan",
-            GramsCo2e::from_kilograms(9.3),
+            GramsCo2e::from_kilograms(FAN_EMBODIED_KG),
             1.0,
         ))
         .average_power(cluster_power)

@@ -12,8 +12,8 @@
 //! embodied carbon into gCO2e per request.
 
 use junkyard_carbon::embodied::battery_replacement_carbon;
-use junkyard_carbon::units::{CarbonIntensity, GramsCo2e, TimeSpan, Watts};
-use junkyard_devices::catalog::{self, C5Size};
+use junkyard_carbon::units::{GramsCo2e, TimeSpan, Watts};
+use junkyard_devices::catalog;
 use junkyard_devices::components::ComponentBreakdown;
 use junkyard_fleet::routing::RoutingPolicy;
 use junkyard_fleet::schedule::DiurnalSchedule;
@@ -24,15 +24,11 @@ use junkyard_grid::trace::IntensityTrace;
 use junkyard_microsim::app::{social_network, SN_COMPOSE_POST};
 
 use crate::cloudlet_study::CloudletWorkload;
-use crate::deployments::{build_deployment, DeploymentError, DeploymentKind};
+use crate::deployments::{
+    build_deployment, c5_datacenter_site, DeploymentError, DeploymentKind, FAN_EMBODIED_KG,
+    FAN_WATTS, PHONE_SERVING_WATTS,
+};
 use crate::report::{Chart, SeriesLine, Table};
-
-/// Serving power per phone under load (Section 6.3).
-const PHONE_SERVING_WATTS: f64 = 1.7;
-/// Embodied carbon of the cloudlet's server fan, kgCO2e (Section 5.2).
-const FAN_EMBODIED_KG: f64 = 9.3;
-/// Flat carbon intensity of the datacenter's gas-heavy grid, gCO2e/kWh.
-const DATACENTER_GRID_G_PER_KWH: f64 = 420.0;
 
 /// Peak-hour base demand of the day curve, requests per second.
 const BASE_QPS: f64 = 4_000.0;
@@ -169,7 +165,7 @@ impl FleetStudy {
         let charging_scale = smart_charging_scale(Watts::new(PHONE_SERVING_WATTS), battery, &trace);
 
         // Idle/full-load power from the measured Pixel curve, plus the fan.
-        let idle = Watts::new(10.0 * pixel.power().idle().value() + 4.0);
+        let idle = Watts::new(10.0 * pixel.power().idle().value() + FAN_WATTS);
         let dynamic = Watts::new(
             10.0 * (pixel.power().at_full_load().value() - pixel.power().idle().value()),
         );
@@ -184,34 +180,6 @@ impl FleetStudy {
         .power(idle, dynamic)
         .embodied(embodied, amortization)
         .operational_scale(charging_scale))
-    }
-
-    /// Builds the c5.9xlarge datacenter backend on a flat gas-heavy grid.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeploymentError`] if the deployment cannot be assembled.
-    pub fn datacenter_site(&self, name: &str) -> Result<FleetSite, DeploymentError> {
-        let app = social_network();
-        let sim = build_deployment(DeploymentKind::C5(C5Size::XLarge9), &app, 11)?;
-        let c5 = catalog::c5_instance(C5Size::XLarge9);
-        let trace_days = self.days.max(2);
-        let trace = IntensityTrace::constant(
-            CarbonIntensity::from_grams_per_kwh(DATACENTER_GRID_G_PER_KWH),
-            TimeSpan::from_hours(1.0),
-            TimeSpan::from_days(trace_days as f64),
-        );
-        // The paper cites 140.7 W at the 10-30 % utilisation it observed;
-        // split that into a dominant idle floor plus a utilisation term.
-        Ok(FleetSite::new(
-            name,
-            &sim,
-            GridRegion::new("gas-heavy", trace),
-            CloudletWorkload::SocialNetworkWrite.paper_c5_9xlarge_qps(),
-        )
-        .request_type(SN_COMPOSE_POST)
-        .power(Watts::new(120.0), Watts::new(90.0))
-        .embodied(c5.embodied(), TimeSpan::from_years(4.0)))
     }
 
     /// Sustainable compose-post throughput of one phone cloudlet (the
@@ -231,7 +199,7 @@ impl FleetStudy {
         let sites = vec![
             self.phone_site("cloudlet-west", west)?,
             self.phone_site("cloudlet-east", east)?,
-            self.datacenter_site("datacenter")?,
+            c5_datacenter_site("datacenter")?,
         ];
         let schedule = DiurnalSchedule::office_day(BASE_QPS).days(self.days);
         let mut config = FleetConfig::new()
@@ -259,7 +227,7 @@ impl FleetStudy {
         let fleet = self.build_fleet(RoutingPolicy::Static)?;
         let baseline = fleet.run().map_err(DeploymentError::Sim)?;
         let carbon_aware = fleet
-            .with_policy(RoutingPolicy::carbon_aware())
+            .with_policy(RoutingPolicy::CarbonAware)
             .run()
             .map_err(DeploymentError::Sim)?;
         Ok(FleetStudyResult {
@@ -413,7 +381,7 @@ mod tests {
         let site = study.phone_site("west", west).unwrap();
         // Reuse factor < 1 leaves a non-zero embodied share; battery
         // replacements and the fan add to it.
-        assert!(site.embodied_over(TimeSpan::from_years(3.0)).kilograms() > 9.3);
+        assert!(site.embodied_over(TimeSpan::from_years(3.0)).kilograms() > FAN_EMBODIED_KG);
         // Smart charging saves a few percent of operational carbon.
         let scale = site.operational_scale_factor();
         assert!(scale < 1.0 && scale > 0.8, "scale {scale}");

@@ -16,8 +16,8 @@
 //! weeks — and crosses below it well within the paper's reported horizon
 //! as service amortises it away.
 
-use junkyard_carbon::units::{CarbonIntensity, GramsCo2e, TimeSpan, Watts};
-use junkyard_devices::catalog::{self, C5Size};
+use junkyard_carbon::units::{GramsCo2e, TimeSpan, Watts};
+use junkyard_devices::catalog;
 use junkyard_devices::components::ComponentBreakdown;
 use junkyard_devices::device::DeviceSpec;
 use junkyard_devices::power::LoadProfile;
@@ -36,15 +36,9 @@ use junkyard_microsim::placement::Placement;
 use junkyard_microsim::sim::Simulation;
 
 use crate::cloudlet_study::CloudletWorkload;
-use crate::deployments::{build_deployment, DeploymentError, DeploymentKind};
+use crate::deployments::{c5_datacenter_site, DeploymentError, FAN_EMBODIED_KG, FAN_WATTS};
 use crate::report::{Chart, SeriesLine, Table};
 
-/// Embodied carbon of the cloudlet's server fan, kgCO2e (Section 5.2).
-const FAN_EMBODIED_KG: f64 = 9.3;
-/// Always-on cloudlet overhead draw (fan), watts.
-const FAN_WATTS: f64 = 4.0;
-/// Flat carbon intensity of the datacenter's gas-heavy grid, gCO2e/kWh.
-const DATACENTER_GRID_G_PER_KWH: f64 = 420.0;
 /// Pixel 3A slots per cloudlet.
 const PIXELS_PER_SITE: usize = 6;
 /// Nexus 4 slots per cloudlet.
@@ -263,34 +257,6 @@ impl LifecycleStudy {
         Ok(site)
     }
 
-    /// Builds the rented c5.9xlarge backend on a flat gas-heavy grid: its
-    /// embodied share amortises linearly over a four-year lease instead of
-    /// landing up front.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeploymentError`] if the deployment cannot be assembled.
-    pub fn datacenter_site(&self, name: &str) -> Result<LifecycleSite, DeploymentError> {
-        let app = social_network();
-        let sim = build_deployment(DeploymentKind::C5(C5Size::XLarge9), &app, 11)?;
-        let c5 = catalog::c5_instance(C5Size::XLarge9);
-        let trace = IntensityTrace::constant(
-            CarbonIntensity::from_grams_per_kwh(DATACENTER_GRID_G_PER_KWH),
-            TimeSpan::from_hours(1.0),
-            TimeSpan::from_days(1.0),
-        );
-        Ok(LifecycleSite::try_leased(
-            name,
-            &sim,
-            GridRegion::new("gas-heavy", trace),
-            CloudletWorkload::SocialNetworkWrite.paper_c5_9xlarge_qps(),
-        )
-        .map_err(DeploymentError::SiteConfig)?
-        .request_type(SN_COMPOSE_POST)
-        .power(Watts::new(120.0), Watts::new(90.0))
-        .embodied(c5.embodied(), TimeSpan::from_years(4.0)))
-    }
-
     fn config(&self) -> LifecycleConfig {
         let mut config = LifecycleConfig::new(self.years)
             .windows_per_day(self.windows_per_day)
@@ -317,7 +283,7 @@ impl LifecycleStudy {
         Ok(LifecycleSim::new(
             sites,
             DiurnalSchedule::office_day(BASE_QPS),
-            RoutingPolicy::carbon_aware(),
+            RoutingPolicy::CarbonAware,
             self.config(),
         ))
     }
@@ -329,7 +295,7 @@ impl LifecycleStudy {
     ///
     /// Returns [`DeploymentError`] if the site cannot be built.
     pub fn build_datacenter_fleet(&self) -> Result<LifecycleSim, DeploymentError> {
-        let site = self.datacenter_site("datacenter")?;
+        let site = LifecycleSite::try_leased(c5_datacenter_site("datacenter")?)?;
         Ok(LifecycleSim::new(
             vec![site],
             DiurnalSchedule::office_day(BASE_QPS),

@@ -24,11 +24,13 @@
 //! the gCO2e/request price of each additional nine is explicit.
 
 use junkyard_fleet::faults::{DegradationLadder, FaultConfig, ResiliencePolicy, RetryPolicy};
-use junkyard_fleet::lifecycle::{LifecycleConfig, LifecycleResult, LifecycleSim, MeasuredSlices};
+use junkyard_fleet::lifecycle::{
+    LifecycleConfig, LifecycleResult, LifecycleSim, LifecycleSite, MeasuredSlices,
+};
 use junkyard_fleet::routing::RoutingPolicy;
 use junkyard_fleet::schedule::DiurnalSchedule;
 
-use crate::deployments::DeploymentError;
+use crate::deployments::{c5_datacenter_site, DeploymentError};
 use crate::lifecycle_study::LifecycleStudy;
 use crate::report::Table;
 
@@ -231,12 +233,14 @@ impl ResilienceStudy {
             factory.phone_site("cloudlet-east", east)?,
         ];
         if with_standby {
-            sites.push(factory.datacenter_site("datacenter-standby")?);
+            sites.push(LifecycleSite::try_leased(c5_datacenter_site(
+                "datacenter-standby",
+            )?)?);
         }
         let mut sim = LifecycleSim::new(
             sites,
             DiurnalSchedule::office_day(self.base_qps),
-            RoutingPolicy::carbon_aware(),
+            RoutingPolicy::CarbonAware,
             self.config(),
         );
         if let Some(faults) = faults {

@@ -8,18 +8,24 @@
 //!
 //! * [`schedule`] — diurnal, time-varying load schedules compiled into the
 //!   microsim's ramp phases (non-homogeneous Poisson arrivals).
-//! * [`site`] — a fleet site: one compiled cloudlet (or datacenter
-//!   backend) simulation, its grid region, its power model and its
-//!   amortised embodied carbon (via the paper's Reuse Factor, Eq. 8).
+//! * [`site`] — [`FleetSite`], the one fixed-capacity site model: one
+//!   compiled cloudlet (or datacenter backend) simulation, its grid
+//!   region, its power model and its amortised embodied carbon (via the
+//!   paper's Reuse Factor, Eq. 8). The lifecycle's leased backend is a
+//!   `FleetSite`, and [`FleetSite::scaled`] rents a share of one.
 //! * [`routing`] — per-window traffic assignment: the paper's static
 //!   placement as baseline, and a carbon-aware policy that shifts load
-//!   towards the region that is cleanest *right now*.
+//!   towards the region that is cleanest *right now*; plus the route
+//!   tracing both simulators share.
 //! * [`sim`] — [`FleetSim`]: drives every
 //!   (window, site) cell through the compiled engine, integrates
 //!   operational carbon from measured utilisation and amortised embodied
 //!   carbon per window, and reports fleet-wide gCO2e per request. Cells
 //!   fan out with `junkyard_microsim::fanout::fan_out`, which returns
 //!   them in cell order, so results are identical serial or threaded.
+//!   The module also holds the one slice measurement (warm-up, ramp,
+//!   whole-second utilisation buckets, percentiles, drop fraction) that
+//!   [`FleetSim`] and [`LifecycleSim`] both run.
 //! * [`faults`] — correlated fault injection and the failure-aware
 //!   serving path: deterministic [`FaultPlan`]s of
 //!   grid outages, firmware-batch failures and thermal shutdowns; a

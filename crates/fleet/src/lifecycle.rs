@@ -47,20 +47,23 @@ use junkyard_battery::charging::SmartChargePolicy;
 use junkyard_battery::sim::simulate_day;
 use junkyard_battery::state::BatteryState;
 use junkyard_battery::trace_ext::DayStats;
-use junkyard_carbon::convert::{count_f64, counts_ratio, floor_index, index_u64, unit_draw};
-use junkyard_carbon::units::{CarbonIntensity, GramsCo2e, Millis, TimeSpan, Watts};
+use junkyard_carbon::convert::{count_f64, counts_ratio, index_u64, unit_draw};
+use junkyard_carbon::units::{CarbonIntensity, GramsCo2e, Millis, Qps, TimeSpan, Watts};
 use junkyard_devices::battery::BatterySpec;
 use junkyard_grid::trace::IntensityTrace;
 use junkyard_microsim::compiled::CompiledSim;
 use junkyard_microsim::fanout::{self, fan_out};
-use junkyard_microsim::sim::{Phase, SimError, Simulation, Workload};
+use junkyard_microsim::sim::{SimError, Simulation};
 use junkyard_microsim::sweep::decorrelate_seed;
 use junkyard_obs::{ConservedLedger, EventKind, NoopRecorder, Recorder, TraceEvent};
 
 use crate::faults::{resolve_window, FaultConfig, FaultPlan, ResiliencePolicy, WindowResolution};
-use crate::routing::{plan_window_inputs, RoutingPolicy, SiteWindowInput, WindowAssignment};
+use crate::routing::{
+    plan_window_inputs, record_routes, RoutingPolicy, SiteWindowInput, WindowAssignment,
+};
 use crate::schedule::{DiurnalSchedule, LoadWindow};
-use crate::site::GridRegion;
+use crate::sim::{measure_slice, SliceMeasure};
+use crate::site::{FleetSite, GridRegion};
 
 /// Days per simulated year (the lifecycle steps whole days; leap days are
 /// ignored like the paper's month-granular accounting).
@@ -167,28 +170,32 @@ impl CohortDevice {
     }
 }
 
+/// A cohort of repurposed phones serving one site: per-device batteries,
+/// wear, failures and junkyard replacements.
+#[derive(Debug, Clone)]
+struct Cohort {
+    name: String,
+    sim: CompiledSim,
+    request_type: Option<String>,
+    region: GridRegion,
+    devices: Vec<CohortDevice>,
+    install_embodied: GramsCo2e,
+    overhead_power: Watts,
+    policy: SmartChargePolicy,
+    mean_days_between_failures: f64,
+    replacement_lag_days: usize,
+}
+
 /// How one lifecycle site is provisioned.
 #[derive(Debug, Clone)]
 enum Backend {
-    /// A cohort of repurposed phones: per-device batteries, wear,
-    /// failures and junkyard replacements.
-    Cohort {
-        devices: Vec<CohortDevice>,
-        install_embodied: GramsCo2e,
-        overhead_power: Watts,
-        policy: SmartChargePolicy,
-        mean_days_between_failures: f64,
-        replacement_lag_days: usize,
-    },
-    /// Rented capacity (the cloud backend): fixed capacity, a fixed power
-    /// model and embodied carbon amortised linearly over a lease lifetime.
-    Leased {
-        capacity_qps: f64,
-        idle_power: Watts,
-        dynamic_power: Watts,
-        embodied: GramsCo2e,
-        amortization: TimeSpan,
-    },
+    /// A device cohort whose capacity, power and embodied carbon move
+    /// day by day.
+    Cohort(Cohort),
+    /// Rented capacity (the cloud backend): a [`FleetSite`] whose fixed
+    /// capacity, power model and operational scale hold every day, and
+    /// whose embodied carbon amortises linearly over its lease.
+    Leased(FleetSite),
 }
 
 /// One site of a lifecycle fleet: a compiled serving simulation, a grid
@@ -196,10 +203,6 @@ enum Backend {
 /// cohort or leased capacity.
 #[derive(Debug, Clone)]
 pub struct LifecycleSite {
-    name: String,
-    sim: CompiledSim,
-    request_type: Option<String>,
-    region: GridRegion,
     backend: Backend,
 }
 
@@ -233,54 +236,41 @@ impl LifecycleSite {
         }
         Self::check_region(&region)?;
         Ok(Self {
-            name: name.into(),
-            sim: sim.compile(),
-            request_type: None,
-            region,
-            backend: Backend::Cohort {
+            backend: Backend::Cohort(Cohort {
+                name: name.into(),
+                sim: sim.compile(),
+                request_type: None,
+                region,
                 devices,
                 install_embodied,
                 overhead_power: Watts::ZERO,
                 policy: SmartChargePolicy::paper_default(),
                 mean_days_between_failures: 0.0,
                 replacement_lag_days: 0,
-            },
+            }),
         })
     }
 
-    /// Creates a leased site (the datacenter backend): fixed
-    /// `capacity_qps`, no power draw and no embodied carbon until the
-    /// builders set them.
+    /// Creates a leased site (the datacenter backend) from a fixed-capacity
+    /// [`FleetSite`]: its capacity, power model, operational scale and
+    /// request type hold every day of the horizon, and its embodied
+    /// carbon is charged a day's share of its lease each day.
     ///
     /// # Errors
     ///
-    /// Returns an error if the capacity is not strictly positive and
-    /// finite, the region's trace does not cover a whole number of days,
-    /// or the trace contains a non-finite intensity sample.
-    pub fn try_leased(
-        name: impl Into<String>,
-        sim: &Simulation,
-        region: GridRegion,
-        capacity_qps: f64,
-    ) -> Result<Self, SiteConfigError> {
+    /// Returns an error if the site's capacity is not strictly positive
+    /// and finite, the region's trace does not cover a whole number of
+    /// days, or the trace contains a non-finite intensity sample.
+    pub fn try_leased(site: FleetSite) -> Result<Self, SiteConfigError> {
+        let capacity_qps = site.capacity_qps();
         if !(capacity_qps > 0.0 && capacity_qps.is_finite()) {
             return Err(SiteConfigError::new(format!(
                 "site capacity must be positive and finite, got {capacity_qps}"
             )));
         }
-        Self::check_region(&region)?;
+        Self::check_region(site.region())?;
         Ok(Self {
-            name: name.into(),
-            sim: sim.compile(),
-            request_type: None,
-            region,
-            backend: Backend::Leased {
-                capacity_qps,
-                idle_power: Watts::ZERO,
-                dynamic_power: Watts::ZERO,
-                embodied: GramsCo2e::ZERO,
-                amortization: TimeSpan::from_years(3.0),
-            },
+            backend: Backend::Leased(site),
         })
     }
 
@@ -310,9 +300,15 @@ impl LifecycleSite {
 
     /// Restricts the site's workload to a single request type.
     #[must_use]
-    pub fn request_type(mut self, name: impl Into<String>) -> Self {
-        self.request_type = Some(name.into());
-        self
+    pub fn request_type(self, name: impl Into<String>) -> Self {
+        let backend = match self.backend {
+            Backend::Cohort(cohort) => Backend::Cohort(Cohort {
+                request_type: Some(name.into()),
+                ..cohort
+            }),
+            Backend::Leased(site) => Backend::Leased(site.request_type(name)),
+        };
+        Self { backend }
     }
 
     /// Sets a cohort site's always-on overhead draw (server fan, switch).
@@ -323,8 +319,8 @@ impl LifecycleSite {
     #[must_use]
     pub fn overhead_power(mut self, power: Watts) -> Self {
         match &mut self.backend {
-            Backend::Cohort { overhead_power, .. } => *overhead_power = power,
-            Backend::Leased { .. } => panic!("overhead power applies to cohort sites"),
+            Backend::Cohort(cohort) => cohort.overhead_power = power,
+            Backend::Leased(_) => panic!("overhead power applies to cohort sites"),
         }
         self
     }
@@ -337,8 +333,8 @@ impl LifecycleSite {
     #[must_use]
     pub fn charge_policy(mut self, new_policy: SmartChargePolicy) -> Self {
         match &mut self.backend {
-            Backend::Cohort { policy, .. } => *policy = new_policy,
-            Backend::Leased { .. } => panic!("charging policy applies to cohort sites"),
+            Backend::Cohort(cohort) => cohort.policy = new_policy,
+            Backend::Leased(_) => panic!("charging policy applies to cohort sites"),
         }
         self
     }
@@ -360,96 +356,51 @@ impl LifecycleSite {
             return Err(SiteConfigError::new(format!(
                 "failures({mean_days}, {lag_days}) on site '{}': the mean days \
                  between failures must be a positive finite number",
-                self.name
+                self.name()
             )));
         }
         match &mut self.backend {
-            Backend::Cohort {
-                mean_days_between_failures,
-                replacement_lag_days,
-                ..
-            } => {
-                *mean_days_between_failures = mean_days;
-                *replacement_lag_days = lag_days;
+            Backend::Cohort(cohort) => {
+                cohort.mean_days_between_failures = mean_days;
+                cohort.replacement_lag_days = lag_days;
             }
-            Backend::Leased { .. } => {
+            Backend::Leased(site) => {
                 return Err(SiteConfigError::new(format!(
                     "failures({mean_days}, {lag_days}) on site '{}': stochastic \
                      device failures apply to cohort sites only — a leased backend \
                      has no device slots to fail. Model a leased site's \
                      unavailability with a `FaultConfig` grid outage instead",
-                    self.name
+                    site.name()
                 )));
             }
         }
         Ok(self)
     }
 
-    /// Sets a leased site's power model.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a cohort site (cohort power comes from its devices).
-    #[must_use]
-    pub fn power(mut self, idle: Watts, dynamic: Watts) -> Self {
-        match &mut self.backend {
-            Backend::Leased {
-                idle_power,
-                dynamic_power,
-                ..
-            } => {
-                *idle_power = idle;
-                *dynamic_power = dynamic;
-            }
-            Backend::Cohort { .. } => panic!("cohort power comes from its devices"),
-        }
-        self
-    }
-
-    /// Sets a leased site's embodied carbon and its amortisation lifetime.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a cohort site or if the lifetime is not strictly
-    /// positive.
-    #[must_use]
-    pub fn embodied(mut self, total: GramsCo2e, lifetime: TimeSpan) -> Self {
-        assert!(
-            lifetime.seconds() > 0.0,
-            "amortisation lifetime must be positive"
-        );
-        match &mut self.backend {
-            Backend::Leased {
-                embodied,
-                amortization,
-                ..
-            } => {
-                *embodied = total;
-                *amortization = lifetime;
-            }
-            Backend::Cohort { .. } => panic!("cohort embodied carbon accrues from events"),
-        }
-        self
-    }
-
     /// Site name.
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.name
+        match &self.backend {
+            Backend::Cohort(cohort) => &cohort.name,
+            Backend::Leased(site) => site.name(),
+        }
     }
 
     /// The grid region powering the site.
     #[must_use]
     pub fn region(&self) -> &GridRegion {
-        &self.region
+        match &self.backend {
+            Backend::Cohort(cohort) => &cohort.region,
+            Backend::Leased(site) => site.region(),
+        }
     }
 
-    /// Number of device slots (zero for leased sites).
-    #[must_use]
-    pub fn device_count(&self) -> usize {
+    /// The compiled simulation serving the site's slices and its
+    /// request-type restriction.
+    fn serving(&self) -> (&CompiledSim, Option<&str>) {
         match &self.backend {
-            Backend::Cohort { devices, .. } => devices.len(),
-            Backend::Leased { .. } => 0,
+            Backend::Cohort(cohort) => (&cohort.sim, cohort.request_type.as_deref()),
+            Backend::Leased(site) => (site.sim(), site.request_type_name()),
         }
     }
 }
@@ -1203,18 +1154,6 @@ impl LifecycleResult {
     }
 }
 
-/// What one microsim slice measured: the utilisation that prices the
-/// window's energy, the latency percentiles the SLO hooks track, and the
-/// fraction of accepted requests dropped at bounded queues.
-#[derive(Debug, Clone, Copy)]
-struct SliceMeasure {
-    utilization: f64,
-    median_ms: f64,
-    tail_ms: f64,
-    p99_ms: f64,
-    drop_fraction: f64,
-}
-
 /// The exact identity of one slice: the site simulation (an index into
 /// [`MeasuredSlices`]' distinct simulations, request type included) and
 /// the bit patterns of everything its workload is built from. Two slices
@@ -1282,13 +1221,13 @@ impl MeasuredSlices {
     /// The position of `site`'s simulation and request type among the
     /// table's distinct simulations, adding them when new.
     fn sim_index(&mut self, site: &LifecycleSite) -> usize {
-        let known = self
-            .sims
-            .iter()
-            .position(|(sim, request_type)| *request_type == site.request_type && *sim == site.sim);
+        let (site_sim, site_request_type) = site.serving();
+        let known = self.sims.iter().position(|(sim, request_type)| {
+            request_type.as_deref() == site_request_type && sim == site_sim
+        });
         known.unwrap_or_else(|| {
             self.sims
-                .push((site.sim.clone(), site.request_type.clone()));
+                .push((site_sim.clone(), site_request_type.map(str::to_owned)));
             self.sims.len() - 1
         })
     }
@@ -1410,26 +1349,18 @@ impl LifecycleSim {
     /// failures and junkyard refills. Deterministic for a given seed —
     /// worker threads never touch this state.
     fn simulate_dynamics(&self, site_index: usize, days: usize) -> Vec<DayDynamics> {
-        let site = &self.sites[site_index];
-        match &site.backend {
-            Backend::Leased {
-                capacity_qps,
-                idle_power,
-                dynamic_power,
-                embodied,
-                amortization,
-            } => {
-                let daily_embodied =
-                    *embodied * (TimeSpan::from_days(1.0).seconds() / amortization.seconds());
+        match &self.sites[site_index].backend {
+            Backend::Leased(site) => {
+                let daily_embodied = site.embodied_over(TimeSpan::from_days(1.0));
                 (0..days)
                     .map(|_| DayDynamics {
                         alive: 0,
-                        capacity_qps: *capacity_qps,
-                        idle_power: *idle_power,
-                        dynamic_power: *dynamic_power,
+                        capacity_qps: site.capacity_qps(),
+                        idle_power: site.idle_power(),
+                        dynamic_power: site.dynamic_power(),
                         overhead_power: Watts::ZERO,
                         utilization_scale: 1.0,
-                        operational_scale: 1.0,
+                        operational_scale: site.operational_scale_factor(),
                         embodied: daily_embodied,
                         battery_replacements: 0,
                         device_failures: 0,
@@ -1437,15 +1368,17 @@ impl LifecycleSim {
                     })
                     .collect()
             }
-            Backend::Cohort {
+            Backend::Cohort(Cohort {
+                region,
                 devices,
                 install_embodied,
                 overhead_power,
                 policy,
                 mean_days_between_failures,
                 replacement_lag_days,
-            } => {
-                let trace = site.region().trace();
+                ..
+            }) => {
+                let trace = region.trace();
                 let trace_days = trace.day_count();
                 let day_traces: Vec<IntensityTrace> =
                     (0..trace_days).filter_map(|d| trace.day(d)).collect();
@@ -1706,28 +1639,15 @@ impl LifecycleSim {
                     intensity: window_intensities[s],
                 })
                 .collect();
-            plans.push(plan_window_inputs(self.policy, &inputs, window));
+            let plan = plan_window_inputs(self.policy, &inputs, window);
+            record_routes(
+                recorder,
+                window,
+                &plan,
+                self.sites.iter().map(LifecycleSite::name),
+            );
+            plans.push(plan);
             intensities.push(window_intensities);
-            if recorder.enabled() {
-                let plan = &plans[w];
-                let t = window.start().seconds();
-                for (s, site) in self.sites.iter().enumerate() {
-                    let qps = plan.site_mean_qps(s);
-                    if qps > 0.0 {
-                        recorder.event(
-                            TraceEvent::new(EventKind::Route, t, site.name(), qps)
-                                .with_detail(&format!("w{w}")),
-                        );
-                    }
-                }
-                let declined = plan.declined_mean_qps();
-                if declined > 0.0 {
-                    recorder.event(
-                        TraceEvent::new(EventKind::Route, t, "declined", declined)
-                            .with_detail(&format!("w{w}")),
-                    );
-                }
-            }
         }
 
         // Serial pass 3 (faulty runs only): resolve each window's serving
@@ -1868,7 +1788,16 @@ impl LifecycleSim {
             &jobs,
             fanout::workers(self.config.parallelism, jobs.len()),
             |_, job| {
-                self.measure_slice(&self.sites[job.site], job.qps_start, job.qps_end, job.seed)
+                let (sim, request_type) = self.sites[job.site].serving();
+                measure_slice(
+                    sim,
+                    request_type,
+                    TimeSpan::from_secs(self.config.warmup_s),
+                    TimeSpan::from_secs(self.config.sim_slice_s),
+                    Qps::from_per_second(job.qps_start),
+                    Qps::from_per_second(job.qps_end),
+                    job.seed,
+                )
             },
         )?
         .into_iter()
@@ -2100,29 +2029,24 @@ impl LifecycleSim {
                     ),
                     None => (1.0, 1.0, 0.0, 0.0),
                 };
-                let (utilization, median_ms, tail_ms, p99_ms, drop_fraction) =
-                    match slice_endpoints(&plans[w], resolution, site_idx) {
-                        Some((eff_start, eff_end)) => {
-                            let measured =
-                                measures[by_load[&(eff_start.to_bits(), eff_end.to_bits())]];
-                            // The alive *and available* devices do all the
-                            // work: the independent-failure scale is further
-                            // inflated by the fault availability (strictly
-                            // positive here, or nothing would have been
-                            // delivered to measure).
-                            (
-                                (measured.utilization * (state.utilization_scale / avail)).min(1.0),
-                                measured.median_ms,
-                                measured.tail_ms,
-                                measured.p99_ms,
-                                measured.drop_fraction,
-                            )
-                        }
-                        None => (0.0, 0.0, 0.0, 0.0, 0.0),
-                    };
-                worst_median_ms = worst_median_ms.max(median_ms);
-                worst_tail_ms = worst_tail_ms.max(tail_ms);
-                worst_p99_ms = worst_p99_ms.max(p99_ms);
+                let endpoints = slice_endpoints(&plans[w], resolution, site_idx);
+                let (measured, utilization) = match endpoints {
+                    Some((eff_start, eff_end)) => {
+                        let measured = measures[by_load[&(eff_start.to_bits(), eff_end.to_bits())]];
+                        // The alive *and available* devices do all the
+                        // work: the independent-failure scale is further
+                        // inflated by the fault availability (strictly
+                        // positive here, or nothing would have been
+                        // delivered to measure).
+                        let scaled = measured.utilization * (state.utilization_scale / avail);
+                        (measured, scaled.min(1.0))
+                    }
+                    None => (SliceMeasure::IDLE, 0.0),
+                };
+                let drop_fraction = measured.drop_fraction;
+                worst_median_ms = worst_median_ms.max(measured.median.millis());
+                worst_tail_ms = worst_tail_ms.max(measured.tail.millis());
+                worst_p99_ms = worst_p99_ms.max(measured.p99.millis());
                 // Battery-backed device energy earns the smart-charging
                 // scale; the overhead draw (fan, switch) has no battery
                 // to time-shift it and is billed at face value. During a
@@ -2214,47 +2138,6 @@ impl LifecycleSim {
             daily,
         }
     }
-
-    /// Runs one representative microsim slice (warm-up at the start rate,
-    /// then a ramp to the end rate) and returns its [`SliceMeasure`] over
-    /// the measured window.
-    fn measure_slice(
-        &self,
-        site: &LifecycleSite,
-        qps_start: f64,
-        qps_end: f64,
-        seed: u64,
-    ) -> Result<SliceMeasure, SimError> {
-        let warm = self.config.warmup_s;
-        let slice = self.config.sim_slice_s;
-        let request_type = site.request_type.as_deref();
-        let mut phases = Vec::with_capacity(2);
-        if warm > 0.0 {
-            phases.push(Phase::new(qps_start, warm, request_type));
-        }
-        phases.push(Phase::ramp(qps_start, qps_end, slice, request_type));
-        let workload = Workload::phased(phases, seed);
-        let metrics = site.sim.run(&workload)?;
-        let stats = metrics.latency_stats_between(warm, warm + slice);
-        // Whole-second boundaries (enforced by `LifecycleConfig`), so the
-        // bucket range covers exactly the measured slice.
-        let from_bucket = floor_index(warm);
-        let to_bucket = floor_index(warm + slice);
-        let nodes = metrics.node_utilization();
-        let utilization = nodes
-            .iter()
-            .map(|u| u.mean_percent_between(from_bucket, to_bucket))
-            .sum::<f64>()
-            / count_f64(nodes.len())
-            / 100.0;
-        Ok(SliceMeasure {
-            utilization,
-            median_ms: stats.median_ms().unwrap_or(0.0),
-            tail_ms: stats.tail_ms().unwrap_or(0.0),
-            p99_ms: stats.p99_ms().unwrap_or(0.0),
-            drop_fraction: metrics.drop_fraction_between(warm, warm + slice),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -2298,14 +2181,17 @@ mod tests {
         .unwrap()
     }
 
-    fn leased_site(capacity: f64) -> LifecycleSite {
-        LifecycleSite::try_leased("datacenter", &tiny_sim(), flat_region(420.0), capacity)
-            .expect("the test capacity is valid")
+    fn datacenter(capacity: f64) -> FleetSite {
+        FleetSite::new("datacenter", &tiny_sim(), flat_region(420.0), capacity)
             .power(Watts::new(120.0), Watts::new(90.0))
             .embodied(
                 GramsCo2e::from_kilograms(1_344.0),
                 TimeSpan::from_years(4.0),
             )
+    }
+
+    fn leased_site(capacity: f64) -> LifecycleSite {
+        LifecycleSite::try_leased(datacenter(capacity)).expect("the test capacity is valid")
     }
 
     fn quick_config(years: usize) -> LifecycleConfig {
@@ -2320,7 +2206,7 @@ mod tests {
         let sim = LifecycleSim::new(
             vec![cohort_site(9, 4), leased_site(800.0)],
             DiurnalSchedule::office_day(500.0),
-            RoutingPolicy::carbon_aware(),
+            RoutingPolicy::CarbonAware,
             quick_config(3),
         );
         let result = sim.run().unwrap();
@@ -2344,7 +2230,7 @@ mod tests {
         let sim = LifecycleSim::new(
             vec![cohort_site(9, 4), leased_site(800.0)],
             DiurnalSchedule::office_day(900.0),
-            RoutingPolicy::carbon_aware(),
+            RoutingPolicy::CarbonAware,
             quick_config(2),
         );
         let dynamics = sim.simulate_dynamics(0, 2 * DAYS_PER_YEAR);
@@ -2368,7 +2254,7 @@ mod tests {
             LifecycleSim::new(
                 vec![cohort_site(5, 3), leased_site(700.0)],
                 DiurnalSchedule::office_day(600.0),
-                RoutingPolicy::carbon_aware(),
+                RoutingPolicy::CarbonAware,
                 quick_config(2).parallelism(workers),
             )
             .run()
@@ -2385,7 +2271,7 @@ mod tests {
         let sim = LifecycleSim::new(
             vec![cohort_site(5, 3), leased_site(700.0)],
             DiurnalSchedule::office_day(600.0),
-            RoutingPolicy::carbon_aware(),
+            RoutingPolicy::CarbonAware,
             quick_config(1).horizon_days(30),
         );
         let mut slices = MeasuredSlices::new();
@@ -2454,13 +2340,17 @@ mod tests {
 
     #[test]
     fn leased_sites_amortise_embodied_linearly() {
-        let sim = LifecycleSim::new(
-            vec![leased_site(500.0)],
-            DiurnalSchedule::flat(100.0),
-            RoutingPolicy::Static,
-            quick_config(1),
-        );
-        let result = sim.run().unwrap();
+        let run = |site: LifecycleSite| {
+            LifecycleSim::new(
+                vec![site],
+                DiurnalSchedule::flat(100.0),
+                RoutingPolicy::Static,
+                quick_config(1),
+            )
+            .run()
+            .unwrap()
+        };
+        let result = run(leased_site(500.0));
         let expected_daily = 1_344.0 / (4.0 * 365.25);
         let total = result.total_embodied().kilograms();
         assert!(
@@ -2468,6 +2358,20 @@ mod tests {
             "got {total} kg"
         );
         assert_eq!(result.total_battery_replacements(), 0);
+        // The leased site's operational scale applies every day: half the
+        // scale, half the operational carbon, the embodied bill unchanged.
+        let halved = run(
+            LifecycleSite::try_leased(datacenter(500.0).operational_scale(0.5))
+                .expect("the test capacity is valid"),
+        );
+        let full = result.total_operational().grams();
+        assert!(full > 0.0);
+        assert!(
+            (halved.total_operational().grams() - full * 0.5).abs() <= 1e-12 * full,
+            "halved {} vs full {full}",
+            halved.total_operational().grams()
+        );
+        assert_eq!(halved.total_embodied(), result.total_embodied());
     }
 
     #[test]
@@ -2541,24 +2445,21 @@ mod tests {
             TimeSpan::from_hours(1.0),
             TimeSpan::from_hours(30.0),
         );
-        let err = LifecycleSite::try_cohort(
+        let region = GridRegion::new("bad", trace);
+        let cohort = LifecycleSite::try_cohort(
             "bad",
             &tiny_sim(),
-            GridRegion::new("bad", trace),
+            region.clone(),
             vec![phone_slot(100.0)],
             GramsCo2e::ZERO,
-        )
-        .unwrap_err();
-        assert!(
-            err.message.contains("whole number of days"),
-            "unexpected message: {err}"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "cohort power comes from its devices")]
-    fn cohort_rejects_leased_builders() {
-        let _ = cohort_site(1, 1).power(Watts::new(1.0), Watts::new(1.0));
+        let leased = LifecycleSite::try_leased(FleetSite::new("bad", &tiny_sim(), region, 100.0));
+        for err in [cohort.unwrap_err(), leased.unwrap_err()] {
+            assert!(
+                err.message.contains("whole number of days"),
+                "unexpected message: {err}"
+            );
+        }
     }
 
     #[test]
@@ -2577,6 +2478,15 @@ mod tests {
         assert!(err.message.contains("positive"), "got: {err}");
         let err = cohort_site(1, 2).failures(f64::NAN, 4).unwrap_err();
         assert!(err.message.contains("finite"), "got: {err}");
+        // So does a leased site whose capacity is not finite, or a zero
+        // share of a registered one.
+        for site in [datacenter(f64::INFINITY), datacenter(500.0).scaled(0.0)] {
+            let err = LifecycleSite::try_leased(site).unwrap_err();
+            assert!(
+                err.message.contains("positive and finite"),
+                "unexpected message: {err}"
+            );
+        }
     }
 
     #[test]
@@ -2585,7 +2495,7 @@ mod tests {
             LifecycleSim::new(
                 vec![cohort_site(9, 3), leased_site(700.0)],
                 DiurnalSchedule::office_day(700.0),
-                RoutingPolicy::carbon_aware(),
+                RoutingPolicy::CarbonAware,
                 quick_config(1).horizon_days(30),
             )
         };
@@ -2617,7 +2527,7 @@ mod tests {
             LifecycleSim::new(
                 vec![cohort_site(9, 3), leased_site(700.0)],
                 DiurnalSchedule::office_day(900.0),
-                RoutingPolicy::carbon_aware(),
+                RoutingPolicy::CarbonAware,
                 quick_config(1).horizon_days(40),
             )
             .with_faults(faults)
@@ -2644,7 +2554,7 @@ mod tests {
             LifecycleSim::new(
                 vec![cohort_site(9, 4), leased_site(900.0)],
                 DiurnalSchedule::office_day(1_000.0),
-                RoutingPolicy::carbon_aware(),
+                RoutingPolicy::CarbonAware,
                 quick_config(1).horizon_days(40),
             )
             .with_faults(faults)
@@ -2682,7 +2592,7 @@ mod tests {
             LifecycleSim::new(
                 vec![cohort_site(9, 4), leased_site(400.0)],
                 DiurnalSchedule::office_day(1_100.0),
-                RoutingPolicy::carbon_aware(),
+                RoutingPolicy::CarbonAware,
                 quick_config(1).horizon_days(40),
             )
             .with_faults(faults)
@@ -2721,7 +2631,7 @@ mod tests {
             LifecycleSim::new(
                 vec![cohort_site(9, 3), leased_site(600.0)],
                 DiurnalSchedule::office_day(800.0),
-                RoutingPolicy::carbon_aware(),
+                RoutingPolicy::CarbonAware,
                 quick_config(1).horizon_days(35).parallelism(workers),
             )
             .with_faults(faults)

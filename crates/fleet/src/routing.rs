@@ -7,9 +7,9 @@
 //!   whatever the grids are doing.
 //! * [`RoutingPolicy::CarbonAware`] — per window, sites are filled
 //!   greedily in ascending order of their grid's *current* (window-mean)
-//!   carbon intensity, each up to a configurable utilisation cap. Load
-//!   follows the sun: a solar-heavy region absorbs the fleet at midday
-//!   and hands it back at dusk.
+//!   carbon intensity, each up to its capacity. Load follows the sun: a
+//!   solar-heavy region absorbs the fleet at midday and hands it back at
+//!   dusk.
 //!
 //! Both policies are capacity-safe: no site is ever assigned more than its
 //! declared capacity, and demand beyond the fleet's aggregate cap is
@@ -33,8 +33,14 @@
 //! Fleet-level *shed* is the sum of the two. At this layer nothing has
 //! been simulated yet, so a [`WindowAssignment`] reports only the
 //! declined component.
+//!
+//! Both simulators trace each window's plan through one crate-private
+//! `record_routes`: a `route` event per site that took traffic and one
+//! for the declined demand, recorded on the serial side before any
+//! slice runs.
 
 use junkyard_carbon::units::CarbonIntensity;
+use junkyard_obs::{EventKind, Recorder, TraceEvent};
 
 use crate::schedule::LoadWindow;
 use crate::site::FleetSite;
@@ -45,30 +51,17 @@ use crate::site::FleetSite;
 pub enum RoutingPolicy {
     /// Capacity-proportional fixed shares (the paper's static placement).
     Static,
-    /// Fill the cleanest region first, each site up to
-    /// `utilization_cap * capacity`.
-    CarbonAware {
-        /// Fraction of each site's capacity the router may use, in
-        /// `(0, 1]`. Headroom below 1.0 keeps latency off the knee.
-        utilization_cap: f64,
-    },
+    /// Fill the cleanest region first, each site up to its capacity.
+    CarbonAware,
 }
 
 impl RoutingPolicy {
-    /// The carbon-aware policy at full capacity usage.
-    #[must_use]
-    pub fn carbon_aware() -> Self {
-        RoutingPolicy::CarbonAware {
-            utilization_cap: 1.0,
-        }
-    }
-
     /// Display label for reports.
     #[must_use]
     pub fn label(&self) -> &'static str {
         match self {
             RoutingPolicy::Static => "static",
-            RoutingPolicy::CarbonAware { .. } => "carbon-aware",
+            RoutingPolicy::CarbonAware => "carbon-aware",
         }
     }
 }
@@ -125,10 +118,6 @@ pub struct SiteWindowInput {
 /// The split is computed against the window's *peak* rate, so the
 /// per-site assignment respects the capacity cap at every instant of the
 /// window, not just on average.
-///
-/// # Panics
-///
-/// Panics if a carbon-aware policy's utilisation cap is outside `(0, 1]`.
 #[must_use]
 pub fn plan_window(
     policy: RoutingPolicy,
@@ -149,10 +138,6 @@ pub fn plan_window(
 
 /// Plans one window's assignment from pre-computed per-site inputs (see
 /// [`plan_window`] for the capacity semantics).
-///
-/// # Panics
-///
-/// Panics if a carbon-aware policy's utilisation cap is outside `(0, 1]`.
 #[must_use]
 pub fn plan_window_inputs(
     policy: RoutingPolicy,
@@ -185,11 +170,7 @@ pub fn plan_window_inputs(
                     .collect()
             }
         }
-        RoutingPolicy::CarbonAware { utilization_cap } => {
-            assert!(
-                utilization_cap > 0.0 && utilization_cap <= 1.0,
-                "utilisation cap must be in (0, 1]"
-            );
+        RoutingPolicy::CarbonAware => {
             // Order sites by their grid's window-mean intensity; fill the
             // cleanest first. Ties break on site index, so the plan is
             // deterministic.
@@ -205,8 +186,7 @@ pub fn plan_window_inputs(
                 if remaining <= 0.0 {
                     break;
                 }
-                let cap = sites[index].capacity_qps * utilization_cap;
-                let take = remaining.min(cap);
+                let take = remaining.min(sites[index].capacity_qps);
                 fractions[index] = take / peak;
                 remaining -= take;
             }
@@ -221,6 +201,34 @@ pub fn plan_window_inputs(
             .map(|f| (f * window.qps_start(), f * window.qps_end()))
             .collect(),
         declined_mean_qps: (1.0 - placed).max(0.0) * window.mean_qps(),
+    }
+}
+
+/// Traces one window's routing decisions: a `route` event per site the
+/// plan assigned traffic to, keyed by `site_names` in fleet site order,
+/// and one for the demand it declined. Both fleet engines call this on
+/// their serial side, so tracing never touches the measured results.
+pub(crate) fn record_routes<'a, R: Recorder>(
+    recorder: &mut R,
+    window: &LoadWindow,
+    plan: &WindowAssignment,
+    site_names: impl Iterator<Item = &'a str>,
+) {
+    if !recorder.enabled() {
+        return;
+    }
+    let t = window.start().seconds();
+    let detail = format!("w{}", window.index());
+    for (s, name) in site_names.enumerate() {
+        let qps = plan.site_mean_qps(s);
+        if qps > 0.0 {
+            recorder.event(TraceEvent::new(EventKind::Route, t, name, qps).with_detail(&detail));
+        }
+    }
+    let declined = plan.declined_mean_qps();
+    if declined > 0.0 {
+        recorder
+            .event(TraceEvent::new(EventKind::Route, t, "declined", declined).with_detail(&detail));
     }
 }
 
@@ -250,12 +258,12 @@ mod tests {
     #[test]
     fn carbon_aware_fills_the_cleanest_region_first() {
         let sites = vec![site("dirty", 400.0, 600.0), site("clean", 100.0, 600.0)];
-        let plan = plan_window(RoutingPolicy::carbon_aware(), &sites, &one_window(500.0));
+        let plan = plan_window(RoutingPolicy::CarbonAware, &sites, &one_window(500.0));
         // The clean site absorbs everything it can before the dirty one.
         assert!((plan.site_mean_qps(1) - 500.0).abs() < 1e-9);
         assert_eq!(plan.site_mean_qps(0), 0.0);
         // With more demand than the clean site's cap, the overflow spills.
-        let plan = plan_window(RoutingPolicy::carbon_aware(), &sites, &one_window(900.0));
+        let plan = plan_window(RoutingPolicy::CarbonAware, &sites, &one_window(900.0));
         assert!((plan.site_mean_qps(1) - 600.0).abs() < 1e-9);
         assert!((plan.site_mean_qps(0) - 300.0).abs() < 1e-9);
     }
@@ -263,7 +271,7 @@ mod tests {
     #[test]
     fn both_policies_respect_capacity_and_record_shed() {
         let sites = vec![site("a", 300.0, 400.0), site("b", 200.0, 100.0)];
-        for policy in [RoutingPolicy::Static, RoutingPolicy::carbon_aware()] {
+        for policy in [RoutingPolicy::Static, RoutingPolicy::CarbonAware] {
             let plan = plan_window(policy, &sites, &one_window(1_000.0));
             for (i, s) in sites.iter().enumerate() {
                 let (start, end) = plan.shares()[i];
@@ -280,37 +288,10 @@ mod tests {
     }
 
     #[test]
-    fn utilization_cap_holds_traffic_back() {
-        let sites = vec![site("a", 100.0, 1_000.0)];
-        let plan = plan_window(
-            RoutingPolicy::CarbonAware {
-                utilization_cap: 0.5,
-            },
-            &sites,
-            &one_window(800.0),
-        );
-        assert!((plan.site_mean_qps(0) - 500.0).abs() < 1e-9);
-        assert!((plan.declined_mean_qps() - 300.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn idle_windows_assign_nothing() {
         let sites = vec![site("a", 100.0, 1_000.0)];
         let plan = plan_window(RoutingPolicy::Static, &sites, &one_window(0.0));
         assert_eq!(plan.shares(), &[(0.0, 0.0)]);
         assert_eq!(plan.declined_mean_qps(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "utilisation cap")]
-    fn out_of_range_cap_panics() {
-        let sites = vec![site("a", 100.0, 1_000.0)];
-        let _ = plan_window(
-            RoutingPolicy::CarbonAware {
-                utilization_cap: 1.5,
-            },
-            &sites,
-            &one_window(10.0),
-        );
     }
 }

@@ -8,17 +8,95 @@
 //! the result is identical whatever the worker count. Per-cell workload
 //! seeds come from [`decorrelate_seed`], so neighbouring cells replay
 //! independent arrival sequences.
+//!
+//! A loaded cell is priced from one representative slice, and the
+//! lifecycle simulator prices its windows from the same slices: the
+//! crate-private `measure_slice` here is the one definition of the slice
+//! protocol both engines run.
 
 use junkyard_carbon::convert::{count_f64, floor_index, index_u64};
 use junkyard_carbon::units::{CarbonIntensity, GramsCo2e, Joules, Millis, Qps, TimeSpan};
+use junkyard_microsim::compiled::CompiledSim;
 use junkyard_microsim::fanout::{self, fan_out};
 use junkyard_microsim::sim::{Phase, SimError, Workload};
 use junkyard_microsim::sweep::decorrelate_seed;
-use junkyard_obs::{EventKind, NoopRecorder, Recorder, TraceEvent};
+use junkyard_obs::{NoopRecorder, Recorder};
 
-use crate::routing::{plan_window, RoutingPolicy, WindowAssignment};
+use crate::routing::{plan_window, record_routes, RoutingPolicy, WindowAssignment};
 use crate::schedule::{DiurnalSchedule, LoadWindow};
 use crate::site::FleetSite;
+
+/// What one microsim slice measured: the utilisation that prices the
+/// window's energy, the latency percentiles the SLO hooks track, and the
+/// fraction of accepted requests dropped at bounded queues.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SliceMeasure {
+    pub(crate) utilization: f64,
+    pub(crate) median: Millis,
+    pub(crate) tail: Millis,
+    pub(crate) p99: Millis,
+    pub(crate) drop_fraction: f64,
+}
+
+impl SliceMeasure {
+    /// The measure of a slice nothing was delivered to: no simulation
+    /// runs, so no utilisation, latency or drops.
+    pub(crate) const IDLE: Self = Self {
+        utilization: 0.0,
+        median: Millis::from_millis(0.0),
+        tail: Millis::from_millis(0.0),
+        p99: Millis::from_millis(0.0),
+        drop_fraction: 0.0,
+    };
+}
+
+/// Runs one representative microsim slice of a window — `warmup` at the
+/// start rate, then `slice` ramping from the start to the end rate — and
+/// measures it over the ramp alone. Both fleet engines measure their
+/// slices here.
+///
+/// The warm-up and slice are whole seconds (both configs enforce it), so
+/// the bucket range covers exactly the measured slice: no warm-up work
+/// leaks in and no partial trailing one-second utilisation bucket
+/// dilutes it.
+pub(crate) fn measure_slice(
+    sim: &CompiledSim,
+    request_type: Option<&str>,
+    warmup: TimeSpan,
+    slice: TimeSpan,
+    start: Qps,
+    end: Qps,
+    seed: u64,
+) -> Result<SliceMeasure, SimError> {
+    let warm = warmup.seconds();
+    let slice = slice.seconds();
+    let (qps_start, qps_end) = (start.per_second(), end.per_second());
+    let mut phases = Vec::with_capacity(2);
+    if warm > 0.0 {
+        phases.push(Phase::new(qps_start, warm, request_type));
+    }
+    phases.push(Phase::ramp(qps_start, qps_end, slice, request_type));
+    let metrics = sim.run(&Workload::phased(phases, seed))?;
+    let stats = metrics.latency_stats_between(warm, warm + slice);
+    let from_bucket = floor_index(warm);
+    let to_bucket = floor_index(warm + slice);
+    let nodes = metrics.node_utilization();
+    let utilization = nodes
+        .iter()
+        .map(|u| u.mean_percent_between(from_bucket, to_bucket))
+        .sum::<f64>()
+        / count_f64(nodes.len())
+        / 100.0;
+    Ok(SliceMeasure {
+        utilization,
+        median: Millis::from_millis(stats.median_ms().unwrap_or(0.0)),
+        tail: Millis::from_millis(stats.tail_ms().unwrap_or(0.0)),
+        p99: Millis::from_millis(stats.p99_ms().unwrap_or(0.0)),
+        // The slice's drop share extrapolates to the window the same way
+        // latency and utilisation do (0.0 for zero-offered slices).
+        drop_fraction: metrics.drop_fraction_between(warm, warm + slice),
+    })
+}
 
 /// Tunables of a fleet run: accounting granularity, the length of the
 /// representative microsim slice per cell, seeding and threading.
@@ -460,26 +538,13 @@ impl FleetSim {
     pub fn run_with<R: Recorder>(&self, recorder: &mut R) -> Result<FleetResult, SimError> {
         let windows = self.schedule.windows(self.config.windows_per_day);
         let assignments = self.assignments();
-        if recorder.enabled() {
-            for (w, assignment) in assignments.iter().enumerate() {
-                let t = windows[w].start().seconds();
-                for (s, site) in self.sites.iter().enumerate() {
-                    let qps = assignment.site_mean_qps(s);
-                    if qps > 0.0 {
-                        recorder.event(
-                            TraceEvent::new(EventKind::Route, t, site.name(), qps)
-                                .with_detail(&format!("w{w}")),
-                        );
-                    }
-                }
-                let declined = assignment.declined_mean_qps();
-                if declined > 0.0 {
-                    recorder.event(
-                        TraceEvent::new(EventKind::Route, t, "declined", declined)
-                            .with_detail(&format!("w{w}")),
-                    );
-                }
-            }
+        for (window, assignment) in windows.iter().zip(&assignments) {
+            record_routes(
+                recorder,
+                window,
+                assignment,
+                self.sites.iter().map(FleetSite::name),
+            );
         }
         let sites = self.sites.len();
         let n = windows.len() * sites;
@@ -541,42 +606,20 @@ impl FleetSim {
         let mean_qps = (qps_start + qps_end) / 2.0;
         let cell_index = index_u64(window_idx * self.sites.len() + site_idx);
 
-        let (utilization, median_ms, tail_ms, drop_fraction) = if mean_qps > 0.0 {
-            let warm = self.config.warmup_s;
-            let slice = self.config.sim_slice_s;
-            let request_type = site.request_type_name();
-            let mut phases = Vec::with_capacity(2);
-            if warm > 0.0 {
-                phases.push(Phase::new(qps_start, warm, request_type));
-            }
-            phases.push(Phase::ramp(qps_start, qps_end, slice, request_type));
-            let workload = Workload::phased(phases, decorrelate_seed(self.config.seed, cell_index));
-            let metrics = site.sim().run(&workload)?;
-            let stats = metrics.latency_stats_between(warm, warm + slice);
-            // Whole-second boundaries (enforced by `FleetConfig`), so the
-            // bucket range covers exactly the measured slice: no warm-up
-            // work leaks in and no partial trailing bucket dilutes it.
-            let from_bucket = floor_index(warm);
-            let to_bucket = floor_index(warm + slice);
-            let nodes = metrics.node_utilization();
-            let utilization = nodes
-                .iter()
-                .map(|u| u.mean_percent_between(from_bucket, to_bucket))
-                .sum::<f64>()
-                / count_f64(nodes.len())
-                / 100.0;
-            // The slice's drop share extrapolates to the window the same
-            // way latency and utilisation do (0.0 for zero-offered slices).
-            let drop_fraction = metrics.drop_fraction_between(warm, warm + slice);
-            (
-                utilization,
-                stats.median_ms().unwrap_or(0.0),
-                stats.tail_ms().unwrap_or(0.0),
-                drop_fraction,
-            )
+        let measured = if mean_qps > 0.0 {
+            measure_slice(
+                site.sim(),
+                site.request_type_name(),
+                TimeSpan::from_secs(self.config.warmup_s),
+                TimeSpan::from_secs(self.config.sim_slice_s),
+                Qps::from_per_second(qps_start),
+                Qps::from_per_second(qps_end),
+                decorrelate_seed(self.config.seed, cell_index),
+            )?
         } else {
-            (0.0, 0.0, 0.0, 0.0)
+            SliceMeasure::IDLE
         };
+        let (utilization, drop_fraction) = (measured.utilization, measured.drop_fraction);
 
         let energy = site.power_at(utilization) * window.duration();
         let intensity = site
@@ -593,8 +636,8 @@ impl FleetSim {
             requests: offered * (1.0 - drop_fraction),
             dropped_requests: offered * drop_fraction,
             utilization,
-            median_ms: Millis::from_millis(median_ms),
-            tail_ms: Millis::from_millis(tail_ms),
+            median_ms: measured.median,
+            tail_ms: measured.tail,
             energy,
             intensity,
             operational,
@@ -664,7 +707,7 @@ mod tests {
         let aware = FleetSim::new(
             sites(),
             schedule,
-            RoutingPolicy::carbon_aware(),
+            RoutingPolicy::CarbonAware,
             quick_config(),
         )
         .run()
@@ -685,7 +728,7 @@ mod tests {
             FleetSim::new(
                 vec![site("a", 150.0, 700.0), site("b", 350.0, 700.0)],
                 DiurnalSchedule::office_day(600.0),
-                RoutingPolicy::carbon_aware(),
+                RoutingPolicy::CarbonAware,
                 quick_config().parallelism(workers),
             )
             .run()

@@ -1,6 +1,10 @@
-//! Fleet sites: one serving location (a junk-phone cloudlet or a
-//! datacenter backend) with its compiled simulation, grid region, power
-//! model and amortised embodied carbon.
+//! Fleet sites: one fixed-capacity serving location (a junk-phone
+//! cloudlet or a datacenter backend) with its compiled simulation, grid
+//! region, power model and amortised embodied carbon. The same
+//! [`FleetSite`] is the lifecycle's leased backend
+//! ([`crate::lifecycle::LifecycleSite::try_leased`]) and, scaled to a
+//! candidate's share with [`FleetSite::scaled`], the planner's rented
+//! fallback.
 
 use junkyard_battery::sim::SmartChargingConfig;
 use junkyard_carbon::reuse::ReuseFactor;
@@ -178,6 +182,23 @@ impl FleetSite {
         self
     }
 
+    /// The same site rented at `share` of its size: capacity, both power
+    /// terms and the embodied bill scale by `share` (renting half an
+    /// instance costs half its footprint), while the simulation, region,
+    /// request type, amortisation lifetime and operational scale are kept.
+    /// The router caps the smaller site at the scaled capacity; it still
+    /// serves from the full simulation.
+    #[must_use]
+    pub fn scaled(&self, share: f64) -> Self {
+        Self {
+            capacity_qps: self.capacity_qps * share,
+            idle_power: self.idle_power * share,
+            dynamic_power: self.dynamic_power * share,
+            embodied: self.embodied * share,
+            ..self.clone()
+        }
+    }
+
     /// Site name.
     #[must_use]
     pub fn name(&self) -> &str {
@@ -212,6 +233,16 @@ impl FleetSite {
     #[must_use]
     pub fn operational_scale_factor(&self) -> f64 {
         self.operational_scale
+    }
+
+    /// Power drawn at zero utilisation.
+    pub(crate) fn idle_power(&self) -> Watts {
+        self.idle_power
+    }
+
+    /// Power added at full utilisation.
+    pub(crate) fn dynamic_power(&self) -> Watts {
+        self.dynamic_power
     }
 
     /// Electrical power at `utilization` (0–1).
@@ -271,6 +302,30 @@ mod tests {
         // A whole amortisation period charges the full bill.
         let full = site.embodied_over(TimeSpan::from_years(3.0));
         assert!((full.kilograms() - 36.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn scaled_sites_rent_a_share_of_capacity_power_and_embodied() {
+        let full = FleetSite::new("dc", &tiny_sim(), flat_region(420.0), 800.0)
+            .request_type("search_hotel")
+            .power(Watts::new(120.0), Watts::new(90.0))
+            .embodied(
+                GramsCo2e::from_kilograms(1_344.0),
+                TimeSpan::from_years(4.0),
+            )
+            .operational_scale(0.9);
+        let half = full.scaled(0.5);
+        assert_eq!(half.capacity_qps(), 400.0);
+        assert_eq!(half.power_at(0.0), Watts::new(60.0));
+        assert_eq!(half.power_at(1.0), Watts::new(105.0));
+        let year = TimeSpan::from_years(1.0);
+        assert_eq!(half.embodied_over(year), full.embodied_over(year) * 0.5);
+        // What is rented, not resized, is kept.
+        assert_eq!(half.name(), "dc");
+        assert_eq!(half.sim(), full.sim());
+        assert_eq!(half.region(), full.region());
+        assert_eq!(half.request_type_name(), Some("search_hotel"));
+        assert_eq!(half.operational_scale_factor(), 0.9);
     }
 
     #[test]

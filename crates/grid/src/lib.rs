@@ -1,10 +1,11 @@
 //! Grid carbon-intensity substrate for the Junkyard Computing reproduction.
 //!
 //! The operational carbon of a device depends on when and where its energy
-//! comes from. This crate models that supply side:
+//! comes from. This crate models that supply side as carbon-intensity
+//! time series and power regimes; the intensities the paper quotes
+//! (solar 48, the CAISO mix 257 gCO2e/kWh) enter as their values, not as
+//! a generation-mix model:
 //!
-//! * [`sources`] — generation sources and their life-cycle carbon
-//!   intensities, plus instantaneous generation mixes.
 //! * [`trace`] — fixed-step carbon-intensity time series with the
 //!   percentile/day-slicing operations the smart-charging heuristic needs.
 //! * [`synth`] — a seeded synthetic CAISO-like generator reproducing the
@@ -26,11 +27,9 @@
 #![warn(missing_docs)]
 
 pub mod regime;
-pub mod sources;
 pub mod synth;
 pub mod trace;
 
 pub use regime::PowerRegime;
-pub use sources::{EnergySource, GenerationMix};
 pub use synth::CaisoSynthesizer;
 pub use trace::IntensityTrace;

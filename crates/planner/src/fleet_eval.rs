@@ -5,11 +5,13 @@
 //! deployments — catalog devices become microsim nodes and
 //! [`CohortDevice`] slots with their Reuse-Factor second-life embodied
 //! share — so a planner score and a hand-built study score are directly
-//! comparable. The optional saturation screen sweeps every cohort option
-//! once up front; a candidate is pruned when the demand beyond its
-//! [`LatencyCurve::max_sustainable_qps`] (under the SLO's latency
-//! bounds) would shed more of the horizon's traffic than the SLO's
-//! ceiling allows — all before any lifecycle run is paid.
+//! comparable. A candidate's leased fallback is the registered
+//! [`FleetSite`] rented at the candidate's share ([`FleetSite::scaled`])
+//! and run as a leased lifecycle site. The optional saturation screen
+//! sweeps every cohort option once up front; a candidate is pruned when
+//! the demand beyond its [`LatencyCurve::max_sustainable_qps`] (under
+//! the SLO's latency bounds) would shed more of the horizon's traffic
+//! than the SLO's ceiling allows — all before any lifecycle run is paid.
 
 use junkyard_battery::charging::SmartChargePolicy;
 use junkyard_carbon::units::{GramsCo2e, TimeSpan, Watts};
@@ -18,8 +20,9 @@ use junkyard_devices::device::DeviceSpec;
 use junkyard_devices::power::LoadProfile;
 use junkyard_fleet::lifecycle::{CohortDevice, LifecycleConfig, LifecycleSim, LifecycleSite};
 use junkyard_fleet::schedule::DiurnalSchedule;
-use junkyard_fleet::site::{second_life_embodied, GridRegion};
+use junkyard_fleet::site::{second_life_embodied, FleetSite, GridRegion};
 use junkyard_microsim::app::Application;
+use junkyard_microsim::compiled::CompiledSim;
 use junkyard_microsim::network::NetworkModel;
 use junkyard_microsim::node::NodeSpec;
 use junkyard_microsim::placement::Placement;
@@ -41,78 +44,6 @@ const SCREEN_FRACTIONS: [f64; 3] = [0.6, 0.8, 1.0];
 /// Seed of the swarm-spread placement of every cohort's services.
 const PLACEMENT_SEED: u64 = 11;
 
-/// The leased (rented datacenter) backend a candidate may blend in. A
-/// candidate's fallback share scales capacity, power and the amortised
-/// embodied bill proportionally — renting half an instance costs half
-/// its footprint.
-#[derive(Debug, Clone)]
-pub struct LeasedBlueprint {
-    name: String,
-    sim: Simulation,
-    region: GridRegion,
-    capacity_qps: f64,
-    idle_power: Watts,
-    dynamic_power: Watts,
-    embodied: GramsCo2e,
-    amortization: TimeSpan,
-}
-
-impl LeasedBlueprint {
-    /// Creates a blueprint serving `sim` from `region` at full share
-    /// capacity `capacity_qps`, with no power draw or embodied carbon
-    /// until the builders set them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacity is not strictly positive.
-    #[must_use]
-    pub fn new(
-        name: impl Into<String>,
-        sim: Simulation,
-        region: GridRegion,
-        capacity_qps: f64,
-    ) -> Self {
-        assert!(capacity_qps > 0.0, "leased capacity must be positive");
-        Self {
-            name: name.into(),
-            sim,
-            region,
-            capacity_qps,
-            idle_power: Watts::ZERO,
-            dynamic_power: Watts::ZERO,
-            embodied: GramsCo2e::ZERO,
-            amortization: TimeSpan::from_years(4.0),
-        }
-    }
-
-    /// Sets the full-share power model.
-    #[must_use]
-    pub fn power(mut self, idle: Watts, dynamic: Watts) -> Self {
-        self.idle_power = idle;
-        self.dynamic_power = dynamic;
-        self
-    }
-
-    /// Sets the full-share embodied carbon and its lease amortisation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lifetime is not strictly positive.
-    #[must_use]
-    pub fn embodied(mut self, total: GramsCo2e, lifetime: TimeSpan) -> Self {
-        assert!(lifetime.seconds() > 0.0, "amortisation must be positive");
-        self.embodied = total;
-        self.amortization = lifetime;
-        self
-    }
-
-    /// Full-share serving capacity, requests/second.
-    #[must_use]
-    pub fn capacity_qps(&self) -> f64 {
-        self.capacity_qps
-    }
-}
-
 /// Scores candidates by building and running a [`LifecycleSim`] per
 /// `(candidate, fidelity)` pair. Every internal run is forced serial —
 /// the planner parallelises *across* candidates — and workload seeds are
@@ -132,7 +63,9 @@ pub struct FleetEvaluator {
     network: NetworkModel,
     request_type: Option<String>,
     schedule: DiurnalSchedule,
-    leased: Option<LeasedBlueprint>,
+    /// The rented datacenter site candidates may blend in, registered at
+    /// full share.
+    leased: Option<FleetSite>,
     site_overhead_power: Watts,
     site_overhead_embodied: GramsCo2e,
     mtbf_days: f64,
@@ -225,11 +158,12 @@ impl FleetEvaluator {
         self
     }
 
-    /// Registers the leased datacenter blueprint candidates may blend
-    /// in via their fallback share.
+    /// Registers the leased datacenter site candidates may blend in via
+    /// their fallback share: each candidate rents it
+    /// [`FleetSite::scaled`] to that share.
     #[must_use]
-    pub fn leased(mut self, blueprint: LeasedBlueprint) -> Self {
-        self.leased = Some(blueprint);
+    pub fn leased(mut self, site: FleetSite) -> Self {
+        self.leased = Some(site);
         self
     }
 
@@ -287,7 +221,7 @@ impl FleetEvaluator {
     }
 
     /// Runs the saturation screen: every cohort option (and the leased
-    /// blueprint) is swept once at a few fractions of its nominal
+    /// site) is swept once at a few fractions of its nominal
     /// capacity, so [`Evaluator::sustainable_capacity_qps`] can prune
     /// undersized candidates without a lifecycle run. The sweeps are
     /// serial and seeded, so screening is deterministic.
@@ -305,16 +239,16 @@ impl FleetEvaluator {
                     _ => return None,
                 };
                 Some(self.sweep(
-                    sim,
+                    &sim.compile(),
                     option.capacity_qps(),
                     decorrelate_seed(screen_seed, index as u64 + 1),
                 ))
             })
             .collect();
-        self.leased_curve = self.leased.as_ref().map(|blueprint| {
+        self.leased_curve = self.leased.as_ref().map(|site| {
             self.sweep(
-                &blueprint.sim,
-                blueprint.capacity_qps,
+                site.sim(),
+                site.capacity_qps(),
                 decorrelate_seed(screen_seed, 0x1ea5ed),
             )
         });
@@ -328,7 +262,7 @@ impl FleetEvaluator {
     }
 
     /// Sweeps a site simulation at the screen's capacity fractions.
-    fn sweep(&self, sim: &Simulation, capacity_qps: f64, seed: u64) -> LatencyCurve {
+    fn sweep(&self, sim: &CompiledSim, capacity_qps: f64, seed: u64) -> LatencyCurve {
         let points: Vec<f64> = SCREEN_FRACTIONS.iter().map(|f| f * capacity_qps).collect();
         let mut config = SweepConfig::new(points, 2.0, 0.5)
             .seed(seed)
@@ -338,7 +272,7 @@ impl FleetEvaluator {
             config = config.request_type(request_type.clone());
         }
         config
-            .run("screen", sim)
+            .run_compiled("screen", sim)
             .expect("screen sweeps use the evaluator's own request type")
     }
 
@@ -425,27 +359,19 @@ impl FleetEvaluator {
 
     /// Builds the scaled leased site for a candidate's fallback share.
     fn build_leased_site(&self, share: f64) -> Result<LifecycleSite, EvalError> {
-        let blueprint = self.leased.as_ref().ok_or_else(|| {
-            EvalError::Build(
-                "candidate wants a leased fallback but no blueprint is registered".to_owned(),
-            )
-        })?;
-        let mut site = LifecycleSite::try_leased(
-            blueprint.name.clone(),
-            &blueprint.sim,
-            blueprint.region.clone(),
-            blueprint.capacity_qps * share,
-        )
-        .map_err(|e| EvalError::Build(e.to_string()))?
-        .power(
-            blueprint.idle_power * share,
-            blueprint.dynamic_power * share,
-        )
-        .embodied(blueprint.embodied * share, blueprint.amortization);
+        let mut site = self
+            .leased
+            .as_ref()
+            .ok_or_else(|| {
+                EvalError::Build(
+                    "candidate wants a leased fallback but no leased site is registered".to_owned(),
+                )
+            })?
+            .scaled(share);
         if let Some(request_type) = &self.request_type {
             site = site.request_type(request_type.clone());
         }
-        Ok(site)
+        LifecycleSite::try_leased(site).map_err(|e| EvalError::Build(e.to_string()))
     }
 }
 
@@ -528,16 +454,16 @@ impl Evaluator for FleetEvaluator {
         }
         let share = self.space.fallback_share_of(candidate);
         if share > 0.0 {
-            if let (Some(blueprint), Some(curve)) = (&self.leased, &self.leased_curve) {
+            if let (Some(site), Some(curve)) = (&self.leased, &self.leased_curve) {
                 let knee = curve
                     .max_sustainable_qps(slo.median_limit_ms(), slo.tail_limit_ms())
                     .unwrap_or(0.0);
-                // The scaled site keeps the full blueprint simulation —
-                // only the router's capacity cap shrinks with the share —
-                // so its sustainable load is min(knee, share × capacity).
+                // The scaled site keeps the full simulation — only the
+                // router's capacity cap shrinks with the share — so its
+                // sustainable load is min(knee, share × capacity).
                 // Scaling the knee itself would understate it and could
                 // prune feasible candidates.
-                sustainable += knee.min(share * blueprint.capacity_qps);
+                sustainable += knee.min(share * site.capacity_qps());
             }
         }
         Some(sustainable)
@@ -671,7 +597,7 @@ mod tests {
 
     #[test]
     fn leased_screen_caps_at_share_capacity_not_scaled_knee() {
-        // A leased blueprint whose declared capacity is far beyond the
+        // A leased site whose declared capacity is far beyond the
         // simulation's latency knee: the scaled site keeps the full sim,
         // so any share with share x capacity >= knee sustains the whole
         // knee. The old `share x knee` formula halved it.
@@ -691,9 +617,9 @@ mod tests {
             DiurnalSchedule::office_day(700.0),
             7,
         )
-        .leased(LeasedBlueprint::new(
+        .leased(FleetSite::new(
             "oversized-lease",
-            leased_sim,
+            &leased_sim,
             flat_region("gas", 420.0),
             1_000.0,
         ))

@@ -44,7 +44,7 @@ pub(crate) mod testutil;
 
 pub use candidate::CandidateDeployment;
 pub use evaluator::{EvalCache, EvalError, Evaluation, Evaluator, Fidelity};
-pub use fleet_eval::{FleetEvaluator, LeasedBlueprint};
+pub use fleet_eval::FleetEvaluator;
 pub use pareto::pareto_indices;
 pub use search::{evaluate_batch, search, PlannedDeployment, SearchConfig, SearchOutcome};
 pub use slo::Slo;

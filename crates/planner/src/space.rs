@@ -131,7 +131,7 @@ impl PlannerSpace {
         Self {
             cohorts,
             regions,
-            routings: vec![RoutingPolicy::Static, RoutingPolicy::carbon_aware()],
+            routings: vec![RoutingPolicy::Static, RoutingPolicy::CarbonAware],
             charge_floors: vec![0.25],
             refill_lags: vec![7],
             fallback_shares: vec![0.0],
@@ -182,7 +182,7 @@ impl PlannerSpace {
     }
 
     /// Overrides the leased-fallback share options: the fraction of the
-    /// leased blueprint's capacity rented alongside the cloudlets.
+    /// registered leased site's capacity rented alongside the cloudlets.
     ///
     /// # Panics
     ///

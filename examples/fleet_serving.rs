@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Peek at the routing plan before running anything: the carbon-aware
     // policy's assignments depend only on the schedule, the capacities and
     // the intensity traces.
-    let fleet = study.build_fleet(RoutingPolicy::carbon_aware())?;
+    let fleet = study.build_fleet(RoutingPolicy::CarbonAware)?;
     println!("Carbon-aware plan (mean qps per window):");
     println!(
         "  {:>8} {:>14} {:>14} {:>12}",

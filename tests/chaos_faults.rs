@@ -32,7 +32,7 @@ use junkyard::fleet::lifecycle::{
 };
 use junkyard::fleet::routing::RoutingPolicy;
 use junkyard::fleet::schedule::DiurnalSchedule;
-use junkyard::fleet::site::GridRegion;
+use junkyard::fleet::site::{FleetSite, GridRegion};
 use junkyard::grid::synth::CaisoSynthesizer;
 use junkyard::grid::trace::IntensityTrace;
 use junkyard::microsim::app::hotel_reservation;
@@ -85,10 +85,12 @@ fn leased_site(capacity: f64, sim: &Simulation) -> LifecycleSite {
         TimeSpan::from_hours(1.0),
         TimeSpan::from_days(1.0),
     );
-    LifecycleSite::try_leased("datacenter", sim, GridRegion::new("gas", trace), capacity)
-        .expect("the test capacity is valid")
-        .power(Watts::new(50.0), Watts::new(40.0))
-        .embodied(GramsCo2e::from_kilograms(500.0), TimeSpan::from_years(4.0))
+    LifecycleSite::try_leased(
+        FleetSite::new("datacenter", sim, GridRegion::new("gas", trace), capacity)
+            .power(Watts::new(50.0), Watts::new(40.0))
+            .embodied(GramsCo2e::from_kilograms(500.0), TimeSpan::from_years(4.0)),
+    )
+    .expect("the test capacity is valid")
 }
 
 /// A random-but-bounded fault configuration: every process enabled with
@@ -131,7 +133,7 @@ fn fleet(
     let mut sim = LifecycleSim::new(
         vec![cohort_site(seed, &site_sim), leased_site(400.0, &site_sim)],
         DiurnalSchedule::office_day(base_qps),
-        RoutingPolicy::carbon_aware(),
+        RoutingPolicy::CarbonAware,
         LifecycleConfig::new(1)
             .horizon_days(25)
             .windows_per_day(2)

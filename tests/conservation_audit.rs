@@ -162,20 +162,22 @@ fn lifecycle_result_conserved_buckets_pin_the_identity() {
         TimeSpan::from_days(1.0),
     );
     let leased = LifecycleSite::try_leased(
-        "datacenter",
-        &tiny_sim(),
-        GridRegion::new("gas", flat),
-        400.0,
+        FleetSite::new(
+            "datacenter",
+            &tiny_sim(),
+            GridRegion::new("gas", flat),
+            400.0,
+        )
+        .power(Watts::new(50.0), Watts::new(40.0))
+        .embodied(GramsCo2e::from_kilograms(500.0), TimeSpan::from_years(4.0)),
     )
-    .expect("the test capacity is valid")
-    .power(Watts::new(50.0), Watts::new(40.0))
-    .embodied(GramsCo2e::from_kilograms(500.0), TimeSpan::from_years(4.0));
+    .expect("the test capacity is valid");
 
     let horizon_days = 20usize;
     let result = LifecycleSim::new(
         vec![cohort, leased],
         DiurnalSchedule::office_day(600.0),
-        RoutingPolicy::carbon_aware(),
+        RoutingPolicy::CarbonAware,
         LifecycleConfig::new(1)
             .horizon_days(horizon_days)
             .windows_per_day(2)

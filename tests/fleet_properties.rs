@@ -71,7 +71,7 @@ proptest! {
         carbon_aware in 0u8..2,
     ) {
         let policy = if carbon_aware == 1 {
-            RoutingPolicy::carbon_aware()
+            RoutingPolicy::CarbonAware
         } else {
             RoutingPolicy::Static
         };
@@ -132,10 +132,9 @@ proptest! {
         cap_b in 50.0f64..800.0,
         windows_per_day in 1usize..9,
         carbon_aware in 0u8..2,
-        utilization_cap in 0.3f64..1.0,
     ) {
         let policy = if carbon_aware == 1 {
-            RoutingPolicy::CarbonAware { utilization_cap }
+            RoutingPolicy::CarbonAware
         } else {
             RoutingPolicy::Static
         };
@@ -245,7 +244,7 @@ fn fleet_runs_are_identical_across_worker_counts() {
         FleetSim::new(
             vec![diurnal_site("a", 7, 500.0), flat_site("b", 380.0, 400.0)],
             DiurnalSchedule::office_day(600.0),
-            RoutingPolicy::carbon_aware(),
+            RoutingPolicy::CarbonAware,
             FleetConfig::new()
                 .windows_per_day(5)
                 .sim_slice_s(1.0)

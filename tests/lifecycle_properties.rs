@@ -11,7 +11,7 @@ use junkyard::fleet::lifecycle::{
 };
 use junkyard::fleet::routing::RoutingPolicy;
 use junkyard::fleet::schedule::DiurnalSchedule;
-use junkyard::fleet::site::GridRegion;
+use junkyard::fleet::site::{FleetSite, GridRegion};
 use junkyard::grid::synth::CaisoSynthesizer;
 use junkyard::grid::trace::IntensityTrace;
 use junkyard::microsim::app::hotel_reservation;
@@ -65,14 +65,16 @@ fn leased_site(capacity: f64) -> LifecycleSite {
         TimeSpan::from_days(1.0),
     );
     LifecycleSite::try_leased(
-        "datacenter",
-        &tiny_sim(),
-        GridRegion::new("gas", trace),
-        capacity,
+        FleetSite::new(
+            "datacenter",
+            &tiny_sim(),
+            GridRegion::new("gas", trace),
+            capacity,
+        )
+        .power(Watts::new(50.0), Watts::new(40.0))
+        .embodied(GramsCo2e::from_kilograms(500.0), TimeSpan::from_years(4.0)),
     )
     .expect("the test capacity is valid")
-    .power(Watts::new(50.0), Watts::new(40.0))
-    .embodied(GramsCo2e::from_kilograms(500.0), TimeSpan::from_years(4.0))
 }
 
 proptest! {
@@ -88,7 +90,7 @@ proptest! {
         carbon_aware in 0u8..2,
     ) {
         let policy = if carbon_aware == 1 {
-            RoutingPolicy::carbon_aware()
+            RoutingPolicy::CarbonAware
         } else {
             RoutingPolicy::Static
         };
@@ -162,7 +164,7 @@ proptest! {
             LifecycleSim::new(
                 sites,
                 DiurnalSchedule::office_day(base_qps),
-                RoutingPolicy::carbon_aware(),
+                RoutingPolicy::CarbonAware,
                 LifecycleConfig::new(years)
                     .windows_per_day(2)
                     .sim_slice_s(1.0)

@@ -41,7 +41,7 @@ fn tiny_space(trace_seed: u64) -> PlannerSpace {
             GridRegion::new("flat", flat),
         ],
     )
-    .routings(vec![RoutingPolicy::Static, RoutingPolicy::carbon_aware()])
+    .routings(vec![RoutingPolicy::Static, RoutingPolicy::CarbonAware])
     .charge_floors(vec![0.25, 0.5])
 }
 

@@ -73,10 +73,12 @@ fn cohort_site() -> LifecycleSite {
 }
 
 fn leased_site() -> LifecycleSite {
-    LifecycleSite::try_leased("datacenter", &tiny_sim(), flat_region(420.0), 300.0)
-        .expect("the test capacity is valid")
-        .power(Watts::new(50.0), Watts::new(40.0))
-        .embodied(GramsCo2e::from_kilograms(500.0), TimeSpan::from_years(4.0))
+    LifecycleSite::try_leased(
+        FleetSite::new("datacenter", &tiny_sim(), flat_region(420.0), 300.0)
+            .power(Watts::new(50.0), Watts::new(40.0))
+            .embodied(GramsCo2e::from_kilograms(500.0), TimeSpan::from_years(4.0)),
+    )
+    .expect("the test capacity is valid")
 }
 
 /// The pinned fault-free lifecycle scenario: a two-phone cohort plus a
@@ -85,7 +87,7 @@ fn lifecycle_scenario() -> LifecycleResult {
     LifecycleSim::new(
         vec![cohort_site(), leased_site()],
         DiurnalSchedule::office_day(500.0),
-        RoutingPolicy::carbon_aware(),
+        RoutingPolicy::CarbonAware,
         LifecycleConfig::new(1)
             .horizon_days(40)
             .windows_per_day(2)
@@ -108,7 +110,7 @@ fn fleet_scenario() -> FleetResult {
     FleetSim::new(
         vec![site("clean", 100.0), site("dirty", 400.0)],
         DiurnalSchedule::office_day(600.0),
-        RoutingPolicy::carbon_aware(),
+        RoutingPolicy::CarbonAware,
         FleetConfig::new()
             .windows_per_day(4)
             .sim_slice_s(1.0)
@@ -182,7 +184,7 @@ fn disabled_fault_machinery_is_bit_identical_too() {
     let with_disabled_faults = LifecycleSim::new(
         vec![cohort_site(), leased_site()],
         DiurnalSchedule::office_day(500.0),
-        RoutingPolicy::carbon_aware(),
+        RoutingPolicy::CarbonAware,
         LifecycleConfig::new(1)
             .horizon_days(40)
             .windows_per_day(2)
