@@ -6,6 +6,7 @@
 use junkyard_carbon::units::{CarbonIntensity, TimeSpan, Watts};
 use junkyard_devices::catalog::{self, C5Size};
 use junkyard_fleet::site::{FleetSite, GridRegion};
+use junkyard_grid::synth::CaisoSynthesizer;
 use junkyard_grid::trace::IntensityTrace;
 use junkyard_microsim::app::{social_network, Application, SN_COMPOSE_POST};
 use junkyard_microsim::network::NetworkModel;
@@ -166,6 +167,19 @@ pub fn c5_datacenter_site(name: &str) -> Result<FleetSite, DeploymentError> {
         catalog::c5_instance(C5Size::XLarge9).embodied(),
         TimeSpan::from_years(4.0),
     ))
+}
+
+/// The two-region grid pair the studies share: `west`'s CAISO-like trace
+/// and its antipodal twin, rotated by twelve hours so the solar trough of
+/// one lines up with the evening peak of the other.
+pub(crate) fn two_region_traces(west: CaisoSynthesizer) -> (IntensityTrace, IntensityTrace) {
+    let west = west.intensity_trace();
+    let half_day_steps = (TimeSpan::from_hours(12.0).seconds() / west.step().seconds()).round();
+    let mut values = west.values().to_vec();
+    let shift = half_day_steps as usize % values.len();
+    values.rotate_left(shift);
+    let east = IntensityTrace::new(west.step(), values);
+    (west, east)
 }
 
 #[cfg(test)]

@@ -15,9 +15,10 @@ use junkyard_carbon::embodied::battery_replacement_carbon;
 use junkyard_carbon::units::{GramsCo2e, TimeSpan, Watts};
 use junkyard_devices::catalog;
 use junkyard_devices::components::ComponentBreakdown;
+use junkyard_fleet::lifecycle::LifecycleConfig;
 use junkyard_fleet::routing::RoutingPolicy;
 use junkyard_fleet::schedule::DiurnalSchedule;
-use junkyard_fleet::sim::{FleetConfig, FleetResult, FleetSim};
+use junkyard_fleet::sim::{FleetResult, FleetSim};
 use junkyard_fleet::site::{second_life_embodied, smart_charging_scale, FleetSite, GridRegion};
 use junkyard_grid::synth::CaisoSynthesizer;
 use junkyard_grid::trace::IntensityTrace;
@@ -25,18 +26,21 @@ use junkyard_microsim::app::{social_network, SN_COMPOSE_POST};
 
 use crate::cloudlet_study::CloudletWorkload;
 use crate::deployments::{
-    build_deployment, c5_datacenter_site, DeploymentError, DeploymentKind, FAN_EMBODIED_KG,
-    FAN_WATTS, PHONE_SERVING_WATTS,
+    build_deployment, c5_datacenter_site, two_region_traces, DeploymentError, DeploymentKind,
+    FAN_EMBODIED_KG, FAN_WATTS, PHONE_SERVING_WATTS,
 };
 use crate::report::{Chart, SeriesLine, Table};
 
 /// Peak-hour base demand of the day curve, requests per second.
 const BASE_QPS: f64 = 4_000.0;
 
+/// Days of grid trace per region: the study serves one day, and smart
+/// charging plans each day from the day before it.
+const TRACE_DAYS: usize = 2;
+
 /// Configuration of the two-region fleet study.
 #[derive(Debug, Clone)]
 pub struct FleetStudy {
-    days: usize,
     windows_per_day: usize,
     sim_slice_s: f64,
     warmup_s: f64,
@@ -50,7 +54,6 @@ impl FleetStudy {
     #[must_use]
     pub fn paper_scale() -> Self {
         Self {
-            days: 1,
             windows_per_day: 24,
             sim_slice_s: 4.0,
             warmup_s: 1.0,
@@ -64,25 +67,12 @@ impl FleetStudy {
     #[must_use]
     pub fn quick() -> Self {
         Self {
-            days: 1,
             windows_per_day: 6,
             sim_slice_s: 1.0,
             warmup_s: 1.0,
             seed: 42,
             parallelism: None,
         }
-    }
-
-    /// Overrides the number of simulated days.
-    ///
-    /// # Panics
-    ///
-    /// Panics if zero.
-    #[must_use]
-    pub fn days(mut self, days: usize) -> Self {
-        assert!(days > 0, "the study needs at least one day");
-        self.days = days;
-        self
     }
 
     /// Overrides the random seed (regions, workloads and routing stay
@@ -110,15 +100,7 @@ impl FleetStudy {
     /// solar trough of one lines up with the evening peak of the other.
     #[must_use]
     pub fn two_region_traces(&self) -> (IntensityTrace, IntensityTrace) {
-        // Smart charging needs at least one full previous day of history.
-        let trace_days = self.days.max(2);
-        let west = CaisoSynthesizer::new(self.seed, trace_days).intensity_trace();
-        let half_day_steps = (TimeSpan::from_hours(12.0).seconds() / west.step().seconds()).round();
-        let mut values = west.values().to_vec();
-        let shift = half_day_steps as usize % values.len();
-        values.rotate_left(shift);
-        let east = IntensityTrace::new(west.step(), values);
-        (west, east)
+        two_region_traces(CaisoSynthesizer::new(self.seed, TRACE_DAYS))
     }
 
     /// Builds one junk-phone cloudlet site on `trace`'s grid.
@@ -201,8 +183,8 @@ impl FleetStudy {
             self.phone_site("cloudlet-east", east)?,
             c5_datacenter_site("datacenter")?,
         ];
-        let schedule = DiurnalSchedule::office_day(BASE_QPS).days(self.days);
-        let mut config = FleetConfig::new()
+        let schedule = DiurnalSchedule::office_day(BASE_QPS);
+        let mut config = LifecycleConfig::days(1)
             .windows_per_day(self.windows_per_day)
             .sim_slice_s(self.sim_slice_s)
             .warmup_s(self.warmup_s)

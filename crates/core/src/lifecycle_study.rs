@@ -36,7 +36,9 @@ use junkyard_microsim::placement::Placement;
 use junkyard_microsim::sim::Simulation;
 
 use crate::cloudlet_study::CloudletWorkload;
-use crate::deployments::{c5_datacenter_site, DeploymentError, FAN_EMBODIED_KG, FAN_WATTS};
+use crate::deployments::{
+    c5_datacenter_site, two_region_traces, DeploymentError, FAN_EMBODIED_KG, FAN_WATTS,
+};
 use crate::report::{Chart, SeriesLine, Table};
 
 /// Pixel 3A slots per cloudlet.
@@ -151,15 +153,7 @@ impl LifecycleStudy {
     /// lifecycle tiles periodically over the horizon.
     #[must_use]
     pub fn two_region_traces(&self) -> (IntensityTrace, IntensityTrace) {
-        let west = CaisoSynthesizer::new(self.seed, self.trace_days)
-            .step(self.trace_step)
-            .intensity_trace();
-        let half_day_steps = (TimeSpan::from_hours(12.0).seconds() / west.step().seconds()).round();
-        let mut values = west.values().to_vec();
-        let shift = half_day_steps as usize % values.len();
-        values.rotate_left(shift);
-        let east = IntensityTrace::new(west.step(), values);
-        (west, east)
+        two_region_traces(CaisoSynthesizer::new(self.seed, self.trace_days).step(self.trace_step))
     }
 
     /// One cohort slot for `device`, with its Reuse-Factor replacement
@@ -258,7 +252,7 @@ impl LifecycleStudy {
     }
 
     fn config(&self) -> LifecycleConfig {
-        let mut config = LifecycleConfig::new(self.years)
+        let mut config = LifecycleConfig::years(self.years)
             .windows_per_day(self.windows_per_day)
             .sim_slice_s(self.sim_slice_s)
             .warmup_s(self.warmup_s)

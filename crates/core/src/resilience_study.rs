@@ -6,8 +6,9 @@
 //! health view (the router learns about dead capacity one detection lag
 //! late). Five strategies face the same chaos:
 //!
-//! 1. **fault-free baseline** — the fault machinery disabled; must be
-//!    bit-identical to a run that never constructed it (and is checked).
+//! 1. **fault-free baseline** — no faults and the do-nothing policy; must
+//!    be bit-identical to a lagged, retrying run over disabled faults
+//!    (and is checked).
 //! 2. **unmitigated** — faults land, nothing recovers; the floor for
 //!    availability and the floor for carbon.
 //! 3. **N+1 overprovisioning** — spare Pixel slots per cloudlet buy
@@ -204,8 +205,7 @@ impl ResilienceStudy {
     }
 
     fn config(&self) -> LifecycleConfig {
-        let mut config = LifecycleConfig::new(1)
-            .horizon_days(self.horizon_days)
+        let mut config = LifecycleConfig::days(self.horizon_days)
             .windows_per_day(self.windows_per_day)
             .sim_slice_s(self.sim_slice_s)
             .warmup_s(self.warmup_s)
@@ -223,8 +223,8 @@ impl ResilienceStudy {
         &self,
         spares: usize,
         with_standby: bool,
-        faults: Option<FaultConfig>,
-        policy: Option<ResiliencePolicy>,
+        faults: FaultConfig,
+        policy: ResiliencePolicy,
     ) -> Result<LifecycleSim, DeploymentError> {
         let factory = self.study.clone().spare_pixels(spares);
         let (west, east) = factory.two_region_traces();
@@ -237,19 +237,14 @@ impl ResilienceStudy {
                 "datacenter-standby",
             )?)?);
         }
-        let mut sim = LifecycleSim::new(
+        Ok(LifecycleSim::new(
             sites,
             DiurnalSchedule::office_day(self.base_qps),
             RoutingPolicy::CarbonAware,
             self.config(),
-        );
-        if let Some(faults) = faults {
-            sim = sim.with_faults(faults);
-        }
-        if let Some(policy) = policy {
-            sim = sim.with_resilience(policy);
-        }
-        Ok(sim)
+        )
+        .with_faults(faults)
+        .with_resilience(policy))
     }
 
     fn lagged_policy(&self) -> ResiliencePolicy {
@@ -269,17 +264,15 @@ impl ResilienceStudy {
         self.build_fleet(
             0,
             true,
-            Some(self.fault_config()),
-            Some(
-                self.lagged_policy()
-                    .retry(RetryPolicy::new(self.max_retries).hedge_to_fallback())
-                    .fallback_site(2)
-                    .degradation(
-                        DegradationLadder::new()
-                            .shed_low_priority(self.low_priority_fraction)
-                            .brownout(self.brownout_stretch),
-                    ),
-            ),
+            self.fault_config(),
+            self.lagged_policy()
+                .retry(RetryPolicy::new(self.max_retries).hedge_to_fallback())
+                .fallback_site(2)
+                .degradation(
+                    DegradationLadder::new()
+                        .shed_low_priority(self.low_priority_fraction)
+                        .brownout(self.brownout_stretch),
+                ),
         )
     }
 
@@ -297,57 +290,48 @@ impl ResilienceStudy {
         let mut slices = MeasuredSlices::new();
         let mut run = |sim: LifecycleSim| sim.run_shared(&mut slices).map_err(DeploymentError::Sim);
 
-        // The fault-free baseline, twice: once without the machinery and
-        // once with it disabled. Anything but bit-identity is a defect in
-        // the failure-aware path. The disabled twin runs standalone, so it
-        // re-simulates every slice and the check stays a real one.
-        let baseline = run(self.build_fleet(0, false, None, None)?)?;
+        // The fault-free baseline, twice: once under the do-nothing policy
+        // and once under a lagged, retrying one. Without faults, anything
+        // but bit-identity is a defect in the failure-aware path. The
+        // disabled twin runs standalone, so it re-simulates every slice
+        // and the check stays a real one.
+        let baseline =
+            run(self.build_fleet(0, false, FaultConfig::disabled(), ResiliencePolicy::new())?)?;
         let disabled = self
             .build_fleet(
                 0,
                 false,
-                Some(FaultConfig::disabled()),
-                Some(
-                    self.lagged_policy()
-                        .retry(RetryPolicy::new(self.max_retries)),
-                ),
+                FaultConfig::disabled(),
+                self.lagged_policy()
+                    .retry(RetryPolicy::new(self.max_retries)),
             )?
             .run()
             .map_err(DeploymentError::Sim)?;
         let baseline_bit_identical = baseline == disabled;
 
         let faults = self.fault_config();
-        let unmitigated =
-            run(self.build_fleet(0, false, Some(faults), Some(self.lagged_policy()))?)?;
-        let overprovisioned = run(self.build_fleet(
-            self.spare_pixels,
-            false,
-            Some(faults),
-            Some(self.lagged_policy()),
-        )?)?;
+        let unmitigated = run(self.build_fleet(0, false, faults, self.lagged_policy())?)?;
+        let overprovisioned =
+            run(self.build_fleet(self.spare_pixels, false, faults, self.lagged_policy())?)?;
         let retry_to_fallback = run(self.build_fleet(
             0,
             true,
-            Some(faults),
-            Some(
-                self.lagged_policy()
-                    .retry(RetryPolicy::new(self.max_retries).hedge_to_fallback())
-                    .fallback_site(2),
-            ),
+            faults,
+            self.lagged_policy()
+                .retry(RetryPolicy::new(self.max_retries).hedge_to_fallback())
+                .fallback_site(2),
         )?)?;
         let degrade_in_place = run(self.build_fleet(
             0,
             false,
-            Some(faults),
-            Some(
-                self.lagged_policy()
-                    .retry(RetryPolicy::new(self.max_retries))
-                    .degradation(
-                        DegradationLadder::new()
-                            .shed_low_priority(self.low_priority_fraction)
-                            .brownout(self.brownout_stretch),
-                    ),
-            ),
+            faults,
+            self.lagged_policy()
+                .retry(RetryPolicy::new(self.max_retries))
+                .degradation(
+                    DegradationLadder::new()
+                        .shed_low_priority(self.low_priority_fraction)
+                        .brownout(self.brownout_stretch),
+                ),
         )?)?;
 
         let strategies = vec![

@@ -6,8 +6,9 @@
 //! intensity and carbon accounting are evaluated in isolation there. This
 //! crate answers the coupled question end to end:
 //!
-//! * [`schedule`] — diurnal, time-varying load schedules compiled into the
-//!   microsim's ramp phases (non-homogeneous Poisson arrivals).
+//! * [`schedule`] — one diurnal day curve, tiled over the run's horizon
+//!   into windows that compile into the microsim's ramp phases
+//!   (non-homogeneous Poisson arrivals).
 //! * [`site`] — [`FleetSite`], the one fixed-capacity site model: one
 //!   compiled cloudlet (or datacenter backend) simulation, its grid
 //!   region, its power model and its amortised embodied carbon (via the
@@ -25,7 +26,8 @@
 //!   them in cell order, so results are identical serial or threaded.
 //!   The module also holds the one slice measurement (warm-up, ramp,
 //!   whole-second utilisation buckets, percentiles, drop fraction) that
-//!   [`FleetSim`] and [`LifecycleSim`] both run.
+//!   [`FleetSim`] and [`LifecycleSim`] both run, configured by the one
+//!   [`LifecycleConfig`] both take.
 //! * [`faults`] — correlated fault injection and the failure-aware
 //!   serving path: deterministic [`FaultPlan`]s of
 //!   grid outages, firmware-batch failures and thermal shutdowns; a
@@ -33,6 +35,7 @@
 //!   [`RetryPolicy`] retries and hedging, every
 //!   attempt charged its carbon; and a degradation ladder
 //!   (reroute → shed low-priority → brown-out) when retries exhaust.
+//!   Every lifecycle window is resolved through it.
 //! * [`lifecycle`] — [`LifecycleSim`]: the
 //!   multi-year coupling of all of the above. Device cohorts wear their
 //!   batteries day by day under the simulated smart-charging schedule,
@@ -46,9 +49,10 @@
 //!
 //! ```
 //! use junkyard_carbon::units::{CarbonIntensity, TimeSpan, Watts};
+//! use junkyard_fleet::lifecycle::LifecycleConfig;
 //! use junkyard_fleet::routing::RoutingPolicy;
 //! use junkyard_fleet::schedule::DiurnalSchedule;
-//! use junkyard_fleet::sim::{FleetConfig, FleetSim};
+//! use junkyard_fleet::sim::FleetSim;
 //! use junkyard_fleet::site::{FleetSite, GridRegion};
 //! use junkyard_grid::trace::IntensityTrace;
 //! use junkyard_microsim::app::hotel_reservation;
@@ -77,7 +81,7 @@
 //!     vec![site],
 //!     DiurnalSchedule::flat(150.0),
 //!     RoutingPolicy::Static,
-//!     FleetConfig::new().windows_per_day(4).sim_slice_s(1.0).warmup_s(0.0),
+//!     LifecycleConfig::days(1).windows_per_day(4).sim_slice_s(1.0).warmup_s(0.0),
 //! );
 //! let result = fleet.run().unwrap();
 //! assert!(result.grams_per_request().unwrap() > 0.0);
@@ -104,5 +108,5 @@ pub use lifecycle::{
 };
 pub use routing::{RoutingPolicy, SiteWindowInput, WindowAssignment};
 pub use schedule::{DiurnalSchedule, LoadWindow};
-pub use sim::{FleetCell, FleetConfig, FleetResult, FleetSim};
+pub use sim::{FleetCell, FleetResult, FleetSim};
 pub use site::{second_life_embodied, smart_charging_scale, FleetSite, GridRegion};

@@ -1,4 +1,6 @@
-//! Multi-year, day-stepped fleet lifecycle simulation.
+//! Multi-year, day-stepped fleet lifecycle simulation, and the one run
+//! config ([`LifecycleConfig`]) that it and the per-window fleet engine
+//! take.
 //!
 //! The paper's headline claim rests on *amortisation over time*: a
 //! junk-phone cloudlet only beats a cloud instance on lifetime carbon if
@@ -21,6 +23,13 @@
 //!   day `d % trace_days`; routing is re-planned every window from the
 //!   cohort capacity actually alive that day;
 //! * accounting cells are one *(year, site)* pair.
+//!
+//! Every window takes one serving path. The router plans it on the
+//! capacity it observes, and [`resolve_window`] resolves what the sites
+//! actually deliver: first attempts, retries, the hedge and the
+//! degradation ladder. A fault-free window resolves to
+//! [`WindowResolution::healthy`], and only the windows that differ from
+//! it are stored, so a fault-free run stores no resolution at all.
 //!
 //! The serving measurements reuse the compiled microsim in three passes.
 //! A serial pass plans each cell's distinct slices: within a cell,
@@ -57,7 +66,9 @@ use junkyard_microsim::sim::{SimError, Simulation};
 use junkyard_microsim::sweep::decorrelate_seed;
 use junkyard_obs::{ConservedLedger, EventKind, NoopRecorder, Recorder, TraceEvent};
 
-use crate::faults::{resolve_window, FaultConfig, FaultPlan, ResiliencePolicy, WindowResolution};
+use crate::faults::{
+    resolve_window, FaultConfig, FaultPlan, ResiliencePolicy, RetryPolicy, WindowResolution,
+};
 use crate::routing::{
     plan_window_inputs, record_routes, RoutingPolicy, SiteWindowInput, WindowAssignment,
 };
@@ -405,54 +416,53 @@ impl LifecycleSite {
     }
 }
 
-/// Tunables of a lifecycle run.
+/// The one run config of both fleet engines, [`FleetSim`] and
+/// [`LifecycleSim`]: the horizon in days, the routing/accounting windows
+/// per day, the measured microsim slice and its warm-up, the root seed
+/// and the worker cap.
+///
+/// [`FleetSim`]: crate::sim::FleetSim
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LifecycleConfig {
-    years: usize,
-    horizon_days: Option<usize>,
-    windows_per_day: usize,
-    sim_slice_s: f64,
-    warmup_s: f64,
-    seed: u64,
-    parallelism: Option<usize>,
+    pub(crate) days: usize,
+    pub(crate) windows_per_day: usize,
+    pub(crate) slice: TimeSpan,
+    pub(crate) warmup: TimeSpan,
+    pub(crate) seed: u64,
+    pub(crate) parallelism: Option<usize>,
 }
 
 impl LifecycleConfig {
-    /// Defaults for `years` simulated years: six 4-hour routing windows
-    /// per day, a 1-second measured slice after a 1-second warm-up, seed
-    /// 42, machine parallelism.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `years` is zero.
-    #[must_use]
-    pub fn new(years: usize) -> Self {
-        assert!(years > 0, "the lifecycle needs at least one year");
-        Self {
-            years,
-            horizon_days: None,
-            windows_per_day: 6,
-            sim_slice_s: 1.0,
-            warmup_s: 1.0,
-            seed: 42,
-            parallelism: None,
-        }
-    }
-
-    /// Overrides the horizon with an exact number of days instead of whole
-    /// years — the planner's coarse-fidelity knob: a candidate deployment
-    /// can be screened on a few simulated days before the survivors earn a
-    /// multi-year run. Accounting cells still cover at most one year each;
-    /// the last cell is simply shorter.
+    /// Defaults for a horizon of `days` simulated days: six 4-hour
+    /// routing windows per day, a 1-second measured slice after a
+    /// 1-second warm-up, seed 42, machine parallelism. The planner's
+    /// coarse fidelity screens a candidate on a few days; accounting
+    /// cells still cover at most one year each, so the last is shorter.
     ///
     /// # Panics
     ///
     /// Panics if `days` is zero.
     #[must_use]
-    pub fn horizon_days(mut self, days: usize) -> Self {
+    pub fn days(days: usize) -> Self {
         assert!(days > 0, "the lifecycle needs at least one day");
-        self.horizon_days = Some(days);
-        self
+        Self {
+            days,
+            windows_per_day: 6,
+            slice: TimeSpan::from_secs(1.0),
+            warmup: TimeSpan::from_secs(1.0),
+            seed: 42,
+            parallelism: None,
+        }
+    }
+
+    /// [`LifecycleConfig::days`] for `years` whole years of 365 days.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `years` is zero.
+    #[must_use]
+    pub fn years(years: usize) -> Self {
+        Self::days(years * DAYS_PER_YEAR)
     }
 
     /// Sets the number of routing/accounting windows per day.
@@ -467,8 +477,13 @@ impl LifecycleConfig {
         self
     }
 
-    /// Sets the measured length of each microsim slice (whole seconds —
-    /// the engine buckets utilisation per second).
+    /// Sets the measured length of each microsim slice. Latency and
+    /// utilisation measured over it are extrapolated to the window.
+    ///
+    /// The engine accumulates utilisation in one-second buckets, so the
+    /// slice must be a whole number of seconds — a fractional trailing
+    /// bucket would be divided by a full second and bias utilisation
+    /// (and therefore energy and operational carbon) low.
     ///
     /// # Panics
     ///
@@ -480,12 +495,14 @@ impl LifecycleConfig {
             seconds.fract() == 0.0,
             "slice duration must be a whole number of seconds (1-second utilisation buckets)"
         );
-        self.sim_slice_s = seconds;
+        self.slice = TimeSpan::from_secs(seconds);
         self
     }
 
-    /// Sets the warm-up excluded from each slice's measurements (whole
-    /// seconds).
+    /// Sets the warm-up excluded from each slice's measurements. Like
+    /// the slice it is whole seconds, so the measurement window aligns
+    /// with the one-second utilisation buckets and no warm-up work leaks
+    /// into it.
     ///
     /// # Panics
     ///
@@ -497,7 +514,7 @@ impl LifecycleConfig {
             seconds.fract() == 0.0,
             "warm-up must be a whole number of seconds (1-second utilisation buckets)"
         );
-        self.warmup_s = seconds;
+        self.warmup = TimeSpan::from_secs(seconds);
         self
     }
 
@@ -516,22 +533,9 @@ impl LifecycleConfig {
     /// Panics if zero.
     #[must_use]
     pub fn parallelism(mut self, workers: usize) -> Self {
-        assert!(workers > 0, "a lifecycle run needs at least one worker");
+        assert!(workers > 0, "a fleet run needs at least one worker");
         self.parallelism = Some(workers);
         self
-    }
-
-    /// Simulated years.
-    #[must_use]
-    pub fn years(&self) -> usize {
-        self.years
-    }
-
-    /// Simulated days of the horizon: the explicit day override when set,
-    /// otherwise `years * 365`.
-    #[must_use]
-    pub fn total_days(&self) -> usize {
-        self.horizon_days.unwrap_or(self.years * DAYS_PER_YEAR)
     }
 }
 
@@ -838,7 +842,7 @@ impl LifecycleResult {
         &self.cells[year * self.site_names.len() + site]
     }
 
-    /// The fleet-wide per-day ledger (length `years * 365`).
+    /// The fleet-wide per-day ledger, one entry per day of the horizon.
     #[must_use]
     pub fn day_ledger(&self) -> &[DayLedger] {
         &self.day_ledger
@@ -1241,22 +1245,19 @@ fn cell_days(year: usize, total_days: usize) -> Range<usize> {
 
 /// The load one window's measured slice replays at one site, or `None`
 /// when nothing was delivered there and no slice is measured. The slice
-/// replays only the traffic delivered on first attempt: a fault's
-/// `ratio < 1.0` scales the planned endpoints, and the healthy branch
-/// leaves their bits untouched. Slice planning and cell accounting both
-/// call this, so they agree on every slice.
+/// replays only the traffic delivered on first attempt: the planned
+/// endpoints times the delivered ratio, which is exactly 1.0 (so the
+/// bits stay untouched) wherever the site took its whole share. Slice
+/// planning and cell accounting both call this, so they agree on every
+/// slice.
 fn slice_endpoints(
     plan: &WindowAssignment,
-    resolution: Option<&WindowResolution>,
+    resolution: &WindowResolution,
     site: usize,
 ) -> Option<(f64, f64)> {
     let (qps_start, qps_end) = plan.shares()[site];
-    let ratio = resolution.map_or(1.0, |r| r.delivered_ratio[site]);
-    let (eff_start, eff_end) = if ratio < 1.0 {
-        (qps_start * ratio, qps_end * ratio)
-    } else {
-        (qps_start, qps_end)
-    };
+    let ratio = resolution.delivered_ratio[site];
+    let (eff_start, eff_end) = (qps_start * ratio, qps_end * ratio);
     ((eff_start + eff_end) / 2.0 > 0.0).then_some((eff_start, eff_end))
 }
 
@@ -1276,13 +1277,14 @@ pub struct LifecycleSim {
     schedule: DiurnalSchedule,
     policy: RoutingPolicy,
     config: LifecycleConfig,
-    faults: Option<FaultConfig>,
-    resilience: Option<ResiliencePolicy>,
+    faults: FaultConfig,
+    resilience: ResiliencePolicy,
 }
 
 impl LifecycleSim {
-    /// Assembles a lifecycle run. `schedule`'s day curve is repeated over
-    /// the whole horizon (its own day count is overridden).
+    /// Assembles a lifecycle run. `schedule`'s day curve repeats over the
+    /// config's horizon. Faults start disabled and the resilience policy
+    /// at [`ResiliencePolicy::new`].
     ///
     /// # Panics
     ///
@@ -1300,8 +1302,8 @@ impl LifecycleSim {
             schedule,
             policy,
             config,
-            faults: None,
-            resilience: None,
+            faults: FaultConfig::disabled(),
+            resilience: ResiliencePolicy::new(),
         }
     }
 
@@ -1309,11 +1311,10 @@ impl LifecycleSim {
     /// [`FaultPlan`] of grid outages, firmware-batch failures and
     /// thermal shutdowns is generated from `config` (seeded from the run
     /// seed) and applied on top of the per-device daily dynamics. A
-    /// disabled config is exactly equivalent to no faults at all —
-    /// bit-identical results.
+    /// disabled config, the default, injects nothing.
     #[must_use]
     pub fn with_faults(mut self, config: FaultConfig) -> Self {
-        self.faults = Some(config);
+        self.faults = config;
         self
     }
 
@@ -1334,14 +1335,8 @@ impl LifecycleSim {
                 self.sites.len()
             );
         }
-        self.resilience = Some(policy);
+        self.resilience = policy;
         self
-    }
-
-    /// The run configuration.
-    #[must_use]
-    pub fn config(&self) -> &LifecycleConfig {
-        &self.config
     }
 
     /// The serial dynamics pass for one site: day-stepped battery wear
@@ -1504,7 +1499,8 @@ impl LifecycleSim {
     /// Runs the lifecycle and returns the accounting grid.
     ///
     /// The serial passes (per-site daily dynamics, per-window routing
-    /// plans, the plan of each cell's distinct slices) run first. The
+    /// plans and their resolved outcomes, the plan of each cell's
+    /// distinct slices) run first. The
     /// distinct slices then fan out across worker threads with
     /// [`fan_out`], and a serial pass accounts every (year, site)
     /// cell from them, so the result is bit-identical at any worker
@@ -1562,45 +1558,31 @@ impl LifecycleSim {
         slices: &mut MeasuredSlices,
         recorder: &mut R,
     ) -> Result<LifecycleResult, SimError> {
-        let days = self.config.total_days();
+        let days = self.config.days;
         let years_spanned = days.div_ceil(DAYS_PER_YEAR);
         let wpd = self.config.windows_per_day;
         let sites = self.sites.len();
-        let schedule = self.schedule.clone().days(days);
-        let windows = schedule.windows(wpd);
+        let windows = self.schedule.windows(days, wpd);
 
         // Serial pass 1: per-site daily dynamics.
         let dynamics: Vec<Vec<DayDynamics>> = (0..sites)
             .map(|s| self.simulate_dynamics(s, days))
             .collect();
 
-        // The correlated fault schedule and its serving consequences.
-        // With a disabled/absent fault config and no standby fallback,
-        // `resolutions` stays `None` and every downstream expression
-        // reduces to the plain path — fault-free runs are bit-identical
-        // to runs that never constructed the fault layer at all.
-        let fault_plan = match &self.faults {
-            Some(config) => FaultPlan::generate(
-                config,
-                windows.len(),
-                sites,
-                wpd,
-                decorrelate_seed(self.config.seed, 1 << 32),
-            ),
-            None => FaultPlan::none(windows.len(), sites),
-        };
-        let fallback = self
-            .resilience
-            .as_ref()
-            .and_then(ResiliencePolicy::fallback);
-        let active = !fault_plan.is_fault_free() || fallback.is_some();
-        let lag = self
-            .resilience
-            .as_ref()
-            .map_or(0, ResiliencePolicy::lag_windows);
-        // The router's (possibly stale) health view: window `w` is
-        // planned from the availability that was true `lag` windows ago;
-        // before anything could be observed, everything looks healthy.
+        // The correlated fault schedule (all-ones when every process is
+        // disabled) and the router's possibly stale health view of it:
+        // window `w` is planned from the availability that was true `lag`
+        // windows ago; before anything could be observed, everything
+        // looks healthy.
+        let fault_plan = FaultPlan::generate(
+            &self.faults,
+            windows.len(),
+            sites,
+            wpd,
+            decorrelate_seed(self.config.seed, 1 << 32),
+        );
+        let fallback = self.resilience.fallback();
+        let lag = self.resilience.lag_windows();
         let observed_avail = |w: usize, s: usize| {
             if w >= lag {
                 fault_plan.availability(w - lag, s)
@@ -1611,11 +1593,19 @@ impl LifecycleSim {
 
         // Serial pass 2: per-window routing plans against the capacity
         // the router *believes* is alive that day (true capacity times
-        // the lagged availability; a standby fallback site is planned at
-        // zero so it takes no primary traffic), plus the window-mean
-        // intensities the cells will charge energy at.
+        // the observed availability; a standby fallback site is planned
+        // at zero so it takes no primary traffic), plus the window-mean
+        // intensities the cells will charge energy at. Each plan is then
+        // resolved: first attempts against *true* capacity, the retry
+        // rounds aimed by the stale view, the hedge and the degradation
+        // ladder. Only the outcomes that differ from the healthy one are
+        // kept, so a fault-free run stores none.
+        let healthy = WindowResolution::healthy(sites);
+        let mut resolutions: BTreeMap<usize, WindowResolution> = BTreeMap::new();
         let mut intensities: Vec<Vec<CarbonIntensity>> = Vec::with_capacity(windows.len());
         let mut plans: Vec<WindowAssignment> = Vec::with_capacity(windows.len());
+        let (mut true_cap, mut observed_cap) = (vec![0.0; sites], vec![0.0; sites]);
+        let (mut avail, mut assigned) = (vec![0.0; sites], vec![0.0; sites]);
         for window in &windows {
             let day = window.index() / wpd;
             let w = window.index();
@@ -1627,14 +1617,17 @@ impl LifecycleSim {
                         .mean_intensity_between(window.start(), window.end())
                 })
                 .collect();
+            for s in 0..sites {
+                avail[s] = fault_plan.availability(w, s);
+                true_cap[s] = dynamics[s][day].capacity_qps * avail[s];
+                observed_cap[s] = dynamics[s][day].capacity_qps * observed_avail(w, s);
+            }
             let inputs: Vec<SiteWindowInput> = (0..sites)
                 .map(|s| SiteWindowInput {
-                    capacity_qps: if !active {
-                        dynamics[s][day].capacity_qps
-                    } else if Some(s) == fallback {
+                    capacity_qps: if Some(s) == fallback {
                         0.0
                     } else {
-                        dynamics[s][day].capacity_qps * observed_avail(w, s)
+                        observed_cap[s]
                     },
                     intensity: window_intensities[s],
                 })
@@ -1646,91 +1639,70 @@ impl LifecycleSim {
                 &plan,
                 self.sites.iter().map(LifecycleSite::name),
             );
+            for (s, rate) in assigned.iter_mut().enumerate() {
+                *rate = plan.site_mean_qps(s);
+            }
+            let resolution = resolve_window(
+                &assigned,
+                &true_cap,
+                &observed_cap,
+                &avail,
+                &self.resilience,
+            );
+            if resolution != healthy {
+                resolutions.insert(w, resolution);
+            }
             plans.push(plan);
             intensities.push(window_intensities);
         }
-
-        // Serial pass 3 (faulty runs only): resolve each window's serving
-        // outcome — first attempts against *true* capacity, then the
-        // retry rounds aimed by the stale view, the hedge, and the
-        // degradation ladder.
-        let resolutions: Option<Vec<WindowResolution>> = if active {
-            let policy = self.resilience.as_ref();
-            Some(
-                windows
-                    .iter()
-                    .map(|window| {
-                        let w = window.index();
-                        let day = w / wpd;
-                        let assigned: Vec<f64> =
-                            (0..sites).map(|s| plans[w].site_mean_qps(s)).collect();
-                        let true_cap: Vec<f64> = (0..sites)
-                            .map(|s| dynamics[s][day].capacity_qps * fault_plan.availability(w, s))
-                            .collect();
-                        let observed_cap: Vec<f64> = (0..sites)
-                            .map(|s| dynamics[s][day].capacity_qps * observed_avail(w, s))
-                            .collect();
-                        let avail: Vec<f64> =
-                            (0..sites).map(|s| fault_plan.availability(w, s)).collect();
-                        resolve_window(&assigned, &true_cap, &observed_cap, &avail, policy)
-                    })
-                    .collect(),
-            )
-        } else {
-            None
-        };
-        let resolutions = resolutions.as_deref();
         if recorder.enabled() {
-            if let Some(res) = resolutions {
-                for window in &windows {
-                    let w = window.index();
-                    let t = window.start().seconds();
-                    for (s, site) in self.sites.iter().enumerate() {
-                        let avail = fault_plan.availability(w, s);
-                        if avail < 1.0 {
-                            recorder.event(
-                                TraceEvent::new(EventKind::Fault, t, site.name(), avail)
-                                    .with_detail(&format!("w{w}")),
-                            );
-                        }
-                    }
-                    let r = &res[w];
-                    if r.retried_ok_mean > 0.0 {
+            // A window with a fault differs from the healthy outcome in
+            // its availability, so the stored outcomes hold every event.
+            for (&w, r) in &resolutions {
+                let t = windows[w].start().seconds();
+                for (s, site) in self.sites.iter().enumerate() {
+                    if r.avail[s] < 1.0 {
                         recorder.event(
-                            TraceEvent::new(EventKind::Retry, t, "retried-ok", r.retried_ok_mean)
+                            TraceEvent::new(EventKind::Fault, t, site.name(), r.avail[s])
                                 .with_detail(&format!("w{w}")),
                         );
                     }
-                    if r.hedged_mean > 0.0 {
-                        recorder.event(
-                            TraceEvent::new(EventKind::Hedge, t, "hedged", r.hedged_mean)
-                                .with_detail(&format!("w{w}")),
-                        );
-                    }
-                    if r.rerouted_mean > 0.0 {
-                        recorder.event(
-                            TraceEvent::new(EventKind::Route, t, "rerouted", r.rerouted_mean)
-                                .with_detail(&format!("w{w} reroute")),
-                        );
-                    }
-                    let degraded = r.brownout_mean + r.lp_shed_mean;
-                    if degraded > 0.0 {
-                        recorder.event(
-                            TraceEvent::new(EventKind::Degrade, t, "degraded", degraded)
-                                .with_detail(&format!(
-                                    "w{w} brownout={} lp-shed={}",
-                                    r.brownout_mean, r.lp_shed_mean
-                                )),
-                        );
-                    }
+                }
+                if r.retried_ok_mean > 0.0 {
+                    recorder.event(
+                        TraceEvent::new(EventKind::Retry, t, "retried-ok", r.retried_ok_mean)
+                            .with_detail(&format!("w{w}")),
+                    );
+                }
+                if r.hedged_mean > 0.0 {
+                    recorder.event(
+                        TraceEvent::new(EventKind::Hedge, t, "hedged", r.hedged_mean)
+                            .with_detail(&format!("w{w}")),
+                    );
+                }
+                if r.rerouted_mean > 0.0 {
+                    recorder.event(
+                        TraceEvent::new(EventKind::Route, t, "rerouted", r.rerouted_mean)
+                            .with_detail(&format!("w{w} reroute")),
+                    );
+                }
+                let degraded = r.brownout_mean + r.lp_shed_mean;
+                if degraded > 0.0 {
+                    recorder.event(
+                        TraceEvent::new(EventKind::Degrade, t, "degraded", degraded).with_detail(
+                            &format!(
+                                "w{w} brownout={} lp-shed={}",
+                                r.brownout_mean, r.lp_shed_mean
+                            ),
+                        ),
+                    );
                 }
             }
         }
         let retry_grams = self
             .resilience
-            .as_ref()
-            .and_then(ResiliencePolicy::retry_policy)
-            .map_or(0.0, crate::faults::RetryPolicy::attempt_grams);
+            .retry_policy()
+            .map_or(0.0, RetryPolicy::attempt_grams);
 
         // Serial pass 4: plan each cell's distinct slices. Within a cell a
         // slice takes its seed from the first window with its (start, end)
@@ -1745,7 +1717,7 @@ impl LifecycleSim {
             let (year, site) = (cell / sites, cell % sites);
             let mut by_load = BTreeMap::new();
             for w in cell_days(year, days).flat_map(|day| day * wpd..(day + 1) * wpd) {
-                let resolution = resolutions.map(|res| &res[w]);
+                let resolution = resolutions.get(&w).unwrap_or(&healthy);
                 let Some((qps_start, qps_end)) = slice_endpoints(&plans[w], resolution, site)
                 else {
                     continue;
@@ -1757,8 +1729,8 @@ impl LifecycleSim {
                 let seed = decorrelate_seed(self.config.seed, index_u64(w * sites + site) + 1);
                 let key = SliceKey {
                     sim: site_sims[site],
-                    warmup_bits: self.config.warmup_s.to_bits(),
-                    slice_bits: self.config.sim_slice_s.to_bits(),
+                    warmup_bits: self.config.warmup.seconds().to_bits(),
+                    slice_bits: self.config.slice.seconds().to_bits(),
                     start_bits: load.0,
                     end_bits: load.1,
                     seed,
@@ -1792,8 +1764,8 @@ impl LifecycleSim {
                 measure_slice(
                     sim,
                     request_type,
-                    TimeSpan::from_secs(self.config.warmup_s),
-                    TimeSpan::from_secs(self.config.sim_slice_s),
+                    self.config.warmup,
+                    self.config.slice,
                     Qps::from_per_second(job.qps_start),
                     Qps::from_per_second(job.qps_end),
                     job.seed,
@@ -1817,7 +1789,8 @@ impl LifecycleSim {
                     &plans,
                     &intensities,
                     &dynamics,
-                    resolutions,
+                    &resolutions,
+                    &healthy,
                     retry_grams,
                     by_load,
                     &slices.measures,
@@ -1856,9 +1829,8 @@ impl LifecycleSim {
         let window_s = windows[0].duration().seconds();
         let declined_requests = plans.iter().map(|p| p.declined_mean_qps() * window_s).sum();
 
-        // Availability accounting: the resolved fault outcomes rolled up
-        // into horizon totals and the per-window health series (synthesised
-        // all-healthy on a fault-free run).
+        // Availability accounting: the resolved outcomes rolled up into
+        // horizon totals and the per-window health series.
         let mut failed_requests = 0.0;
         let mut retried_ok_requests = 0.0;
         let mut hedged_requests = 0.0;
@@ -1870,28 +1842,20 @@ impl LifecycleSim {
             let w = window.index();
             let offered: f64 =
                 (0..sites).map(|s| plans[w].site_mean_qps(s)).sum::<f64>() * window_s;
-            if let Some(res) = resolutions {
-                let r = &res[w];
-                let failed = r.failed_mean * window_s;
-                let lp_shed = r.lp_shed_mean * window_s;
-                failed_requests += failed;
-                retried_ok_requests += r.retried_ok_mean * window_s;
-                hedged_requests += r.hedged_mean * window_s;
-                rerouted_requests += r.rerouted_mean * window_s;
-                brownout_requests += r.brownout_mean * window_s;
-                low_priority_shed_requests += lp_shed;
-                window_health.push(WindowHealth {
-                    offered,
-                    served: offered - failed - lp_shed,
-                    failed,
-                });
-            } else {
-                window_health.push(WindowHealth {
-                    offered,
-                    served: offered,
-                    failed: 0.0,
-                });
-            }
+            let r = resolutions.get(&w).unwrap_or(&healthy);
+            let failed = r.failed_mean * window_s;
+            let lp_shed = r.lp_shed_mean * window_s;
+            failed_requests += failed;
+            retried_ok_requests += r.retried_ok_mean * window_s;
+            hedged_requests += r.hedged_mean * window_s;
+            rerouted_requests += r.rerouted_mean * window_s;
+            brownout_requests += r.brownout_mean * window_s;
+            low_priority_shed_requests += lp_shed;
+            window_health.push(WindowHealth {
+                offered,
+                served: offered - failed - lp_shed,
+                failed,
+            });
         }
 
         // The live conservation ledger: every window's request identity
@@ -1964,9 +1928,10 @@ impl LifecycleSim {
     }
 
     /// Aggregates one (year, site) cell: every window of the year at this
-    /// site, priced from the measured slices. `by_load` maps each of the
-    /// cell's distinct `(start, end)` slice loads to its position in
-    /// `measures`.
+    /// site, priced from the measured slices. `resolutions` holds the
+    /// stored window outcomes; every other window takes `healthy`.
+    /// `by_load` maps each of the cell's distinct `(start, end)` slice
+    /// loads to its position in `measures`.
     #[allow(clippy::too_many_arguments)] // the cell's full serial context, passed by reference
     fn account_cell(
         &self,
@@ -1976,7 +1941,8 @@ impl LifecycleSim {
         plans: &[WindowAssignment],
         intensities: &[Vec<CarbonIntensity>],
         dynamics: &[Vec<DayDynamics>],
-        resolutions: Option<&[WindowResolution]>,
+        resolutions: &BTreeMap<usize, WindowResolution>,
+        healthy: &WindowResolution,
         retry_grams: f64,
         by_load: &BTreeMap<(u64, u64), usize>,
         measures: &[SliceMeasure],
@@ -2014,22 +1980,20 @@ impl LifecycleSim {
                 let window = &windows[w];
                 let (qps_start, qps_end) = plans[w].shares()[site_idx];
                 let mean_qps = (qps_start + qps_end) / 2.0;
-                // The window's resolved fault outcome at this site:
-                // delivered first-attempt ratio, true availability, and
-                // the retry/hedge/degradation traffic landed here. The
-                // fault-free defaults reduce every expression below to
-                // the plain path bit-for-bit.
-                let resolution = resolutions.map(|res| &res[w]);
-                let (ratio, avail, extra_mean, attempt_mean) = match resolution {
-                    Some(r) => (
-                        r.delivered_ratio[site_idx],
-                        r.avail[site_idx],
-                        r.extra_served_mean[site_idx],
-                        r.retry_attempt_mean[site_idx],
-                    ),
-                    None => (1.0, 1.0, 0.0, 0.0),
-                };
-                let endpoints = slice_endpoints(&plans[w], resolution, site_idx);
+                // The window's resolved outcome at this site: delivered
+                // first-attempt ratio, true availability, and the
+                // retry/hedge/degradation traffic landed here. A healthy
+                // window's ratio and availability of exactly 1.0 change no
+                // bit below (`x * 1.0 == x` for these finite quantities),
+                // and its zero extras skip the retry terms.
+                let r = resolutions.get(&w).unwrap_or(healthy);
+                let (ratio, avail, extra_mean, attempt_mean) = (
+                    r.delivered_ratio[site_idx],
+                    r.avail[site_idx],
+                    r.extra_served_mean[site_idx],
+                    r.retry_attempt_mean[site_idx],
+                );
+                let endpoints = slice_endpoints(&plans[w], r, site_idx);
                 let (measured, utilization) = match endpoints {
                     Some((eff_start, eff_end)) => {
                         let measured = measures[by_load[&(eff_start.to_bits(), eff_end.to_bits())]];
@@ -2052,16 +2016,8 @@ impl LifecycleSim {
                 // to time-shift it and is billed at face value. During a
                 // fault, only the surviving fraction of devices draws
                 // power; a fully dark site loses its overhead draw too.
-                let idle_effective = if avail < 1.0 {
-                    state.idle_power * avail
-                } else {
-                    state.idle_power
-                };
-                let dynamic_effective = if avail < 1.0 {
-                    state.dynamic_power * avail
-                } else {
-                    state.dynamic_power
-                };
+                let idle_effective = state.idle_power * avail;
+                let dynamic_effective = state.dynamic_power * avail;
                 let device_energy =
                     (idle_effective + dynamic_effective * utilization) * window.duration();
                 let overhead_energy = state.overhead_power * window.duration();
@@ -2079,14 +2035,9 @@ impl LifecycleSim {
                 // site's queues; retry/degradation traffic landed here is
                 // added on top (its queueing is folded into the marginal
                 // retry-carbon charge below).
-                let offered = mean_qps * window.duration().seconds();
-                if ratio < 1.0 {
-                    day_requests += offered * ratio * (1.0 - drop_fraction);
-                    dropped_requests += offered * ratio * drop_fraction;
-                } else {
-                    day_requests += offered * (1.0 - drop_fraction);
-                    dropped_requests += offered * drop_fraction;
-                }
+                let delivered = mean_qps * window.duration().seconds() * ratio;
+                day_requests += delivered * (1.0 - drop_fraction);
+                dropped_requests += delivered * drop_fraction;
                 if extra_mean > 0.0 {
                     day_requests += extra_mean * window.duration().seconds();
                 }
@@ -2194,11 +2145,8 @@ mod tests {
         LifecycleSite::try_leased(datacenter(capacity)).expect("the test capacity is valid")
     }
 
-    fn quick_config(years: usize) -> LifecycleConfig {
-        LifecycleConfig::new(years)
-            .windows_per_day(2)
-            .sim_slice_s(1.0)
-            .warmup_s(0.0)
+    fn quick(config: LifecycleConfig) -> LifecycleConfig {
+        config.windows_per_day(2).sim_slice_s(1.0).warmup_s(0.0)
     }
 
     #[test]
@@ -2207,7 +2155,7 @@ mod tests {
             vec![cohort_site(9, 4), leased_site(800.0)],
             DiurnalSchedule::office_day(500.0),
             RoutingPolicy::CarbonAware,
-            quick_config(3),
+            quick(LifecycleConfig::years(3)),
         );
         let result = sim.run().unwrap();
         assert_eq!(result.cells().len(), 6);
@@ -2231,7 +2179,7 @@ mod tests {
             vec![cohort_site(9, 4), leased_site(800.0)],
             DiurnalSchedule::office_day(900.0),
             RoutingPolicy::CarbonAware,
-            quick_config(2),
+            quick(LifecycleConfig::years(2)),
         );
         let dynamics = sim.simulate_dynamics(0, 2 * DAYS_PER_YEAR);
         let full = dynamics[0].capacity_qps();
@@ -2255,7 +2203,7 @@ mod tests {
                 vec![cohort_site(5, 3), leased_site(700.0)],
                 DiurnalSchedule::office_day(600.0),
                 RoutingPolicy::CarbonAware,
-                quick_config(2).parallelism(workers),
+                quick(LifecycleConfig::years(2)).parallelism(workers),
             )
             .run()
             .unwrap()
@@ -2272,7 +2220,7 @@ mod tests {
             vec![cohort_site(5, 3), leased_site(700.0)],
             DiurnalSchedule::office_day(600.0),
             RoutingPolicy::CarbonAware,
-            quick_config(1).horizon_days(30),
+            quick(LifecycleConfig::days(30)),
         );
         let mut slices = MeasuredSlices::new();
         assert!(slices.is_empty());
@@ -2291,7 +2239,7 @@ mod tests {
             vec![cohort_site(5, 2).request_type("no-such-request")],
             DiurnalSchedule::office_day(300.0),
             RoutingPolicy::Static,
-            quick_config(1).horizon_days(3).parallelism(2),
+            quick(LifecycleConfig::days(3)).parallelism(2),
         );
         let mut slices = MeasuredSlices::new();
         assert_eq!(
@@ -2323,7 +2271,7 @@ mod tests {
             vec![site],
             DiurnalSchedule::flat(100.0),
             RoutingPolicy::Static,
-            quick_config(1),
+            quick(LifecycleConfig::years(1)),
         );
         let dynamics = sim.simulate_dynamics(0, 30);
         // Warm-up day 0 has no history; later days shift charging into the
@@ -2345,7 +2293,7 @@ mod tests {
                 vec![site],
                 DiurnalSchedule::flat(100.0),
                 RoutingPolicy::Static,
-                quick_config(1),
+                quick(LifecycleConfig::years(1)),
             )
             .run()
             .unwrap()
@@ -2380,7 +2328,7 @@ mod tests {
             vec![cohort_site(11, 3)],
             DiurnalSchedule::flat(200.0),
             RoutingPolicy::Static,
-            quick_config(3),
+            quick(LifecycleConfig::years(3)),
         );
         let result = sim.run().unwrap();
         let trajectory = result.yearly_trajectory();
@@ -2405,20 +2353,20 @@ mod tests {
             )
         };
         // Three days fit inside one (short) year cell.
-        let short = sim(quick_config(1).horizon_days(3)).run().unwrap();
+        let short = sim(quick(LifecycleConfig::days(3))).run().unwrap();
         assert_eq!(short.cells().len(), 1);
         assert_eq!(short.day_ledger().len(), 3);
         assert_eq!(short.cell(0, 0).daily().len(), 3);
         assert!(short.total_requests() > 0.0);
         // 400 days span two cells: a full year and a 35-day remainder.
-        let spanning = sim(quick_config(1).horizon_days(400)).run().unwrap();
+        let spanning = sim(quick(LifecycleConfig::days(400))).run().unwrap();
         assert_eq!(spanning.years(), 2);
         assert_eq!(spanning.cells().len(), 2);
         assert_eq!(spanning.cell(0, 0).daily().len(), DAYS_PER_YEAR);
         assert_eq!(spanning.cell(1, 0).daily().len(), 35);
         assert_eq!(spanning.day_ledger().len(), 400);
         // The day-capped prefix agrees with the plain run's first days.
-        let full = sim(quick_config(1)).run().unwrap();
+        let full = sim(quick(LifecycleConfig::years(1))).run().unwrap();
         assert_eq!(full.day_ledger()[..3], *short.day_ledger());
     }
 
@@ -2428,7 +2376,7 @@ mod tests {
             vec![cohort_site(9, 2)],
             DiurnalSchedule::office_day(500.0),
             RoutingPolicy::Static,
-            quick_config(1).horizon_days(2),
+            quick(LifecycleConfig::days(2)),
         )
         .run()
         .unwrap();
@@ -2496,7 +2444,7 @@ mod tests {
                 vec![cohort_site(9, 3), leased_site(700.0)],
                 DiurnalSchedule::office_day(700.0),
                 RoutingPolicy::CarbonAware,
-                quick_config(1).horizon_days(30),
+                quick(LifecycleConfig::days(30)),
             )
         };
         let baseline = build().run().unwrap();
@@ -2528,7 +2476,7 @@ mod tests {
                 vec![cohort_site(9, 3), leased_site(700.0)],
                 DiurnalSchedule::office_day(900.0),
                 RoutingPolicy::CarbonAware,
-                quick_config(1).horizon_days(40),
+                quick(LifecycleConfig::days(40)),
             )
             .with_faults(faults)
             .with_resilience(ResiliencePolicy::new().detection_lag_windows(lag))
@@ -2555,7 +2503,7 @@ mod tests {
                 vec![cohort_site(9, 4), leased_site(900.0)],
                 DiurnalSchedule::office_day(1_000.0),
                 RoutingPolicy::CarbonAware,
-                quick_config(1).horizon_days(40),
+                quick(LifecycleConfig::days(40)),
             )
             .with_faults(faults)
             .with_resilience(policy)
@@ -2593,7 +2541,7 @@ mod tests {
                 vec![cohort_site(9, 4), leased_site(400.0)],
                 DiurnalSchedule::office_day(1_100.0),
                 RoutingPolicy::CarbonAware,
-                quick_config(1).horizon_days(40),
+                quick(LifecycleConfig::days(40)),
             )
             .with_faults(faults)
             .with_resilience(policy)
@@ -2632,7 +2580,7 @@ mod tests {
                 vec![cohort_site(9, 3), leased_site(600.0)],
                 DiurnalSchedule::office_day(800.0),
                 RoutingPolicy::CarbonAware,
-                quick_config(1).horizon_days(35).parallelism(workers),
+                quick(LifecycleConfig::days(35)).parallelism(workers),
             )
             .with_faults(faults)
             .with_resilience(
@@ -2662,5 +2610,66 @@ mod tests {
         for workers in [2, 5] {
             assert_eq!(serial, build(workers).run().unwrap(), "workers {workers}");
         }
+    }
+
+    #[test]
+    fn a_fault_free_standby_fails_nothing_at_a_saturated_window() {
+        // Static routing gives the primary `284.7 × (100 / 284.7)` QPS,
+        // one ulp above its 100 QPS capacity. Nothing is faulty, so that
+        // rounding must not fail a request.
+        let result = LifecycleSim::new(
+            vec![leased_site(100.0), leased_site(100.0)],
+            DiurnalSchedule::flat(284.7),
+            RoutingPolicy::Static,
+            quick(LifecycleConfig::days(2)),
+        )
+        .with_resilience(ResiliencePolicy::new().fallback_site(1))
+        .run()
+        .unwrap();
+        assert!(result.router_declined_requests() > 0.0);
+        assert_eq!(result.failed_requests(), 0.0);
+        assert_eq!(result.availability(), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one day")]
+    fn a_zero_day_horizon_panics() {
+        let _ = LifecycleConfig::days(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of seconds")]
+    fn a_fractional_slice_panics() {
+        let _ = LifecycleConfig::days(1).sim_slice_s(1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "slice duration must be positive")]
+    fn a_zero_slice_panics() {
+        let _ = LifecycleConfig::days(1).sim_slice_s(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of seconds")]
+    fn a_fractional_warmup_panics() {
+        let _ = LifecycleConfig::days(1).warmup_s(0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "warm-up cannot be negative")]
+    fn a_negative_warmup_panics() {
+        let _ = LifecycleConfig::days(1).warmup_s(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one window per day")]
+    fn zero_windows_per_day_panics() {
+        let _ = LifecycleConfig::days(1).windows_per_day(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one worker")]
+    fn zero_workers_panics() {
+        let _ = LifecycleConfig::days(1).parallelism(0);
     }
 }

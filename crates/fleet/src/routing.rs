@@ -243,7 +243,7 @@ mod tests {
     }
 
     fn one_window(qps: f64) -> LoadWindow {
-        DiurnalSchedule::flat(qps).windows(1)[0]
+        DiurnalSchedule::flat(qps).windows(1, 1)[0]
     }
 
     #[test]

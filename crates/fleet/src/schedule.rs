@@ -5,8 +5,9 @@
 //! follows a day curve (quiet nights, office-hours plateau, an evening
 //! peak). A [`DiurnalSchedule`] models that curve as 24 hourly multipliers
 //! of a base rate, linearly interpolated between hours and periodic by
-//! day, and slices it into [`LoadWindow`]s — the accounting granularity of
-//! the fleet simulation.
+//! day. It holds one day: the run config's horizon says how many days
+//! [`DiurnalSchedule::windows`] tiles it over, as [`LoadWindow`]s — the
+//! accounting granularity of both fleet engines.
 
 use junkyard_carbon::convert::{count_f64, floor_index};
 use junkyard_carbon::units::TimeSpan;
@@ -19,16 +20,15 @@ pub const OFFICE_DAY_SHAPE: [f64; 24] = [
     0.94, 1.00, 1.08, 1.15, 1.08, 0.90, 0.68, 0.50,
 ];
 
-/// A periodic, piecewise-linear daily load curve repeated over `days` days.
+/// A periodic, piecewise-linear daily load curve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiurnalSchedule {
     base_qps: f64,
     hourly: [f64; 24],
-    days: usize,
 }
 
 impl DiurnalSchedule {
-    /// A flat schedule at `base_qps` for one day.
+    /// A flat day curve at `base_qps`.
     ///
     /// # Panics
     ///
@@ -39,7 +39,6 @@ impl DiurnalSchedule {
         Self {
             base_qps,
             hourly: [1.0; 24],
-            days: 1,
         }
     }
 
@@ -69,24 +68,6 @@ impl DiurnalSchedule {
         self
     }
 
-    /// Repeats the day curve over `days` days.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `days` is zero.
-    #[must_use]
-    pub fn days(mut self, days: usize) -> Self {
-        assert!(days > 0, "a schedule needs at least one day");
-        self.days = days;
-        self
-    }
-
-    /// Number of days the schedule covers.
-    #[must_use]
-    pub fn day_count(&self) -> usize {
-        self.days
-    }
-
     /// Offered load at offset `t` from the schedule start: the base rate
     /// times the hourly multiplier, linearly interpolated between hour
     /// marks and periodic by day. Negative offsets clamp to the start.
@@ -100,8 +81,9 @@ impl DiurnalSchedule {
             * (self.hourly[index] * (1.0 - frac_of_hour) + self.hourly[next] * frac_of_hour)
     }
 
-    /// Slices the schedule into `windows_per_day` equal windows per day,
-    /// each carrying the (linearised) start and end rates of its span.
+    /// Slices `days` repeats of the day curve into `windows_per_day` equal
+    /// windows per day, each carrying the (linearised) start and end
+    /// rates of its span.
     /// Window boundaries land on the schedule's piecewise-linear curve, so
     /// consecutive windows share their boundary rate and the windows of a
     /// whole day reproduce the curve exactly when `windows_per_day` is a
@@ -111,10 +93,10 @@ impl DiurnalSchedule {
     ///
     /// Panics if `windows_per_day` is zero.
     #[must_use]
-    pub fn windows(&self, windows_per_day: usize) -> Vec<LoadWindow> {
+    pub fn windows(&self, days: usize, windows_per_day: usize) -> Vec<LoadWindow> {
         assert!(windows_per_day > 0, "need at least one window per day");
         let duration = TimeSpan::from_hours(24.0 / count_f64(windows_per_day));
-        let count = self.days * windows_per_day;
+        let count = days * windows_per_day;
         (0..count)
             .map(|index| {
                 let start = TimeSpan::from_secs(duration.seconds() * count_f64(index));
@@ -207,7 +189,7 @@ mod tests {
         for h in [0.0, 3.5, 12.0, 23.9] {
             assert!((schedule.qps_at(TimeSpan::from_hours(h)) - 500.0).abs() < 1e-9);
         }
-        let windows = schedule.windows(6);
+        let windows = schedule.windows(1, 6);
         assert_eq!(windows.len(), 6);
         for w in &windows {
             assert_eq!(w.qps_start(), 500.0);
@@ -229,14 +211,12 @@ mod tests {
 
     #[test]
     fn qps_interpolates_between_hours_and_wraps_by_day() {
-        let schedule = DiurnalSchedule::flat(100.0)
-            .hourly({
-                let mut h = [1.0; 24];
-                h[0] = 0.0;
-                h[1] = 1.0;
-                h
-            })
-            .days(2);
+        let schedule = DiurnalSchedule::flat(100.0).hourly({
+            let mut h = [1.0; 24];
+            h[0] = 0.0;
+            h[1] = 1.0;
+            h
+        });
         assert!((schedule.qps_at(TimeSpan::from_minutes(30.0)) - 50.0).abs() < 1e-9);
         // Day two replays day one.
         let a = schedule.qps_at(TimeSpan::from_hours(5.25));
@@ -249,8 +229,8 @@ mod tests {
 
     #[test]
     fn windows_tile_the_schedule_and_share_boundaries() {
-        let schedule = DiurnalSchedule::office_day(2_000.0).days(2);
-        let windows = schedule.windows(8);
+        let schedule = DiurnalSchedule::office_day(2_000.0);
+        let windows = schedule.windows(2, 8);
         assert_eq!(windows.len(), 16);
         for pair in windows.windows(2) {
             assert!((pair[0].end().seconds() - pair[1].start().seconds()).abs() < 1e-9);
@@ -269,7 +249,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one window")]
     fn zero_windows_panics() {
-        let _ = DiurnalSchedule::flat(10.0).windows(0);
+        let _ = DiurnalSchedule::flat(10.0).windows(1, 0);
     }
 
     #[test]

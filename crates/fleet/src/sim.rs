@@ -22,6 +22,7 @@ use junkyard_microsim::sim::{Phase, SimError, Workload};
 use junkyard_microsim::sweep::decorrelate_seed;
 use junkyard_obs::{NoopRecorder, Recorder};
 
+use crate::lifecycle::LifecycleConfig;
 use crate::routing::{plan_window, record_routes, RoutingPolicy, WindowAssignment};
 use crate::schedule::{DiurnalSchedule, LoadWindow};
 use crate::site::FleetSite;
@@ -55,7 +56,7 @@ impl SliceMeasure {
 /// measures it over the ramp alone. Both fleet engines measure their
 /// slices here.
 ///
-/// The warm-up and slice are whole seconds (both configs enforce it), so
+/// The warm-up and slice are whole seconds (the run config enforces it), so
 /// the bucket range covers exactly the measured slice: no warm-up work
 /// leaks in and no partial trailing one-second utilisation bucket
 /// dilutes it.
@@ -96,112 +97,6 @@ pub(crate) fn measure_slice(
         // latency and utilisation do (0.0 for zero-offered slices).
         drop_fraction: metrics.drop_fraction_between(warm, warm + slice),
     })
-}
-
-/// Tunables of a fleet run: accounting granularity, the length of the
-/// representative microsim slice per cell, seeding and threading.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FleetConfig {
-    windows_per_day: usize,
-    sim_slice_s: f64,
-    warmup_s: f64,
-    seed: u64,
-    parallelism: Option<usize>,
-}
-
-impl FleetConfig {
-    /// Defaults: 24 one-hour windows per day, a 2-second measured slice
-    /// after a 1-second warm-up, seed 42, machine parallelism.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            windows_per_day: 24,
-            sim_slice_s: 2.0,
-            warmup_s: 1.0,
-            seed: 42,
-            parallelism: None,
-        }
-    }
-
-    /// Sets the number of accounting windows per day.
-    ///
-    /// # Panics
-    ///
-    /// Panics if zero.
-    #[must_use]
-    pub fn windows_per_day(mut self, windows_per_day: usize) -> Self {
-        assert!(windows_per_day > 0, "need at least one window per day");
-        self.windows_per_day = windows_per_day;
-        self
-    }
-
-    /// Sets the measured length of each cell's representative microsim
-    /// slice. Latency and utilisation measured over this slice are
-    /// extrapolated to the whole window.
-    ///
-    /// The engine accumulates utilisation in one-second buckets, so the
-    /// slice must be a whole number of seconds — a fractional trailing
-    /// bucket would be divided by a full second and bias utilisation
-    /// (and therefore energy and operational carbon) low.
-    ///
-    /// # Panics
-    ///
-    /// Panics if not a strictly positive whole number of seconds.
-    #[must_use]
-    pub fn sim_slice_s(mut self, seconds: f64) -> Self {
-        assert!(seconds > 0.0, "slice duration must be positive");
-        assert!(
-            seconds.fract() == 0.0,
-            "slice duration must be a whole number of seconds (1-second utilisation buckets)"
-        );
-        self.sim_slice_s = seconds;
-        self
-    }
-
-    /// Sets the warm-up excluded from each slice's measurements.
-    ///
-    /// Like the slice, the warm-up must be a whole number of seconds so
-    /// the measurement window aligns with the engine's one-second
-    /// utilisation buckets and no warm-up work leaks into it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if negative or not a whole number of seconds.
-    #[must_use]
-    pub fn warmup_s(mut self, seconds: f64) -> Self {
-        assert!(seconds >= 0.0, "warm-up cannot be negative");
-        assert!(
-            seconds.fract() == 0.0,
-            "warm-up must be a whole number of seconds (1-second utilisation buckets)"
-        );
-        self.warmup_s = seconds;
-        self
-    }
-
-    /// Sets the root seed; per-cell seeds are mixed from it.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Caps the number of worker threads; `1` forces a serial run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if zero.
-    #[must_use]
-    pub fn parallelism(mut self, workers: usize) -> Self {
-        assert!(workers > 0, "a fleet run needs at least one worker");
-        self.parallelism = Some(workers);
-        self
-    }
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// One (window, site) cell of the accounting grid.
@@ -456,17 +351,20 @@ impl FleetResult {
 }
 
 /// A carbon-aware cloudlet fleet: sites, a schedule, a routing policy and
-/// the run configuration.
+/// the run configuration. It is the lifecycle's fixed-capacity,
+/// per-window case: sites never wear or fail, and every (window, site)
+/// cell runs its own slice.
 #[derive(Debug, Clone)]
 pub struct FleetSim {
     sites: Vec<FleetSite>,
     schedule: DiurnalSchedule,
     policy: RoutingPolicy,
-    config: FleetConfig,
+    config: LifecycleConfig,
 }
 
 impl FleetSim {
-    /// Assembles a fleet.
+    /// Assembles a fleet. `schedule`'s day curve repeats over the
+    /// config's horizon.
     ///
     /// # Panics
     ///
@@ -476,7 +374,7 @@ impl FleetSim {
         sites: Vec<FleetSite>,
         schedule: DiurnalSchedule,
         policy: RoutingPolicy,
-        config: FleetConfig,
+        config: LifecycleConfig,
     ) -> Self {
         assert!(!sites.is_empty(), "a fleet needs at least one site");
         Self {
@@ -503,7 +401,7 @@ impl FleetSim {
     #[must_use]
     pub fn assignments(&self) -> Vec<WindowAssignment> {
         self.schedule
-            .windows(self.config.windows_per_day)
+            .windows(self.config.days, self.config.windows_per_day)
             .iter()
             .map(|w| plan_window(self.policy, &self.sites, w))
             .collect()
@@ -536,7 +434,9 @@ impl FleetSim {
     /// Propagates microsim errors; with multiple failures the
     /// lowest-index cell's error wins.
     pub fn run_with<R: Recorder>(&self, recorder: &mut R) -> Result<FleetResult, SimError> {
-        let windows = self.schedule.windows(self.config.windows_per_day);
+        let windows = self
+            .schedule
+            .windows(self.config.days, self.config.windows_per_day);
         let assignments = self.assignments();
         for (window, assignment) in windows.iter().zip(&assignments) {
             record_routes(
@@ -610,8 +510,8 @@ impl FleetSim {
             measure_slice(
                 site.sim(),
                 site.request_type_name(),
-                TimeSpan::from_secs(self.config.warmup_s),
-                TimeSpan::from_secs(self.config.sim_slice_s),
+                self.config.warmup,
+                self.config.slice,
                 Qps::from_per_second(qps_start),
                 Qps::from_per_second(qps_end),
                 decorrelate_seed(self.config.seed, cell_index),
@@ -658,8 +558,8 @@ mod tests {
             .embodied(GramsCo2e::from_kilograms(3.0), TimeSpan::from_years(3.0))
     }
 
-    fn quick_config() -> FleetConfig {
-        FleetConfig::new()
+    fn quick_config() -> LifecycleConfig {
+        LifecycleConfig::days(1)
             .windows_per_day(4)
             .sim_slice_s(1.0)
             .warmup_s(1.0)
@@ -817,8 +717,25 @@ mod tests {
             vec![],
             DiurnalSchedule::flat(10.0),
             RoutingPolicy::Static,
-            FleetConfig::new(),
+            LifecycleConfig::days(1),
         );
+    }
+
+    #[test]
+    fn the_horizon_comes_from_the_config() {
+        let result = FleetSim::new(
+            vec![site("a", 200.0, 500.0)],
+            DiurnalSchedule::office_day(300.0),
+            RoutingPolicy::Static,
+            LifecycleConfig::days(2)
+                .windows_per_day(3)
+                .sim_slice_s(1.0)
+                .warmup_s(0.0),
+        )
+        .run()
+        .unwrap();
+        assert_eq!(result.windows(), 2 * 3);
+        assert_eq!(result.cells().len(), 2 * 3);
     }
 
     #[test]

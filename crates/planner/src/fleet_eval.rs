@@ -85,12 +85,8 @@ pub struct FleetEvaluator {
 
 impl FleetEvaluator {
     /// Creates an evaluator scoring candidates of `space` serving
-    /// `app`'s traffic over one repeated `schedule` day.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule covers more than one day (the lifecycle
-    /// repeats a single day curve over the horizon).
+    /// `app`'s traffic, `schedule`'s day curve repeated over each
+    /// fidelity's horizon.
     #[must_use]
     pub fn new(
         space: PlannerSpace,
@@ -99,11 +95,6 @@ impl FleetEvaluator {
         schedule: DiurnalSchedule,
         seed: u64,
     ) -> Self {
-        assert_eq!(
-            schedule.day_count(),
-            1,
-            "the evaluator repeats a one-day schedule over the horizon"
-        );
         let mut evaluator = Self {
             space,
             app,
@@ -404,9 +395,7 @@ impl Evaluator for FleetEvaluator {
             sites.push(self.build_leased_site(share)?);
         }
 
-        let days = fidelity.horizon_days();
-        let config = LifecycleConfig::new(1)
-            .horizon_days(days)
+        let config = LifecycleConfig::days(fidelity.horizon_days())
             .windows_per_day(fidelity.windows_per_day())
             .sim_slice_s(fidelity.sim_slice_s())
             .warmup_s(fidelity.warmup_s())
@@ -479,7 +468,7 @@ impl Evaluator for FleetEvaluator {
     fn demand_shed_fraction(&self, capacity_qps: f64) -> Option<f64> {
         let mut offered = 0.0;
         let mut shed = 0.0;
-        for window in self.schedule.windows(24) {
+        for window in self.schedule.windows(1, 24) {
             let mean = window.mean_qps();
             let peak = window.peak_qps();
             offered += mean;

@@ -17,7 +17,7 @@ use junkyard::fleet::lifecycle::{
 };
 use junkyard::fleet::routing::RoutingPolicy;
 use junkyard::fleet::schedule::DiurnalSchedule;
-use junkyard::fleet::sim::{FleetConfig, FleetSim};
+use junkyard::fleet::sim::FleetSim;
 use junkyard::fleet::site::{FleetSite, GridRegion};
 use junkyard::grid::synth::CaisoSynthesizer;
 use junkyard::grid::trace::IntensityTrace;
@@ -88,7 +88,7 @@ fn fleet_result_conserves_offered_demand_and_carbon() {
         .embodied(GramsCo2e::from_kilograms(5.0), TimeSpan::from_years(3.0));
     let schedule = DiurnalSchedule::office_day(1_200.0);
     let offered: f64 = schedule
-        .windows(4)
+        .windows(1, 4)
         .iter()
         .map(|w| w.mean_qps() * w.duration().seconds())
         .sum();
@@ -96,7 +96,7 @@ fn fleet_result_conserves_offered_demand_and_carbon() {
         vec![site],
         schedule,
         RoutingPolicy::Static,
-        FleetConfig::new()
+        LifecycleConfig::days(1)
             .windows_per_day(4)
             .sim_slice_s(1.0)
             .warmup_s(0.0)
@@ -178,8 +178,7 @@ fn lifecycle_result_conserved_buckets_pin_the_identity() {
         vec![cohort, leased],
         DiurnalSchedule::office_day(600.0),
         RoutingPolicy::CarbonAware,
-        LifecycleConfig::new(1)
-            .horizon_days(horizon_days)
+        LifecycleConfig::days(horizon_days)
             .windows_per_day(2)
             .sim_slice_s(1.0)
             .warmup_s(0.0)

@@ -5,9 +5,10 @@
 //! balance).
 
 use junkyard::carbon::units::{CarbonIntensity, GramsCo2e, TimeSpan, Watts};
+use junkyard::fleet::lifecycle::LifecycleConfig;
 use junkyard::fleet::routing::{plan_window, RoutingPolicy};
 use junkyard::fleet::schedule::DiurnalSchedule;
-use junkyard::fleet::sim::{FleetConfig, FleetSim};
+use junkyard::fleet::sim::FleetSim;
 use junkyard::fleet::site::{FleetSite, GridRegion};
 use junkyard::grid::synth::CaisoSynthesizer;
 use junkyard::grid::trace::IntensityTrace;
@@ -82,7 +83,7 @@ proptest! {
             ],
             DiurnalSchedule::office_day(base_qps),
             policy,
-            FleetConfig::new()
+            LifecycleConfig::days(1)
                 .windows_per_day(4)
                 .sim_slice_s(1.0)
                 .warmup_s(0.0)
@@ -143,7 +144,7 @@ proptest! {
             flat_site("b", 450.0, cap_b),
         ];
         let schedule = DiurnalSchedule::office_day(base_qps);
-        for window in schedule.windows(windows_per_day) {
+        for window in schedule.windows(1, windows_per_day) {
             let plan = plan_window(policy, &sites, &window);
             let mut placed_mean = 0.0;
             for (i, site) in sites.iter().enumerate() {
@@ -188,14 +189,14 @@ proptest! {
                 QueueDiscipline::CentralizedFcfs
             })
             .with_queue_size(Some(queue_size));
-        let config = FleetConfig::new()
+        let config = LifecycleConfig::days(1)
             .windows_per_day(4)
             .sim_slice_s(1.0)
             .warmup_s(0.0)
             .seed(seed);
         let schedule = DiurnalSchedule::office_day(base_qps);
         let offered: f64 = schedule
-            .windows(4)
+            .windows(1, 4)
             .iter()
             .map(|w| w.mean_qps() * w.duration().seconds())
             .sum();
@@ -245,7 +246,7 @@ fn fleet_runs_are_identical_across_worker_counts() {
             vec![diurnal_site("a", 7, 500.0), flat_site("b", 380.0, 400.0)],
             DiurnalSchedule::office_day(600.0),
             RoutingPolicy::CarbonAware,
-            FleetConfig::new()
+            LifecycleConfig::days(1)
                 .windows_per_day(5)
                 .sim_slice_s(1.0)
                 .warmup_s(0.0)

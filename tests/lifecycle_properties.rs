@@ -98,7 +98,7 @@ proptest! {
             vec![cohort_site(seed, 2, 400.0), leased_site(300.0)],
             DiurnalSchedule::office_day(base_qps),
             policy,
-            LifecycleConfig::new(years)
+            LifecycleConfig::years(years)
                 .windows_per_day(2)
                 .sim_slice_s(1.0)
                 .warmup_s(0.0)
@@ -165,7 +165,7 @@ proptest! {
                 sites,
                 DiurnalSchedule::office_day(base_qps),
                 RoutingPolicy::CarbonAware,
-                LifecycleConfig::new(years)
+                LifecycleConfig::years(years)
                     .windows_per_day(2)
                     .sim_slice_s(1.0)
                     .warmup_s(0.0)

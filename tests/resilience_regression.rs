@@ -16,7 +16,7 @@ use junkyard::fleet::lifecycle::{
 };
 use junkyard::fleet::routing::RoutingPolicy;
 use junkyard::fleet::schedule::DiurnalSchedule;
-use junkyard::fleet::sim::{FleetConfig, FleetResult, FleetSim};
+use junkyard::fleet::sim::{FleetResult, FleetSim};
 use junkyard::fleet::site::{FleetSite, GridRegion};
 use junkyard::grid::synth::CaisoSynthesizer;
 use junkyard::grid::trace::IntensityTrace;
@@ -88,8 +88,7 @@ fn lifecycle_scenario() -> LifecycleResult {
         vec![cohort_site(), leased_site()],
         DiurnalSchedule::office_day(500.0),
         RoutingPolicy::CarbonAware,
-        LifecycleConfig::new(1)
-            .horizon_days(40)
+        LifecycleConfig::days(40)
             .windows_per_day(2)
             .sim_slice_s(1.0)
             .warmup_s(0.0)
@@ -111,7 +110,7 @@ fn fleet_scenario() -> FleetResult {
         vec![site("clean", 100.0), site("dirty", 400.0)],
         DiurnalSchedule::office_day(600.0),
         RoutingPolicy::CarbonAware,
-        FleetConfig::new()
+        LifecycleConfig::days(1)
             .windows_per_day(4)
             .sim_slice_s(1.0)
             .warmup_s(1.0)
@@ -185,8 +184,7 @@ fn disabled_fault_machinery_is_bit_identical_too() {
         vec![cohort_site(), leased_site()],
         DiurnalSchedule::office_day(500.0),
         RoutingPolicy::CarbonAware,
-        LifecycleConfig::new(1)
-            .horizon_days(40)
+        LifecycleConfig::days(40)
             .windows_per_day(2)
             .sim_slice_s(1.0)
             .warmup_s(0.0)
