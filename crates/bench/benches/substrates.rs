@@ -121,10 +121,10 @@ fn threaded_sweep(c: &mut Criterion) {
     group.sample_size(10);
     let serial = sweep.clone().parallelism(1);
     group.bench_function("social_network_write_4_points_serial", |b| {
-        b.iter(|| black_box(serial.run_compiled("phones", &compiled).unwrap()))
+        b.iter(|| black_box(serial.run("phones", &compiled).unwrap()))
     });
     group.bench_function("social_network_write_4_points_threaded", |b| {
-        b.iter(|| black_box(sweep.run_compiled("phones", &compiled).unwrap()))
+        b.iter(|| black_box(sweep.run("phones", &compiled).unwrap()))
     });
     group.finish();
 }

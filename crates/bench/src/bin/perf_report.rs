@@ -179,11 +179,11 @@ fn main() -> ExitCode {
         sweep
             .clone()
             .parallelism(1)
-            .run_compiled("phones", &social)
+            .run("phones", &social)
             .expect("sweep runs")
     });
     let threaded_curve = profiler.time("threaded", || {
-        sweep.run_compiled("phones", &social).expect("sweep runs")
+        sweep.run("phones", &social).expect("sweep runs")
     });
     assert_eq!(
         serial_curve, threaded_curve,
@@ -202,7 +202,7 @@ fn main() -> ExitCode {
     let mut sweep_recorder = TraceRecorder::new();
     let traced_curve = profiler.time("traced", || {
         sweep
-            .run_compiled_traced("phones", &social, &mut sweep_recorder)
+            .run_with("phones", &social, &mut sweep_recorder)
             .expect("traced sweep runs")
     });
     assert_eq!(

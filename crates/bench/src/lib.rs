@@ -2,9 +2,10 @@
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
 //! (see `README.md` for the index) and prints it as plain text plus CSV.
-//! The sweep-backed figures (7 and 8) honour the `JUNKYARD_FULL=1`
-//! environment variable to run at the paper's full scale instead of the
-//! default quick configuration.
+//! Figures 7 and 8 and the fleet, lifecycle, planner, overload and
+//! resilience studies honour the `JUNKYARD_FULL=1` environment variable
+//! to run at the paper's full scale instead of the default quick
+//! configuration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,9 +10,10 @@
 //! [`CciCalculator`] assembles the three carbon terms from an embodied bill,
 //! an average electrical power, a grid carbon intensity, an optional
 //! networking profile, an optional battery-replacement schedule and an
-//! optional facility PUE multiplier, and evaluates CCI at any lifetime. The
-//! alternate "second life" formulation of Eq. 7 is provided by
-//! [`SecondLifeCci`].
+//! optional facility PUE multiplier, and evaluates CCI at any lifetime.
+//! Reused devices enter with the paper's `C_M = 0` stipulation
+//! ([`EmbodiedCarbon::reused`]) rather than Eq. 7's two-life form, which
+//! would amortise the original manufacturing over both lives' work.
 
 use std::fmt;
 
@@ -70,9 +71,9 @@ impl fmt::Display for CarbonBreakdown {
         write!(
             f,
             "C_M {:.2} + C_C {:.2} + C_N {:.2} = {:.2} kgCO2e",
-            self.manufacturing.kilograms(),
-            self.compute.kilograms(),
-            self.network.kilograms(),
+            self.manufacturing().kilograms(),
+            self.compute().kilograms(),
+            self.network().kilograms(),
             self.total().kilograms()
         )
     }
@@ -151,9 +152,6 @@ pub enum CciError {
     NoWork,
     /// The calculator was asked for CCI but no throughput was configured.
     MissingThroughput,
-    /// The two lives measured their work in different units, so the
-    /// totals cannot be combined.
-    MismatchedWork(crate::ops::UnitMismatch),
 }
 
 impl fmt::Display for CciError {
@@ -163,7 +161,6 @@ impl fmt::Display for CciError {
             CciError::MissingThroughput => {
                 f.write_str("no throughput configured; cannot amortise carbon over work")
             }
-            CciError::MismatchedWork(mismatch) => mismatch.fmt(f),
         }
     }
 }
@@ -461,71 +458,6 @@ pub fn crossover_months(
     Ok(None)
 }
 
-/// The alternate, two-life CCI formulation of Eq. 7: the device's original
-/// manufacturing carbon is amortised over the work of both its first life
-/// (as a consumer phone) and its second life (as a junkyard compute node).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SecondLifeCci {
-    manufacturing: GramsCo2e,
-    first_life_carbon: GramsCo2e,
-    first_life_work: OpCount,
-    second_life: CciCalculator,
-}
-
-impl SecondLifeCci {
-    /// Creates the two-life formulation.
-    ///
-    /// `manufacturing` is the original embodied carbon, `first_life_carbon`
-    /// and `first_life_work` describe the operational carbon and useful work
-    /// of the device's first life, and `second_life` describes its junkyard
-    /// deployment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the first-life work unit differs from the second-life
-    /// calculator's unit.
-    #[must_use]
-    pub fn new(
-        manufacturing: GramsCo2e,
-        first_life_carbon: GramsCo2e,
-        first_life_work: OpCount,
-        second_life: CciCalculator,
-    ) -> Self {
-        assert_eq!(
-            first_life_work.unit(),
-            second_life.unit(),
-            "first and second life must use the same work unit"
-        );
-        Self {
-            manufacturing,
-            first_life_carbon,
-            first_life_work,
-            second_life,
-        }
-    }
-
-    /// CCI after `second_lifetime` of junkyard service (Eq. 7).
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from the second-life calculator and returns
-    /// [`CciError::NoWork`] if both lives performed zero work.
-    pub fn cci_at(&self, second_lifetime: TimeSpan) -> Result<Cci, CciError> {
-        let second_breakdown = self.second_life.breakdown_at(second_lifetime);
-        let second_work = self.second_life.work_at(second_lifetime)?;
-        let total_carbon = self.manufacturing
-            + self.first_life_carbon
-            + second_breakdown.compute()
-            + second_breakdown.network()
-            + second_breakdown.manufacturing();
-        let total_work = self
-            .first_life_work
-            .checked_add(second_work)
-            .map_err(CciError::MismatchedWork)?;
-        Cci::new(total_carbon, total_work)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -662,23 +594,6 @@ mod tests {
         let crossover = crossover_months(&reused, &fresh, 120).unwrap();
         assert!(crossover.is_some());
         assert!(crossover.unwrap() > 12);
-    }
-
-    #[test]
-    fn second_life_amortises_original_manufacturing() {
-        let second = phone();
-        let two_life = SecondLifeCci::new(
-            GramsCo2e::from_kilograms(50.0),
-            GramsCo2e::from_kilograms(10.0),
-            OpCount::new(1.0e9, OpUnit::Gflop),
-            second.clone(),
-        );
-        let with_history = two_life.cci_at(TimeSpan::from_years(3.0)).unwrap();
-        let without = second.cci_at(TimeSpan::from_years(3.0)).unwrap();
-        // Eq. 7 charges the original manufacturing but also credits the
-        // first-life work, so the result differs from the simple form.
-        assert!(with_history.grams_per_op() != without.grams_per_op());
-        assert!(with_history.grams_per_op() > 0.0);
     }
 
     #[test]

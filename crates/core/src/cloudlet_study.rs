@@ -228,7 +228,7 @@ impl Figure7Study {
         request_type: Option<&str>,
         sweep_workers: usize,
     ) -> Result<LatencyCurve, DeploymentError> {
-        let sim = build_deployment(kind, app, 11)?;
+        let sim = build_deployment(kind, app, 11)?.compile();
         let mut config = SweepConfig::new(self.qps_points.clone(), self.duration_s, self.warmup_s)
             .seed(self.seed)
             .parallelism(sweep_workers);

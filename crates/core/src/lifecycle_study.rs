@@ -18,15 +18,12 @@
 
 use junkyard_carbon::units::{GramsCo2e, TimeSpan, Watts};
 use junkyard_devices::catalog;
-use junkyard_devices::components::ComponentBreakdown;
-use junkyard_devices::device::DeviceSpec;
-use junkyard_devices::power::LoadProfile;
 use junkyard_fleet::lifecycle::{
-    CohortDevice, LifecycleConfig, LifecycleResult, LifecycleSim, LifecycleSite,
+    CohortDevice, LifecycleConfig, LifecycleResult, LifecycleSim, LifecycleSite, DAYS_PER_YEAR,
 };
 use junkyard_fleet::routing::RoutingPolicy;
 use junkyard_fleet::schedule::DiurnalSchedule;
-use junkyard_fleet::site::{second_life_embodied, GridRegion};
+use junkyard_fleet::site::GridRegion;
 use junkyard_grid::synth::CaisoSynthesizer;
 use junkyard_grid::trace::IntensityTrace;
 use junkyard_microsim::app::{social_network, SN_COMPOSE_POST};
@@ -42,12 +39,15 @@ use crate::deployments::{
 use crate::report::{Chart, SeriesLine, Table};
 
 /// Pixel 3A slots per cloudlet.
-const PIXELS_PER_SITE: usize = 6;
+pub(crate) const PIXELS_PER_SITE: usize = 6;
 /// Nexus 4 slots per cloudlet.
-const NEXUSES_PER_SITE: usize = 4;
+pub(crate) const NEXUSES_PER_SITE: usize = 4;
 
-/// Peak-hour base demand of the day curve, requests per second.
-const BASE_QPS: f64 = 1_600.0;
+/// The demand every study of this deployment serves: the office-day
+/// curve at a peak-hour base of 1,600 requests per second.
+pub(crate) fn office_day_demand() -> DiurnalSchedule {
+    DiurnalSchedule::office_day(1_600.0)
+}
 
 /// Configuration of the cloudlet-versus-datacenter lifecycle study.
 #[derive(Debug, Clone)]
@@ -156,26 +156,6 @@ impl LifecycleStudy {
         two_region_traces(CaisoSynthesizer::new(self.seed, self.trace_days).step(self.trace_step))
     }
 
-    /// One cohort slot for `device`, with its Reuse-Factor replacement
-    /// share, light-medium serving power and measured power curve.
-    fn cohort_slot(device: &DeviceSpec, capacity_qps: f64) -> CohortDevice {
-        let reuse = device
-            .components()
-            .expect("cohort phones carry component breakdowns")
-            .reuse_factor(&ComponentBreakdown::compute_node_role());
-        let replacement = second_life_embodied(device.embodied(), &reuse);
-        let battery = device.battery().expect("cohort phones carry batteries");
-        let curve = device.power();
-        CohortDevice::new(
-            device.name(),
-            device.average_power(&LoadProfile::light_medium()),
-            battery,
-            replacement,
-            capacity_qps,
-        )
-        .power(curve.idle(), curve.at_full_load() - curve.idle())
-    }
-
     /// Per-slot serving capacities: the Pixel's paper-measured share of
     /// the ten-phone cloudlet, and the Nexus 4 scaled down by its
     /// multi-core SGEMM ratio. Public so the planner study provisions
@@ -222,11 +202,11 @@ impl LifecycleStudy {
         let mut devices = Vec::with_capacity(pixels + NEXUSES_PER_SITE);
         for i in 0..pixels {
             nodes.push(NodeSpec::from_device(format!("pixel-{i}"), &pixel));
-            devices.push(Self::cohort_slot(&pixel, pixel_qps));
+            devices.push(CohortDevice::from_catalog(&pixel, pixel_qps)?);
         }
         for i in 0..NEXUSES_PER_SITE {
             nodes.push(NodeSpec::from_device(format!("nexus-{i}"), &nexus));
-            devices.push(Self::cohort_slot(&nexus, nexus_qps));
+            devices.push(CohortDevice::from_catalog(&nexus, nexus_qps)?);
         }
 
         let app = social_network();
@@ -251,8 +231,11 @@ impl LifecycleStudy {
         Ok(site)
     }
 
-    fn config(&self) -> LifecycleConfig {
-        let mut config = LifecycleConfig::years(self.years)
+    /// The study's run config over a horizon of `days`: its windows per
+    /// day, slice, warm-up, seed and worker cap. The resilience study
+    /// runs its fleets on it too.
+    pub(crate) fn config(&self, days: usize) -> LifecycleConfig {
+        let mut config = LifecycleConfig::days(days)
             .windows_per_day(self.windows_per_day)
             .sim_slice_s(self.sim_slice_s)
             .warmup_s(self.warmup_s)
@@ -276,9 +259,9 @@ impl LifecycleStudy {
         ];
         Ok(LifecycleSim::new(
             sites,
-            DiurnalSchedule::office_day(BASE_QPS),
+            office_day_demand(),
             RoutingPolicy::CarbonAware,
-            self.config(),
+            self.config(self.years * DAYS_PER_YEAR),
         ))
     }
 
@@ -292,9 +275,9 @@ impl LifecycleStudy {
         let site = LifecycleSite::try_leased(c5_datacenter_site("datacenter")?)?;
         Ok(LifecycleSim::new(
             vec![site],
-            DiurnalSchedule::office_day(BASE_QPS),
+            office_day_demand(),
             RoutingPolicy::Static,
-            self.config(),
+            self.config(self.years * DAYS_PER_YEAR),
         ))
     }
 

@@ -235,7 +235,7 @@ impl OverloadStudy {
 
         // The knee of the default (unbounded, centralized, combined)
         // deployment anchors every variant's load axis.
-        let default_sim = build_deployment(DeploymentKind::PhoneCloudlet, &app, 11)?;
+        let default_sim = build_deployment(DeploymentKind::PhoneCloudlet, &app, 11)?.compile();
         let baseline = sweep(self.baseline_qps_points.clone())
             .run("baseline", &default_sim)
             .map_err(DeploymentError::Sim)?;
@@ -269,8 +269,9 @@ impl OverloadStudy {
                 .with_discipline(discipline)
                 .with_layout(layout)
                 .with_queue_size(Some(self.queue_size));
-            let sim =
-                build_deployment(DeploymentKind::PhoneCloudlet, &app, 11)?.with_server_model(model);
+            let sim = build_deployment(DeploymentKind::PhoneCloudlet, &app, 11)?
+                .with_server_model(model)
+                .compile();
             let points: Vec<f64> = self.multipliers.iter().map(|m| m * knee_qps).collect();
             let label = format!("{}/{}", discipline_label(discipline), layout_label(layout));
             let curve = sweep(points)

@@ -20,7 +20,6 @@
 use junkyard_carbon::units::{GramsCo2e, TimeSpan, Watts};
 use junkyard_devices::catalog;
 use junkyard_fleet::routing::RoutingPolicy;
-use junkyard_fleet::schedule::DiurnalSchedule;
 use junkyard_fleet::site::GridRegion;
 use junkyard_microsim::app::{social_network, SN_COMPOSE_POST};
 use junkyard_microsim::network::NetworkModel;
@@ -30,7 +29,9 @@ use junkyard_planner::{
 };
 
 use crate::deployments::{c5_datacenter_site, DeploymentError, FAN_EMBODIED_KG, FAN_WATTS};
-use crate::lifecycle_study::LifecycleStudy;
+use crate::lifecycle_study::{
+    office_day_demand, LifecycleStudy, NEXUSES_PER_SITE, PIXELS_PER_SITE,
+};
 use crate::report::Table;
 
 /// Assumed cloudlet service lifetime the install embodied carbon is
@@ -53,9 +54,6 @@ const CARBON_AWARE_ROUTING: usize = 1;
 fn study_slo() -> Slo {
     Slo::new(150.0, 250.0).shed_ceiling(0.01)
 }
-
-/// Peak-hour base demand of the day curve, requests per second.
-const BASE_QPS: f64 = 1_600.0;
 
 /// Configuration of the provisioning-search study.
 #[derive(Debug, Clone)]
@@ -142,8 +140,11 @@ impl PlannerStudy {
         let nexus = catalog::nexus_4();
         let (pixel_qps, nexus_qps) = LifecycleStudy::slot_capacities();
         let hand_built = CohortOption::mixed(
-            "6x Pixel 3A + 4x Nexus 4",
-            vec![(pixel.clone(), pixel_qps, 6), (nexus.clone(), nexus_qps, 4)],
+            format!("{PIXELS_PER_SITE}x Pixel 3A + {NEXUSES_PER_SITE}x Nexus 4"),
+            vec![
+                (pixel.clone(), pixel_qps, PIXELS_PER_SITE),
+                (nexus.clone(), nexus_qps, NEXUSES_PER_SITE),
+            ],
         );
         let mut options = vec![
             CohortOption::empty(),
@@ -206,7 +207,7 @@ impl PlannerStudy {
             self.space(),
             social_network(),
             NetworkModel::phone_wifi(),
-            DiurnalSchedule::office_day(BASE_QPS),
+            office_day_demand(),
             self.seed,
         )
         .request_type(SN_COMPOSE_POST)

@@ -1,10 +1,12 @@
 //! The resilience study: what a "nine" of availability costs in carbon.
 //!
-//! The two-region CAISO cloudlet setup from the lifecycle study is run
-//! under an identical deterministic fault plan — regional grid outages,
-//! firmware-batch failures and thermal mass-shutdowns — with a stale
-//! health view (the router learns about dead capacity one detection lag
-//! late). Five strategies face the same chaos:
+//! The lifecycle study's deployment — its two CAISO-like cloudlet
+//! regions, its run config (windows per day, slice, warm-up, seed,
+//! worker cap) and its office-day demand — is run over this study's own
+//! horizon under an identical deterministic fault plan — regional grid
+//! outages, firmware-batch failures and thermal mass-shutdowns — with a
+//! stale health view (the router learns about dead capacity one
+//! detection lag late). Five strategies face the same chaos:
 //!
 //! 1. **fault-free baseline** — no faults and the do-nothing policy; must
 //!    be bit-identical to a lagged, retrying run over disabled faults
@@ -25,14 +27,11 @@
 //! the gCO2e/request price of each additional nine is explicit.
 
 use junkyard_fleet::faults::{DegradationLadder, FaultConfig, ResiliencePolicy, RetryPolicy};
-use junkyard_fleet::lifecycle::{
-    LifecycleConfig, LifecycleResult, LifecycleSim, LifecycleSite, MeasuredSlices,
-};
+use junkyard_fleet::lifecycle::{LifecycleResult, LifecycleSim, LifecycleSite, MeasuredSlices};
 use junkyard_fleet::routing::RoutingPolicy;
-use junkyard_fleet::schedule::DiurnalSchedule;
 
 use crate::deployments::{c5_datacenter_site, DeploymentError};
-use crate::lifecycle_study::LifecycleStudy;
+use crate::lifecycle_study::{office_day_demand, LifecycleStudy};
 use crate::report::Table;
 
 /// Nines of availability: `-log10(1 - availability)`, capped at nine
@@ -46,17 +45,13 @@ pub fn availability_nines(availability: f64) -> f64 {
     }
 }
 
-/// Configuration of the fault-injection resilience study.
+/// Configuration of the fault-injection resilience study: the
+/// [`LifecycleStudy`] whose deployment it serves, its horizon in days
+/// and its fault and strategy parameters.
 #[derive(Debug, Clone)]
 pub struct ResilienceStudy {
     study: LifecycleStudy,
     horizon_days: usize,
-    windows_per_day: usize,
-    sim_slice_s: f64,
-    warmup_s: f64,
-    seed: u64,
-    base_qps: f64,
-    parallelism: Option<usize>,
     outage_mean_days: f64,
     outage_windows: usize,
     firmware_mean_days: f64,
@@ -81,12 +76,6 @@ impl ResilienceStudy {
         Self {
             study: LifecycleStudy::paper_scale(),
             horizon_days: 365,
-            windows_per_day: 24,
-            sim_slice_s: 2.0,
-            warmup_s: 1.0,
-            seed: 42,
-            base_qps: 1_600.0,
-            parallelism: None,
             outage_mean_days: 30.0,
             outage_windows: 12,
             firmware_mean_days: 45.0,
@@ -110,12 +99,6 @@ impl ResilienceStudy {
         Self {
             study: LifecycleStudy::quick(),
             horizon_days: 56,
-            windows_per_day: 4,
-            sim_slice_s: 1.0,
-            warmup_s: 1.0,
-            seed: 42,
-            base_qps: 1_600.0,
-            parallelism: None,
             outage_mean_days: 14.0,
             outage_windows: 4,
             firmware_mean_days: 18.0,
@@ -143,23 +126,10 @@ impl ResilienceStudy {
         self
     }
 
-    /// Overrides the peak-hour fleet demand, requests per second.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate is negative.
-    #[must_use]
-    pub fn base_qps(mut self, qps: f64) -> Self {
-        assert!(qps >= 0.0, "offered load cannot be negative");
-        self.base_qps = qps;
-        self
-    }
-
     /// Overrides the random seed (grid traces, workloads and the fault
     /// plan all derive from it deterministically).
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self.study = self.study.seed(seed);
         self
     }
@@ -171,23 +141,7 @@ impl ResilienceStudy {
     /// Panics if zero.
     #[must_use]
     pub fn parallelism(mut self, workers: usize) -> Self {
-        assert!(workers > 0, "the study needs at least one worker");
-        self.parallelism = Some(workers);
-        self
-    }
-
-    /// Overrides the routing windows per day.
-    ///
-    /// # Panics
-    ///
-    /// Panics if zero.
-    #[must_use]
-    pub fn windows_per_day(mut self, windows_per_day: usize) -> Self {
-        assert!(
-            windows_per_day > 0,
-            "the study needs at least one window per day"
-        );
-        self.windows_per_day = windows_per_day;
+        self.study = self.study.parallelism(workers);
         self
     }
 
@@ -202,18 +156,6 @@ impl ResilienceStudy {
                 self.firmware_windows,
             )
             .thermal_shutdowns(self.thermal_mean_days, self.thermal_windows)
-    }
-
-    fn config(&self) -> LifecycleConfig {
-        let mut config = LifecycleConfig::days(self.horizon_days)
-            .windows_per_day(self.windows_per_day)
-            .sim_slice_s(self.sim_slice_s)
-            .warmup_s(self.warmup_s)
-            .seed(self.seed);
-        if let Some(workers) = self.parallelism {
-            config = config.parallelism(workers);
-        }
-        config
     }
 
     /// The two-cloudlet fleet (plus an optional datacenter standby as the
@@ -239,9 +181,9 @@ impl ResilienceStudy {
         }
         Ok(LifecycleSim::new(
             sites,
-            DiurnalSchedule::office_day(self.base_qps),
+            office_day_demand(),
             RoutingPolicy::CarbonAware,
-            self.config(),
+            factory.config(self.horizon_days),
         )
         .with_faults(faults)
         .with_resilience(policy))
@@ -534,10 +476,7 @@ mod tests {
     use super::*;
 
     fn tiny_study() -> ResilienceStudy {
-        ResilienceStudy::quick()
-            .horizon_days(10)
-            .windows_per_day(2)
-            .base_qps(900.0)
+        ResilienceStudy::quick().horizon_days(10)
     }
 
     #[test]

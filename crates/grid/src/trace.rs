@@ -4,12 +4,13 @@
 //! intensity trace: it sets the charging threshold at a percentile of the
 //! *previous* day's intensities and charges whenever the current intensity
 //! falls below it. [`IntensityTrace`] stores a fixed-step series and provides
-//! the day slicing, percentile and averaging operations that algorithm and
-//! the Figure 4 reproduction need.
+//! the day slicing and averaging operations that algorithm and the Figure 4
+//! reproduction need; the per-day percentile is the battery crate's
+//! `DayStats::percentile`.
 
 use std::fmt;
 
-use junkyard_carbon::convert::{ceil_index, count_f64, floor_index, percentile_rank, round_count};
+use junkyard_carbon::convert::{ceil_index, count_f64, floor_index, round_count};
 use junkyard_carbon::units::{CarbonIntensity, TimeSpan};
 
 /// A fixed-step time series of grid carbon intensity.
@@ -144,21 +145,6 @@ impl IntensityTrace {
         )
     }
 
-    /// The `p`-th percentile (0–100) of the trace's intensities, computed by
-    /// linear interpolation between order statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` lies outside `[0, 100]`.
-    #[must_use]
-    pub fn percentile(&self, p: f64) -> CarbonIntensity {
-        assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
-        let mut sorted: Vec<f64> = self.values.iter().map(|v| v.grams_per_kwh()).collect();
-        sorted.sort_by(f64::total_cmp);
-        let (lo, hi, frac) = percentile_rank(p, sorted.len());
-        CarbonIntensity::from_grams_per_kwh(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-    }
-
     /// Number of samples in one quantised day: `round(86 400 s / step)`,
     /// exact whenever the step divides a day evenly. Zero for steps longer
     /// than ~1.5 days.
@@ -288,15 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_interpolate() {
-        let trace = ramp(101);
-        assert!((trace.percentile(0.0).grams_per_kwh() - 0.0).abs() < 1e-9);
-        assert!((trace.percentile(50.0).grams_per_kwh() - 50.0).abs() < 1e-9);
-        assert!((trace.percentile(100.0).grams_per_kwh() - 100.0).abs() < 1e-9);
-        assert!((trace.percentile(25.0).grams_per_kwh() - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn day_slicing() {
         let trace = IntensityTrace::constant(
             CarbonIntensity::from_grams_per_kwh(100.0),
@@ -389,11 +366,5 @@ mod tests {
     #[should_panic(expected = "at least one sample")]
     fn empty_trace_panics() {
         let _ = IntensityTrace::new(TimeSpan::from_minutes(5.0), vec![]);
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile must be in")]
-    fn out_of_range_percentile_panics() {
-        let _ = ramp(10).percentile(150.0);
     }
 }

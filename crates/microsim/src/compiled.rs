@@ -704,7 +704,9 @@ impl CompiledSim {
     /// Returns [`SimError::UnknownRequestType`] if a phase names a request
     /// type the application does not define.
     pub fn run(&self, workload: &Workload) -> Result<RunMetrics, SimError> {
-        self.run_with(workload, &mut NoopRecorder)
+        // Path-qualified: the lint's call graph resolves `.run_with(` by
+        // name, which would reach `SweepConfig::run_with` from fan-outs.
+        CompiledSim::run_with(self, workload, &mut NoopRecorder)
     }
 
     /// [`CompiledSim::run`] with observability hooks: admissions, queue

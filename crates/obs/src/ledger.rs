@@ -52,13 +52,16 @@ impl fmt::Display for LedgerError {
     }
 }
 
+/// Relative tolerance of every balance check: generous against f64
+/// summation order but far below any real accounting leak.
+const LEDGER_TOLERANCE: f64 = 1e-6;
+
 /// Running totals for both conserved identities, re-checked on every
 /// `record_*` call — a broken decomposition is rejected at the moment
 /// it happens, with the failing window still on the stack, instead of
 /// surfacing as a drifted total at the end of a study.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ConservedLedger {
-    tolerance: f64,
     offered: f64,
     served: f64,
     declined: f64,
@@ -71,41 +74,16 @@ pub struct ConservedLedger {
     retry: f64,
 }
 
-impl Default for ConservedLedger {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ConservedLedger {
-    /// An empty ledger with the default relative tolerance (`1e-6`,
-    /// generous against f64 summation order but far below any real
-    /// accounting leak).
+    /// An empty ledger. Every balance check allows a relative error of
+    /// `1e-6` (`LEDGER_TOLERANCE`).
     #[must_use]
     pub fn new() -> Self {
-        Self::with_tolerance(1e-6)
-    }
-
-    /// An empty ledger with an explicit relative tolerance.
-    #[must_use]
-    pub fn with_tolerance(tolerance: f64) -> Self {
-        Self {
-            tolerance,
-            offered: 0.0,
-            served: 0.0,
-            declined: 0.0,
-            dropped: 0.0,
-            shed: 0.0,
-            failed: 0.0,
-            carbon: 0.0,
-            operational: 0.0,
-            embodied: 0.0,
-            retry: 0.0,
-        }
+        Self::default()
     }
 
     fn balanced(&self, lhs: f64, accounted: f64) -> bool {
-        (lhs - accounted).abs() <= self.tolerance * lhs.abs().max(1.0)
+        (lhs - accounted).abs() <= LEDGER_TOLERANCE * lhs.abs().max(1.0)
     }
 
     /// Records one window's (or study's) request decomposition,

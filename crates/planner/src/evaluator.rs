@@ -10,28 +10,34 @@
 
 use std::collections::HashMap;
 
+use junkyard_fleet::lifecycle::LifecycleConfig;
+
 use crate::candidate::CandidateDeployment;
 use crate::slo::Slo;
 
 /// How much simulated time a candidate is scored over — the
 /// successive-halving resource axis. Coarse rungs run a couple of days
-/// at few windows; survivors earn longer horizons and finer slices.
+/// at few windows; survivors earn longer horizons and finer slices. A
+/// fidelity holds the [`LifecycleConfig`] it describes, so the config's
+/// own checks are the only ones.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fidelity {
+    config: LifecycleConfig,
     horizon_days: usize,
-    windows_per_day: usize,
-    sim_slice_s: f64,
-    warmup_s: f64,
+    key: u64,
 }
 
 impl Fidelity {
-    /// Creates a fidelity level.
+    /// Creates a fidelity level: `horizon_days` days of
+    /// `windows_per_day` routing windows, each measured over a
+    /// `sim_slice_s`-second slice after `warmup_s` seconds of warm-up.
     ///
     /// # Panics
     ///
-    /// Panics if the horizon or window count is zero, or the slice and
-    /// warm-up are not whole seconds (the lifecycle engine buckets
-    /// utilisation per second) with a strictly positive slice.
+    /// Panics where [`LifecycleConfig`] does: a zero horizon or window
+    /// count, or a slice and warm-up that are not whole seconds (the
+    /// lifecycle engine buckets utilisation per second) with a strictly
+    /// positive slice.
     #[must_use]
     pub fn new(
         horizon_days: usize,
@@ -39,24 +45,20 @@ impl Fidelity {
         sim_slice_s: f64,
         warmup_s: f64,
     ) -> Self {
-        assert!(horizon_days > 0, "fidelity needs at least one day");
-        assert!(
-            windows_per_day > 0,
-            "fidelity needs at least one window per day"
-        );
-        assert!(
-            sim_slice_s > 0.0 && sim_slice_s.fract() == 0.0,
-            "slice must be a positive whole number of seconds"
-        );
-        assert!(
-            warmup_s >= 0.0 && warmup_s.fract() == 0.0,
-            "warm-up must be a whole number of seconds"
-        );
+        let config = LifecycleConfig::days(horizon_days)
+            .windows_per_day(windows_per_day)
+            .sim_slice_s(sim_slice_s)
+            .warmup_s(warmup_s);
+        // Whole-second slices and warm-ups make the float fields exactly
+        // representable as integers.
+        let mut key = horizon_days as u64;
+        for field in [windows_per_day as u64, sim_slice_s as u64, warmup_s as u64] {
+            key = key.wrapping_mul(0x1_0001).wrapping_add(field);
+        }
         Self {
+            config,
             horizon_days,
-            windows_per_day,
-            sim_slice_s,
-            warmup_s,
+            key,
         }
     }
 
@@ -86,37 +88,17 @@ impl Fidelity {
         self.horizon_days
     }
 
-    /// Routing/accounting windows per day.
+    /// The lifecycle run config this fidelity describes, at the
+    /// config's default seed and worker cap.
     #[must_use]
-    pub fn windows_per_day(&self) -> usize {
-        self.windows_per_day
+    pub fn config(&self) -> LifecycleConfig {
+        self.config
     }
 
-    /// Measured seconds of each microsim slice.
-    #[must_use]
-    pub fn sim_slice_s(&self) -> f64 {
-        self.sim_slice_s
-    }
-
-    /// Warm-up seconds excluded from each slice.
-    #[must_use]
-    pub fn warmup_s(&self) -> f64 {
-        self.warmup_s
-    }
-
-    /// A stable key for cache maps: whole-second slices and warm-ups
-    /// make the float fields exactly representable as integers.
+    /// A stable key for cache maps, distinct for every level.
     #[must_use]
     pub fn key(&self) -> u64 {
-        let mut key = self.horizon_days as u64;
-        key = key
-            .wrapping_mul(0x1_0001)
-            .wrapping_add(self.windows_per_day as u64);
-        key = key
-            .wrapping_mul(0x1_0001)
-            .wrapping_add(self.sim_slice_s as u64);
-        key.wrapping_mul(0x1_0001)
-            .wrapping_add(self.warmup_s as u64)
+        self.key
     }
 }
 
@@ -390,6 +372,11 @@ mod tests {
                 assert_ne!(a.key(), b.key(), "levels {i} and {j} collide");
             }
         }
+        // The cache keys themselves are pinned.
+        assert_eq!(Fidelity::coarse().key(), 562_984_313_880_581);
+        assert_eq!(Fidelity::medium().key(), 1_970_432_213_123_085);
+        assert_eq!(Fidelity::fine().key(), 7_881_685_901_377_573);
+        assert_eq!(Fidelity::new(4, 2, 1.0, 0.0).key(), 1_125_960_037_498_887);
     }
 
     #[test]

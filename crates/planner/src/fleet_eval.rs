@@ -3,8 +3,8 @@
 //!
 //! Each cohort option is assembled exactly like the hand-built lifecycle
 //! deployments — catalog devices become microsim nodes and
-//! [`CohortDevice`] slots with their Reuse-Factor second-life embodied
-//! share — so a planner score and a hand-built study score are directly
+//! [`CohortDevice::from_catalog`] slots, the one slot recipe both use —
+//! so a planner score and a hand-built study score are directly
 //! comparable. A candidate's leased fallback is the registered
 //! [`FleetSite`] rented at the candidate's share ([`FleetSite::scaled`])
 //! and run as a leased lifecycle site. The optional saturation screen
@@ -15,12 +15,9 @@
 
 use junkyard_battery::charging::SmartChargePolicy;
 use junkyard_carbon::units::{GramsCo2e, TimeSpan, Watts};
-use junkyard_devices::components::ComponentBreakdown;
-use junkyard_devices::device::DeviceSpec;
-use junkyard_devices::power::LoadProfile;
-use junkyard_fleet::lifecycle::{CohortDevice, LifecycleConfig, LifecycleSim, LifecycleSite};
+use junkyard_fleet::lifecycle::{CohortDevice, LifecycleSim, LifecycleSite};
 use junkyard_fleet::schedule::DiurnalSchedule;
-use junkyard_fleet::site::{second_life_embodied, FleetSite, GridRegion};
+use junkyard_fleet::site::{FleetSite, GridRegion};
 use junkyard_microsim::app::Application;
 use junkyard_microsim::compiled::CompiledSim;
 use junkyard_microsim::network::NetworkModel;
@@ -263,7 +260,7 @@ impl FleetEvaluator {
             config = config.request_type(request_type.clone());
         }
         config
-            .run_compiled("screen", sim)
+            .run("screen", sim)
             .expect("screen sweeps use the evaluator's own request type")
     }
 
@@ -285,27 +282,6 @@ impl FleetEvaluator {
             .map_err(|e| EvalError::Build(format!("{}: {e}", option.label())))
     }
 
-    /// Builds one cohort device slot from a catalog model.
-    fn cohort_slot(device: &DeviceSpec, capacity_qps: f64) -> Result<CohortDevice, EvalError> {
-        let battery = device
-            .battery()
-            .ok_or_else(|| EvalError::Build(format!("{} carries no battery", device.name())))?;
-        let components = device.components().ok_or_else(|| {
-            EvalError::Build(format!("{} carries no component breakdown", device.name()))
-        })?;
-        let reuse = components.reuse_factor(&ComponentBreakdown::compute_node_role());
-        let replacement = second_life_embodied(device.embodied(), &reuse);
-        let curve = device.power();
-        Ok(CohortDevice::new(
-            device.name(),
-            device.average_power(&LoadProfile::light_medium()),
-            battery,
-            replacement,
-            capacity_qps,
-        )
-        .power(curve.idle(), curve.at_full_load() - curve.idle()))
-    }
-
     /// Builds one cohort lifecycle site for a candidate's region choice.
     fn build_cohort_site(
         &self,
@@ -319,7 +295,10 @@ impl FleetEvaluator {
         let mut devices = Vec::with_capacity(option.device_count());
         for (device, qps, count) in option.slots() {
             for _ in 0..*count {
-                devices.push(Self::cohort_slot(device, *qps)?);
+                devices.push(
+                    CohortDevice::from_catalog(device, *qps)
+                        .map_err(|e| EvalError::Build(e.to_string()))?,
+                );
             }
         }
         let mut install: GramsCo2e = devices
@@ -395,10 +374,8 @@ impl Evaluator for FleetEvaluator {
             sites.push(self.build_leased_site(share)?);
         }
 
-        let config = LifecycleConfig::days(fidelity.horizon_days())
-            .windows_per_day(fidelity.windows_per_day())
-            .sim_slice_s(fidelity.sim_slice_s())
-            .warmup_s(fidelity.warmup_s())
+        let config = fidelity
+            .config()
             .seed(decorrelate_seed(self.seed, candidate.fingerprint()))
             .parallelism(1);
         let result = LifecycleSim::new(

@@ -371,7 +371,9 @@ proptest! {
         let app = hotel_reservation();
         let nodes = ten_pixel_cloudlet();
         let placement = Placement::swarm_spread(&app, &nodes, 11).unwrap();
-        let sim = Simulation::new(app, nodes, placement, NetworkModel::phone_wifi()).unwrap();
+        let sim = Simulation::new(app, nodes, placement, NetworkModel::phone_wifi())
+            .unwrap()
+            .compile();
         let mut config = SweepConfig::new(vec![300.0, 800.0, 1_300.0, 1_800.0, 2_300.0], 1.0, 0.5)
             .seed(seed);
         if decorrelate == 1 {

@@ -87,9 +87,7 @@ fn sweep_trace_is_byte_identical_at_any_worker_count() {
             .request_type(SN_COMPOSE_POST)
             .parallelism(workers);
         let mut recorder = TraceRecorder::new();
-        let curve = config
-            .run_compiled_traced("phones", &compiled, &mut recorder)
-            .unwrap();
+        let curve = config.run_with("phones", &compiled, &mut recorder).unwrap();
         traces.push(recorder.to_jsonl());
         curves.push(curve);
     }
@@ -103,7 +101,7 @@ fn sweep_trace_is_byte_identical_at_any_worker_count() {
     let untraced = SweepConfig::new(points, 1.5, 0.5)
         .request_type(SN_COMPOSE_POST)
         .parallelism(1)
-        .run_compiled("phones", &compiled)
+        .run("phones", &compiled)
         .unwrap();
     assert_eq!(curves[0], untraced);
 }

@@ -28,7 +28,7 @@ fn cloudlet(model: ServerModel) -> Simulation {
 /// The knee of the unbounded default deployment, from a coarse sweep
 /// under the paper's informal SLO (median ≤ 100 ms, tail ≤ 200 ms).
 fn knee_qps() -> f64 {
-    let sim = cloudlet(ServerModel::new());
+    let sim = cloudlet(ServerModel::new()).compile();
     let curve = SweepConfig::new(vec![1_000.0, 2_000.0, 3_000.0, 4_000.0, 5_000.0], 1.5, 0.5)
         .run("baseline", &sim)
         .unwrap();
@@ -115,7 +115,7 @@ fn finite_queues_bound_the_tail_under_dfcfs() {
     };
     let knee = SweepConfig::new(vec![1_000.0, 2_000.0, 3_000.0, 4_000.0, 5_000.0], 1.5, 0.5)
         .request_type(SN_COMPOSE_POST)
-        .run("baseline", &social(ServerModel::new()))
+        .run("baseline", &social(ServerModel::new()).compile())
         .unwrap()
         .max_sustainable_qps(100.0, 200.0)
         .expect("the five-point sweep brackets the compose-post knee");
