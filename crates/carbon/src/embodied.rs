@@ -118,13 +118,6 @@ impl EmbodiedCarbon {
             .push(EmbodiedItem::new(label, per_unit, quantity));
     }
 
-    /// Merges another bill into this one (builder style).
-    #[must_use]
-    pub fn with_bill(mut self, other: &EmbodiedCarbon) -> Self {
-        self.items.extend(other.items.iter().cloned());
-        self
-    }
-
     /// Iterates over the line items.
     pub fn iter(&self) -> impl Iterator<Item = &EmbodiedItem> {
         self.items.iter()
@@ -226,15 +219,6 @@ mod tests {
             .with_item("plug", GramsCo2e::from_kilograms(3.0), 270.0);
         assert!((bill.total().kilograms() - (18.6 + 810.0)).abs() < 1e-9);
         assert_eq!(bill.iter().count(), 2);
-    }
-
-    #[test]
-    fn bills_merge() {
-        let a = EmbodiedCarbon::manufactured("a", GramsCo2e::new(10.0));
-        let b = EmbodiedCarbon::manufactured("b", GramsCo2e::new(5.0));
-        let merged = a.with_bill(&b);
-        assert_eq!(merged.total().grams(), 15.0);
-        assert_eq!(merged.len(), 2);
     }
 
     #[test]

@@ -10,7 +10,6 @@ use junkyard_devices::catalog::{self, C5Size};
 use junkyard_microsim::app::{
     hotel_reservation, social_network, Application, SN_COMPOSE_POST, SN_READ_HOME_TIMELINE,
 };
-use junkyard_microsim::fanout::{self, fan_out};
 use junkyard_microsim::metrics::RunMetrics;
 use junkyard_microsim::sweep::{run_figure8, LatencyCurve, SweepConfig};
 
@@ -195,47 +194,38 @@ impl Figure7Study {
 
     /// Runs the study for one workload across all Figure 7 deployments.
     ///
-    /// The deployments are independent simulations, so they fan out with
-    /// one worker each (each sweep additionally parallelises its load
-    /// points), and the curves come back in `DeploymentKind::figure7_set()`
-    /// order exactly as in a serial run.
+    /// The deployments are built and compiled first; then every
+    /// (deployment, load point) pair runs as one
+    /// [`SweepConfig::run_batch`], so the workers stay busy across
+    /// deployments. The curves come back in
+    /// `DeploymentKind::figure7_set()` order, each identical to a serial
+    /// sweep of its deployment.
     ///
     /// # Errors
     ///
-    /// Returns [`DeploymentError`] if a deployment cannot be built or run;
-    /// with multiple failures the earliest deployment's error wins.
+    /// Returns [`DeploymentError`] if a deployment cannot be built or run:
+    /// the earliest deployment's build error, else the earliest
+    /// deployment's simulation error.
     pub fn run(&self, workload: CloudletWorkload) -> Result<Figure7Result, DeploymentError> {
         let app = workload.application();
         let kinds = DeploymentKind::figure7_set();
-        // The outer fan-out already occupies one core per deployment, so
-        // cap each inner sweep's worker pool to its share of the machine —
-        // otherwise 4 deployments x available_parallelism sweep workers
-        // oversubscribe the CPU.
-        let sweep_workers = fanout::workers(None, usize::MAX).div_ceil(kinds.len());
-        let curves = fan_out(&kinds, kinds.len(), |_, &kind| {
-            self.run_deployment(kind, &app, workload.request_type(), sweep_workers)
-        })?
-        .into_iter()
-        .collect::<Result<Vec<LatencyCurve>, DeploymentError>>()?;
-        Ok(Figure7Result { workload, curves })
-    }
-
-    /// Builds and sweeps one deployment (one worker's share of the study).
-    fn run_deployment(
-        &self,
-        kind: DeploymentKind,
-        app: &Application,
-        request_type: Option<&str>,
-        sweep_workers: usize,
-    ) -> Result<LatencyCurve, DeploymentError> {
-        let sim = build_deployment(kind, app, 11)?.compile();
+        let sims = kinds
+            .iter()
+            .map(|&kind| Ok(build_deployment(kind, &app, 11)?.compile()))
+            .collect::<Result<Vec<_>, DeploymentError>>()?;
         let mut config = SweepConfig::new(self.qps_points.clone(), self.duration_s, self.warmup_s)
-            .seed(self.seed)
-            .parallelism(sweep_workers);
-        if let Some(rt) = request_type {
+            .seed(self.seed);
+        if let Some(rt) = workload.request_type() {
             config = config.request_type(rt);
         }
-        config.run(kind.label(), &sim).map_err(DeploymentError::Sim)
+        let curves = SweepConfig::run_batch(
+            kinds
+                .iter()
+                .zip(&sims)
+                .map(|(kind, sim)| (&config, kind.label(), sim)),
+        )
+        .map_err(DeploymentError::Sim)?;
+        Ok(Figure7Result { workload, curves })
     }
 }
 

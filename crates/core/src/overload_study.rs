@@ -12,9 +12,10 @@
 //!
 //! The study first locates the knee of the *default* (unbounded,
 //! centralized, combined) deployment with a conventional sweep, then
-//! re-sweeps each (discipline × layout) variant with a finite per-queue
-//! bound at fixed multiples of that knee. Everything below the knee
-//! should be drop-free; everything at ≥2× should shed visibly.
+//! re-sweeps every (discipline × layout) variant, all in one sweep batch,
+//! with a finite per-queue bound at fixed multiples of that knee.
+//! Everything below the knee should be drop-free; everything at ≥2×
+//! should shed visibly.
 
 use junkyard_microsim::app::{social_network, SN_COMPOSE_POST};
 use junkyard_microsim::sim::{CoreLayout, QueueDiscipline, ServerModel};
@@ -263,7 +264,7 @@ impl OverloadStudy {
             .into_iter()
             .map(move |l| (d, l))
         });
-        let mut curves = Vec::new();
+        let mut sims = Vec::new();
         for (discipline, layout) in variants {
             let model = ServerModel::new()
                 .with_discipline(discipline)
@@ -272,17 +273,25 @@ impl OverloadStudy {
             let sim = build_deployment(DeploymentKind::PhoneCloudlet, &app, 11)?
                 .with_server_model(model)
                 .compile();
-            let points: Vec<f64> = self.multipliers.iter().map(|m| m * knee_qps).collect();
+            sims.push((discipline, layout, sim));
+        }
+        // Every variant runs the same load points: one batch measures
+        // them all.
+        let overload = sweep(self.multipliers.iter().map(|m| m * knee_qps).collect());
+        let batch = sims.iter().map(|&(discipline, layout, ref sim)| {
             let label = format!("{}/{}", discipline_label(discipline), layout_label(layout));
-            let curve = sweep(points)
-                .run(&label, &sim)
-                .map_err(DeploymentError::Sim)?;
-            curves.push(OverloadCurve {
+            (&overload, label, sim)
+        });
+        let curves = SweepConfig::run_batch(batch)
+            .map_err(DeploymentError::Sim)?
+            .into_iter()
+            .zip(&sims)
+            .map(|(curve, &(discipline, layout, _))| OverloadCurve {
                 discipline,
                 layout,
                 curve,
-            });
-        }
+            })
+            .collect();
         Ok(OverloadStudyResult {
             knee_qps,
             queue_size: self.queue_size,

@@ -114,7 +114,8 @@ impl PlannerStudy {
         self
     }
 
-    /// Caps the worker threads; `1` forces a serial search.
+    /// Caps the worker threads of the saturation screen and the search;
+    /// `1` runs both on the caller's thread.
     ///
     /// # Panics
     ///
@@ -196,14 +197,14 @@ impl PlannerStudy {
 
     /// The evaluator: candidates serve the compose-post demand over the
     /// office-day curve, with the c5.9xlarge registered as the leased
-    /// fallback and the saturation screen armed.
+    /// fallback and the saturation screen run on the study's worker cap.
     ///
     /// # Errors
     ///
     /// Returns [`DeploymentError`] if the c5.9xlarge site cannot be
-    /// assembled.
+    /// assembled or a screen sweep fails to simulate.
     pub fn evaluator(&self) -> Result<FleetEvaluator, DeploymentError> {
-        Ok(FleetEvaluator::new(
+        FleetEvaluator::new(
             self.space(),
             social_network(),
             NetworkModel::phone_wifi(),
@@ -218,7 +219,8 @@ impl PlannerStudy {
         )
         .failures(self.mean_days_between_failures)
         .amortize_install(TimeSpan::from_years(SERVICE_LIFETIME_YEARS))
-        .with_saturation_screen())
+        .with_saturation_screen(self.parallelism)
+        .map_err(DeploymentError::Sim)
     }
 
     /// The hand-built lifecycle deployment as a candidate: the 6-Pixel +
@@ -460,6 +462,28 @@ mod tests {
         let serial = PlannerStudy::quick().parallelism(1).run().unwrap();
         let threaded = PlannerStudy::quick().parallelism(4).run().unwrap();
         assert_eq!(serial, threaded);
+    }
+
+    #[test]
+    fn saturation_screen_is_the_same_at_any_worker_count() {
+        use junkyard_planner::Evaluator;
+        let study = PlannerStudy::quick();
+        let serial = study.clone().parallelism(1).evaluator().unwrap();
+        let threaded = study.clone().parallelism(4).evaluator().unwrap();
+        let slo = study.slo_bounds();
+        let mut screened = 0;
+        for candidate in study.space().enumerate() {
+            let capacity =
+                |evaluator: &FleetEvaluator| evaluator.sustainable_capacity_qps(&candidate, &slo);
+            let (one, four) = (capacity(&serial), capacity(&threaded));
+            assert_eq!(
+                one.map(f64::to_bits),
+                four.map(f64::to_bits),
+                "{candidate:?}"
+            );
+            screened += usize::from(one.unwrap_or(0.0) > 0.0);
+        }
+        assert!(screened > 0, "the screen measured no capacity");
     }
 
     #[test]

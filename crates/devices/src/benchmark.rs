@@ -126,16 +126,6 @@ impl BenchmarkScore {
     pub fn multi_core_throughput(self) -> Throughput {
         Throughput::per_second(self.multi_core, self.benchmark.op_unit())
     }
-
-    /// Multi-core speed-up over one core.
-    #[must_use]
-    pub fn parallel_speedup(self) -> f64 {
-        if self.single_core > 0.0 {
-            self.multi_core / self.single_core
-        } else {
-            0.0
-        }
-    }
 }
 
 /// The full set of benchmark scores for one device.
@@ -281,12 +271,6 @@ mod tests {
             .is_none());
         assert!(empty.get(Benchmark::Sgemm).is_none());
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn parallel_speedup() {
-        let score = BenchmarkScore::new(Benchmark::Sgemm, 10.0, 40.0);
-        assert!((score.parallel_speedup() - 4.0).abs() < 1e-12);
     }
 
     #[test]

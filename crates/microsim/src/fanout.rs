@@ -1,10 +1,11 @@
 //! The one order-preserving fan-out every parallel layer runs on.
 //!
-//! Sweep points, fleet cells, lifecycle slices, planner candidates and
-//! the Figure 7 deployments are independent jobs. [`fan_out`] runs them
-//! on scoped worker threads that claim the highest unclaimed index first
-//! from one shared queue, and hands the outputs back in item order, so a
-//! result is bit-identical at any worker count. Claiming from the top
+//! Sweep points (of one sweep or of a batch of sweeps), fleet cells,
+//! lifecycle slices and planner candidates are independent jobs.
+//! [`fan_out`] runs them on scoped worker threads that claim the highest
+//! unclaimed index first from one shared queue, and hands the outputs
+//! back in item order, so a result is bit-identical at any worker count.
+//! Claiming from the top
 //! starts the heavy end of an ascending sweep (cost grows with offered
 //! load) first and leaves the light points to fill the gaps at the end;
 //! claiming one job at a time spreads jobs of unequal cost evenly.

@@ -183,19 +183,6 @@ impl Placement {
         self.assignments.is_empty()
     }
 
-    /// Resolves every service of `app` (in `app.services()` order) to its
-    /// hosting node index in one pass, or `None` if any service is
-    /// unplaced — the bulk form of [`Placement::node_of`] for callers that
-    /// want to leave name-keyed lookups behind up front, as the compiled
-    /// engine does for its per-call tables.
-    #[must_use]
-    pub fn node_indices(&self, app: &Application) -> Option<Vec<usize>> {
-        app.services()
-            .iter()
-            .map(|s| self.node_of(s.name()))
-            .collect()
-    }
-
     /// `true` if every service of `app` has a node assignment.
     #[must_use]
     pub fn covers(&self, app: &Application) -> bool {
@@ -266,21 +253,6 @@ mod tests {
         let err = Placement::swarm_spread(&app, &tiny, 0).unwrap_err();
         assert!(matches!(err, PlacementError::InsufficientMemory { .. }));
         assert!(err.to_string().contains("GiB"));
-    }
-
-    #[test]
-    fn node_indices_align_with_service_order() {
-        let app = social_network();
-        let nodes = ten_pixel_cloudlet();
-        let p = Placement::swarm_spread(&app, &nodes, 7).unwrap();
-        let indices = p.node_indices(&app).unwrap();
-        assert_eq!(indices.len(), app.services().len());
-        for (service, idx) in app.services().iter().zip(&indices) {
-            assert_eq!(p.node_of(service.name()), Some(*idx));
-        }
-        // A partial placement resolves to None.
-        let partial = Placement::manual([("nginx-web-server", 0usize)], &nodes).unwrap();
-        assert!(partial.node_indices(&app).is_none());
     }
 
     #[test]

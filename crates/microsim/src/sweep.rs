@@ -1,12 +1,17 @@
 //! Throughput sweeps and saturation detection (Figure 7) and the two-phase
 //! utilisation scenario (Figure 8).
 //!
-//! Sweep points are independent simulations, so [`SweepConfig::run`] fans
-//! them out with [`fan_out`] over one [`CompiledSim`] the caller compiled
-//! and shares by reference; the points come back in offered-load order, so
-//! results are deterministic regardless of scheduling.
-//! [`SweepConfig::run_with`] is the same body with each point recording
-//! into its own trace shard.
+//! Sweep points are independent simulations, so one body measures every
+//! (sweep, load point) pair of a batch in a single [`fan_out`], each sweep
+//! over the [`CompiledSim`] its caller compiled and shares by reference.
+//! The points come back in input order, so results are deterministic
+//! regardless of scheduling. [`SweepConfig::run_batch`] is that body for
+//! several sweeps, [`SweepConfig::run`] for one, and
+//! [`SweepConfig::run_with`] for one with each point recording into its
+//! own trace shard. A batch keeps the workers busy across sweeps where
+//! each sweep alone has too few points to balance.
+
+use std::iter;
 
 use junkyard_carbon::convert::index_u64;
 use junkyard_obs::{NoopRecorder, Recorder, TraceRecorder, TraceShard};
@@ -318,8 +323,34 @@ impl SweepConfig {
         label: impl Into<String>,
         sim: &CompiledSim,
     ) -> Result<LatencyCurve, SimError> {
-        let recorders = self.qps_points.iter().map(|_| NoopRecorder);
-        self.run_points(label, sim, recorders)
+        Self::run_batch([(self, label, sim)])?
+            .pop()
+            .ok_or(SimError::WorkerLost)
+    }
+
+    /// Runs several sweeps as one batch and returns their curves in input
+    /// order, each bit-identical to that sweep's own [`SweepConfig::run`].
+    ///
+    /// Every `(sweep, label, simulation)` member contributes one job per
+    /// load point, and all of them share a single [`fan_out`] over
+    /// [`fanout::workers`]`(cap, total points)`, where `cap` is the
+    /// smallest [`SweepConfig::parallelism`] any member sets (none set:
+    /// the machine's available parallelism). A cap of one measures every
+    /// point on the caller's thread.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulation errors; on multiple failures the error of
+    /// the lowest-index failing point of the lowest-index failing member
+    /// is returned.
+    pub fn run_batch<'a, L: Into<String>>(
+        sweeps: impl IntoIterator<Item = (&'a SweepConfig, L, &'a CompiledSim)>,
+    ) -> Result<Vec<LatencyCurve>, SimError> {
+        let members = sweeps
+            .into_iter()
+            .map(|(config, label, sim)| (config, label.into(), sim))
+            .collect();
+        measure_batch(members, iter::repeat(NoopRecorder))
     }
 
     /// The number of fan-out workers [`SweepConfig::run`] will actually
@@ -348,31 +379,41 @@ impl SweepConfig {
         let mut shards: Vec<TraceShard> = (0..self.qps_points.len())
             .map(|index| recorder.shard(index_u64(index)))
             .collect();
-        let curve = self.run_points(label, sim, shards.iter_mut());
+        let curves = measure_batch(vec![(self, label.into(), sim)], shards.iter_mut());
         for shard in shards {
             recorder.absorb(shard);
         }
-        curve
+        curves?.pop().ok_or(SimError::WorkerLost)
     }
+}
 
-    /// The one sweep body: point `index` records into the `index`-th of
-    /// `recorders`.
-    fn run_points<R: Recorder + Send>(
-        &self,
-        label: impl Into<String>,
-        sim: &CompiledSim,
-        recorders: impl IntoIterator<Item = R>,
-    ) -> Result<LatencyCurve, SimError> {
-        let points = fan_out(
-            recorders,
-            self.effective_workers(),
-            |index, mut recorder| self.measure_point(sim, index, &mut recorder),
-        )?;
-        Ok(LatencyCurve::new(
-            label,
-            points.into_iter().collect::<Result<_, _>>()?,
-        ))
-    }
+/// The one sweep body: measures every (member, load point) pair in a
+/// single [`fan_out`] and assembles one curve per member, in input order.
+/// The `i`-th pair in member-then-point order records into the `i`-th of
+/// `recorders`, which must yield at least one recorder per pair.
+fn measure_batch<R: Recorder + Send>(
+    members: Vec<(&SweepConfig, String, &CompiledSim)>,
+    recorders: impl IntoIterator<Item = R>,
+) -> Result<Vec<LatencyCurve>, SimError> {
+    let cap = members.iter().filter_map(|m| m.0.parallelism).min();
+    let pairs = members
+        .iter()
+        .enumerate()
+        .flat_map(|(m, (config, _, _))| (0..config.qps_points.len()).map(move |point| (m, point)));
+    let jobs: Vec<_> = pairs.zip(recorders).collect();
+    let workers = fanout::workers(cap, jobs.len());
+    let mut points = fan_out(jobs, workers, |_, ((m, point), mut recorder)| {
+        let (config, _, sim) = &members[m];
+        config.measure_point(sim, point, &mut recorder)
+    })?
+    .into_iter();
+    members
+        .into_iter()
+        .map(|(config, label, _)| {
+            let curve = points.by_ref().take(config.qps_points.len());
+            Ok(LatencyCurve::new(label, curve.collect::<Result<_, _>>()?))
+        })
+        .collect()
 }
 
 /// The Figure 8 scenario: idle, SocialNetwork reads, idle, SocialNetwork
@@ -424,7 +465,7 @@ mod tests {
     use super::*;
     use crate::app::{social_network, SN_COMPOSE_POST, SN_READ_HOME_TIMELINE};
     use crate::network::NetworkModel;
-    use crate::node::ten_pixel_cloudlet;
+    use crate::node::{ten_pixel_cloudlet, NodeSpec};
     use crate::placement::Placement;
 
     fn phone_sim() -> Simulation {
@@ -595,6 +636,74 @@ mod tests {
         let serial = config.clone().parallelism(1).run("phones", &sim).unwrap();
         let threaded = config.parallelism(4).run("phones", &sim).unwrap();
         assert_eq!(serial, threaded);
+    }
+
+    /// The c5.9xlarge as Figure 7 builds it: one 36-vCPU node hosting
+    /// every service, with the client on the same host.
+    fn c5_sim() -> Simulation {
+        let app = social_network();
+        let placement = Placement::single_node(&app);
+        Simulation::new(
+            app,
+            vec![NodeSpec::c5("c5.9xlarge", 36, 72.0)],
+            placement,
+            NetworkModel::single_node_loopback(),
+        )
+        .unwrap()
+        .with_colocated_client(true)
+    }
+
+    #[test]
+    fn a_batch_matches_each_sweeps_own_run() {
+        let phones = phone_sim().compile();
+        let c5 = c5_sim().compile();
+        for workers in [1, 2, 8] {
+            let write = SweepConfig::new(vec![400.0, 1_800.0, 3_200.0], 1.0, 0.5)
+                .request_type(SN_COMPOSE_POST)
+                .parallelism(workers);
+            let decorrelated = SweepConfig::new(vec![900.0, 2_500.0], 1.0, 0.5)
+                .seed(7)
+                .decorrelated_seeds()
+                .parallelism(workers);
+            let mixed = SweepConfig::new(vec![600.0, 1_200.0, 2_400.0, 4_800.0], 0.8, 0.2)
+                .seed(3)
+                .parallelism(workers);
+            let members = [
+                (&write, "phones-write", &phones),
+                (&decorrelated, "c5-mixed", &c5),
+                (&mixed, "phones-mixed", &phones),
+            ];
+            let batch = SweepConfig::run_batch(members).unwrap();
+            assert_eq!(batch.len(), members.len());
+            for ((sweep, label, sim), curve) in members.into_iter().zip(&batch) {
+                let alone = sweep.run(label, sim).unwrap();
+                assert_eq!(*curve, alone, "{label} at {workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_batch_returns_no_curves() {
+        let none: [(&SweepConfig, &str, &CompiledSim); 0] = [];
+        assert!(SweepConfig::run_batch(none).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_failing_batch_returns_the_lowest_index_error() {
+        let sim = phone_sim().compile();
+        let good = SweepConfig::new(vec![300.0, 600.0], 0.5, 0.1).request_type(SN_COMPOSE_POST);
+        let first = SweepConfig::new(vec![300.0], 0.5, 0.1).request_type("no-such-type");
+        let second = SweepConfig::new(vec![300.0, 600.0], 0.5, 0.1).request_type("nor-this-one");
+        let alone = first.run("first", &sim).unwrap_err();
+        assert_eq!(
+            alone,
+            SimError::UnknownRequestType("no-such-type".to_owned())
+        );
+        for workers in [1, 4] {
+            let members = [&good, &first, &second].map(|sweep| sweep.clone().parallelism(workers));
+            let batch = SweepConfig::run_batch(members.iter().map(|sweep| (sweep, "m", &sim)));
+            assert_eq!(batch.unwrap_err(), alone, "at {workers} workers");
+        }
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //! comparable. A candidate's leased fallback is the registered
 //! [`FleetSite`] rented at the candidate's share ([`FleetSite::scaled`])
 //! and run as a leased lifecycle site. The optional saturation screen
-//! sweeps every cohort option once up front; a candidate is pruned when
-//! the demand beyond its [`LatencyCurve::max_sustainable_qps`] (under
-//! the SLO's latency bounds) would shed more of the horizon's traffic
-//! than the SLO's ceiling allows — all before any lifecycle run is paid.
+//! sweeps every cohort option and the leased site once up front, all
+//! their load points in one [`SweepConfig::run_batch`] fan-out; a
+//! candidate is pruned when the demand beyond its
+//! [`LatencyCurve::max_sustainable_qps`] (under the SLO's latency bounds)
+//! would shed more of the horizon's traffic than the SLO's ceiling
+//! allows — all before any lifecycle run is paid.
 
 use junkyard_battery::charging::SmartChargePolicy;
 use junkyard_carbon::units::{GramsCo2e, TimeSpan, Watts};
@@ -19,11 +21,10 @@ use junkyard_fleet::lifecycle::{CohortDevice, LifecycleSim, LifecycleSite};
 use junkyard_fleet::schedule::DiurnalSchedule;
 use junkyard_fleet::site::{FleetSite, GridRegion};
 use junkyard_microsim::app::Application;
-use junkyard_microsim::compiled::CompiledSim;
 use junkyard_microsim::network::NetworkModel;
 use junkyard_microsim::node::NodeSpec;
 use junkyard_microsim::placement::Placement;
-use junkyard_microsim::sim::Simulation;
+use junkyard_microsim::sim::{SimError, Simulation};
 use junkyard_microsim::sweep::{decorrelate_seed, LatencyCurve, SweepConfig};
 
 use crate::candidate::CandidateDeployment;
@@ -42,7 +43,7 @@ const SCREEN_FRACTIONS: [f64; 3] = [0.6, 0.8, 1.0];
 const PLACEMENT_SEED: u64 = 11;
 
 /// Scores candidates by building and running a [`LifecycleSim`] per
-/// `(candidate, fidelity)` pair. Every internal run is forced serial —
+/// `(candidate, fidelity)` pair. Every lifecycle run is forced serial —
 /// the planner parallelises *across* candidates — and workload seeds are
 /// derived from the candidate fingerprint, so evaluation is a pure
 /// function of its inputs.
@@ -108,24 +109,13 @@ impl FleetEvaluator {
             screen_curves: Vec::new(),
             leased_curve: None,
         };
-        evaluator.rebuild_cohort_sims();
-        evaluator
-    }
-
-    /// (Re)builds the per-option serving simulations.
-    fn rebuild_cohort_sims(&mut self) {
-        self.cohort_sims = self
+        evaluator.cohort_sims = evaluator
             .space
             .cohort_options()
             .iter()
-            .map(|option| {
-                if option.is_empty() {
-                    None
-                } else {
-                    Some(self.build_cohort_sim(option))
-                }
-            })
+            .map(|option| (!option.is_empty()).then(|| evaluator.build_cohort_sim(option)))
             .collect();
+        evaluator
     }
 
     /// The prebuilt simulation of one (non-empty) cohort option.
@@ -209,38 +199,46 @@ impl FleetEvaluator {
     }
 
     /// Runs the saturation screen: every cohort option (and the leased
-    /// site) is swept once at a few fractions of its nominal
-    /// capacity, so [`Evaluator::sustainable_capacity_qps`] can prune
-    /// undersized candidates without a lifecycle run. The sweeps are
-    /// serial and seeded, so screening is deterministic.
-    #[must_use]
-    pub fn with_saturation_screen(mut self) -> Self {
-        let screen_seed = decorrelate_seed(self.seed, 0x5c_4ee4);
-        self.screen_curves = self
-            .space
-            .cohort_options()
-            .iter()
-            .enumerate()
-            .map(|(index, option)| {
-                let sim = match self.cohort_sims.get(index)? {
-                    Some(Ok(sim)) => sim,
-                    _ => return None,
-                };
-                Some(self.sweep(
-                    &sim.compile(),
-                    option.capacity_qps(),
-                    decorrelate_seed(screen_seed, index as u64 + 1),
-                ))
+    /// site) is swept at a few fractions of its nominal capacity, so
+    /// [`Evaluator::sustainable_capacity_qps`] can prune undersized
+    /// candidates without a lifecycle run. All the sweeps' points run as
+    /// one [`SweepConfig::run_batch`] capped at `parallelism` workers
+    /// (`None`: the machine's available parallelism; `Some(1)`: on the
+    /// caller's thread). Each sweep is seeded from the evaluator's seed,
+    /// so the screen is the same at any worker count.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first sweep's simulation error, for example an
+    /// unknown request type.
+    pub fn with_saturation_screen(mut self, parallelism: Option<usize>) -> Result<Self, SimError> {
+        let options = self.space.cohort_options().iter().zip(&self.cohort_sims);
+        let cohorts: Vec<_> = (1..)
+            .zip(options)
+            .map(|(stream, (option, sim))| match sim {
+                Some(Ok(sim)) => {
+                    let sweep = self.screen_sweep(option.capacity_qps(), stream, parallelism);
+                    Some((sim.compile(), sweep))
+                }
+                _ => None,
             })
             .collect();
-        self.leased_curve = self.leased.as_ref().map(|site| {
-            self.sweep(
-                site.sim(),
-                site.capacity_qps(),
-                decorrelate_seed(screen_seed, 0x1ea5ed),
-            )
+        let leased = self.leased.as_ref().map(|site| {
+            let sweep = self.screen_sweep(site.capacity_qps(), 0x1ea5ed, parallelism);
+            (site.sim(), sweep)
         });
-        self
+        let members = cohorts
+            .iter()
+            .flatten()
+            .map(|(sim, sweep)| (sweep, "screen", sim));
+        let leased_member = leased.iter().map(|(sim, sweep)| (sweep, "screen", *sim));
+        let mut curves = SweepConfig::run_batch(members.chain(leased_member))?.into_iter();
+        self.screen_curves = cohorts
+            .iter()
+            .map(|cohort| cohort.as_ref().and_then(|_| curves.next()))
+            .collect();
+        self.leased_curve = curves.next();
+        Ok(self)
     }
 
     /// The space this evaluator scores candidates of.
@@ -249,19 +247,26 @@ impl FleetEvaluator {
         &self.space
     }
 
-    /// Sweeps a site simulation at the screen's capacity fractions.
-    fn sweep(&self, sim: &CompiledSim, capacity_qps: f64, seed: u64) -> LatencyCurve {
+    /// The screen's sweep of a site at its capacity fractions, seeded
+    /// from stream `stream` of the screen's seed family.
+    fn screen_sweep(
+        &self,
+        capacity_qps: f64,
+        stream: u64,
+        parallelism: Option<usize>,
+    ) -> SweepConfig {
         let points: Vec<f64> = SCREEN_FRACTIONS.iter().map(|f| f * capacity_qps).collect();
+        let seed = decorrelate_seed(decorrelate_seed(self.seed, 0x5c_4ee4), stream);
         let mut config = SweepConfig::new(points, 2.0, 0.5)
             .seed(seed)
-            .decorrelated_seeds()
-            .parallelism(1);
+            .decorrelated_seeds();
+        if let Some(workers) = parallelism {
+            config = config.parallelism(workers);
+        }
         if let Some(request_type) = &self.request_type {
             config = config.request_type(request_type.clone());
         }
         config
-            .run("screen", sim)
-            .expect("screen sweeps use the evaluator's own request type")
     }
 
     /// Builds the serving simulation of one cohort option.
@@ -531,7 +536,7 @@ mod tests {
 
     #[test]
     fn saturation_screen_prunes_undersized_candidates() {
-        let evaluator = evaluator().with_saturation_screen();
+        let evaluator = evaluator().with_saturation_screen(Some(2)).unwrap();
         let slo = Slo::paper_default();
         // A two-phone site sustains ~600 QPS within the SLO, but the
         // office-day demand peaks at ~800 QPS: single-site candidates
@@ -589,7 +594,8 @@ mod tests {
             flat_region("gas", 420.0),
             1_000.0,
         ))
-        .with_saturation_screen();
+        .with_saturation_screen(Some(2))
+        .unwrap();
         let slo = Slo::paper_default();
         let leased_only =
             |share_index: usize| CandidateDeployment::new(vec![0, 0], 0, 0, 0, share_index);
@@ -605,6 +611,21 @@ mod tests {
         // reported strictly less than 500 for any knee below 1,000.
         assert!(full > 500.0, "knee {full} must clear half the capacity");
         assert!((half - 500.0).abs() < 1e-9, "half-share {half}");
+        // The batch hands each site its own curve: the leased site's and
+        // every non-empty option's loads are its own capacity fractions.
+        let loads = |curve: Option<&LatencyCurve>| {
+            curve.map(|c| c.points().iter().map(|p| p.qps()).collect::<Vec<_>>())
+        };
+        let fractions = |capacity: f64| SCREEN_FRACTIONS.map(|f| f * capacity).to_vec();
+        assert_eq!(
+            loads(evaluator.leased_curve.as_ref()),
+            Some(fractions(1_000.0))
+        );
+        let options = evaluator.space.cohort_options();
+        for (option, curve) in options.iter().zip(&evaluator.screen_curves) {
+            let expected = (!option.is_empty()).then(|| fractions(option.capacity_qps()));
+            assert_eq!(loads(curve.as_ref()), expected, "{}", option.label());
+        }
     }
 
     #[test]
