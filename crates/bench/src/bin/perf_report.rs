@@ -5,12 +5,13 @@
 //! trajectory — including the coupled fleet path — is tracked across PRs.
 //!
 //! Every top-level phase runs under the serial-side
-//! [`junkyard_obs::Profiler`]: the report gains a `"profile"` section
-//! (per-stage inclusive wall ms) and a collapsed-stack sidecar
-//! (`PROFILE.folded`, flamegraph-ready) next to the JSON. The sweep
-//! entry reports the worker count actually used, so a silently capped
-//! fan-out (one-core runner, `available_parallelism() == 1`) is visible
-//! in the numbers instead of masquerading as a threading regression.
+//! [`junkyard_bench::profiler::Profiler`]: the report gains a
+//! `"profile"` section (per-stage inclusive wall ms) and a
+//! collapsed-stack sidecar (`PROFILE.folded`, flamegraph-ready) next to
+//! the JSON. The sweep entry reports the worker count actually used, so
+//! a silently capped fan-out (one-core runner,
+//! `available_parallelism() == 1`) is visible in the numbers instead of
+//! masquerading as a threading regression.
 //!
 //! After writing both files the report checks its own numbers against two
 //! performance floors ([`MIN_EVENTS_PER_SEC`], [`MIN_SWEEP_SPEEDUP`]),
@@ -29,6 +30,7 @@ use junkyard_core::fleet_study::FleetStudy;
 use junkyard_core::lifecycle_study::LifecycleStudy;
 use junkyard_core::planner_study::PlannerStudy;
 
+use junkyard_bench::profiler::Profiler;
 use junkyard_microsim::app::{hotel_reservation, social_network, SN_COMPOSE_POST};
 use junkyard_microsim::compiled::CompiledSim;
 use junkyard_microsim::network::NetworkModel;
@@ -36,7 +38,7 @@ use junkyard_microsim::node::ten_pixel_cloudlet;
 use junkyard_microsim::placement::Placement;
 use junkyard_microsim::sim::{Simulation, Workload};
 use junkyard_microsim::sweep::SweepConfig;
-use junkyard_obs::{Profiler, TraceRecorder};
+use junkyard_obs::TraceRecorder;
 
 /// Every fixed scenario must sustain at least this many engine events per
 /// wall second. Exact timings on shared runners are too noisy to gate on, so

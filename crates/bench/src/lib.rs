@@ -6,9 +6,15 @@
 //! resilience studies honour the `JUNKYARD_FULL=1` environment variable
 //! to run at the paper's full scale instead of the default quick
 //! configuration.
+//!
+//! [`profiler`] holds the wall-clock stage profiler that `perf_report`
+//! times its phases with. This crate is the only one the lint gate lets
+//! read a wall clock.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod profiler;
 
 use junkyard_core::report::{Chart, Table};
 

@@ -1,8 +1,7 @@
-//! The wall-clock profiling boundary.
+//! The wall-clock stage profiler behind `perf_report`.
 //!
-//! This module is the **one** sanctioned wall-clock site outside
-//! `crates/bench` — `junkyard_lint`'s `wall-clock-in-sim` rule names
-//! this file explicitly and flags `Instant`/`SystemTime` everywhere
+//! Wall clocks live only in this crate: `junkyard_lint`'s
+//! `wall-clock-in-sim` rule flags `Instant`/`SystemTime` everywhere
 //! else. Two mechanical guards keep wall time from leaking into
 //! results:
 //!
@@ -11,9 +10,9 @@
 //!   are only ever measured on the serial driver side, bracketing the
 //!   fan-out as a whole.
 //! * Nothing here touches simulated time: the profiler knows stage
-//!   labels and durations, never event timestamps. The sim-time facet
-//!   ([`crate::TraceRecorder`]) is the mirror image — it never sees a
-//!   wall clock.
+//!   labels and durations, never event timestamps. The sim-time tracer
+//!   ([`junkyard_obs::TraceRecorder`]) is the mirror image — it never
+//!   sees a wall clock.
 
 use std::collections::BTreeMap;
 use std::marker::PhantomData;

@@ -167,57 +167,6 @@ impl fmt::Display for CciError {
 
 impl std::error::Error for CciError {}
 
-/// One point of a lifetime-CCI curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CciPoint {
-    months: f64,
-    cci: Cci,
-}
-
-impl CciPoint {
-    /// Creates a point at `months` of service lifetime.
-    #[must_use]
-    pub fn new(months: f64, cci: Cci) -> Self {
-        Self { months, cci }
-    }
-}
-
-/// A CCI-versus-lifetime series, as plotted in Figures 2, 5, 6 and 9.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CciSeries {
-    label: String,
-    points: Vec<CciPoint>,
-}
-
-impl CciSeries {
-    /// Creates a labelled series from points.
-    #[must_use]
-    pub fn new(label: impl Into<String>, points: Vec<CciPoint>) -> Self {
-        Self {
-            label: label.into(),
-            points,
-        }
-    }
-
-    /// The series label (device or configuration name).
-    #[must_use]
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// The points of the series, ordered as supplied.
-    #[must_use]
-    pub fn points(&self) -> &[CciPoint] {
-        &self.points
-    }
-
-    /// The final (longest-lifetime) point, if any.
-    #[must_use]
-    pub fn last(&self) -> Option<CciPoint> {
-        self.points.last().copied()
-    }
-}
-
 /// Builder/evaluator for lifetime CCI of one system configuration.
 ///
 /// # Examples
@@ -407,24 +356,6 @@ impl CciCalculator {
         let work = self.work_at(lifetime)?;
         Cci::new(self.breakdown_at(lifetime).total(), work)
     }
-
-    /// Evaluates the CCI curve at each lifetime in `months`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first error from [`Self::cci_at`].
-    pub fn series(
-        &self,
-        label: impl Into<String>,
-        months: impl IntoIterator<Item = f64>,
-    ) -> Result<CciSeries, CciError> {
-        let mut points = Vec::new();
-        for m in months {
-            let cci = self.cci_at(TimeSpan::from_months(m))?;
-            points.push(CciPoint::new(m, cci));
-        }
-        Ok(CciSeries::new(label, points))
-    }
 }
 
 /// Finds the service lifetime (in months) at which configuration `a` stops
@@ -551,17 +482,6 @@ mod tests {
             phone().cci_at(TimeSpan::ZERO).unwrap_err(),
             CciError::NoWork
         );
-    }
-
-    #[test]
-    fn series_matches_pointwise_evaluation() {
-        let calc = server();
-        let series = calc.series("server", [6.0, 12.0, 24.0]).unwrap();
-        assert_eq!(series.points().len(), 3);
-        assert_eq!(series.label(), "server");
-        let direct = calc.cci_at(TimeSpan::from_months(12.0)).unwrap();
-        assert!((series.points()[1].cci.grams_per_op() - direct.grams_per_op()).abs() < 1e-12);
-        assert_eq!(series.last().unwrap().months, 24.0);
     }
 
     #[test]

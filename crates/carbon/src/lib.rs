@@ -51,7 +51,7 @@ pub mod units;
 
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
-    pub use crate::cci::{CarbonBreakdown, Cci, CciCalculator, CciError, CciPoint, CciSeries};
+    pub use crate::cci::{CarbonBreakdown, Cci, CciCalculator, CciError};
     pub use crate::embodied::EmbodiedCarbon;
     pub use crate::operational::NetworkProfile;
     pub use crate::ops::{OpCount, OpUnit, Throughput};
@@ -63,7 +63,7 @@ pub mod prelude {
     };
 }
 
-pub use crate::cci::{CarbonBreakdown, Cci, CciCalculator, CciError, CciSeries};
+pub use crate::cci::{CarbonBreakdown, Cci, CciCalculator, CciError};
 pub use crate::embodied::EmbodiedCarbon;
 pub use crate::operational::NetworkProfile;
 pub use crate::ops::{OpCount, OpUnit, Throughput};

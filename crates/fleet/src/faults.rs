@@ -34,14 +34,8 @@
 //! window goes through it; a window nothing disturbed resolves to
 //! [`WindowResolution::healthy`], which the lifecycle does not store.
 
-use junkyard_carbon::convert::{count_f64, index_u64, unit_draw as convert_unit_draw};
+use junkyard_carbon::convert::{count_f64, index_u64, unit_draw};
 use junkyard_microsim::sweep::decorrelate_seed;
-
-/// Converts a 64-bit draw into a unit float in `[0, 1)`, the same way the
-/// sweep layer seeds its workloads.
-fn unit_draw(draw: u64) -> f64 {
-    convert_unit_draw(draw)
-}
 
 /// The kind of a correlated fault event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

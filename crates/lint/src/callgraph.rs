@@ -202,8 +202,8 @@ struct Impurity {
 }
 
 /// Scans the sig range of `file` for effects that break replay
-/// determinism. `clock_sanctioned` files (the bench crate and the obs
-/// profiler module) are allowed wall clocks — that is their whole job.
+/// determinism. `clock_sanctioned` files (those of the bench crate)
+/// are allowed wall clocks — timing is their whole job.
 ///
 /// The `recorder-in-fanout` facet is zero-tolerance everywhere: a
 /// fan-out-reachable range must never touch the serial-side
@@ -270,8 +270,7 @@ fn impurities(
 
 /// Runs the whole fan-out analysis: fan-out roots → reachability →
 /// purity findings + per-file scopes. `clock_sanctioned[i]` marks files
-/// allowed to read wall clocks (the bench crate and the obs profiler
-/// module).
+/// allowed to read wall clocks (those of the bench crate).
 #[must_use]
 pub fn analyze(
     files: &[SourceFile],
@@ -413,8 +412,8 @@ pub fn unreachable_pub(
                 path: file.rel_path.clone(),
                 line: f.line,
                 message: format!(
-                    "pub fn `{}` is reached from no bin, example, bench or perfbench source \
-                     (tests are not roots): delete it or narrow its visibility",
+                    "pub fn `{}` is reached from no bin, example or perfbench source (tests \
+                     are not roots): delete it or narrow its visibility",
                     f.qualified()
                 ),
                 suppressed: None,

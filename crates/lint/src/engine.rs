@@ -23,12 +23,9 @@ use crate::symbols::Symbols;
 /// is the workspace's committed configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Path prefix exempt from `wall-clock-in-sim`.
+    /// Path prefix exempt from `wall-clock-in-sim`: the one crate
+    /// sanctioned to read wall clocks.
     pub bench_prefix: String,
-    /// The one library file sanctioned to hold wall clocks: the
-    /// observability crate's profiler module, the serial-side boundary
-    /// every other wall-clock read must go through.
-    pub profiler_module: String,
     /// Accounting/carbon path prefixes audited by `unchecked-cast`.
     pub cast_prefixes: Vec<String>,
     /// Files that ARE the typed-quantity boundary (the newtype and
@@ -49,7 +46,6 @@ impl Config {
     pub fn junkyard() -> Self {
         Self {
             bench_prefix: "crates/bench/".to_string(),
-            profiler_module: "crates/obs/src/profiler.rs".to_string(),
             cast_prefixes: vec![
                 "crates/carbon/src/".to_string(),
                 "crates/fleet/src/".to_string(),
@@ -198,7 +194,7 @@ impl Analysis {
 
 /// Collects the workspace's own source files (never `vendor/` or
 /// `target/`): the facade's `src/`, the shared `tests/` and `examples/`,
-/// and each crate's `src/` and `benches/`.
+/// and each crate's `src/`.
 ///
 /// # Errors
 ///
@@ -219,7 +215,6 @@ pub fn collect_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
         crate_dirs.sort();
         for dir in crate_dirs {
             walk(&dir.join("src"), &mut files)?;
-            walk(&dir.join("benches"), &mut files)?;
         }
     }
     files.sort();
@@ -259,18 +254,15 @@ fn rel_path(root: &Path, path: &Path) -> String {
 /// Maps a relative path to its rule scopes.
 fn classify(rel: &str, config: &Config) -> (FileRole, bool) {
     let whole_file_test = rel.starts_with("tests/") || rel.ends_with("/testutil.rs");
-    let bench = rel.starts_with(&config.bench_prefix);
     let role = FileRole {
         library: rel.starts_with("src/")
             || (rel.starts_with("crates/") && rel.contains("/src/") && !rel.contains("/src/bin/")),
-        bench,
-        clock_sanctioned: bench || rel == config.profiler_module,
+        clock_sanctioned: rel.starts_with(&config.bench_prefix),
         cast_audited: config.cast_prefixes.iter().any(|p| rel.starts_with(p)),
         units_boundary: config.units_boundary.iter().any(|p| p == rel),
         entry_point: rel.starts_with("examples/")
             || rel.contains("/src/bin/")
-            || rel.ends_with("/src/main.rs")
-            || rel.contains("/benches/"),
+            || rel.ends_with("/src/main.rs"),
     };
     (role, whole_file_test)
 }
@@ -323,7 +315,7 @@ pub fn analyze(root: &Path, config: &Config, baseline: &Baseline) -> Result<Anal
     let parsed: Vec<ParsedFile> = files.iter().map(parse).collect();
     let symbols = Symbols::build(&parsed[..scanned]);
     // The callgraph's clock exemption must match `wall-clock-in-sim`'s:
-    // the profiler module's methods are wall-clock-sanctioned even when
+    // the bench crate's methods are wall-clock-sanctioned even when
     // (mis)resolved as reachable from a fan-out, otherwise every
     // `.start(`/`.time(` method call in sim code would drag
     // `Profiler`'s `Instant`s into the fan-out-reachable set by bare-name

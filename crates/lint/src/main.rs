@@ -3,6 +3,7 @@
 //! non-zero when the determinism & conservation gate fails. CI runs this
 //! as a hard gate after the build.
 
+use std::ffi::OsString;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -26,15 +27,27 @@ fn main() -> ExitCode {
     }
 }
 
+/// The workspace to scan: `JUNKYARD_LINT_ROOT` when set (the test
+/// harness points the scan at a fixture), else two levels above this
+/// crate's manifest directory — the one `cargo run` exports at run time
+/// if present, the one the binary was built in otherwise. The run-time
+/// value wins so that a copied checkout, `target/` included, lints
+/// itself rather than the tree the binary was compiled in.
+fn workspace_root(lint_root: Option<OsString>, run_manifest_dir: Option<OsString>) -> PathBuf {
+    if let Some(root) = lint_root {
+        return PathBuf::from(root);
+    }
+    run_manifest_dir
+        .map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from)
+        .join("..")
+        .join("..")
+}
+
 fn run(strict_ratchet: bool) -> Result<bool, String> {
-    // The workspace root: two levels above this crate's manifest, unless
-    // the test harness points the scan somewhere else.
-    let root = match std::env::var_os("JUNKYARD_LINT_ROOT") {
-        Some(dir) => PathBuf::from(dir),
-        None => PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("..")
-            .join(".."),
-    };
+    let root = workspace_root(
+        std::env::var_os("JUNKYARD_LINT_ROOT"),
+        std::env::var_os("CARGO_MANIFEST_DIR"),
+    );
     let baseline_path = root.join("lint_baseline.json");
     let baseline_text = std::fs::read_to_string(&baseline_path).map_err(|e| {
         format!(
@@ -67,4 +80,25 @@ fn run(strict_ratchet: bool) -> Result<bool, String> {
         }
     }
     Ok(analysis.passed())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn root_precedence_is_override_then_run_time_then_build_time() {
+        let built_in = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("..")
+            .join("..");
+        assert_eq!(
+            workspace_root(Some("fixture".into()), Some("copy/crates/lint".into())),
+            PathBuf::from("fixture")
+        );
+        assert_eq!(
+            workspace_root(None, Some("copy/crates/lint".into())),
+            PathBuf::from("copy/crates/lint/../..")
+        );
+        assert_eq!(workspace_root(None, None), built_in);
+    }
 }

@@ -43,7 +43,7 @@ pub enum RuleId {
     /// A numeric field of a `/// lint: conserved` struct with no
     /// reference from any test under `tests/`.
     ConservationAudit,
-    /// A bare `pub fn` in library code that no bin, example, bench or
+    /// A bare `pub fn` in library code that no bin, example or
     /// perfbench source reaches (see `callgraph::unreachable_pub`).
     UnreachablePub,
     /// A `lint:allow` marker that cannot be honoured (bad syntax, no
@@ -143,8 +143,8 @@ impl RuleId {
                  test under tests/"
             }
             RuleId::UnreachablePub => {
-                "every public library fn is reached from a bin, example, bench or perfbench \
-                 source, not only from tests; the count of unreached ones may only go down"
+                "every public library fn is reached from a bin, example or perfbench source, \
+                 not only from tests; the count of unreached ones may only go down"
             }
             RuleId::MalformedSuppression => "every suppression names a rule and carries a reason",
         }
@@ -173,20 +173,16 @@ pub struct FileRole {
     /// Library code: `crates/*/src/**` (excluding `src/bin/`) or the
     /// facade's `src/`. Scope of `panic-in-library`.
     pub library: bool,
-    /// Under `crates/bench/` — exempt from `wall-clock-in-sim`.
-    pub bench: bool,
-    /// Sanctioned to read wall clocks: `crates/bench/` or the
-    /// observability crate's profiler module (the serial-side profiling
-    /// boundary). Scope of `wall-clock-in-sim` and the callgraph's
-    /// clock-impurity facet.
+    /// Sanctioned to read wall clocks: under `crates/bench/`. Scope of
+    /// `wall-clock-in-sim` and the callgraph's clock-impurity facet.
     pub clock_sanctioned: bool,
     /// On an accounting/carbon path — scope of `unchecked-cast`.
     pub cast_audited: bool,
     /// The typed-quantity boundary itself (`units.rs`, `convert.rs`) —
     /// exempt from `untyped-quantity`.
     pub units_boundary: bool,
-    /// An entry point: a bin, example or bench target, or a
-    /// reference-only source. Root of `unreachable-pub`.
+    /// An entry point: a bin or example target, or a reference-only
+    /// source. Root of `unreachable-pub`.
     pub entry_point: bool,
 }
 
@@ -425,9 +421,8 @@ fn binding_of_hash_type(file: &SourceFile, i: usize) -> Option<String> {
 }
 
 /// Rule 2: `wall-clock-in-sim` — `Instant` / `SystemTime` anywhere
-/// outside the sanctioned wall-clock sites: `crates/bench` and the
-/// observability crate's profiler module (tests included: simulated
-/// time is the only time).
+/// outside `crates/bench` (tests included: simulated time is the only
+/// time).
 fn wall_clock_in_sim(file: &SourceFile, role: FileRole, out: &mut Vec<Finding>) {
     if role.clock_sanctioned {
         return;
@@ -441,8 +436,8 @@ fn wall_clock_in_sim(file: &SourceFile, role: FileRole, out: &mut Vec<Finding>) 
                 RuleId::WallClockInSim,
                 file.sig_line(i),
                 format!(
-                    "`{text}` outside crates/bench or the obs profiler: wall-clock reads break \
-                     replayability; simulated time must come from the event queue"
+                    "`{text}` outside crates/bench: wall-clock reads break replayability; \
+                     simulated time must come from the event queue"
                 ),
             );
         }

@@ -120,13 +120,13 @@ impl NodeUtilization {
     }
 
     /// Adds `core_seconds` of user time at second `at`.
-    pub fn add_user(&mut self, at: f64, core_seconds: f64) {
+    pub(crate) fn add_user(&mut self, at: f64, core_seconds: f64) {
         let idx = Self::bucket(at, self.user_core_seconds.len());
         self.user_core_seconds[idx] += core_seconds;
     }
 
     /// Adds `core_seconds` of system time at second `at`.
-    pub fn add_sys(&mut self, at: f64, core_seconds: f64) {
+    pub(crate) fn add_sys(&mut self, at: f64, core_seconds: f64) {
         let idx = Self::bucket(at, self.sys_core_seconds.len());
         self.sys_core_seconds[idx] += core_seconds;
     }

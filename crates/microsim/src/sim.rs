@@ -518,13 +518,16 @@ impl Simulation {
     /// placement map per event and materialises the full arrival schedule
     /// up front. [`CompiledSim`] must produce bit-identical [`RunMetrics`];
     /// the equivalence suite (`tests/microsim_equivalence.rs`) and the
-    /// `des_engine` benchmarks compare the two. Prefer [`Simulation::run`]
-    /// everywhere else.
+    /// `compiled` module's tests compare the two. Prefer
+    /// [`Simulation::run`] everywhere else.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::UnknownRequestType`] if a phase names a request
     /// type the application does not define.
+    // lint:allow(unreachable-pub): the executable spec that
+    // tests/microsim_equivalence.rs and the compiled-engine tests compare
+    // CompiledSim against; only tests call it, by design.
     pub fn run_reference(&self, workload: &Workload) -> Result<RunMetrics, SimError> {
         let type_index = |name: &str| -> Result<usize, SimError> {
             self.app

@@ -111,8 +111,8 @@ impl EventKind {
 /// `t` is whatever "simulated time" means for the emitting layer:
 /// seconds into the run for microsim, the window index for fleet and
 /// lifecycle hooks, the rung index for planner telemetry. It is never a
-/// wall-clock reading — that is the [`crate::Profiler`]'s side of the
-/// boundary.
+/// wall-clock reading — wall time stays on the other side of the
+/// boundary, in the bench crate's profiler.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// What happened.

@@ -29,10 +29,6 @@ pub trait Recorder {
     /// Bumps the aggregate count for `kind` by `by` without storing a
     /// per-event record — for hot loops where the count is the story.
     fn count(&mut self, _kind: EventKind, _by: u64) {}
-
-    /// Records a span on the simulated-time axis (stored as a point
-    /// event at `start_t` whose value is the duration).
-    fn span(&mut self, _kind: EventKind, _start_t: f64, _end_t: f64, _key: &str) {}
 }
 
 /// The do-nothing recorder: `enabled()` is `false`, every sink is
@@ -53,9 +49,5 @@ impl<R: Recorder + ?Sized> Recorder for &mut R {
 
     fn count(&mut self, kind: EventKind, by: u64) {
         (**self).count(kind, by);
-    }
-
-    fn span(&mut self, kind: EventKind, start_t: f64, end_t: f64, key: &str) {
-        (**self).span(kind, start_t, end_t, key);
     }
 }

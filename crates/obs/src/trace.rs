@@ -70,10 +70,6 @@ impl Recorder for TraceShard {
     fn count(&mut self, kind: EventKind, by: u64) {
         self.counts[kind.index()] += by;
     }
-
-    fn span(&mut self, kind: EventKind, start_t: f64, end_t: f64, key: &str) {
-        self.event(TraceEvent::new(kind, start_t, key, end_t - start_t).with_detail("span"));
-    }
 }
 
 /// Which shard an exported event came from: a fan-out result slot, or
@@ -244,10 +240,6 @@ impl Recorder for TraceRecorder {
 
     fn count(&mut self, kind: EventKind, by: u64) {
         self.serial.count(kind, by);
-    }
-
-    fn span(&mut self, kind: EventKind, start_t: f64, end_t: f64, key: &str) {
-        self.serial.span(kind, start_t, end_t, key);
     }
 }
 

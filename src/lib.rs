@@ -25,7 +25,7 @@
 //!   frontier.
 //! * [`obs`] — the observability layer: deterministic sim-time tracing
 //!   (`Recorder`/`TraceRecorder` shards, the self-checking
-//!   `ConservedLedger`) and the wall-clock `Profiler` boundary.
+//!   `ConservedLedger`).
 //! * [`core`] — the high-level studies that regenerate each table and
 //!   figure of the paper.
 //!

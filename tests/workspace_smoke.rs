@@ -1,6 +1,7 @@
 //! Smoke tests for the workspace wiring: every facade re-export resolves,
 //! the crates agree on each other's types across the dependency edges,
-//! every declared edge is used, and the version constant is populated.
+//! every declared edge is used, every workspace-level dependency is
+//! declared by a member, and the version constant is populated.
 //! These tests exist to fail loudly if a crate is dropped from the
 //! workspace or a facade re-export is renamed.
 
@@ -82,7 +83,7 @@ fn every_declared_dependency_is_used() {
         let krate = entry.expect("crates/ entry is readable").path();
         let manifest = fs::read_to_string(krate.join("Cargo.toml")).expect("crate manifest");
         let mut sources = String::new();
-        for dir in ["src", "tests", "benches", "examples"] {
+        for dir in ["src", "tests", "examples"] {
             append_rust_sources(&krate.join(dir), &mut sources);
         }
         for dependency in declared_dependencies(&manifest) {
@@ -94,15 +95,58 @@ fn every_declared_dependency_is_used() {
     assert!(unused.is_empty(), "declared but never named: {unused:#?}");
 }
 
+#[test]
+fn every_workspace_dependency_is_declared_by_a_member() {
+    // A `[workspace.dependencies]` entry that no member manifest declares
+    // keeps a dead path, and whatever crate sits behind it, wired into
+    // the workspace. The root package counts as a member.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let manifest = fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+    let mut declared = Vec::new();
+    for member in workspace_members(&manifest) {
+        let member_manifest =
+            fs::read_to_string(root.join(&member).join("Cargo.toml")).expect("member manifest");
+        declared.extend(declared_dependencies(&member_manifest));
+    }
+    let undeclared: Vec<String> = section_keys(&manifest, &["[workspace.dependencies]"])
+        .into_iter()
+        .filter(|name| !declared.contains(name))
+        .collect();
+    assert!(
+        undeclared.is_empty(),
+        "in [workspace.dependencies] but declared by no member: {undeclared:?}"
+    );
+}
+
+/// The paths listed in the root manifest's `members = [..]` array.
+fn workspace_members(manifest: &str) -> Vec<String> {
+    let start = manifest
+        .find("\nmembers = [")
+        .expect("the root manifest lists its members");
+    let list = &manifest[start..];
+    let list = &list[..list.find(']').expect("the members array closes")];
+    list.split('"')
+        .skip(1)
+        .step_by(2)
+        .map(str::to_owned)
+        .collect()
+}
+
 /// The dependency names declared under `[dependencies]` and
 /// `[dev-dependencies]` (`name = ..` or `name.workspace = true`).
 fn declared_dependencies(manifest: &str) -> Vec<String> {
-    let mut in_dependencies = false;
+    section_keys(manifest, &["[dependencies]", "[dev-dependencies]"])
+}
+
+/// The key names (`name = ..` or `name.workspace = true`) under any of
+/// the given section headers.
+fn section_keys(manifest: &str, sections: &[&str]) -> Vec<String> {
+    let mut in_section = false;
     let mut names = Vec::new();
     for line in manifest.lines().map(str::trim) {
         if line.starts_with('[') {
-            in_dependencies = matches!(line, "[dependencies]" | "[dev-dependencies]");
-        } else if let Some((key, _)) = line.split_once('=').filter(|_| in_dependencies) {
+            in_section = sections.contains(&line);
+        } else if let Some((key, _)) = line.split_once('=').filter(|_| in_section) {
             let name = key.split('.').next().unwrap_or(key).trim();
             if !name.starts_with('#') {
                 names.push(name.to_owned());
