@@ -317,9 +317,9 @@ fn main() -> ExitCode {
         json,
         "  \"planner\": {{\"wall_ms\": {:.3}, \"candidates_enumerated\": {}, \
          \"screened_out\": {}, \"candidates_evaluated\": {}, \"cache_hits\": {}, \
-         \"cache_misses\": {}, \"cache_hit_rate\": {:.6}, \"frontier_size\": {}, \
-         \"best_mg_per_request\": {:.6}, \"baseline_mg_per_request\": {:.6}, \
-         \"improvement_percent\": {:.4}}},",
+         \"cache_misses\": {}, \"cache_hit_rate\": {:.6}, \"slices_measured\": {}, \
+         \"frontier_size\": {}, \"best_mg_per_request\": {:.6}, \
+         \"baseline_mg_per_request\": {:.6}, \"improvement_percent\": {:.4}}},",
         planner_wall_ms,
         planner_outcome.candidates_enumerated(),
         planner_outcome.screened_out(),
@@ -327,6 +327,7 @@ fn main() -> ExitCode {
         planner_outcome.cache_hits(),
         planner_outcome.cache_misses(),
         planner_outcome.cache_hit_rate(),
+        planner_outcome.slices_measured(),
         planner_outcome.frontier().len(),
         planner
             .best()

@@ -29,6 +29,7 @@
 use junkyard_fleet::faults::{DegradationLadder, FaultConfig, ResiliencePolicy, RetryPolicy};
 use junkyard_fleet::lifecycle::{LifecycleResult, LifecycleSim, LifecycleSite, MeasuredSlices};
 use junkyard_fleet::routing::RoutingPolicy;
+use junkyard_microsim::sim::SimError;
 
 use crate::deployments::{c5_datacenter_site, DeploymentError};
 use crate::lifecycle_study::{office_day_demand, LifecycleStudy};
@@ -227,10 +228,17 @@ impl ResilienceStudy {
     pub fn run(&self) -> Result<ResilienceStudyResult, DeploymentError> {
         // The strategy fleets serve the same sites under one seed, so
         // their healthy windows replay identical slices: one table
-        // measures each distinct slice once. Each fleet is built, run
-        // and dropped in turn.
+        // measures each distinct slice once. Each fleet is built, run as
+        // a batch of one and dropped in turn. Batching the strategies
+        // would simulate no slice fewer, and every member's year-long
+        // plan would stay alive until the batch is accounted.
         let mut slices = MeasuredSlices::new();
-        let mut run = |sim: LifecycleSim| sim.run_shared(&mut slices).map_err(DeploymentError::Sim);
+        let mut run = |sim: LifecycleSim| {
+            LifecycleSim::run_batch([sim.plan()], &mut slices)
+                .pop()
+                .unwrap_or(Err(SimError::WorkerLost))
+                .map_err(DeploymentError::Sim)
+        };
 
         // The fault-free baseline, twice: once under the do-nothing policy
         // and once under a lagged, retrying one. Without faults, anything

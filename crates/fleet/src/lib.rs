@@ -40,10 +40,12 @@
 //!   multi-year coupling of all of the above. Device cohorts wear their
 //!   batteries day by day under the simulated smart-charging schedule,
 //!   fail stochastically and are refilled from junkyard stock; routing
-//!   re-plans every window as capacity shrinks and recovers; the
-//!   distinct microsim slices fan out with the same `fan_out`, and a
-//!   [`MeasuredSlices`] table lets fleets run
-//!   one after another measure a shared slice once.
+//!   re-plans every window as capacity shrinks and recovers. A run is
+//!   planned, measured and accounted: [`LifecycleSim::run_batch`] takes
+//!   the plans of several fleets, runs the union of their distinct
+//!   microsim slices in one `fan_out`, and keeps them in a caller-owned
+//!   [`MeasuredSlices`] table, so a slice shared between fleets or
+//!   batches is measured once.
 //!
 //! # Example
 //!
@@ -103,8 +105,8 @@ pub use faults::{
     DegradationLadder, FaultConfig, FaultEvent, FaultKind, FaultPlan, ResiliencePolicy, RetryPolicy,
 };
 pub use lifecycle::{
-    CohortDevice, LifecycleCell, LifecycleConfig, LifecycleResult, LifecycleSim, LifecycleSite,
-    MeasuredSlices, SiteConfigError, WindowHealth,
+    CohortDevice, LifecycleCell, LifecycleConfig, LifecyclePlan, LifecycleResult, LifecycleSim,
+    LifecycleSite, MeasuredSlices, SiteConfigError, WindowHealth,
 };
 pub use routing::{RoutingPolicy, SiteWindowInput, WindowAssignment};
 pub use schedule::{DiurnalSchedule, LoadWindow};

@@ -19,9 +19,10 @@
 //!   junkyard stock after a configurable lag, each replacement charging
 //!   its Reuse-Factor embodied share;
 //! * grid traces repeat over the horizon: each site's trace is split into
-//!   whole days once ([`IntensityTrace::day`]) and horizon day `d` reads
-//!   day `d % trace_days`; routing is re-planned every window from the
-//!   cohort capacity actually alive that day;
+//!   whole days once ([`IntensityTrace::day`], only as many as the horizon
+//!   reaches) and horizon day `d` reads day `d % trace_days`; routing is
+//!   re-planned every window from the cohort capacity actually alive
+//!   that day;
 //! * accounting cells are one *(year, site)* pair.
 //!
 //! Every window takes one serving path. The router plans it on the
@@ -31,26 +32,34 @@
 //! [`WindowResolution::healthy`], and only the windows that differ from
 //! it are stored, so a fault-free run stores no resolution at all.
 //!
-//! The serving measurements reuse the compiled microsim in three passes.
-//! A serial pass plans each cell's distinct slices: within a cell,
-//! identical `(start, end)` load windows share one slice, seeded from the
-//! first window with that pair (the schedule repeats daily and capacities
-//! are piecewise-constant between failure events, so a multi-year horizon
-//! needs only a few hundred slices). One [`fan_out`] then runs the
-//! distinct slices on worker threads that claim them one at a time and
-//! hands them back in plan order, so results are bit-identical serial or
-//! threaded. A last serial pass does each cell's accounting from the
-//! measured slices. A caller-owned [`MeasuredSlices`] table carries the
-//! measurements from one run to the next, so fleets over the same sites
-//! ([`LifecycleSim::run_shared`]) simulate each distinct slice once.
+//! A run has three phases, and any number of fleets can share the middle
+//! one. *Plan* ([`LifecycleSim::plan`]) runs the serial passes: daily
+//! dynamics, routing, window resolution, and each cell's distinct slices.
+//! Within a cell, identical `(start, end)` load windows share one slice,
+//! seeded from the first window with that pair (the schedule repeats
+//! daily and capacities are piecewise-constant between failure events,
+//! so a multi-year horizon needs only a few hundred slices). A plan is a
+//! pure function of its fleet and holds none of its sites. *Measure*
+//! ([`LifecycleSim::run_batch`]) looks every member's slices up in a
+//! caller-owned [`MeasuredSlices`] table and runs the union of the
+//! missing ones in one [`fan_out`], whose workers claim them one at a
+//! time and hand them back in plan order. *Account* prices each member's
+//! cells from the measured slices in input order. A slice is a pure
+//! function of its key, so every member's result is bit-identical to its
+//! own [`LifecycleSim::run`] (a batch of one on a fresh table), serial or
+//! threaded, and fleets that replay the same slices (the resilience
+//! study's strategies, the planner's rungs) simulate each one once.
 //!
 //! While part of a cohort is down the full-strength compiled topology
 //! still serves the slice and the measured utilisation is scaled by the
 //! inverse alive fraction — latency during outages is therefore slightly
 //! optimistic, which is acceptable for carbon accounting.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::mem;
 use std::ops::Range;
+use std::sync::Arc;
 
 use junkyard_battery::charging::SmartChargePolicy;
 use junkyard_battery::sim::simulate_day;
@@ -221,7 +230,7 @@ impl CohortDevice {
 #[derive(Debug, Clone)]
 struct Cohort {
     name: String,
-    sim: CompiledSim,
+    sim: Arc<CompiledSim>,
     request_type: Option<String>,
     region: GridRegion,
     devices: Vec<CohortDevice>,
@@ -274,6 +283,32 @@ impl LifecycleSite {
         devices: Vec<CohortDevice>,
         install_embodied: GramsCo2e,
     ) -> Result<Self, SiteConfigError> {
+        Self::try_shared_cohort(
+            name,
+            Arc::new(sim.compile()),
+            region,
+            devices,
+            install_embodied,
+        )
+    }
+
+    /// [`LifecycleSite::try_cohort`] on a simulation compiled once and
+    /// shared: sites built from one handle serve from the same compiled
+    /// simulation, so many fleets built from few cohort recipes (the
+    /// planner's candidates) neither compile nor hold a copy each, and a
+    /// [`MeasuredSlices`] table recognises the handle without comparing
+    /// the simulations.
+    ///
+    /// # Errors
+    ///
+    /// As [`LifecycleSite::try_cohort`].
+    pub fn try_shared_cohort(
+        name: impl Into<String>,
+        sim: Arc<CompiledSim>,
+        region: GridRegion,
+        devices: Vec<CohortDevice>,
+        install_embodied: GramsCo2e,
+    ) -> Result<Self, SiteConfigError> {
         if devices.is_empty() {
             return Err(SiteConfigError::new(
                 "a cohort needs at least one device — add CohortDevice entries or use a \
@@ -284,7 +319,7 @@ impl LifecycleSite {
         Ok(Self {
             backend: Backend::Cohort(Cohort {
                 name: name.into(),
-                sim: sim.compile(),
+                sim,
                 request_type: None,
                 region,
                 devices,
@@ -443,10 +478,10 @@ impl LifecycleSite {
 
     /// The compiled simulation serving the site's slices and its
     /// request-type restriction.
-    fn serving(&self) -> (&CompiledSim, Option<&str>) {
+    fn serving(&self) -> (&Arc<CompiledSim>, Option<&str>) {
         match &self.backend {
             Backend::Cohort(cohort) => (&cohort.sim, cohort.request_type.as_deref()),
-            Backend::Leased(site) => (site.sim(), site.request_type_name()),
+            Backend::Leased(site) => (site.shared_sim(), site.request_type_name()),
         }
     }
 }
@@ -1165,10 +1200,15 @@ impl LifecycleResult {
     }
 }
 
+/// A site's compiled simulation and request-type restriction: what its
+/// slices run on.
+type ServingSim = (Arc<CompiledSim>, Option<String>);
+
 /// The exact identity of one slice: the site simulation (an index into
 /// [`MeasuredSlices`]' distinct simulations, request type included) and
 /// the bit patterns of everything its workload is built from. Two slices
-/// with equal keys replay the same events.
+/// with equal keys replay the same events, so a slice is a pure function
+/// of its key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct SliceKey {
     sim: usize,
@@ -1179,32 +1219,39 @@ struct SliceKey {
     seed: u64,
 }
 
-/// One slice the fan-out simulates: the site that serves it, its load
-/// endpoints and its workload seed.
-#[derive(Debug, Clone, Copy)]
-struct SliceJob {
-    site: usize,
-    qps_start: f64,
-    qps_end: f64,
-    seed: u64,
+impl SliceKey {
+    /// Simulates the slice on `sims[self.sim]`.
+    fn measure(&self, sims: &[ServingSim]) -> Result<SliceMeasure, SimError> {
+        let (sim, request_type) = &sims[self.sim];
+        measure_slice(
+            sim,
+            request_type.as_deref(),
+            TimeSpan::from_secs(f64::from_bits(self.warmup_bits)),
+            TimeSpan::from_secs(f64::from_bits(self.slice_bits)),
+            Qps::from_per_second(f64::from_bits(self.start_bits)),
+            Qps::from_per_second(f64::from_bits(self.end_bits)),
+            self.seed,
+        )
+    }
 }
 
 /// Microsim slices measured by lifecycle runs, kept for the runs after
 /// them.
 ///
-/// The caller owns the table and passes it to
-/// [`LifecycleSim::run_shared`] for each fleet in turn. A run looks up
-/// every slice it needs, simulates only the missing ones and adds them.
-/// A slice is shared only on exact identity: an equal compiled
+/// The caller owns the table and passes it to [`LifecycleSim::run_batch`]
+/// with each batch of planned fleets. A batch looks up every slice its
+/// members need, simulates the union of the missing ones once and adds
+/// them. A slice is shared only on exact identity: an equal compiled
 /// simulation and request type, and the same bit patterns of warm-up,
-/// slice length, load endpoints and seed. So each run's result is
-/// bit-identical to its standalone [`LifecycleSim::run`]. The table lives
-/// as long as the caller's value and no longer.
+/// slice length, load endpoints and seed. So each member's result is
+/// bit-identical to its standalone [`LifecycleSim::run`]. The table keeps
+/// its own handle on each distinct simulation, and slices run on it. It
+/// lives as long as the caller's value and no longer.
 #[derive(Debug, Default)]
 pub struct MeasuredSlices {
     /// Distinct site simulations with their request types; a
     /// [`SliceKey`] names one by position.
-    sims: Vec<(CompiledSim, Option<String>)>,
+    sims: Vec<ServingSim>,
     /// Each measured slice's position in `measures`.
     index: BTreeMap<SliceKey, usize>,
     measures: Vec<SliceMeasure>,
@@ -1229,16 +1276,15 @@ impl MeasuredSlices {
         self.measures.is_empty()
     }
 
-    /// The position of `site`'s simulation and request type among the
-    /// table's distinct simulations, adding them when new.
-    fn sim_index(&mut self, site: &LifecycleSite) -> usize {
-        let (site_sim, site_request_type) = site.serving();
-        let known = self.sims.iter().position(|(sim, request_type)| {
-            request_type.as_deref() == site_request_type && sim == site_sim
+    /// The position of a site's simulation and request type among the
+    /// table's distinct simulations, adding them when new. A handle the
+    /// table already shares is found without comparing the simulations.
+    fn sim_index(&mut self, (sim, request_type): &ServingSim) -> usize {
+        let known = self.sims.iter().position(|(known, known_type)| {
+            known_type == request_type && (Arc::ptr_eq(known, sim) || **known == **sim)
         });
         known.unwrap_or_else(|| {
-            self.sims
-                .push((site_sim.clone(), site_request_type.map(str::to_owned)));
+            self.sims.push((Arc::clone(sim), request_type.clone()));
             self.sims.len() - 1
         })
     }
@@ -1268,6 +1314,15 @@ fn slice_endpoints(
     ((eff_start + eff_end) / 2.0 > 0.0).then_some((eff_start, eff_end))
 }
 
+/// One (year, site) cell's distinct slice loads. `first` lists each
+/// `(start, end)` bit pair with its workload seed, in the order of the
+/// first window carrying it; `position` maps a pair to its place there.
+#[derive(Debug, Default)]
+struct CellLoads {
+    position: BTreeMap<(u64, u64), usize>,
+    first: Vec<((u64, u64), u64)>,
+}
+
 /// The runtime state of one cohort slot during the dynamics pass.
 #[derive(Debug, Clone, Copy)]
 struct SlotState {
@@ -1286,6 +1341,32 @@ pub struct LifecycleSim {
     config: LifecycleConfig,
     faults: FaultConfig,
     resilience: ResiliencePolicy,
+}
+
+/// A lifecycle run after its serial passes and before its slices are
+/// measured ([`LifecycleSim::plan`]): the per-site daily dynamics, the
+/// window plans with their resolved outcomes and intensities, and each
+/// cell's distinct slice loads. It holds no cohort, grid trace or fault
+/// plan, only a shared handle on each site's simulation, so a batch
+/// ([`LifecycleSim::run_batch`]) keeps plans rather than fleets.
+#[derive(Debug)]
+pub struct LifecyclePlan {
+    policy: RoutingPolicy,
+    config: LifecycleConfig,
+    site_names: Vec<String>,
+    /// Each site's simulation, until the batch registers it in the table.
+    serving: Vec<ServingSim>,
+    windows: Vec<LoadWindow>,
+    plans: Vec<WindowAssignment>,
+    /// Window-major: `intensities[w * sites + s]`.
+    intensities: Vec<CarbonIntensity>,
+    dynamics: Vec<Vec<DayDynamics>>,
+    /// The window outcomes that differ from the healthy one.
+    resolutions: BTreeMap<usize, WindowResolution>,
+    /// The network carbon of one retry attempt.
+    retry_attempt: GramsCo2e,
+    /// Year-major, like the result's cells.
+    cell_loads: Vec<CellLoads>,
 }
 
 impl LifecycleSim {
@@ -1382,8 +1463,12 @@ impl LifecycleSim {
             }) => {
                 let trace = region.trace();
                 let trace_days = trace.day_count();
-                let day_traces: Vec<IntensityTrace> =
-                    (0..trace_days).filter_map(|d| trace.day(d)).collect();
+                // Horizon day `d` reads trace day `d % trace_days` and the
+                // day before it, so a horizon shorter than the trace needs
+                // only the days it reaches.
+                let day_traces: Vec<IntensityTrace> = (0..days.min(trace_days))
+                    .filter_map(|d| trace.day(d))
+                    .collect();
                 let day_stats: Vec<DayStats> =
                     day_traces.iter().map(DayStats::from_trace).collect();
 
@@ -1503,77 +1588,28 @@ impl LifecycleSim {
         }
     }
 
-    /// Runs the lifecycle and returns the accounting grid.
-    ///
-    /// The serial passes (per-site daily dynamics, per-window routing
-    /// plans and their resolved outcomes, the plan of each cell's
-    /// distinct slices) run first. The
-    /// distinct slices then fan out across worker threads with
-    /// [`fan_out`], and a serial pass accounts every (year, site)
-    /// cell from them, so the result is bit-identical at any worker
-    /// count. Nothing is kept between calls: this is
-    /// [`LifecycleSim::run_shared`] with a fresh table.
-    ///
-    /// # Errors
-    ///
-    /// Propagates microsim errors; with multiple failures the first
-    /// failing slice in (cell, window) order wins, which is the
-    /// lowest-index cell's error.
-    pub fn run(&self) -> Result<LifecycleResult, SimError> {
-        // Path-qualified: the lint's call graph resolves `.run_with(` by
-        // name, which would reach `SweepConfig::run_with` from fan-outs.
-        LifecycleSim::run_with(self, &mut NoopRecorder)
+    /// Plans the run: the serial passes that decide what to measure.
+    /// They are the per-site daily dynamics, the per-window routing plans
+    /// with their resolved outcomes and window-mean intensities, and the
+    /// distinct slice loads of each (year, site) cell. Within a cell a
+    /// slice takes its seed from the first window with its `(start, end)`
+    /// load pair. The plan is a pure function of the fleet, so fleets can
+    /// be planned on any thread and dropped once planned;
+    /// [`LifecycleSim::run_batch`] measures and accounts the plans.
+    #[must_use]
+    pub fn plan(&self) -> LifecyclePlan {
+        self.plan_with(&mut NoopRecorder)
     }
 
-    /// [`LifecycleSim::run`] with lifecycle tracing: per-(window, site)
-    /// routing decisions, fault/retry/hedge/degradation transitions,
-    /// and the conservation ledger (per-window request identity,
-    /// per-day carbon identity) are recorded into `recorder`.
-    ///
-    /// Every hook fires on the **serial driver side**, from state the
-    /// plain run already computes — workers never touch the recorder,
-    /// and the returned [`LifecycleResult`] is bit-identical to
-    /// [`LifecycleSim::run`] for any recorder. Like `run`, it starts
-    /// from a fresh slice table.
-    ///
-    /// # Errors
-    ///
-    /// Propagates microsim errors as [`LifecycleSim::run`] does. A
-    /// violated conservation identity is not an error here — it is
-    /// recorded as a `ledger` event with `"violation"` as its key, so the
-    /// trace stays a faithful witness.
-    pub fn run_with<R: Recorder>(&self, recorder: &mut R) -> Result<LifecycleResult, SimError> {
-        self.run_inner(&mut MeasuredSlices::new(), recorder)
-    }
-
-    /// [`LifecycleSim::run`] against a caller-owned slice table: slices
-    /// `slices` already holds are reused, and the slices this run
-    /// measures are added for the runs after it. Fleets run one after
-    /// another over the same sites (the resilience study's strategies)
-    /// thus simulate each distinct slice once. The result is
-    /// bit-identical to a standalone [`LifecycleSim::run`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates microsim errors as [`LifecycleSim::run`] does; a failed
-    /// run adds no slices to the table.
-    pub fn run_shared(&self, slices: &mut MeasuredSlices) -> Result<LifecycleResult, SimError> {
-        self.run_inner(slices, &mut NoopRecorder)
-    }
-
-    /// The one body behind `run`, `run_with` and `run_shared`.
-    fn run_inner<R: Recorder>(
-        &self,
-        slices: &mut MeasuredSlices,
-        recorder: &mut R,
-    ) -> Result<LifecycleResult, SimError> {
+    /// [`LifecycleSim::plan`], recording each window's routing decisions
+    /// and its fault, retry, hedge and degradation transitions.
+    fn plan_with<R: Recorder>(&self, recorder: &mut R) -> LifecyclePlan {
         let days = self.config.days;
-        let years_spanned = days.div_ceil(DAYS_PER_YEAR);
         let wpd = self.config.windows_per_day;
         let sites = self.sites.len();
         let windows = self.schedule.windows(days, wpd);
 
-        // Serial pass 1: per-site daily dynamics.
+        // Pass 1: per-site daily dynamics.
         let dynamics: Vec<Vec<DayDynamics>> = (0..sites)
             .map(|s| self.simulate_dynamics(s, days))
             .collect();
@@ -1600,10 +1636,10 @@ impl LifecycleSim {
             }
         };
 
-        // Serial pass 2: per-window routing plans against the capacity
-        // the router *believes* is alive that day (true capacity times
-        // the observed availability; a standby fallback site is planned
-        // at zero so it takes no primary traffic), plus the window-mean
+        // Pass 2: per-window routing plans against the capacity the
+        // router *believes* is alive that day (true capacity times the
+        // observed availability; a standby fallback site is planned at
+        // zero so it takes no primary traffic), plus the window-mean
         // intensities the cells will charge energy at. Each plan is then
         // resolved: first attempts against *true* capacity, the retry
         // rounds aimed by the stale view, the hedge and the degradation
@@ -1611,21 +1647,18 @@ impl LifecycleSim {
         // kept, so a fault-free run stores none.
         let healthy = WindowResolution::healthy(sites);
         let mut resolutions: BTreeMap<usize, WindowResolution> = BTreeMap::new();
-        let mut intensities: Vec<Vec<CarbonIntensity>> = Vec::with_capacity(windows.len());
+        let mut intensities: Vec<CarbonIntensity> = Vec::with_capacity(windows.len() * sites);
         let mut plans: Vec<WindowAssignment> = Vec::with_capacity(windows.len());
         let (mut true_cap, mut observed_cap) = (vec![0.0; sites], vec![0.0; sites]);
         let (mut avail, mut assigned) = (vec![0.0; sites], vec![0.0; sites]);
         for window in &windows {
             let day = window.index() / wpd;
             let w = window.index();
-            let window_intensities: Vec<CarbonIntensity> = self
-                .sites
-                .iter()
-                .map(|site| {
-                    site.region()
-                        .mean_intensity_between(window.start(), window.end())
-                })
-                .collect();
+            intensities.extend(self.sites.iter().map(|site| {
+                site.region()
+                    .mean_intensity_between(window.start(), window.end())
+            }));
+            let window_intensities = &intensities[w * sites..];
             for s in 0..sites {
                 avail[s] = fault_plan.availability(w, s);
                 true_cap[s] = dynamics[s][day].capacity_qps * avail[s];
@@ -1662,7 +1695,6 @@ impl LifecycleSim {
                 resolutions.insert(w, resolution);
             }
             plans.push(plan);
-            intensities.push(window_intensities);
         }
         if recorder.enabled() {
             // A window with a fault differs from the healthy outcome in
@@ -1708,101 +1740,256 @@ impl LifecycleSim {
                 }
             }
         }
-        let retry_grams = self
-            .resilience
-            .retry_policy()
-            .map_or(0.0, RetryPolicy::attempt_grams);
 
-        // Serial pass 4: plan each cell's distinct slices. Within a cell a
-        // slice takes its seed from the first window with its (start, end)
-        // load pair; slices the table already holds are not run again.
-        let n = years_spanned * sites;
-        let site_sims: Vec<usize> = self.sites.iter().map(|s| slices.sim_index(s)).collect();
-        let base = slices.len();
-        let mut new_keys: BTreeMap<SliceKey, usize> = BTreeMap::new();
-        let mut jobs: Vec<SliceJob> = Vec::new();
-        let mut cell_slices: Vec<BTreeMap<(u64, u64), usize>> = Vec::with_capacity(n);
-        for cell in 0..n {
-            let (year, site) = (cell / sites, cell % sites);
-            let mut by_load = BTreeMap::new();
-            for w in cell_days(year, days).flat_map(|day| day * wpd..(day + 1) * wpd) {
-                let resolution = resolutions.get(&w).unwrap_or(&healthy);
-                let Some((qps_start, qps_end)) = slice_endpoints(&plans[w], resolution, site)
-                else {
-                    continue;
-                };
-                let load = (qps_start.to_bits(), qps_end.to_bits());
-                if by_load.contains_key(&load) {
-                    continue;
+        // Pass 3: each cell's distinct slice loads, seeded from the first
+        // window carrying each.
+        let cell_loads = (0..days.div_ceil(DAYS_PER_YEAR) * sites)
+            .map(|cell| {
+                let (year, site) = (cell / sites, cell % sites);
+                let mut loads = CellLoads::default();
+                for w in cell_days(year, days).flat_map(|day| day * wpd..(day + 1) * wpd) {
+                    let resolution = resolutions.get(&w).unwrap_or(&healthy);
+                    let Some((qps_start, qps_end)) = slice_endpoints(&plans[w], resolution, site)
+                    else {
+                        continue;
+                    };
+                    let load = (qps_start.to_bits(), qps_end.to_bits());
+                    if let Entry::Vacant(slot) = loads.position.entry(load) {
+                        slot.insert(loads.first.len());
+                        let seed =
+                            decorrelate_seed(self.config.seed, index_u64(w * sites + site) + 1);
+                        loads.first.push((load, seed));
+                    }
                 }
-                let seed = decorrelate_seed(self.config.seed, index_u64(w * sites + site) + 1);
+                loads
+            })
+            .collect();
+
+        LifecyclePlan {
+            policy: self.policy,
+            config: self.config,
+            site_names: self.sites.iter().map(|s| s.name().to_owned()).collect(),
+            serving: self
+                .sites
+                .iter()
+                .map(|site| {
+                    let (sim, request_type) = site.serving();
+                    (Arc::clone(sim), request_type.map(str::to_owned))
+                })
+                .collect(),
+            windows,
+            plans,
+            intensities,
+            dynamics,
+            resolutions,
+            retry_attempt: GramsCo2e::new(
+                self.resilience
+                    .retry_policy()
+                    .map_or(0.0, RetryPolicy::attempt_grams),
+            ),
+            cell_loads,
+        }
+    }
+
+    /// Runs the lifecycle and returns the accounting grid: a batch of one
+    /// ([`LifecycleSim::run_batch`]) against a fresh slice table, so
+    /// nothing is kept between calls.
+    ///
+    /// The serial passes ([`LifecycleSim::plan`]) run first. The distinct
+    /// slices then fan out across worker threads with [`fan_out`], and a
+    /// serial pass accounts every (year, site) cell from them, so the
+    /// result is bit-identical at any worker count.
+    ///
+    /// # Errors
+    ///
+    /// Propagates microsim errors; with multiple failures the first
+    /// failing slice in (cell, window) order wins, which is the
+    /// lowest-index cell's error.
+    pub fn run(&self) -> Result<LifecycleResult, SimError> {
+        // Path-qualified: the lint's call graph resolves `.run_with(` by
+        // name, which would reach `SweepConfig::run_with` from fan-outs.
+        LifecycleSim::run_with(self, &mut NoopRecorder)
+    }
+
+    /// [`LifecycleSim::run`] with lifecycle tracing: per-(window, site)
+    /// routing decisions, fault/retry/hedge/degradation transitions,
+    /// and the conservation ledger (per-window request identity,
+    /// per-day carbon identity) are recorded into `recorder`.
+    ///
+    /// Every hook fires on the **serial driver side**, from state the
+    /// plain run already computes — workers never touch the recorder,
+    /// and the returned [`LifecycleResult`] is bit-identical to
+    /// [`LifecycleSim::run`] for any recorder. Like `run`, it starts
+    /// from a fresh slice table.
+    ///
+    /// # Errors
+    ///
+    /// Propagates microsim errors as [`LifecycleSim::run`] does. A
+    /// violated conservation identity is not an error here — it is
+    /// recorded as a `ledger` event with `"violation"` as its key, so the
+    /// trace stays a faithful witness.
+    pub fn run_with<R: Recorder>(&self, recorder: &mut R) -> Result<LifecycleResult, SimError> {
+        let plan = self.plan_with(recorder);
+        run_plans(vec![plan], &mut MeasuredSlices::new(), recorder)
+            .pop()
+            .unwrap_or(Err(SimError::WorkerLost))
+    }
+
+    /// Measures and accounts a batch of planned fleets against a
+    /// caller-owned slice table, and returns their results in input
+    /// order, each bit-identical to that fleet's own [`LifecycleSim::run`].
+    ///
+    /// Each member's slices are looked up in `slices` serially, member by
+    /// member. The union of the ones the table lacks runs as one
+    /// [`fan_out`] on the table's own handle of each distinct simulation,
+    /// over [`fanout::workers`]`(cap, new slices)`, where `cap` is the
+    /// smallest [`LifecycleConfig::parallelism`] any member sets (none
+    /// set: the machine's available parallelism). Each member is then
+    /// accounted in input order. Fleets over the same sites (the
+    /// resilience study's strategies) or the same candidate at a longer
+    /// horizon (the planner's rungs) thus simulate each shared slice once.
+    ///
+    /// # Errors
+    ///
+    /// A member whose slices fail gets the error of its first failing
+    /// slice in (cell, window) order, exactly as its own run would; the
+    /// other members still get their results. A batch with any failing
+    /// slice adds nothing to the table.
+    pub fn run_batch(
+        plans: impl IntoIterator<Item = LifecyclePlan>,
+        slices: &mut MeasuredSlices,
+    ) -> Vec<Result<LifecycleResult, SimError>> {
+        run_plans(plans.into_iter().collect(), slices, &mut NoopRecorder)
+    }
+}
+
+/// The one lifecycle batch body behind `run`, `run_with` and
+/// `run_batch`: assigns every member's slices against `slices`, measures
+/// the missing union in one fan-out, then accounts each member in input
+/// order, its ledger events into `recorder`.
+fn run_plans<R: Recorder>(
+    mut plans: Vec<LifecyclePlan>,
+    slices: &mut MeasuredSlices,
+    recorder: &mut R,
+) -> Vec<Result<LifecycleResult, SimError>> {
+    let (sims_before, base) = (slices.sims.len(), slices.len());
+    // Serial: each member's slices become table positions, per cell in
+    // first-window order. Slices neither the table nor an earlier member
+    // holds become new jobs; the member's own simulation handles go, and
+    // its slices run on the table's.
+    let mut new_keys: BTreeMap<SliceKey, usize> = BTreeMap::new();
+    let mut jobs: Vec<SliceKey> = Vec::new();
+    let mut positions: Vec<Vec<Vec<usize>>> = Vec::with_capacity(plans.len());
+    for plan in &mut plans {
+        let sims: Vec<usize> = mem::take(&mut plan.serving)
+            .iter()
+            .map(|serving| slices.sim_index(serving))
+            .collect();
+        let sites = sims.len();
+        let (warmup_bits, slice_bits) = (
+            plan.config.warmup.seconds().to_bits(),
+            plan.config.slice.seconds().to_bits(),
+        );
+        let member = plan.cell_loads.iter().enumerate().map(|(cell, loads)| {
+            let sim = sims[cell % sites];
+            let cell_positions = loads.first.iter().map(|&((start_bits, end_bits), seed)| {
                 let key = SliceKey {
-                    sim: site_sims[site],
-                    warmup_bits: self.config.warmup.seconds().to_bits(),
-                    slice_bits: self.config.slice.seconds().to_bits(),
-                    start_bits: load.0,
-                    end_bits: load.1,
+                    sim,
+                    warmup_bits,
+                    slice_bits,
+                    start_bits,
+                    end_bits,
                     seed,
                 };
-                let index = match slices.index.get(&key) {
+                match slices.index.get(&key) {
                     Some(&known) => known,
                     None => *new_keys.entry(key).or_insert_with(|| {
-                        jobs.push(SliceJob {
-                            site,
-                            qps_start,
-                            qps_end,
-                            seed,
-                        });
+                        jobs.push(key);
                         base + jobs.len() - 1
                     }),
-                };
-                by_load.insert(load, index);
-            }
-            cell_slices.push(by_load);
-        }
+                }
+            });
+            cell_positions.collect()
+        });
+        positions.push(member.collect());
+    }
 
-        // Parallel pass: the new slices, claimed one at a time so slices
-        // of unequal cost spread evenly over the workers. The first
-        // failing slice in plan order, which is (cell, window) order,
-        // wins; a failed run adds nothing to the table.
-        let measured = fan_out(
-            &jobs,
-            fanout::workers(self.config.parallelism, jobs.len()),
-            |_, job| {
-                let (sim, request_type) = self.sites[job.site].serving();
-                measure_slice(
-                    sim,
-                    request_type,
-                    self.config.warmup,
-                    self.config.slice,
-                    Qps::from_per_second(job.qps_start),
-                    Qps::from_per_second(job.qps_end),
-                    job.seed,
-                )
-            },
-        )?
-        .into_iter()
-        .collect::<Result<Vec<SliceMeasure>, SimError>>()?;
-        slices.measures.extend(measured);
-        slices.index.append(&mut new_keys);
+    // Parallel: the new slices, claimed one at a time so slices of
+    // unequal cost spread evenly over the workers.
+    let cap = plans
+        .iter()
+        .filter_map(|plan| plan.config.parallelism)
+        .min();
+    let sims = &slices.sims;
+    let measured = fan_out(&jobs, fanout::workers(cap, jobs.len()), |_, key| {
+        key.measure(sims)
+    })
+    .unwrap_or_else(|lost| vec![Err(lost); jobs.len()]);
 
-        // Serial pass 5: each cell's accounting from the measured slices.
-        let cells: Vec<LifecycleCell> = cell_slices
+    // Serial: account each member whose slices all measured. Failed
+    // slices take an idle placeholder that no accounted member reads.
+    let failed = measured.iter().any(Result::is_err);
+    slices.measures.extend(
+        measured
             .iter()
+            .map(|measure| measure.as_ref().map_or(SliceMeasure::IDLE, |m| *m)),
+    );
+    let results = plans
+        .iter()
+        .zip(&positions)
+        .map(|(plan, member)| {
+            let first_failure = member
+                .iter()
+                .flatten()
+                .filter_map(|&position| position.checked_sub(base))
+                .find_map(|job| measured[job].as_ref().err());
+            match first_failure {
+                Some(error) => Err(error.clone()),
+                None => Ok(plan.account(member, &slices.measures, recorder)),
+            }
+        })
+        .collect();
+    if failed {
+        slices.measures.truncate(base);
+        slices.sims.truncate(sims_before);
+    } else {
+        slices.index.append(&mut new_keys);
+    }
+    results
+}
+
+impl LifecyclePlan {
+    /// Accounts the planned run from the measured slices: every (year,
+    /// site) cell, the fleet-wide day ledger, the availability roll-ups
+    /// and, into `recorder`, the conservation ledger. `positions` holds
+    /// each cell's slices as positions in `measures`, in the order of
+    /// [`CellLoads::first`].
+    fn account<R: Recorder>(
+        &self,
+        positions: &[Vec<usize>],
+        measures: &[SliceMeasure],
+        recorder: &mut R,
+    ) -> LifecycleResult {
+        let days = self.config.days;
+        let sites = self.site_names.len();
+        let windows = &self.windows;
+        let plans = &self.plans;
+        let healthy = WindowResolution::healthy(sites);
+
+        // Each cell's accounting from the measured slices.
+        let cells: Vec<LifecycleCell> = self
+            .cell_loads
+            .iter()
+            .zip(positions)
             .enumerate()
-            .map(|(cell, by_load)| {
+            .map(|(cell, (loads, cell_positions))| {
                 self.account_cell(
                     cell / sites,
                     cell % sites,
-                    &windows,
-                    &plans,
-                    &intensities,
-                    &dynamics,
-                    &resolutions,
                     &healthy,
-                    retry_grams,
-                    by_load,
-                    &slices.measures,
+                    loads,
+                    cell_positions,
+                    measures,
                 )
             })
             .collect();
@@ -1847,11 +2034,11 @@ impl LifecycleSim {
         let mut brownout_requests = 0.0;
         let mut low_priority_shed_requests = 0.0;
         let mut window_health = Vec::with_capacity(windows.len());
-        for window in &windows {
+        for window in windows {
             let w = window.index();
             let offered: f64 =
                 (0..sites).map(|s| plans[w].site_mean_qps(s)).sum::<f64>() * window_s;
-            let r = resolutions.get(&w).unwrap_or(&healthy);
+            let r = self.resolutions.get(&w).unwrap_or(&healthy);
             let failed = r.failed_mean * window_s;
             let lp_shed = r.lp_shed_mean * window_s;
             failed_requests += failed;
@@ -1873,7 +2060,7 @@ impl LifecycleSim {
         // trace witnesses the leak instead of silently absorbing it.
         if recorder.enabled() {
             let mut ledger = ConservedLedger::new();
-            for window in &windows {
+            for window in windows {
                 let w = window.index();
                 let health = &window_health[w];
                 let declined = plans[w].declined_mean_qps() * window_s;
@@ -1913,10 +2100,10 @@ impl LifecycleSim {
             recorder.event(ledger.snapshot(count_f64(windows.len()) * window_s));
         }
 
-        Ok(LifecycleResult {
+        LifecycleResult {
             policy: self.policy,
-            site_names: self.sites.iter().map(|s| s.name().to_owned()).collect(),
-            years: years_spanned,
+            site_names: self.site_names.clone(),
+            years: days.div_ceil(DAYS_PER_YEAR),
             cells,
             day_ledger,
             declined_requests,
@@ -1933,30 +2120,25 @@ impl LifecycleSim {
             total_retry_carbon,
             window_health,
             horizon_seconds: count_f64(windows.len()) * window_s,
-        })
+        }
     }
 
     /// Aggregates one (year, site) cell: every window of the year at this
-    /// site, priced from the measured slices. `resolutions` holds the
-    /// stored window outcomes; every other window takes `healthy`.
-    /// `by_load` maps each of the cell's distinct `(start, end)` slice
-    /// loads to its position in `measures`.
-    #[allow(clippy::too_many_arguments)] // the cell's full serial context, passed by reference
+    /// site, priced from the measured slices. Windows without a stored
+    /// outcome take `healthy`. `positions` places each of the cell's
+    /// distinct loads (`loads`) in `measures`.
     fn account_cell(
         &self,
         year: usize,
         site_idx: usize,
-        windows: &[LoadWindow],
-        plans: &[WindowAssignment],
-        intensities: &[Vec<CarbonIntensity>],
-        dynamics: &[Vec<DayDynamics>],
-        resolutions: &BTreeMap<usize, WindowResolution>,
         healthy: &WindowResolution,
-        retry_grams: f64,
-        by_load: &BTreeMap<(u64, u64), usize>,
+        loads: &CellLoads,
+        positions: &[usize],
         measures: &[SliceMeasure],
     ) -> LifecycleCell {
         let wpd = self.config.windows_per_day;
+        let sites = self.site_names.len();
+        let (windows, plans, dynamics) = (&self.windows, &self.plans, &self.dynamics);
 
         let mut requests = 0.0;
         let mut dropped_requests = 0.0;
@@ -1995,7 +2177,7 @@ impl LifecycleSim {
                 // window's ratio and availability of exactly 1.0 change no
                 // bit below (`x * 1.0 == x` for these finite quantities),
                 // and its zero extras skip the retry terms.
-                let r = resolutions.get(&w).unwrap_or(healthy);
+                let r = self.resolutions.get(&w).unwrap_or(healthy);
                 let (ratio, avail, extra_mean, attempt_mean) = (
                     r.delivered_ratio[site_idx],
                     r.avail[site_idx],
@@ -2005,7 +2187,8 @@ impl LifecycleSim {
                 let endpoints = slice_endpoints(&plans[w], r, site_idx);
                 let (measured, utilization) = match endpoints {
                     Some((eff_start, eff_end)) => {
-                        let measured = measures[by_load[&(eff_start.to_bits(), eff_end.to_bits())]];
+                        let load = (eff_start.to_bits(), eff_end.to_bits());
+                        let measured = measures[positions[loads.position[&load]]];
                         // The alive *and available* devices do all the
                         // work: the independent-failure scale is further
                         // inflated by the fault availability (strictly
@@ -2030,7 +2213,7 @@ impl LifecycleSim {
                 let device_energy =
                     (idle_effective + dynamic_effective * utilization) * window.duration();
                 let overhead_energy = state.overhead_power * window.duration();
-                let intensity = intensities[w][site_idx];
+                let intensity = self.intensities[w * sites + site_idx];
                 let op = intensity.emissions_for(device_energy) * state.operational_scale
                     + if avail > 0.0 {
                         intensity.emissions_for(overhead_energy)
@@ -2055,8 +2238,9 @@ impl LifecycleSim {
                 // that did land are charged the marginal compute of the
                 // surviving devices serving them.
                 if attempt_mean > 0.0 || extra_mean > 0.0 {
-                    let network =
-                        GramsCo2e::new(attempt_mean * window.duration().seconds() * retry_grams);
+                    let network = GramsCo2e::new(
+                        attempt_mean * window.duration().seconds() * self.retry_attempt.grams(),
+                    );
                     let available_capacity = state.capacity_qps * avail;
                     let extra_util = if available_capacity > 0.0 {
                         (extra_mean / available_capacity).min(1.0)
@@ -2102,6 +2286,8 @@ impl LifecycleSim {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::faults::DegradationLadder;
     use crate::testutil::{flat_region, tiny_sim};
@@ -2247,6 +2433,16 @@ mod tests {
         }
     }
 
+    /// One fleet through a caller-owned table: a batch of one.
+    fn run_through(
+        sim: &LifecycleSim,
+        slices: &mut MeasuredSlices,
+    ) -> Result<LifecycleResult, SimError> {
+        let mut results = LifecycleSim::run_batch([sim.plan()], slices);
+        assert_eq!(results.len(), 1);
+        results.remove(0)
+    }
+
     #[test]
     fn a_shared_table_measures_each_distinct_slice_once() {
         let sim = LifecycleSim::new(
@@ -2257,12 +2453,12 @@ mod tests {
         );
         let mut slices = MeasuredSlices::new();
         assert!(slices.is_empty());
-        let first = sim.run_shared(&mut slices).unwrap();
+        let first = run_through(&sim, &mut slices).unwrap();
         assert_eq!(first, sim.run().unwrap());
         let measured = slices.len();
         assert!(measured > 0);
         // The same fleet again finds every slice in the table.
-        assert_eq!(sim.run_shared(&mut slices).unwrap(), first);
+        assert_eq!(run_through(&sim, &mut slices).unwrap(), first);
         assert_eq!(slices.len(), measured);
     }
 
@@ -2276,10 +2472,129 @@ mod tests {
         );
         let mut slices = MeasuredSlices::new();
         assert_eq!(
-            broken.run_shared(&mut slices),
+            run_through(&broken, &mut slices),
             Err(SimError::UnknownRequestType("no-such-request".into()))
         );
         assert!(slices.is_empty());
+    }
+
+    /// A batch that mixes every kind of member: a fleet and its fault-free
+    /// twin under a retrying policy (they share every slice), the same
+    /// sites at another warm-up and slice length, a faulty fleet with a
+    /// standby fallback, and a lone leased site.
+    fn mixed_members(workers: usize) -> Vec<LifecycleSim> {
+        let fleet = |config: LifecycleConfig| {
+            LifecycleSim::new(
+                vec![cohort_site(5, 3), leased_site(700.0)],
+                DiurnalSchedule::office_day(600.0),
+                RoutingPolicy::CarbonAware,
+                config.parallelism(workers),
+            )
+        };
+        let days = quick(LifecycleConfig::days(20));
+        vec![
+            fleet(days),
+            fleet(days).with_resilience(
+                ResiliencePolicy::new()
+                    .detection_lag_windows(2)
+                    .retry(RetryPolicy::new(2)),
+            ),
+            fleet(days.warmup_s(1.0).sim_slice_s(2.0)),
+            fleet(days)
+                .with_faults(
+                    FaultConfig::disabled()
+                        .grid_outages(4.0, 2)
+                        .firmware_batches(5.0, 0.5, 2),
+                )
+                .with_resilience(
+                    ResiliencePolicy::new()
+                        .detection_lag_windows(1)
+                        .retry(RetryPolicy::new(2).hedge_to_fallback())
+                        .fallback_site(1),
+                ),
+            LifecycleSim::new(
+                vec![leased_site(500.0)],
+                DiurnalSchedule::flat(300.0),
+                RoutingPolicy::Static,
+                days.parallelism(workers),
+            ),
+        ]
+    }
+
+    #[test]
+    fn a_mixed_batch_reproduces_each_members_own_run() {
+        for workers in [1, 2, 8] {
+            let members = mixed_members(workers);
+            let own: Vec<LifecycleResult> = members.iter().map(|m| m.run().unwrap()).collect();
+            let mut table = MeasuredSlices::new();
+            let batch = LifecycleSim::run_batch(members.iter().map(LifecycleSim::plan), &mut table);
+            let batch: Vec<LifecycleResult> = batch.into_iter().map(Result::unwrap).collect();
+            assert_eq!(batch, own, "worker count {workers}");
+
+            // The table holds exactly the union of the members' own
+            // slices, each simulation named by its place in this table.
+            let mut union = BTreeSet::new();
+            let mut standalone = 0;
+            for member in &members {
+                let mut alone = MeasuredSlices::new();
+                run_through(member, &mut alone).unwrap();
+                standalone += alone.len();
+                for key in alone.index.keys() {
+                    let (sim, request_type) = &alone.sims[key.sim];
+                    let sim = table
+                        .sims
+                        .iter()
+                        .position(|(known, known_type)| known_type == request_type && known == sim)
+                        .expect("every member's simulation is in the batch table");
+                    union.insert(SliceKey { sim, ..*key });
+                }
+            }
+            assert_eq!(table.index.keys().copied().collect::<BTreeSet<_>>(), union);
+            assert_eq!(table.len(), union.len());
+            assert!(union.len() < standalone, "the twins share their slices");
+            let mut positions: Vec<usize> = table.index.values().copied().collect();
+            positions.sort_unstable();
+            assert_eq!(positions, (0..table.len()).collect::<Vec<_>>());
+
+            // Re-running the batch measures nothing new.
+            let again = LifecycleSim::run_batch(members.iter().map(LifecycleSim::plan), &mut table);
+            assert_eq!(table.len(), union.len());
+            assert_eq!(
+                again.into_iter().map(Result::unwrap).collect::<Vec<_>>(),
+                own
+            );
+        }
+    }
+
+    #[test]
+    fn a_failing_member_returns_its_own_error_and_the_batch_adds_nothing() {
+        // Both sites of the broken member fail; its own run reports the
+        // first failing slice in (cell, window) order, cell 0's.
+        let mut members = mixed_members(2);
+        members.insert(
+            1,
+            LifecycleSim::new(
+                vec![
+                    cohort_site(5, 3).request_type("no-such-request"),
+                    leased_site(700.0).request_type("another-missing-request"),
+                ],
+                DiurnalSchedule::office_day(600.0),
+                RoutingPolicy::Static,
+                quick(LifecycleConfig::days(20)).parallelism(2),
+            ),
+        );
+        let mut table = MeasuredSlices::new();
+        let batch = LifecycleSim::run_batch(members.iter().map(LifecycleSim::plan), &mut table);
+        for (member, result) in members.iter().zip(&batch) {
+            assert_eq!(*result, member.run());
+        }
+        assert_eq!(
+            batch[1],
+            Err(SimError::UnknownRequestType("no-such-request".into()))
+        );
+        assert_eq!(batch.iter().filter(|r| r.is_ok()).count(), 5);
+        assert!(table.is_empty());
+        assert!(table.sims.is_empty());
     }
 
     #[test]

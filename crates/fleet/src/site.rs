@@ -6,6 +6,8 @@
 //! candidate's share with [`FleetSite::scaled`], the planner's rented
 //! fallback.
 
+use std::sync::Arc;
+
 use junkyard_battery::sim::SmartChargingConfig;
 use junkyard_carbon::reuse::ReuseFactor;
 use junkyard_carbon::units::{CarbonIntensity, GramsCo2e, TimeSpan, Watts};
@@ -87,11 +89,12 @@ pub fn smart_charging_scale(
 /// One serving site of the fleet.
 ///
 /// The microsim is compiled once at construction ([`Simulation::compile`])
-/// and shared by reference across the fleet's worker threads.
+/// and shared by reference across the fleet's worker threads; clones of
+/// the site, [`FleetSite::scaled`] ones included, share it too.
 #[derive(Debug, Clone)]
 pub struct FleetSite {
     name: String,
-    sim: CompiledSim,
+    sim: Arc<CompiledSim>,
     request_type: Option<String>,
     region: GridRegion,
     capacity_qps: f64,
@@ -123,7 +126,7 @@ impl FleetSite {
         assert!(capacity_qps > 0.0, "site capacity must be positive");
         Self {
             name: name.into(),
-            sim: sim.compile(),
+            sim: Arc::new(sim.compile()),
             request_type: None,
             region,
             capacity_qps,
@@ -208,6 +211,11 @@ impl FleetSite {
     /// The compiled simulation serving this site's share of the traffic.
     #[must_use]
     pub fn sim(&self) -> &CompiledSim {
+        &self.sim
+    }
+
+    /// The compiled simulation as the handle the site's clones share.
+    pub(crate) fn shared_sim(&self) -> &Arc<CompiledSim> {
         &self.sim
     }
 
@@ -323,6 +331,7 @@ mod tests {
         // What is rented, not resized, is kept.
         assert_eq!(half.name(), "dc");
         assert_eq!(half.sim(), full.sim());
+        assert!(Arc::ptr_eq(half.shared_sim(), full.shared_sim()));
         assert_eq!(half.region(), full.region());
         assert_eq!(half.request_type_name(), Some("search_hotel"));
         assert_eq!(half.operational_scale_factor(), 0.9);

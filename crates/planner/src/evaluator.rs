@@ -1,16 +1,20 @@
 //! The black-box evaluation layer: what it costs to score one candidate,
 //! at what fidelity, and the memo cache that makes revisits free.
 //!
-//! The search engine never builds simulations itself — it hands
-//! candidates to an [`Evaluator`] and receives [`Evaluation`]s. An
-//! evaluation must be a *pure function* of `(candidate, fidelity)`: the
-//! successive-halving rungs and the mutation loop both rely on cached
-//! results being bit-identical to fresh ones, and the parallel fan-out
-//! relies on results not depending on which worker computed them.
+//! The search engine never builds simulations itself — it hands each
+//! batch of new candidates to an [`Evaluator`] and receives
+//! [`Evaluation`]s. An evaluation must be a *pure function* of
+//! `(candidate, fidelity)`: the successive-halving rungs and the mutation
+//! loop both rely on cached results being bit-identical to fresh ones,
+//! and the parallel fan-out relies on results not depending on which
+//! worker computed them or which batch they were scored in. The
+//! [`EvalCache`] also owns the search's one slice table, so a lifecycle
+//! evaluator measures each microsim slice once per search.
 
 use std::collections::HashMap;
 
-use junkyard_fleet::lifecycle::LifecycleConfig;
+use junkyard_fleet::lifecycle::{LifecycleConfig, MeasuredSlices};
+use junkyard_microsim::fanout::fan_out;
 
 use crate::candidate::CandidateDeployment;
 use crate::slo::Slo;
@@ -240,9 +244,9 @@ impl std::error::Error for EvalError {}
 
 /// A black-box scorer of candidate deployments.
 ///
-/// `Sync` because the search engine fans evaluations across scoped
-/// worker threads. Implementations must be pure: the same
-/// `(candidate, fidelity)` pair must always produce the same result.
+/// `Sync` because evaluations fan out across scoped worker threads.
+/// Implementations must be pure: the same `(candidate, fidelity)` pair
+/// must always produce the same result, alone or in any batch.
 pub trait Evaluator: Sync {
     /// Scores one candidate at one fidelity.
     ///
@@ -255,6 +259,29 @@ pub trait Evaluator: Sync {
         candidate: &CandidateDeployment,
         fidelity: Fidelity,
     ) -> Result<Evaluation, EvalError>;
+
+    /// Scores a batch of candidates at one fidelity on up to `workers`
+    /// threads. The `i`-th result is [`Evaluator::evaluate`]'s for the
+    /// `i`-th candidate. `slices` is the search's slice table: an
+    /// evaluator that runs lifecycle simulations measures each slice it
+    /// lacks once for the whole batch and keeps it for later batches.
+    /// The default fans [`Evaluator::evaluate`] out across the candidates
+    /// and leaves the table alone.
+    fn evaluate_many(
+        &self,
+        candidates: &[&CandidateDeployment],
+        fidelity: Fidelity,
+        slices: &mut MeasuredSlices,
+        workers: usize,
+    ) -> Vec<Result<Evaluation, EvalError>> {
+        let _ = slices;
+        // A job's panic panics the search; only an unfilled slot becomes
+        // an evaluation failure.
+        fan_out(candidates.iter().copied(), workers, |_, candidate| {
+            self.evaluate(candidate, fidelity)
+        })
+        .unwrap_or_else(|lost| vec![Err(EvalError::Sim(lost.to_string())); candidates.len()])
+    }
 
     /// A cheap upper bound on the offered load the candidate can serve
     /// within the SLO's latency bounds, if the evaluator can estimate
@@ -281,9 +308,10 @@ pub trait Evaluator: Sync {
 }
 
 /// The memoised evaluation store, keyed by `(candidate fingerprint,
-/// fidelity key)`. All bookkeeping happens serially between parallel
-/// batches (see the search engine), so hit/miss counts — not just cached
-/// values — are identical at any worker count.
+/// fidelity key)`, and the search's slice table. All bookkeeping happens
+/// serially between parallel batches (see the search engine), so
+/// hit/miss and slice counts — not just cached values — are identical at
+/// any worker count.
 #[derive(Debug, Default)]
 pub struct EvalCache {
     // The cache is only ever probed by exact (fingerprint, fidelity)
@@ -291,6 +319,9 @@ pub struct EvalCache {
     entries: HashMap<(u64, u64), Result<Evaluation, EvalError>>,
     hits: u64,
     misses: u64,
+    /// Every microsim slice the cache's evaluations measured, kept for
+    /// the batches after them.
+    slices: MeasuredSlices,
 }
 
 impl EvalCache {
@@ -349,6 +380,11 @@ impl EvalCache {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// The slice table the evaluations share.
+    pub(crate) fn slice_table(&mut self) -> &mut MeasuredSlices {
+        &mut self.slices
     }
 }
 

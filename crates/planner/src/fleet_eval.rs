@@ -1,26 +1,33 @@
 //! The concrete [`Evaluator`]: candidates become [`LifecycleSim`] runs
-//! over the compiled microsim engine.
+//! over the compiled microsim engine, a batch of candidates one
+//! [`LifecycleSim::run_batch`].
 //!
 //! Each cohort option is assembled exactly like the hand-built lifecycle
 //! deployments — catalog devices become microsim nodes and
 //! [`CohortDevice::from_catalog`] slots, the one slot recipe both use —
 //! so a planner score and a hand-built study score are directly
-//! comparable. A candidate's leased fallback is the registered
-//! [`FleetSite`] rented at the candidate's share ([`FleetSite::scaled`])
-//! and run as a leased lifecycle site. The optional saturation screen
-//! sweeps every cohort option and the leased site once up front, all
-//! their load points in one [`SweepConfig::run_batch`] fan-out; a
-//! candidate is pruned when the demand beyond its
+//! comparable. Each option's simulation is compiled once and shared by
+//! every candidate site built from it. A candidate's leased fallback is
+//! the registered [`FleetSite`] rented at the candidate's share
+//! ([`FleetSite::scaled`], which shares the registered site's compiled
+//! simulation) and run as a leased lifecycle site. The optional
+//! saturation screen sweeps every cohort option and the leased site once
+//! up front, all their load points in one [`SweepConfig::run_batch`]
+//! fan-out; a candidate is pruned when the demand beyond its
 //! [`LatencyCurve::max_sustainable_qps`] (under the SLO's latency bounds)
 //! would shed more of the horizon's traffic than the SLO's ceiling
 //! allows — all before any lifecycle run is paid.
 
+use std::sync::Arc;
+
 use junkyard_battery::charging::SmartChargePolicy;
 use junkyard_carbon::units::{GramsCo2e, TimeSpan, Watts};
-use junkyard_fleet::lifecycle::{CohortDevice, LifecycleSim, LifecycleSite};
+use junkyard_fleet::lifecycle::{CohortDevice, LifecycleSim, LifecycleSite, MeasuredSlices};
 use junkyard_fleet::schedule::DiurnalSchedule;
 use junkyard_fleet::site::{FleetSite, GridRegion};
 use junkyard_microsim::app::Application;
+use junkyard_microsim::compiled::CompiledSim;
+use junkyard_microsim::fanout::{self, fan_out};
 use junkyard_microsim::network::NetworkModel;
 use junkyard_microsim::node::NodeSpec;
 use junkyard_microsim::placement::Placement;
@@ -43,10 +50,13 @@ const SCREEN_FRACTIONS: [f64; 3] = [0.6, 0.8, 1.0];
 const PLACEMENT_SEED: u64 = 11;
 
 /// Scores candidates by building and running a [`LifecycleSim`] per
-/// `(candidate, fidelity)` pair. Every lifecycle run is forced serial —
-/// the planner parallelises *across* candidates — and workload seeds are
-/// derived from the candidate fingerprint, so evaluation is a pure
-/// function of its inputs.
+/// `(candidate, fidelity)` pair. A batch builds and plans its candidates
+/// across the workers, dropping each fleet once planned, then measures
+/// the union of the slices the search's table lacks in one fan-out and
+/// accounts each candidate; every candidate's run is capped at the
+/// search's worker count. Workload seeds are derived from the candidate
+/// fingerprint, so evaluation is a pure function of its inputs, alone or
+/// in any batch.
 ///
 /// Two modelling biases are inherited from the lifecycle layer and
 /// apply to every candidate alike: outage-day latency is measured on
@@ -69,11 +79,12 @@ pub struct FleetEvaluator {
     mtbf_days: f64,
     install_amortization: Option<TimeSpan>,
     seed: u64,
-    /// Per cohort option: its serving simulation, built once (`None`
-    /// for empty options, `Err` for recipes the placement cannot fit).
-    /// Evaluations reuse these instead of re-assembling the app and
-    /// placement on every `(candidate, fidelity)` score.
-    cohort_sims: Vec<Option<Result<Simulation, EvalError>>>,
+    /// Per cohort option: its serving simulation, built and compiled
+    /// once (`None` for empty options, `Err` for recipes the placement
+    /// cannot fit). Every candidate site built from the option shares it
+    /// instead of re-assembling the app and placement and recompiling on
+    /// every `(candidate, fidelity)` score.
+    cohort_sims: Vec<Option<Result<Arc<CompiledSim>, EvalError>>>,
     /// Per cohort option: the saturation sweep of a site built from it
     /// (`None` for empty options or unbuildable cohorts). Empty until
     /// [`FleetEvaluator::with_saturation_screen`] runs.
@@ -113,13 +124,19 @@ impl FleetEvaluator {
             .space
             .cohort_options()
             .iter()
-            .map(|option| (!option.is_empty()).then(|| evaluator.build_cohort_sim(option)))
+            .map(|option| {
+                (!option.is_empty()).then(|| {
+                    evaluator
+                        .build_cohort_sim(option)
+                        .map(|sim| Arc::new(sim.compile()))
+                })
+            })
             .collect();
         evaluator
     }
 
     /// The prebuilt simulation of one (non-empty) cohort option.
-    fn cohort_sim(&self, cohort: usize) -> Result<&Simulation, EvalError> {
+    fn cohort_sim(&self, cohort: usize) -> Result<&Arc<CompiledSim>, EvalError> {
         match &self.cohort_sims[cohort] {
             Some(Ok(sim)) => Ok(sim),
             Some(Err(error)) => Err(error.clone()),
@@ -218,7 +235,7 @@ impl FleetEvaluator {
             .map(|(stream, (option, sim))| match sim {
                 Some(Ok(sim)) => {
                     let sweep = self.screen_sweep(option.capacity_qps(), stream, parallelism);
-                    Some((sim.compile(), sweep))
+                    Some((Arc::clone(sim), sweep))
                 }
                 _ => None,
             })
@@ -230,7 +247,7 @@ impl FleetEvaluator {
         let members = cohorts
             .iter()
             .flatten()
-            .map(|(sim, sweep)| (sweep, "screen", sim));
+            .map(|(sim, sweep)| (sweep, "screen", &**sim));
         let leased_member = leased.iter().map(|(sim, sweep)| (sweep, "screen", *sim));
         let mut curves = SweepConfig::run_batch(members.chain(leased_member))?.into_iter();
         self.screen_curves = cohorts
@@ -316,11 +333,16 @@ impl FleetEvaluator {
             install = install * (horizon.seconds() / lifetime.seconds()).min(1.0);
         }
         let floor = self.space.charge_floor_of(candidate);
-        let mut site =
-            LifecycleSite::try_cohort(region.name(), sim, region.clone(), devices, install)
-                .map_err(|e| EvalError::Build(e.to_string()))?
-                .overhead_power(self.site_overhead_power)
-                .charge_policy(SmartChargePolicy::new(floor, CHARGE_HEADROOM));
+        let mut site = LifecycleSite::try_shared_cohort(
+            region.name(),
+            Arc::clone(sim),
+            region.clone(),
+            devices,
+            install,
+        )
+        .map_err(|e| EvalError::Build(e.to_string()))?
+        .overhead_power(self.site_overhead_power)
+        .charge_policy(SmartChargePolicy::new(floor, CHARGE_HEADROOM));
         if self.mtbf_days > 0.0 {
             site = site
                 .failures(self.mtbf_days, self.space.refill_lag_of(candidate))
@@ -348,14 +370,16 @@ impl FleetEvaluator {
         }
         LifecycleSite::try_leased(site).map_err(|e| EvalError::Build(e.to_string()))
     }
-}
 
-impl Evaluator for FleetEvaluator {
-    fn evaluate(
+    /// Builds a candidate's lifecycle fleet at `fidelity`, its workload
+    /// seeded from the candidate fingerprint and its slices capped at
+    /// `workers` threads.
+    fn build_fleet(
         &self,
         candidate: &CandidateDeployment,
         fidelity: Fidelity,
-    ) -> Result<Evaluation, EvalError> {
+        workers: usize,
+    ) -> Result<LifecycleSim, EvalError> {
         if !self.space.is_valid(candidate) {
             return Err(EvalError::Build(
                 "candidate indexes outside the space or provisions nothing".to_owned(),
@@ -382,26 +406,77 @@ impl Evaluator for FleetEvaluator {
         let config = fidelity
             .config()
             .seed(decorrelate_seed(self.seed, candidate.fingerprint()))
-            .parallelism(1);
-        let result = LifecycleSim::new(
+            .parallelism(workers);
+        Ok(LifecycleSim::new(
             sites,
             self.schedule.clone(),
             self.space.routing_of(candidate),
             config,
-        )
-        .run()
-        .map_err(|e| EvalError::Sim(e.to_string()))?;
-
-        Ok(Evaluation::new(
-            result.grams_per_request(),
-            result.worst_median_ms(),
-            result.worst_tail_ms(),
-            result.worst_p99_ms(),
-            result.shed_fraction(),
-            result.total_requests(),
-            result.total_carbon().kilograms(),
-            self.space.total_devices(candidate),
         ))
+    }
+}
+
+impl Evaluator for FleetEvaluator {
+    /// A batch of one ([`FleetEvaluator::evaluate_many`]) against a fresh
+    /// slice table, on the machine's available parallelism.
+    fn evaluate(
+        &self,
+        candidate: &CandidateDeployment,
+        fidelity: Fidelity,
+    ) -> Result<Evaluation, EvalError> {
+        let workers = fanout::workers(None, usize::MAX);
+        self.evaluate_many(&[candidate], fidelity, &mut MeasuredSlices::new(), workers)
+            .pop()
+            .unwrap_or_else(|| Err(EvalError::Sim(SimError::WorkerLost.to_string())))
+    }
+
+    /// Builds and plans every candidate across `workers` threads, each
+    /// fleet dropped once planned, then scores the plans as one
+    /// [`LifecycleSim::run_batch`] against `slices`: the slices the table
+    /// lacks run in a single fan-out, and every candidate's run is capped
+    /// at `workers`.
+    fn evaluate_many(
+        &self,
+        candidates: &[&CandidateDeployment],
+        fidelity: Fidelity,
+        slices: &mut MeasuredSlices,
+        workers: usize,
+    ) -> Vec<Result<Evaluation, EvalError>> {
+        let planned = fan_out(candidates.iter().copied(), workers, |_, candidate| {
+            self.build_fleet(candidate, fidelity, workers)
+                .map(|fleet| fleet.plan())
+        });
+        let planned = match planned {
+            Ok(planned) => planned,
+            Err(lost) => return vec![Err(EvalError::Sim(lost.to_string())); candidates.len()],
+        };
+        let mut plans = Vec::with_capacity(planned.len());
+        let built: Vec<Result<(), EvalError>> = planned
+            .into_iter()
+            .map(|planned| planned.map(|plan| plans.push(plan)))
+            .collect();
+        let mut runs = LifecycleSim::run_batch(plans, slices).into_iter();
+        candidates
+            .iter()
+            .zip(built)
+            .map(|(candidate, built)| {
+                built?;
+                let result = runs
+                    .next()
+                    .unwrap_or(Err(SimError::WorkerLost))
+                    .map_err(|e| EvalError::Sim(e.to_string()))?;
+                Ok(Evaluation::new(
+                    result.grams_per_request(),
+                    result.worst_median_ms(),
+                    result.worst_tail_ms(),
+                    result.worst_p99_ms(),
+                    result.shed_fraction(),
+                    result.total_requests(),
+                    result.total_carbon().kilograms(),
+                    self.space.total_devices(candidate),
+                ))
+            })
+            .collect()
     }
 
     fn sustainable_capacity_qps(&self, candidate: &CandidateDeployment, slo: &Slo) -> Option<f64> {
@@ -491,6 +566,93 @@ mod tests {
         )
     }
 
+    /// A rented two-phone site declared at 1,000 QPS, far beyond its
+    /// simulation's latency knee.
+    fn oversized_lease() -> FleetSite {
+        let app = hotel_reservation();
+        let nodes = vec![NodeSpec::pixel_3a(0), NodeSpec::pixel_3a(1)];
+        let placement = Placement::swarm_spread(&app, &nodes, 11).unwrap();
+        let sim = Simulation::new(app, nodes, placement, NetworkModel::phone_wifi()).unwrap();
+        FleetSite::new("oversized-lease", &sim, flat_region("gas", 420.0), 1_000.0)
+    }
+
+    #[test]
+    fn a_batch_scores_every_candidate_as_evaluate_does() {
+        let space = tiny_space().fallback_shares(vec![0.0, 1.0]);
+        let evaluator = FleetEvaluator::new(
+            space,
+            hotel_reservation(),
+            NetworkModel::phone_wifi(),
+            DiurnalSchedule::office_day(700.0),
+            7,
+        )
+        .leased(oversized_lease());
+        let mut candidates = evaluator.space().enumerate();
+        // One candidate provisions nothing and fails its build.
+        candidates.insert(3, CandidateDeployment::new(vec![0, 0], 0, 0, 0, 0));
+        let fidelity = Fidelity::coarse();
+        let own: Vec<_> = candidates
+            .iter()
+            .map(|candidate| evaluator.evaluate(candidate, fidelity))
+            .collect();
+        assert!(matches!(own[3], Err(EvalError::Build(_))));
+        assert_eq!(
+            own.iter().filter(|r| r.is_ok()).count(),
+            candidates.len() - 1
+        );
+        let batch: Vec<&CandidateDeployment> = candidates.iter().collect();
+        for workers in [1, 4] {
+            let mut slices = MeasuredSlices::new();
+            let scored = evaluator.evaluate_many(&batch, fidelity, &mut slices, workers);
+            assert_eq!(scored, own, "workers {workers}");
+            // Workload seeds come from each candidate's fingerprint, so
+            // candidates share no slice: the table holds exactly the
+            // slices each one measures alone.
+            let alone: usize = candidates
+                .iter()
+                .map(|candidate| {
+                    let mut own_slices = MeasuredSlices::new();
+                    let _ =
+                        evaluator.evaluate_many(&[candidate], fidelity, &mut own_slices, workers);
+                    own_slices.len()
+                })
+                .sum();
+            assert_eq!(slices.len(), alone);
+        }
+    }
+
+    #[test]
+    fn a_promoted_candidate_measures_no_slice_its_shorter_run_measured() {
+        // Flat grids, a daily demand curve and no failures: a survivor's
+        // 4-day run repeats its 2-day run's days, so the second rung
+        // finds every slice it needs in the search's table.
+        let evaluator = evaluator();
+        let slo = Slo::paper_default();
+        let config = |rungs: Vec<Fidelity>| {
+            SearchConfig::new()
+                .rungs(rungs)
+                .local_search(1, 0, 1)
+                .parallelism(2)
+        };
+        let coarse = search(
+            evaluator.space(),
+            &evaluator,
+            &slo,
+            &config(vec![Fidelity::coarse()]),
+            &mut EvalCache::new(),
+        );
+        let promoted = search(
+            evaluator.space(),
+            &evaluator,
+            &slo,
+            &config(vec![Fidelity::coarse(), Fidelity::new(4, 2, 1.0, 0.0)]),
+            &mut EvalCache::new(),
+        );
+        assert!(coarse.slices_measured() > 0);
+        assert!(promoted.fresh_evaluations() > coarse.fresh_evaluations());
+        assert_eq!(promoted.slices_measured(), coarse.slices_measured());
+    }
+
     #[test]
     fn evaluation_measures_a_real_lifecycle_run() {
         let evaluator = evaluator();
@@ -573,14 +735,6 @@ mod tests {
         // so any share with share x capacity >= knee sustains the whole
         // knee. The old `share x knee` formula halved it.
         let space = tiny_space().fallback_shares(vec![0.0, 0.5, 1.0]);
-        let leased_sim = {
-            use junkyard_microsim::node::NodeSpec;
-            use junkyard_microsim::placement::Placement;
-            let app = hotel_reservation();
-            let nodes = vec![NodeSpec::pixel_3a(0), NodeSpec::pixel_3a(1)];
-            let placement = Placement::swarm_spread(&app, &nodes, 11).unwrap();
-            Simulation::new(app, nodes, placement, NetworkModel::phone_wifi()).unwrap()
-        };
         let evaluator = FleetEvaluator::new(
             space,
             hotel_reservation(),
@@ -588,12 +742,7 @@ mod tests {
             DiurnalSchedule::office_day(700.0),
             7,
         )
-        .leased(FleetSite::new(
-            "oversized-lease",
-            &leased_sim,
-            flat_region("gas", 420.0),
-            1_000.0,
-        ))
+        .leased(oversized_lease())
         .with_saturation_screen(Some(2))
         .unwrap();
         let slo = Slo::paper_default();

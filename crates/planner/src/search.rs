@@ -4,14 +4,19 @@
 //! Candidates are scored in *batches*. Each batch is composed serially
 //! against the [`EvalCache`] (so hit and miss counts are reproducible),
 //! deduplicated by fingerprint, and only the genuinely new
-//! `(candidate, fidelity)` pairs fan out across worker threads with the
-//! same order-preserving [`fan_out`] the sweep, fleet and lifecycle
-//! layers use. Because every evaluation is a pure function of its
-//! inputs, the whole search is bit-identical at any worker count.
+//! `(candidate, fidelity)` pairs go to the evaluator as one
+//! [`Evaluator::evaluate_many`] call, with the search's slice table that
+//! the cache owns. The evaluator fans the batch out with the same
+//! order-preserving `fan_out` the sweep, fleet and lifecycle layers use:
+//! the lifecycle evaluator plans every candidate across the workers, then
+//! simulates the union of the slices the table lacks in one fan-out, so a
+//! candidate promoted to a longer horizon re-simulates none of the slices
+//! its shorter run measured. Because every evaluation is a pure function
+//! of its inputs, the whole search is bit-identical at any worker count.
 
 use std::collections::BTreeMap;
 
-use junkyard_microsim::fanout::{self, fan_out};
+use junkyard_microsim::fanout;
 use junkyard_microsim::sweep::decorrelate_seed;
 use junkyard_obs::{EventKind, NoopRecorder, Recorder, TraceEvent};
 
@@ -186,6 +191,7 @@ pub struct SearchOutcome {
     fresh_evaluations: u64,
     cache_hits: u64,
     cache_misses: u64,
+    slices_measured: usize,
 }
 
 impl SearchOutcome {
@@ -246,6 +252,14 @@ impl SearchOutcome {
         self.cache_misses
     }
 
+    /// Distinct microsim slices the search measured: the growth of the
+    /// cache's slice table, counted between batches, so the same at any
+    /// worker count.
+    #[must_use]
+    pub fn slices_measured(&self) -> usize {
+        self.slices_measured
+    }
+
     /// Cache hit rate over the whole search.
     #[must_use]
     pub fn cache_hit_rate(&self) -> f64 {
@@ -258,10 +272,12 @@ impl SearchOutcome {
     }
 }
 
-/// Scores `batch` at `fidelity`, serving repeats from `cache` and
-/// fanning only the genuinely new candidates across worker threads.
-/// Batch composition, cache bookkeeping and result placement are all
-/// serial, so outcomes and counters are identical at any worker count.
+/// Scores `batch` at `fidelity`, serving repeats from `cache` and handing
+/// only the genuinely new candidates to the evaluator, as one
+/// [`Evaluator::evaluate_many`] batch on up to `workers` threads against
+/// the cache's slice table. Batch composition, cache bookkeeping and
+/// result placement are all serial, so outcomes and counters are
+/// identical at any worker count.
 pub fn evaluate_batch<E: Evaluator + ?Sized>(
     cache: &mut EvalCache,
     evaluator: &E,
@@ -292,12 +308,9 @@ pub fn evaluate_batch<E: Evaluator + ?Sized>(
         followers.push((index, position));
     }
 
-    // Parallel pass over the pending set. A job's panic panics the
-    // search; only an unfilled slot becomes an evaluation failure.
-    let results = fan_out(&pending, workers, |_, &batch_index| {
-        evaluator.evaluate(&batch[batch_index], fidelity)
-    })
-    .unwrap_or_else(|lost| vec![Err(EvalError::Sim(lost.to_string())); pending.len()]);
+    // The pending set, scored as one batch.
+    let candidates: Vec<&CandidateDeployment> = pending.iter().map(|&i| &batch[i]).collect();
+    let results = evaluator.evaluate_many(&candidates, fidelity, cache.slice_table(), workers);
     *fresh_evaluations += pending.len() as u64;
 
     // Serial pass: persist and place.
@@ -380,6 +393,7 @@ pub fn search_with<E: Evaluator + ?Sized, R: Recorder>(
     // report this search's own traffic, not the cache's lifetime totals.
     let hits_at_entry = cache.hits();
     let misses_at_entry = cache.misses();
+    let slices_at_entry = cache.slice_table().len();
 
     // Phase 1+2: enumerate and screen. Pruning is on the *horizon-wide*
     // shed fraction a candidate's SLO-sustainable capacity would force —
@@ -621,6 +635,7 @@ pub fn search_with<E: Evaluator + ?Sized, R: Recorder>(
         fresh_evaluations,
         cache_hits: cache.hits() - hits_at_entry,
         cache_misses: cache.misses() - misses_at_entry,
+        slices_measured: cache.slice_table().len() - slices_at_entry,
     }
 }
 
@@ -715,6 +730,9 @@ mod tests {
         // Elites re-submitted during mutation rounds produce cache hits.
         assert!(outcome.cache_hits() > 0);
         assert!(outcome.cache_hit_rate() > 0.0);
+        // The synthetic evaluator simulates nothing.
+        assert_eq!(outcome.slices_measured(), 0);
+        assert!(cache.slice_table().is_empty());
     }
 
     #[test]

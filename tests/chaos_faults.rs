@@ -14,10 +14,10 @@
 //!    that never constructed it; and with a truthful health view
 //!    (zero detection lag) nothing ever fails, because the router never
 //!    assigns traffic to capacity that is not there.
-//! 4. **Shared slices change nothing** — fleets run one after another
-//!    through one [`MeasuredSlices`] table each reproduce their
-//!    standalone run bit for bit, and a fleet whose site simulation
-//!    differs reuses none of the table's slices.
+//! 4. **Shared slices change nothing** — fleets run one after another,
+//!    each a batch of one, through one [`MeasuredSlices`] table each
+//!    reproduce their standalone run bit for bit, and a fleet whose site
+//!    simulation differs reuses none of the table's slices.
 //!
 //! The vendored proptest seeds its RNG from the test name, so this is a
 //! fixed-seed suite: every CI run exercises the same fault plans.
@@ -148,6 +148,13 @@ fn fleet(
         sim = sim.with_resilience(policy);
     }
     sim
+}
+
+/// One fleet through a caller-owned slice table: a batch of one.
+fn run_through(sim: &LifecycleSim, slices: &mut MeasuredSlices) -> LifecycleResult {
+    let mut results = LifecycleSim::run_batch([sim.plan()], slices);
+    assert_eq!(results.len(), 1, "a batch returns one result per member");
+    results.pop().unwrap().unwrap()
 }
 
 /// The conserved-buckets identity, relative tolerance 1e-6 (panics on
@@ -281,15 +288,15 @@ proptest! {
         ];
         let mut shared = MeasuredSlices::new();
         for sim in &fleets {
-            let result = sim.run_shared(&mut shared).unwrap();
+            let result = run_through(sim, &mut shared);
             prop_assert_eq!(result, sim.run().unwrap());
         }
 
         let bigger = fleet(seed, base_qps, workers, None, None, 3);
         let mut own = MeasuredSlices::new();
-        let standalone = bigger.run_shared(&mut own).unwrap();
+        let standalone = run_through(&bigger, &mut own);
         let before = shared.len();
-        prop_assert_eq!(bigger.run_shared(&mut shared).unwrap(), standalone);
+        prop_assert_eq!(run_through(&bigger, &mut shared), standalone);
         prop_assert!(!own.is_empty());
         prop_assert_eq!(shared.len(), before + own.len());
     }
