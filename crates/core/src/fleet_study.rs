@@ -38,12 +38,14 @@ const BASE_QPS: f64 = 4_000.0;
 /// charging plans each day from the day before it.
 const TRACE_DAYS: usize = 2;
 
+/// Warm-up simulated before each measured slice, seconds.
+const WARMUP_S: f64 = 1.0;
+
 /// Configuration of the two-region fleet study.
 #[derive(Debug, Clone)]
 pub struct FleetStudy {
     windows_per_day: usize,
     sim_slice_s: f64,
-    warmup_s: f64,
     seed: u64,
     parallelism: Option<usize>,
 }
@@ -56,7 +58,6 @@ impl FleetStudy {
         Self {
             windows_per_day: 24,
             sim_slice_s: 4.0,
-            warmup_s: 1.0,
             seed: 42,
             parallelism: None,
         }
@@ -69,7 +70,6 @@ impl FleetStudy {
         Self {
             windows_per_day: 6,
             sim_slice_s: 1.0,
-            warmup_s: 1.0,
             seed: 42,
             parallelism: None,
         }
@@ -187,7 +187,7 @@ impl FleetStudy {
         let mut config = LifecycleConfig::days(1)
             .windows_per_day(self.windows_per_day)
             .sim_slice_s(self.sim_slice_s)
-            .warmup_s(self.warmup_s)
+            .warmup_s(WARMUP_S)
             .seed(self.seed);
         if let Some(workers) = self.parallelism {
             config = config.parallelism(workers);

@@ -42,6 +42,12 @@ use crate::report::{Chart, SeriesLine, Table};
 pub(crate) const PIXELS_PER_SITE: usize = 6;
 /// Nexus 4 slots per cloudlet.
 pub(crate) const NEXUSES_PER_SITE: usize = 4;
+/// Mean days between failures of one cloudlet device: about four years.
+pub(crate) const MEAN_DAYS_BETWEEN_FAILURES: f64 = 1_500.0;
+/// Days a failed slot waits for its junkyard refill.
+const REPLACEMENT_LAG_DAYS: usize = 7;
+/// Warm-up simulated before each measured slice, seconds.
+const WARMUP_S: f64 = 1.0;
 
 /// The demand every study of this deployment serves: the office-day
 /// curve at a peak-hour base of 1,600 requests per second.
@@ -55,13 +61,10 @@ pub struct LifecycleStudy {
     years: usize,
     windows_per_day: usize,
     sim_slice_s: f64,
-    warmup_s: f64,
     seed: u64,
     parallelism: Option<usize>,
     trace_days: usize,
     trace_step: TimeSpan,
-    mean_days_between_failures: f64,
-    replacement_lag_days: usize,
     spare_pixels: usize,
 }
 
@@ -76,13 +79,10 @@ impl LifecycleStudy {
             years: 10,
             windows_per_day: 24,
             sim_slice_s: 2.0,
-            warmup_s: 1.0,
             seed: 42,
             parallelism: None,
             trace_days: 30,
             trace_step: TimeSpan::from_minutes(5.0),
-            mean_days_between_failures: 1_500.0,
-            replacement_lag_days: 7,
             spare_pixels: 0,
         }
     }
@@ -95,13 +95,10 @@ impl LifecycleStudy {
             years: 5,
             windows_per_day: 4,
             sim_slice_s: 1.0,
-            warmup_s: 1.0,
             seed: 42,
             parallelism: None,
             trace_days: 10,
             trace_step: TimeSpan::from_minutes(15.0),
-            mean_days_between_failures: 1_500.0,
-            replacement_lag_days: 7,
             spare_pixels: 0,
         }
     }
@@ -226,7 +223,7 @@ impl LifecycleStudy {
                 .map_err(DeploymentError::SiteConfig)?
                 .request_type(SN_COMPOSE_POST)
                 .overhead_power(Watts::new(FAN_WATTS))
-                .failures(self.mean_days_between_failures, self.replacement_lag_days)
+                .failures(MEAN_DAYS_BETWEEN_FAILURES, REPLACEMENT_LAG_DAYS)
                 .map_err(DeploymentError::SiteConfig)?;
         Ok(site)
     }
@@ -238,7 +235,7 @@ impl LifecycleStudy {
         let mut config = LifecycleConfig::days(days)
             .windows_per_day(self.windows_per_day)
             .sim_slice_s(self.sim_slice_s)
-            .warmup_s(self.warmup_s)
+            .warmup_s(WARMUP_S)
             .seed(self.seed);
         if let Some(workers) = self.parallelism {
             config = config.parallelism(workers);

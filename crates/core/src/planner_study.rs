@@ -24,13 +24,14 @@ use junkyard_fleet::site::GridRegion;
 use junkyard_microsim::app::{social_network, SN_COMPOSE_POST};
 use junkyard_microsim::network::NetworkModel;
 use junkyard_planner::{
-    evaluate_batch, search, CandidateDeployment, CohortOption, EvalCache, Fidelity, FleetEvaluator,
+    search, CandidateDeployment, CohortOption, EvalCache, Fidelity, FleetEvaluator,
     PlannedDeployment, PlannerSpace, SearchConfig, SearchOutcome, Slo,
 };
 
 use crate::deployments::{c5_datacenter_site, DeploymentError, FAN_EMBODIED_KG, FAN_WATTS};
 use crate::lifecycle_study::{
-    office_day_demand, LifecycleStudy, NEXUSES_PER_SITE, PIXELS_PER_SITE,
+    office_day_demand, LifecycleStudy, MEAN_DAYS_BETWEEN_FAILURES, NEXUSES_PER_SITE,
+    PIXELS_PER_SITE,
 };
 use crate::report::Table;
 
@@ -60,7 +61,6 @@ fn study_slo() -> Slo {
 pub struct PlannerStudy {
     seed: u64,
     parallelism: Option<usize>,
-    mean_days_between_failures: f64,
     rungs: Vec<Fidelity>,
     slo: Slo,
     rich_space: bool,
@@ -77,7 +77,6 @@ impl PlannerStudy {
         Self {
             seed: 42,
             parallelism: None,
-            mean_days_between_failures: 1_500.0,
             rungs: vec![Fidelity::coarse(), Fidelity::medium(), Fidelity::fine()],
             slo: study_slo(),
             rich_space: true,
@@ -92,7 +91,6 @@ impl PlannerStudy {
         Self {
             seed: 42,
             parallelism: None,
-            mean_days_between_failures: 1_500.0,
             rungs: vec![Fidelity::coarse(), Fidelity::new(4, 2, 1.0, 0.0)],
             slo: study_slo(),
             rich_space: false,
@@ -217,7 +215,7 @@ impl PlannerStudy {
             Watts::new(FAN_WATTS),
             GramsCo2e::from_kilograms(FAN_EMBODIED_KG),
         )
-        .failures(self.mean_days_between_failures)
+        .failures(MEAN_DAYS_BETWEEN_FAILURES)
         .amortize_install(TimeSpan::from_years(SERVICE_LIFETIME_YEARS))
         .with_saturation_screen(self.parallelism)
         .map_err(DeploymentError::Sim)
@@ -278,18 +276,16 @@ impl PlannerStudy {
         );
 
         let baseline_candidate = self.baseline_candidate();
-        let mut fresh = 0;
-        let baseline_evaluation = evaluate_batch(
-            &mut cache,
-            &evaluator,
-            std::slice::from_ref(&baseline_candidate),
-            config.final_fidelity(),
-            1,
-            &mut fresh,
-        )
-        .pop()
-        .expect("one baseline result")
-        .expect("the hand-built lifecycle deployment builds and simulates");
+        let baseline_evaluation = cache
+            .score(
+                &evaluator,
+                std::slice::from_ref(&baseline_candidate),
+                config.final_fidelity(),
+                1,
+            )
+            .pop()
+            .expect("one baseline result")
+            .expect("the hand-built lifecycle deployment builds and simulates");
         let baseline = PlannedDeployment::from_parts(
             baseline_candidate.clone(),
             baseline_evaluation,
@@ -462,12 +458,18 @@ mod tests {
         let serial = PlannerStudy::quick().parallelism(1).run().unwrap();
         let threaded = PlannerStudy::quick().parallelism(4).run().unwrap();
         assert_eq!(serial, threaded);
-        // The slice count is taken between batches, so it is a count of
-        // the work, not of the schedule: 102 distinct slices at seed 42,
-        // where scoring each candidate on its own table measured 152.
-        let slices = serial.outcome().slices_measured();
-        assert_eq!(slices, threaded.outcome().slices_measured());
-        assert_eq!(slices, 102);
+        // The search's counts are taken between batches, so they count
+        // the work, not the schedule. At seed 42 it measures 102 distinct
+        // slices, where scoring each candidate on its own table measured
+        // 152.
+        let outcome = serial.outcome();
+        assert_eq!(outcome.slices_measured(), 102);
+        assert_eq!(outcome.candidates_enumerated(), 34);
+        assert_eq!(outcome.screened_out(), 4);
+        assert_eq!(outcome.rung_populations(), [30, 15]);
+        assert_eq!(outcome.fresh_evaluations(), 48);
+        assert_eq!(outcome.cache_hits(), 21);
+        assert_eq!(outcome.cache_misses(), 48);
     }
 
     #[test]
@@ -477,19 +479,21 @@ mod tests {
         let serial = study.clone().parallelism(1).evaluator().unwrap();
         let threaded = study.clone().parallelism(4).evaluator().unwrap();
         let slo = study.slo_bounds();
-        let mut screened = 0;
-        for candidate in study.space().enumerate() {
-            let capacity =
-                |evaluator: &FleetEvaluator| evaluator.sustainable_capacity_qps(&candidate, &slo);
-            let (one, four) = (capacity(&serial), capacity(&threaded));
+        let candidates = study.space().enumerate();
+        assert_eq!(candidates.len(), 34);
+        let mut over_ceiling = 0;
+        for candidate in &candidates {
+            let one = serial.projected_shed(candidate, &slo);
+            let four = threaded.projected_shed(candidate, &slo);
             assert_eq!(
                 one.map(f64::to_bits),
                 four.map(f64::to_bits),
                 "{candidate:?}"
             );
-            screened += usize::from(one.unwrap_or(0.0) > 0.0);
+            let shed = one.expect("the screen projects every candidate's shed");
+            over_ceiling += usize::from(shed > slo.max_shed_fraction());
         }
-        assert!(screened > 0, "the screen measured no capacity");
+        assert!(over_ceiling > 0, "the screen would prune nothing");
     }
 
     #[test]

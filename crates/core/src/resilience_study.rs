@@ -35,6 +35,15 @@ use crate::deployments::{c5_datacenter_site, DeploymentError};
 use crate::lifecycle_study::{office_day_demand, LifecycleStudy};
 use crate::report::Table;
 
+/// Spare Pixel slots per cloudlet under N+1 overprovisioning.
+const SPARE_PIXELS: usize = 2;
+/// Retry rounds the retrying strategies allow.
+const MAX_RETRIES: usize = 3;
+/// Share of demand degrade-in-place sheds as low priority.
+const LOW_PRIORITY_FRACTION: f64 = 0.5;
+/// Latency-target stretch of degrade-in-place's brown-out.
+const BROWNOUT_STRETCH: f64 = 1.25;
+
 /// Nines of availability: `-log10(1 - availability)`, capped at nine
 /// nines so a perfect run stays finite (and JSON-representable).
 #[must_use]
@@ -47,8 +56,9 @@ pub fn availability_nines(availability: f64) -> f64 {
 }
 
 /// Configuration of the fault-injection resilience study: the
-/// [`LifecycleStudy`] whose deployment it serves, its horizon in days
-/// and its fault and strategy parameters.
+/// [`LifecycleStudy`] whose deployment it serves, its horizon in days,
+/// its fault parameters and the router's detection lag. The strategies'
+/// own settings are the same in both presets, so they are constants.
 #[derive(Debug, Clone)]
 pub struct ResilienceStudy {
     study: LifecycleStudy,
@@ -61,10 +71,6 @@ pub struct ResilienceStudy {
     thermal_mean_days: f64,
     thermal_windows: usize,
     detection_lag_windows: usize,
-    spare_pixels: usize,
-    max_retries: usize,
-    low_priority_fraction: f64,
-    brownout_stretch: f64,
 }
 
 impl ResilienceStudy {
@@ -85,10 +91,6 @@ impl ResilienceStudy {
             thermal_mean_days: 60.0,
             thermal_windows: 6,
             detection_lag_windows: 2,
-            spare_pixels: 2,
-            max_retries: 3,
-            low_priority_fraction: 0.5,
-            brownout_stretch: 1.25,
         }
     }
 
@@ -108,10 +110,6 @@ impl ResilienceStudy {
             thermal_mean_days: 21.0,
             thermal_windows: 2,
             detection_lag_windows: 1,
-            spare_pixels: 2,
-            max_retries: 3,
-            low_priority_fraction: 0.5,
-            brownout_stretch: 1.25,
         }
     }
 
@@ -209,12 +207,12 @@ impl ResilienceStudy {
             true,
             self.fault_config(),
             self.lagged_policy()
-                .retry(RetryPolicy::new(self.max_retries).hedge_to_fallback())
+                .retry(RetryPolicy::new(MAX_RETRIES).hedge_to_fallback())
                 .fallback_site(2)
                 .degradation(
                     DegradationLadder::new()
-                        .shed_low_priority(self.low_priority_fraction)
-                        .brownout(self.brownout_stretch),
+                        .shed_low_priority(LOW_PRIORITY_FRACTION)
+                        .brownout(BROWNOUT_STRETCH),
                 ),
         )
     }
@@ -252,8 +250,7 @@ impl ResilienceStudy {
                 0,
                 false,
                 FaultConfig::disabled(),
-                self.lagged_policy()
-                    .retry(RetryPolicy::new(self.max_retries)),
+                self.lagged_policy().retry(RetryPolicy::new(MAX_RETRIES)),
             )?
             .run()
             .map_err(DeploymentError::Sim)?;
@@ -262,13 +259,13 @@ impl ResilienceStudy {
         let faults = self.fault_config();
         let unmitigated = run(self.build_fleet(0, false, faults, self.lagged_policy())?)?;
         let overprovisioned =
-            run(self.build_fleet(self.spare_pixels, false, faults, self.lagged_policy())?)?;
+            run(self.build_fleet(SPARE_PIXELS, false, faults, self.lagged_policy())?)?;
         let retry_to_fallback = run(self.build_fleet(
             0,
             true,
             faults,
             self.lagged_policy()
-                .retry(RetryPolicy::new(self.max_retries).hedge_to_fallback())
+                .retry(RetryPolicy::new(MAX_RETRIES).hedge_to_fallback())
                 .fallback_site(2),
         )?)?;
         let degrade_in_place = run(self.build_fleet(
@@ -276,11 +273,11 @@ impl ResilienceStudy {
             false,
             faults,
             self.lagged_policy()
-                .retry(RetryPolicy::new(self.max_retries))
+                .retry(RetryPolicy::new(MAX_RETRIES))
                 .degradation(
                     DegradationLadder::new()
-                        .shed_low_priority(self.low_priority_fraction)
-                        .brownout(self.brownout_stretch),
+                        .shed_low_priority(LOW_PRIORITY_FRACTION)
+                        .brownout(BROWNOUT_STRETCH),
                 ),
         )?)?;
 
@@ -297,26 +294,20 @@ impl ResilienceStudy {
             ),
             StrategyOutcome::new(
                 "n-plus-one",
-                format!(
-                    "{} spare Pixel slots per cloudlet absorb correlated losses",
-                    self.spare_pixels
-                ),
+                format!("{SPARE_PIXELS} spare Pixel slots per cloudlet absorb correlated losses"),
                 overprovisioned,
             ),
             StrategyOutcome::new(
                 "retry-to-fallback",
-                format!(
-                    "{} bounded retries, hedged to a leased datacenter standby",
-                    self.max_retries
-                ),
+                format!("{MAX_RETRIES} bounded retries, hedged to a leased datacenter standby"),
                 retry_to_fallback,
             ),
             StrategyOutcome::new(
                 "degrade-in-place",
                 format!(
                     "reroute, shed {:.0}% low-priority, brown out {:.0}%",
-                    self.low_priority_fraction * 100.0,
-                    (self.brownout_stretch - 1.0) * 100.0
+                    LOW_PRIORITY_FRACTION * 100.0,
+                    (BROWNOUT_STRETCH - 1.0) * 100.0
                 ),
                 degrade_in_place,
             ),

@@ -678,7 +678,6 @@ impl DayLedger {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LifecycleCell {
     year: usize,
-    site: usize,
     requests: f64,
     dropped_requests: f64,
     operational: GramsCo2e,
@@ -687,7 +686,6 @@ pub struct LifecycleCell {
     battery_replacements: u32,
     device_failures: u32,
     devices_replaced: u32,
-    mean_alive: f64,
     worst_median_ms: Millis,
     worst_tail_ms: Millis,
     worst_p99_ms: Millis,
@@ -2148,7 +2146,6 @@ impl LifecyclePlan {
         let mut battery_replacements = 0;
         let mut device_failures = 0;
         let mut devices_replaced = 0;
-        let mut alive_sum = 0usize;
         let mut worst_median_ms: f64 = 0.0;
         let mut worst_tail_ms: f64 = 0.0;
         let mut worst_p99_ms: f64 = 0.0;
@@ -2159,7 +2156,6 @@ impl LifecyclePlan {
         let mut daily = Vec::with_capacity(year_days.len());
         for (offset, state) in year_days.iter().enumerate() {
             let day = cell_start + offset;
-            alive_sum += state.alive;
             battery_replacements += state.battery_replacements;
             device_failures += state.device_failures;
             devices_replaced += state.devices_replaced;
@@ -2266,7 +2262,6 @@ impl LifecyclePlan {
 
         LifecycleCell {
             year,
-            site: site_idx,
             requests,
             dropped_requests,
             operational,
@@ -2275,7 +2270,6 @@ impl LifecyclePlan {
             battery_replacements,
             device_failures,
             devices_replaced,
-            mean_alive: counts_ratio(alive_sum, year_days.len()),
             worst_median_ms: Millis::from_millis(worst_median_ms),
             worst_tail_ms: Millis::from_millis(worst_tail_ms),
             worst_p99_ms: Millis::from_millis(worst_p99_ms),

@@ -15,7 +15,7 @@
 //! protocol both engines run.
 
 use junkyard_carbon::convert::{count_f64, floor_index, index_u64};
-use junkyard_carbon::units::{CarbonIntensity, GramsCo2e, Joules, Millis, Qps, TimeSpan};
+use junkyard_carbon::units::{GramsCo2e, Joules, Millis, Qps, TimeSpan};
 use junkyard_microsim::compiled::CompiledSim;
 use junkyard_microsim::fanout::{self, fan_out};
 use junkyard_microsim::sim::{Phase, SimError, Workload};
@@ -102,7 +102,6 @@ pub(crate) fn measure_slice(
 /// One (window, site) cell of the accounting grid.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetCell {
-    window: usize,
     site: usize,
     qps_start: Qps,
     qps_end: Qps,
@@ -112,7 +111,6 @@ pub struct FleetCell {
     median_ms: Millis,
     tail_ms: Millis,
     energy: Joules,
-    intensity: CarbonIntensity,
     operational: GramsCo2e,
     embodied: GramsCo2e,
 }
@@ -531,7 +529,6 @@ impl FleetSim {
         let embodied = site.embodied_over(window.duration());
         let offered = mean_qps * window.duration().seconds();
         Ok(FleetCell {
-            window: window_idx,
             site: site_idx,
             qps_start: Qps::from_per_second(qps_start),
             qps_end: Qps::from_per_second(qps_end),
@@ -541,7 +538,6 @@ impl FleetSim {
             median_ms: measured.median,
             tail_ms: measured.tail,
             energy,
-            intensity,
             operational,
             embodied,
         })

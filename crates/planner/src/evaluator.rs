@@ -1,20 +1,21 @@
-//! The black-box evaluation layer: what it costs to score one candidate,
-//! at what fidelity, and the memo cache that makes revisits free.
+//! The black-box evaluation layer: what it costs to score a batch of
+//! candidates, at what fidelity, and the memo cache that makes revisits
+//! free.
 //!
 //! The search engine never builds simulations itself — it hands each
-//! batch of new candidates to an [`Evaluator`] and receives
-//! [`Evaluation`]s. An evaluation must be a *pure function* of
-//! `(candidate, fidelity)`: the successive-halving rungs and the mutation
-//! loop both rely on cached results being bit-identical to fresh ones,
-//! and the parallel fan-out relies on results not depending on which
-//! worker computed them or which batch they were scored in. The
-//! [`EvalCache`] also owns the search's one slice table, so a lifecycle
-//! evaluator measures each microsim slice once per search.
+//! batch to [`EvalCache::score`], which serves repeats from the cache and
+//! passes the genuinely new candidates to an [`Evaluator`] as one batch.
+//! An evaluation must be a *pure function* of `(candidate, fidelity)`:
+//! the successive-halving rungs and the mutation loop both rely on cached
+//! results being bit-identical to fresh ones, and the parallel fan-out
+//! relies on results not depending on which worker computed them or
+//! which batch they were scored in. The [`EvalCache`] also owns the
+//! search's one slice table, so a lifecycle evaluator measures each
+//! microsim slice once per search.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use junkyard_fleet::lifecycle::{LifecycleConfig, MeasuredSlices};
-use junkyard_microsim::fanout::fan_out;
 
 use crate::candidate::CandidateDeployment;
 use crate::slo::Slo;
@@ -248,70 +249,41 @@ impl std::error::Error for EvalError {}
 /// Implementations must be pure: the same `(candidate, fidelity)` pair
 /// must always produce the same result, alone or in any batch.
 pub trait Evaluator: Sync {
-    /// Scores one candidate at one fidelity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EvalError`] when the candidate cannot be assembled or
-    /// simulated; the search treats such candidates as infeasible.
-    fn evaluate(
-        &self,
-        candidate: &CandidateDeployment,
-        fidelity: Fidelity,
-    ) -> Result<Evaluation, EvalError>;
-
     /// Scores a batch of candidates at one fidelity on up to `workers`
-    /// threads. The `i`-th result is [`Evaluator::evaluate`]'s for the
-    /// `i`-th candidate. `slices` is the search's slice table: an
-    /// evaluator that runs lifecycle simulations measures each slice it
-    /// lacks once for the whole batch and keeps it for later batches.
-    /// The default fans [`Evaluator::evaluate`] out across the candidates
-    /// and leaves the table alone.
-    fn evaluate_many(
+    /// threads; the `i`-th result is the `i`-th candidate's. `slices` is
+    /// the search's slice table: an evaluator that runs lifecycle
+    /// simulations measures each slice it lacks once for the whole batch
+    /// and keeps it for later batches.
+    ///
+    /// A candidate that cannot be assembled or simulated scores an
+    /// [`EvalError`]; the search treats it as infeasible.
+    fn evaluate(
         &self,
         candidates: &[&CandidateDeployment],
         fidelity: Fidelity,
         slices: &mut MeasuredSlices,
         workers: usize,
-    ) -> Vec<Result<Evaluation, EvalError>> {
-        let _ = slices;
-        // A job's panic panics the search; only an unfilled slot becomes
-        // an evaluation failure.
-        fan_out(candidates.iter().copied(), workers, |_, candidate| {
-            self.evaluate(candidate, fidelity)
-        })
-        .unwrap_or_else(|lost| vec![Err(EvalError::Sim(lost.to_string())); candidates.len()])
-    }
+    ) -> Vec<Result<Evaluation, EvalError>>;
 
-    /// A cheap upper bound on the offered load the candidate can serve
-    /// within the SLO's latency bounds, if the evaluator can estimate
-    /// one (for example from per-cohort saturation sweeps). `None` means
+    /// A cheap estimate of the fraction of the horizon's offered demand
+    /// the candidate must shed because its load within the SLO's latency
+    /// bounds falls short of the demand curve, if the evaluator can make
+    /// one (for example from per-cohort saturation sweeps). The search
+    /// prunes a candidate whose estimate exceeds the SLO's shed ceiling
+    /// before any simulation, so the estimate must never exceed the shed
+    /// an evaluation would measure: a candidate that only sheds a sliver
+    /// of demand at the daily peak must *not* be pruned. `None` means
     /// "unknown — do not prune".
-    fn sustainable_capacity_qps(&self, candidate: &CandidateDeployment, slo: &Slo) -> Option<f64> {
+    fn projected_shed(&self, candidate: &CandidateDeployment, slo: &Slo) -> Option<f64> {
         let _ = (candidate, slo);
-        None
-    }
-
-    /// The fraction of the horizon's offered demand that would be shed
-    /// if the fleet could sustain at most `capacity_qps`, if the
-    /// evaluator can estimate one from its demand curve. Used together
-    /// with
-    /// [`sustainable_capacity_qps`](Evaluator::sustainable_capacity_qps)
-    /// to pre-screen candidates whose forced shed would violate the
-    /// SLO's ceiling: a candidate that only sheds a sliver of demand at
-    /// the daily peak must *not* be pruned. `None` means "unknown — do
-    /// not prune".
-    fn demand_shed_fraction(&self, capacity_qps: f64) -> Option<f64> {
-        let _ = capacity_qps;
         None
     }
 }
 
 /// The memoised evaluation store, keyed by `(candidate fingerprint,
 /// fidelity key)`, and the search's slice table. All bookkeeping happens
-/// serially between parallel batches (see the search engine), so
-/// hit/miss and slice counts — not just cached values — are identical at
-/// any worker count.
+/// serially between parallel batches, so hit/miss and slice counts — not
+/// just cached values — are identical at any worker count.
 #[derive(Debug, Default)]
 pub struct EvalCache {
     // The cache is only ever probed by exact (fingerprint, fidelity)
@@ -331,31 +303,57 @@ impl EvalCache {
         Self::default()
     }
 
-    /// Looks up a previously-scored `(candidate, fidelity)` pair,
-    /// counting the lookup as a hit or miss.
-    pub fn lookup(
+    /// Scores `batch` at `fidelity`, serving repeats from the cache and
+    /// handing only the genuinely new candidates, deduplicated by
+    /// fingerprint, to `evaluator` as one [`Evaluator::evaluate`] batch
+    /// on up to `workers` threads against the cache's slice table. Each
+    /// batch slot counts as one hit or one miss, and each distinct
+    /// candidate that missed becomes one new entry. Batch composition,
+    /// bookkeeping and result placement are all serial, so results and
+    /// counters are identical at any worker count.
+    pub fn score<E: Evaluator + ?Sized>(
         &mut self,
-        candidate: &CandidateDeployment,
+        evaluator: &E,
+        batch: &[CandidateDeployment],
         fidelity: Fidelity,
-    ) -> Option<Result<Evaluation, EvalError>> {
-        let found = self.entries.get(&(candidate.fingerprint(), fidelity.key()));
-        if found.is_some() {
-            self.hits += 1;
-        } else {
+        workers: usize,
+    ) -> Vec<Result<Evaluation, EvalError>> {
+        let mut slots: Vec<Option<Result<Evaluation, EvalError>>> = vec![None; batch.len()];
+        // Serial pass: serve cached results, dedup the rest by fingerprint.
+        let mut pending: Vec<&CandidateDeployment> = Vec::new();
+        // Fingerprints are probed by key; batch order alone decides
+        // result placement.
+        let mut pending_of: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut followers: Vec<(usize, usize)> = Vec::new();
+        for (index, candidate) in batch.iter().enumerate() {
+            if let Some(result) = self.entries.get(&(candidate.fingerprint(), fidelity.key())) {
+                self.hits += 1;
+                slots[index] = Some(result.clone());
+                continue;
+            }
             self.misses += 1;
+            let position = *pending_of
+                .entry(candidate.fingerprint())
+                .or_insert_with(|| {
+                    pending.push(candidate);
+                    pending.len() - 1
+                });
+            followers.push((index, position));
         }
-        found.cloned()
-    }
 
-    /// Stores a freshly-computed result.
-    pub fn insert(
-        &mut self,
-        candidate: &CandidateDeployment,
-        fidelity: Fidelity,
-        result: Result<Evaluation, EvalError>,
-    ) {
-        self.entries
-            .insert((candidate.fingerprint(), fidelity.key()), result);
+        // The pending set, scored as one batch, then persisted and placed.
+        let results = evaluator.evaluate(&pending, fidelity, &mut self.slices, workers);
+        for (candidate, result) in pending.iter().zip(&results) {
+            self.entries
+                .insert((candidate.fingerprint(), fidelity.key()), result.clone());
+        }
+        for (slot, position) in followers {
+            slots[slot] = Some(results[position].clone());
+        }
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("every batch slot is filled"))
+            .collect()
     }
 
     /// Lookups served from the cache.
@@ -370,7 +368,8 @@ impl EvalCache {
         self.misses
     }
 
-    /// Distinct `(candidate, fidelity)` results stored.
+    /// Distinct `(candidate, fidelity)` results stored: one per fresh
+    /// evaluation.
     #[must_use]
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -382,14 +381,16 @@ impl EvalCache {
         self.entries.is_empty()
     }
 
-    /// The slice table the evaluations share.
-    pub(crate) fn slice_table(&mut self) -> &mut MeasuredSlices {
-        &mut self.slices
+    /// Distinct microsim slices the cache's evaluations measured.
+    pub(crate) fn slices_measured(&self) -> usize {
+        self.slices.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
     use super::*;
 
     #[test]
@@ -415,20 +416,73 @@ mod tests {
         assert_eq!(Fidelity::new(4, 2, 1.0, 0.0).key(), 1_125_960_037_498_887);
     }
 
+    /// Scores every candidate it is handed (its devices are its cohort
+    /// indices' sum, so different candidates score differently) and
+    /// records each one.
+    #[derive(Default)]
+    struct Recording {
+        scored: Mutex<Vec<CandidateDeployment>>,
+    }
+
+    impl Evaluator for Recording {
+        fn evaluate(
+            &self,
+            candidates: &[&CandidateDeployment],
+            _: Fidelity,
+            _: &mut MeasuredSlices,
+            _: usize,
+        ) -> Vec<Result<Evaluation, EvalError>> {
+            let mut scored = self.scored.lock().unwrap();
+            candidates
+                .iter()
+                .map(|&candidate| {
+                    scored.push(candidate.clone());
+                    let devices = candidate.site_cohorts().iter().sum();
+                    Ok(Evaluation::for_tests(
+                        Some(1.0),
+                        5.0,
+                        9.0,
+                        12.0,
+                        0.0,
+                        devices,
+                    ))
+                })
+                .collect()
+        }
+    }
+
     #[test]
     fn cache_counts_hits_and_misses_deterministically() {
+        let evaluator = Recording::default();
         let mut cache = EvalCache::new();
         let candidate = CandidateDeployment::new(vec![0], 0, 0, 0, 0);
-        let fidelity = Fidelity::coarse();
-        assert!(cache.lookup(&candidate, fidelity).is_none());
-        let result = Ok(Evaluation::for_tests(Some(1.0), 5.0, 9.0, 12.0, 0.0, 4));
-        cache.insert(&candidate, fidelity, result.clone());
-        assert_eq!(cache.lookup(&candidate, fidelity), Some(result));
+        let batch = std::slice::from_ref(&candidate);
+        let fresh = cache.score(&evaluator, batch, Fidelity::coarse(), 1);
+        assert_eq!(cache.score(&evaluator, batch, Fidelity::coarse(), 1), fresh);
         // A finer fidelity is a distinct entry.
-        assert!(cache.lookup(&candidate, Fidelity::fine()).is_none());
+        let _ = cache.score(&evaluator, batch, Fidelity::fine(), 1);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.len(), 2);
+        assert_eq!(evaluator.scored.lock().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn score_evaluates_a_repeated_candidate_once_and_serves_a_cached_one() {
+        let a = CandidateDeployment::new(vec![1, 0], 0, 0, 0, 0);
+        let b = CandidateDeployment::new(vec![2, 2], 0, 0, 0, 0);
+        let fidelity = Fidelity::coarse();
+        let evaluator = Recording::default();
+        let mut cache = EvalCache::new();
+        let cached_b = cache.score(&evaluator, std::slice::from_ref(&b), fidelity, 1);
+        let scored = cache.score(&evaluator, &[a.clone(), a.clone(), b.clone()], fidelity, 1);
+        // B was evaluated by the first batch only, A once for both slots.
+        assert_eq!(*evaluator.scored.lock().unwrap(), [b, a]);
+        assert_eq!(scored[0], scored[1]);
+        assert_ne!(scored[0], scored[2]);
+        assert_eq!(scored[2], cached_b[0]);
+        // B's slot is the one hit; each A slot is a miss, one new entry.
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 3, 2));
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //! simulation) and run as a leased lifecycle site. The optional
 //! saturation screen sweeps every cohort option and the leased site once
 //! up front, all their load points in one [`SweepConfig::run_batch`]
-//! fan-out; a candidate is pruned when the demand beyond its
-//! [`LatencyCurve::max_sustainable_qps`] (under the SLO's latency bounds)
-//! would shed more of the horizon's traffic than the SLO's ceiling
-//! allows — all before any lifecycle run is paid.
+//! fan-out. It backs [`Evaluator::projected_shed`]: the demand beyond a
+//! candidate's [`LatencyCurve::max_sustainable_qps`] (under the SLO's
+//! latency bounds) as a share of the horizon's traffic, so the search
+//! prunes a candidate that would shed more than the SLO's ceiling allows
+//! before any lifecycle run is paid.
 
 use std::sync::Arc;
 
@@ -27,7 +28,7 @@ use junkyard_fleet::schedule::DiurnalSchedule;
 use junkyard_fleet::site::{FleetSite, GridRegion};
 use junkyard_microsim::app::Application;
 use junkyard_microsim::compiled::CompiledSim;
-use junkyard_microsim::fanout::{self, fan_out};
+use junkyard_microsim::fanout::fan_out;
 use junkyard_microsim::network::NetworkModel;
 use junkyard_microsim::node::NodeSpec;
 use junkyard_microsim::placement::Placement;
@@ -217,8 +218,8 @@ impl FleetEvaluator {
 
     /// Runs the saturation screen: every cohort option (and the leased
     /// site) is swept at a few fractions of its nominal capacity, so
-    /// [`Evaluator::sustainable_capacity_qps`] can prune undersized
-    /// candidates without a lifecycle run. All the sweeps' points run as
+    /// [`Evaluator::projected_shed`] can prune undersized candidates
+    /// without a lifecycle run. All the sweeps' points run as
     /// one [`SweepConfig::run_batch`] capped at `parallelism` workers
     /// (`None`: the machine's available parallelism; `Some(1)`: on the
     /// caller's thread). Each sweep is seeded from the evaluator's seed,
@@ -414,71 +415,10 @@ impl FleetEvaluator {
             config,
         ))
     }
-}
 
-impl Evaluator for FleetEvaluator {
-    /// A batch of one ([`FleetEvaluator::evaluate_many`]) against a fresh
-    /// slice table, on the machine's available parallelism.
-    fn evaluate(
-        &self,
-        candidate: &CandidateDeployment,
-        fidelity: Fidelity,
-    ) -> Result<Evaluation, EvalError> {
-        let workers = fanout::workers(None, usize::MAX);
-        self.evaluate_many(&[candidate], fidelity, &mut MeasuredSlices::new(), workers)
-            .pop()
-            .unwrap_or_else(|| Err(EvalError::Sim(SimError::WorkerLost.to_string())))
-    }
-
-    /// Builds and plans every candidate across `workers` threads, each
-    /// fleet dropped once planned, then scores the plans as one
-    /// [`LifecycleSim::run_batch`] against `slices`: the slices the table
-    /// lacks run in a single fan-out, and every candidate's run is capped
-    /// at `workers`.
-    fn evaluate_many(
-        &self,
-        candidates: &[&CandidateDeployment],
-        fidelity: Fidelity,
-        slices: &mut MeasuredSlices,
-        workers: usize,
-    ) -> Vec<Result<Evaluation, EvalError>> {
-        let planned = fan_out(candidates.iter().copied(), workers, |_, candidate| {
-            self.build_fleet(candidate, fidelity, workers)
-                .map(|fleet| fleet.plan())
-        });
-        let planned = match planned {
-            Ok(planned) => planned,
-            Err(lost) => return vec![Err(EvalError::Sim(lost.to_string())); candidates.len()],
-        };
-        let mut plans = Vec::with_capacity(planned.len());
-        let built: Vec<Result<(), EvalError>> = planned
-            .into_iter()
-            .map(|planned| planned.map(|plan| plans.push(plan)))
-            .collect();
-        let mut runs = LifecycleSim::run_batch(plans, slices).into_iter();
-        candidates
-            .iter()
-            .zip(built)
-            .map(|(candidate, built)| {
-                built?;
-                let result = runs
-                    .next()
-                    .unwrap_or(Err(SimError::WorkerLost))
-                    .map_err(|e| EvalError::Sim(e.to_string()))?;
-                Ok(Evaluation::new(
-                    result.grams_per_request(),
-                    result.worst_median_ms(),
-                    result.worst_tail_ms(),
-                    result.worst_p99_ms(),
-                    result.shed_fraction(),
-                    result.total_requests(),
-                    result.total_carbon().kilograms(),
-                    self.space.total_devices(candidate),
-                ))
-            })
-            .collect()
-    }
-
+    /// A cheap upper bound on the offered load the candidate can serve
+    /// within the SLO's latency bounds, from the saturation screen's
+    /// curves; `None` before the screen runs.
     fn sustainable_capacity_qps(&self, candidate: &CandidateDeployment, slo: &Slo) -> Option<f64> {
         if self.screen_curves.is_empty() {
             return None;
@@ -522,7 +462,7 @@ impl Evaluator for FleetEvaluator {
     /// demand curve at least as finely as any evaluation fidelity, so
     /// this estimate never exceeds the shed a real evaluation would
     /// measure — pruning on it is sound.
-    fn demand_shed_fraction(&self, capacity_qps: f64) -> Option<f64> {
+    fn demand_shed_fraction(&self, capacity_qps: f64) -> f64 {
         let mut offered = 0.0;
         let mut shed = 0.0;
         for window in self.schedule.windows(1, 24) {
@@ -534,10 +474,68 @@ impl Evaluator for FleetEvaluator {
             }
         }
         if offered > 0.0 {
-            Some(shed / offered)
+            shed / offered
         } else {
-            Some(0.0)
+            0.0
         }
+    }
+}
+
+impl Evaluator for FleetEvaluator {
+    /// Builds and plans every candidate across `workers` threads, each
+    /// fleet dropped once planned, then scores the plans as one
+    /// [`LifecycleSim::run_batch`] against `slices`: the slices the table
+    /// lacks run in a single fan-out, and every candidate's run is capped
+    /// at `workers`.
+    fn evaluate(
+        &self,
+        candidates: &[&CandidateDeployment],
+        fidelity: Fidelity,
+        slices: &mut MeasuredSlices,
+        workers: usize,
+    ) -> Vec<Result<Evaluation, EvalError>> {
+        let planned = fan_out(candidates.iter().copied(), workers, |_, candidate| {
+            self.build_fleet(candidate, fidelity, workers)
+                .map(|fleet| fleet.plan())
+        });
+        let planned = match planned {
+            Ok(planned) => planned,
+            Err(lost) => return vec![Err(EvalError::Sim(lost.to_string())); candidates.len()],
+        };
+        let mut plans = Vec::with_capacity(planned.len());
+        let built: Vec<Result<(), EvalError>> = planned
+            .into_iter()
+            .map(|planned| planned.map(|plan| plans.push(plan)))
+            .collect();
+        let mut runs = LifecycleSim::run_batch(plans, slices).into_iter();
+        candidates
+            .iter()
+            .zip(built)
+            .map(|(candidate, built)| {
+                built?;
+                let result = runs
+                    .next()
+                    .unwrap_or(Err(SimError::WorkerLost))
+                    .map_err(|e| EvalError::Sim(e.to_string()))?;
+                Ok(Evaluation::new(
+                    result.grams_per_request(),
+                    result.worst_median_ms(),
+                    result.worst_tail_ms(),
+                    result.worst_p99_ms(),
+                    result.shed_fraction(),
+                    result.total_requests(),
+                    result.total_carbon().kilograms(),
+                    self.space.total_devices(candidate),
+                ))
+            })
+            .collect()
+    }
+
+    /// The shed of the demand beyond the candidate's screened capacity;
+    /// `None` until [`FleetEvaluator::with_saturation_screen`] runs.
+    fn projected_shed(&self, candidate: &CandidateDeployment, slo: &Slo) -> Option<f64> {
+        self.sustainable_capacity_qps(candidate, slo)
+            .map(|capacity_qps| self.demand_shed_fraction(capacity_qps))
     }
 }
 
@@ -545,9 +543,21 @@ impl Evaluator for FleetEvaluator {
 mod tests {
     use super::*;
     use crate::evaluator::EvalCache;
-    use crate::search::{evaluate_batch, search, SearchConfig};
+    use crate::search::{search, SearchConfig};
     use crate::testutil::{flat_region, pixel_option};
     use junkyard_microsim::app::hotel_reservation;
+
+    /// Scores one candidate alone, on a fresh slice table.
+    fn evaluate_one(
+        evaluator: &FleetEvaluator,
+        candidate: &CandidateDeployment,
+        fidelity: Fidelity,
+    ) -> Result<Evaluation, EvalError> {
+        evaluator
+            .evaluate(&[candidate], fidelity, &mut MeasuredSlices::new(), 2)
+            .pop()
+            .expect("one result per candidate")
+    }
 
     fn tiny_space() -> PlannerSpace {
         PlannerSpace::new(
@@ -593,7 +603,7 @@ mod tests {
         let fidelity = Fidelity::coarse();
         let own: Vec<_> = candidates
             .iter()
-            .map(|candidate| evaluator.evaluate(candidate, fidelity))
+            .map(|candidate| evaluate_one(&evaluator, candidate, fidelity))
             .collect();
         assert!(matches!(own[3], Err(EvalError::Build(_))));
         assert_eq!(
@@ -603,7 +613,7 @@ mod tests {
         let batch: Vec<&CandidateDeployment> = candidates.iter().collect();
         for workers in [1, 4] {
             let mut slices = MeasuredSlices::new();
-            let scored = evaluator.evaluate_many(&batch, fidelity, &mut slices, workers);
+            let scored = evaluator.evaluate(&batch, fidelity, &mut slices, workers);
             assert_eq!(scored, own, "workers {workers}");
             // Workload seeds come from each candidate's fingerprint, so
             // candidates share no slice: the table holds exactly the
@@ -612,8 +622,7 @@ mod tests {
                 .iter()
                 .map(|candidate| {
                     let mut own_slices = MeasuredSlices::new();
-                    let _ =
-                        evaluator.evaluate_many(&[candidate], fidelity, &mut own_slices, workers);
+                    let _ = evaluator.evaluate(&[candidate], fidelity, &mut own_slices, workers);
                     own_slices.len()
                 })
                 .sum();
@@ -657,7 +666,7 @@ mod tests {
     fn evaluation_measures_a_real_lifecycle_run() {
         let evaluator = evaluator();
         let candidate = CandidateDeployment::new(vec![1, 1], 1, 0, 0, 0);
-        let evaluation = evaluator.evaluate(&candidate, Fidelity::coarse()).unwrap();
+        let evaluation = evaluate_one(&evaluator, &candidate, Fidelity::coarse()).unwrap();
         assert!(evaluation.grams_per_request().unwrap() > 0.0);
         assert!(evaluation.worst_median_ms() > 0.0);
         assert!(evaluation.worst_p99_ms() >= evaluation.worst_tail_ms());
@@ -669,13 +678,11 @@ mod tests {
     fn evaluation_is_a_pure_function_of_candidate_and_fidelity() {
         let evaluator = evaluator();
         let candidate = CandidateDeployment::new(vec![2, 0], 0, 0, 0, 0);
-        let first = evaluator.evaluate(&candidate, Fidelity::coarse()).unwrap();
-        let second = evaluator.evaluate(&candidate, Fidelity::coarse()).unwrap();
+        let first = evaluate_one(&evaluator, &candidate, Fidelity::coarse()).unwrap();
+        let second = evaluate_one(&evaluator, &candidate, Fidelity::coarse()).unwrap();
         assert_eq!(first, second);
         // A different fidelity is a genuinely different measurement.
-        let finer = evaluator
-            .evaluate(&candidate, Fidelity::new(3, 2, 1.0, 0.0))
-            .unwrap();
+        let finer = evaluate_one(&evaluator, &candidate, Fidelity::new(3, 2, 1.0, 0.0)).unwrap();
         assert_ne!(first, finer);
     }
 
@@ -691,7 +698,7 @@ mod tests {
         );
         let candidate = CandidateDeployment::new(vec![0, 0], 0, 0, 0, 1);
         assert!(matches!(
-            evaluator.evaluate(&candidate, Fidelity::coarse()),
+            evaluate_one(&evaluator, &candidate, Fidelity::coarse()),
             Err(EvalError::Build(_))
         ));
     }
@@ -710,11 +717,12 @@ mod tests {
         assert!(big_cap > small_cap);
         // The shed estimate orders with capacity and vanishes once the
         // fleet covers the whole curve.
-        let small_shed = evaluator.demand_shed_fraction(small_cap).unwrap();
-        let big_shed = evaluator.demand_shed_fraction(big_cap).unwrap();
+        let small_shed = evaluator.demand_shed_fraction(small_cap);
+        let big_shed = evaluator.demand_shed_fraction(big_cap);
         assert!(small_shed > slo.max_shed_fraction(), "shed {small_shed}");
         assert!(big_shed <= small_shed);
-        assert_eq!(evaluator.demand_shed_fraction(1e9), Some(0.0));
+        assert_eq!(evaluator.demand_shed_fraction(1e9), 0.0);
+        assert_eq!(evaluator.projected_shed(&small, &slo), Some(small_shed));
         // The full search screens at least the empty-ish deployments out.
         let mut cache = EvalCache::new();
         let config = SearchConfig::new()
@@ -781,26 +789,12 @@ mod tests {
     fn cache_hits_reproduce_fresh_evaluations_bit_for_bit() {
         let evaluator = evaluator();
         let candidate = CandidateDeployment::new(vec![1, 2], 1, 0, 0, 0);
+        let batch = std::slice::from_ref(&candidate);
         let mut cache = EvalCache::new();
-        let mut fresh = 0;
-        let first = evaluate_batch(
-            &mut cache,
-            &evaluator,
-            std::slice::from_ref(&candidate),
-            Fidelity::coarse(),
-            1,
-            &mut fresh,
-        );
-        assert_eq!(fresh, 1);
-        let cached = evaluate_batch(
-            &mut cache,
-            &evaluator,
-            std::slice::from_ref(&candidate),
-            Fidelity::coarse(),
-            1,
-            &mut fresh,
-        );
-        assert_eq!(fresh, 1, "second lookup is served from the cache");
+        let first = cache.score(&evaluator, batch, Fidelity::coarse(), 1);
+        assert_eq!(cache.len(), 1);
+        let cached = cache.score(&evaluator, batch, Fidelity::coarse(), 1);
+        assert_eq!(cache.len(), 1, "second lookup is served from the cache");
         assert_eq!(first, cached);
         assert_eq!(cache.hits(), 1);
     }

@@ -15,9 +15,10 @@
 //!   seeded single-dimension mutation operator.
 //! * [`slo`] — the hard constraint: median/tail latency bounds and a
 //!   shed ceiling; violators are discarded regardless of carbon.
-//! * [`evaluator`] — the black-box contract ([`Evaluator`]), the
-//!   fidelity ladder ([`Fidelity`]) and the memoised
-//!   `(fingerprint, fidelity)` cache that makes revisits free.
+//! * [`evaluator`] — the black-box contract ([`Evaluator`]: one batch
+//!   scoring method and an optional shed pre-screen), the fidelity
+//!   ladder ([`Fidelity`]) and the memoised `(fingerprint, fidelity)`
+//!   cache that scores each batch and makes revisits free.
 //! * [`fleet_eval`] — the concrete evaluator: candidates become
 //!   [`LifecycleSim`](junkyard_fleet::lifecycle::LifecycleSim) runs,
 //!   with a saturation pre-screen built on
@@ -46,6 +47,6 @@ pub use candidate::CandidateDeployment;
 pub use evaluator::{EvalCache, EvalError, Evaluation, Evaluator, Fidelity};
 pub use fleet_eval::FleetEvaluator;
 pub use pareto::pareto_indices;
-pub use search::{evaluate_batch, search, PlannedDeployment, SearchConfig, SearchOutcome};
+pub use search::{search, PlannedDeployment, SearchConfig, SearchOutcome};
 pub use slo::Slo;
 pub use space::{CohortOption, PlannerSpace};

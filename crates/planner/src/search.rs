@@ -1,12 +1,12 @@
 //! The deterministic search engine: SLO pre-screen, successive halving
 //! over simulation fidelity, and a seeded local-search mutation loop.
 //!
-//! Candidates are scored in *batches*. Each batch is composed serially
-//! against the [`EvalCache`] (so hit and miss counts are reproducible),
-//! deduplicated by fingerprint, and only the genuinely new
-//! `(candidate, fidelity)` pairs go to the evaluator as one
-//! [`Evaluator::evaluate_many`] call, with the search's slice table that
-//! the cache owns. The evaluator fans the batch out with the same
+//! Candidates are scored in *batches* through [`EvalCache::score`]: each
+//! batch is composed serially against the cache (so hit and miss counts
+//! are reproducible), deduplicated by fingerprint, and only the genuinely
+//! new `(candidate, fidelity)` pairs go to the evaluator as one
+//! [`Evaluator::evaluate`] call, with the search's slice table that the
+//! cache owns. The evaluator fans the batch out with the same
 //! order-preserving `fan_out` the sweep, fleet and lifecycle layers use:
 //! the lifecycle evaluator plans every candidate across the workers, then
 //! simulates the union of the slices the table lacks in one fan-out, so a
@@ -272,60 +272,6 @@ impl SearchOutcome {
     }
 }
 
-/// Scores `batch` at `fidelity`, serving repeats from `cache` and handing
-/// only the genuinely new candidates to the evaluator, as one
-/// [`Evaluator::evaluate_many`] batch on up to `workers` threads against
-/// the cache's slice table. Batch composition, cache bookkeeping and
-/// result placement are all serial, so outcomes and counters are
-/// identical at any worker count.
-pub fn evaluate_batch<E: Evaluator + ?Sized>(
-    cache: &mut EvalCache,
-    evaluator: &E,
-    batch: &[CandidateDeployment],
-    fidelity: Fidelity,
-    workers: usize,
-    fresh_evaluations: &mut u64,
-) -> Vec<Result<Evaluation, EvalError>> {
-    let mut slots: Vec<Option<Result<Evaluation, EvalError>>> =
-        (0..batch.len()).map(|_| None).collect();
-    // Serial pass: serve cached results, dedup the rest by fingerprint.
-    let mut pending: Vec<usize> = Vec::new();
-    // Fingerprints are probed by key; batch order alone decides
-    // result placement.
-    let mut pending_of: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut followers: Vec<(usize, usize)> = Vec::new();
-    for (index, candidate) in batch.iter().enumerate() {
-        if let Some(result) = cache.lookup(candidate, fidelity) {
-            slots[index] = Some(result);
-            continue;
-        }
-        let position = *pending_of
-            .entry(candidate.fingerprint())
-            .or_insert_with(|| {
-                pending.push(index);
-                pending.len() - 1
-            });
-        followers.push((index, position));
-    }
-
-    // The pending set, scored as one batch.
-    let candidates: Vec<&CandidateDeployment> = pending.iter().map(|&i| &batch[i]).collect();
-    let results = evaluator.evaluate_many(&candidates, fidelity, cache.slice_table(), workers);
-    *fresh_evaluations += pending.len() as u64;
-
-    // Serial pass: persist and place.
-    for (&batch_index, result) in pending.iter().zip(&results) {
-        cache.insert(&batch[batch_index], fidelity, result.clone());
-    }
-    for (slot, position) in followers {
-        slots[slot] = Some(results[position].clone());
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every batch slot is filled"))
-        .collect()
-}
-
 /// Ranking key for successive halving: feasible candidates first by
 /// carbon, then infeasible-but-measurable ones (they may pass at a finer
 /// fidelity), with the fingerprint as a total-order tie-breaker.
@@ -345,10 +291,10 @@ fn rank_key(result: &Result<Evaluation, EvalError>, slo: &Slo) -> (u8, f64) {
 /// The phases, in order:
 ///
 /// 1. **Enumerate** every valid candidate of the space.
-/// 2. **Screen** out candidates whose SLO-sustainable capacity (per the
-///    evaluator's saturation estimate) would force more shed than the
-///    SLO's ceiling over the whole horizon; pinned candidates bypass
-///    the screen and survive every rung.
+/// 2. **Screen** out candidates whose SLO-sustainable capacity would
+///    force more shed than the SLO's ceiling over the whole horizon (per
+///    [`Evaluator::projected_shed`]); pinned candidates bypass the
+///    screen and survive every rung.
 /// 3. **Successive halving**: score the survivors at each fidelity rung,
 ///    keeping the best fraction for the next (finer, costlier) rung.
 /// 4. **Local search**: mutate the elites for a few rounds at the final
@@ -388,12 +334,14 @@ pub fn search_with<E: Evaluator + ?Sized, R: Recorder>(
     recorder: &mut R,
 ) -> SearchOutcome {
     let workers = fanout::workers(config.parallelism, usize::MAX);
-    let mut fresh_evaluations = 0u64;
     // The cache may arrive pre-warmed (the doc above invites reuse);
     // report this search's own traffic, not the cache's lifetime totals.
+    // Each fresh evaluation stores exactly one entry, so the cache's
+    // growth counts them.
+    let entries_at_entry = cache.len();
     let hits_at_entry = cache.hits();
     let misses_at_entry = cache.misses();
-    let slices_at_entry = cache.slice_table().len();
+    let slices_at_entry = cache.slices_measured();
 
     // Phase 1+2: enumerate and screen. Pruning is on the *horizon-wide*
     // shed fraction a candidate's SLO-sustainable capacity would force —
@@ -413,9 +361,7 @@ pub fn search_with<E: Evaluator + ?Sized, R: Recorder>(
         let projected_shed = if is_pinned(&candidate) {
             None
         } else {
-            evaluator
-                .sustainable_capacity_qps(&candidate, slo)
-                .and_then(|sustainable| evaluator.demand_shed_fraction(sustainable))
+            evaluator.projected_shed(&candidate, slo)
         };
         let undersized = projected_shed.is_some_and(|shed| shed > slo.max_shed_fraction() + 1e-9);
         if undersized {
@@ -466,14 +412,7 @@ pub fn search_with<E: Evaluator + ?Sized, R: Recorder>(
         }
         let hits_before = cache.hits();
         let misses_before = cache.misses();
-        let results = evaluate_batch(
-            cache,
-            evaluator,
-            &rung_pop,
-            fidelity,
-            workers,
-            &mut fresh_evaluations,
-        );
+        let results = cache.score(evaluator, &rung_pop, fidelity, workers);
         if recorder.enabled() {
             recorder.count(EventKind::CacheHit, cache.hits() - hits_before);
             recorder.count(EventKind::CacheMiss, cache.misses() - misses_before);
@@ -578,14 +517,7 @@ pub fn search_with<E: Evaluator + ?Sized, R: Recorder>(
         }
         let hits_before = cache.hits();
         let misses_before = cache.misses();
-        let results = evaluate_batch(
-            cache,
-            evaluator,
-            &batch,
-            final_fidelity,
-            workers,
-            &mut fresh_evaluations,
-        );
+        let results = cache.score(evaluator, &batch, final_fidelity, workers);
         if recorder.enabled() {
             recorder.count(EventKind::CacheHit, cache.hits() - hits_before);
             recorder.count(EventKind::CacheMiss, cache.misses() - misses_before);
@@ -632,10 +564,10 @@ pub fn search_with<E: Evaluator + ?Sized, R: Recorder>(
         candidates_enumerated,
         screened_out,
         rung_populations,
-        fresh_evaluations,
+        fresh_evaluations: (cache.len() - entries_at_entry) as u64,
         cache_hits: cache.hits() - hits_at_entry,
         cache_misses: cache.misses() - misses_at_entry,
-        slices_measured: cache.slice_table().len() - slices_at_entry,
+        slices_measured: cache.slices_measured() - slices_at_entry,
     }
 }
 
@@ -644,6 +576,7 @@ mod tests {
     use super::*;
     use crate::space::CohortOption;
     use crate::testutil::{flat_region, pixel_option};
+    use junkyard_fleet::lifecycle::MeasuredSlices;
 
     /// A pure synthetic evaluator: every metric is a deterministic
     /// function of the candidate's indices, so the search machinery can
@@ -665,28 +598,35 @@ mod tests {
     impl Evaluator for Synthetic {
         fn evaluate(
             &self,
-            candidate: &CandidateDeployment,
+            candidates: &[&CandidateDeployment],
             fidelity: Fidelity,
-        ) -> Result<Evaluation, EvalError> {
-            let devices: usize = candidate.site_cohorts().iter().map(|&c| c * 2).sum();
-            // Latency violates the SLO when both regions pick the small
-            // cohort 1 without any fallback.
-            let undersized =
-                candidate.site_cohorts().iter().all(|&c| c <= 1) && candidate.fallback() == 0;
-            let median = if undersized { 90.0 } else { 12.0 };
-            // The coarse rung under-reports latency slightly; metrics
-            // stay a pure function of (candidate, fidelity).
-            let scale = 1.0 + fidelity.horizon_days() as f64 / 100.0;
-            Ok(Evaluation::new(
-                Some(Self::grams(candidate)),
-                median * scale,
-                median * 2.0 * scale,
-                median * 3.0 * scale,
-                0.0,
-                1_000.0,
-                Self::grams(candidate),
-                devices,
-            ))
+            _: &mut MeasuredSlices,
+            _: usize,
+        ) -> Vec<Result<Evaluation, EvalError>> {
+            candidates
+                .iter()
+                .map(|&candidate| {
+                    let devices: usize = candidate.site_cohorts().iter().map(|&c| c * 2).sum();
+                    // Latency violates the SLO when both regions pick the
+                    // small cohort 1 without any fallback.
+                    let undersized = candidate.site_cohorts().iter().all(|&c| c <= 1)
+                        && candidate.fallback() == 0;
+                    let median = if undersized { 90.0 } else { 12.0 };
+                    // The coarse rung under-reports latency slightly;
+                    // metrics stay a pure function of (candidate, fidelity).
+                    let scale = 1.0 + fidelity.horizon_days() as f64 / 100.0;
+                    Ok(Evaluation::new(
+                        Some(Self::grams(candidate)),
+                        median * scale,
+                        median * 2.0 * scale,
+                        median * 3.0 * scale,
+                        0.0,
+                        1_000.0,
+                        Self::grams(candidate),
+                        devices,
+                    ))
+                })
+                .collect()
         }
     }
 
@@ -732,7 +672,6 @@ mod tests {
         assert!(outcome.cache_hit_rate() > 0.0);
         // The synthetic evaluator simulates nothing.
         assert_eq!(outcome.slices_measured(), 0);
-        assert!(cache.slice_table().is_empty());
     }
 
     #[test]
@@ -764,18 +703,16 @@ mod tests {
         let slo = Slo::new(50.0, 120.0);
         let mut cache = EvalCache::new();
         let first = search(&space, &Synthetic, &slo, &config(), &mut cache);
-        // A second search over a warm cache runs zero new simulations
-        // and reproduces the outcome except for the counter totals.
-        let mut fresh = 0u64;
-        let rerun = evaluate_batch(
-            &mut cache,
+        // Re-scoring the argmin over the warm cache runs zero new
+        // simulations and reproduces its final-fidelity evaluation.
+        let entries = cache.len();
+        let rerun = cache.score(
             &Synthetic,
             &[first.best().unwrap().candidate().clone()],
             first.final_fidelity(),
             2,
-            &mut fresh,
         );
-        assert_eq!(fresh, 0, "warm cache re-evaluates nothing");
+        assert_eq!(cache.len(), entries, "warm cache re-evaluates nothing");
         assert_eq!(
             rerun[0].as_ref().unwrap(),
             first.best().unwrap().evaluation()

@@ -5,6 +5,7 @@
 
 use junkyard::carbon::units::{CarbonIntensity, TimeSpan};
 use junkyard::devices::catalog;
+use junkyard::fleet::lifecycle::MeasuredSlices;
 use junkyard::fleet::routing::RoutingPolicy;
 use junkyard::fleet::schedule::DiurnalSchedule;
 use junkyard::fleet::site::GridRegion;
@@ -13,8 +14,7 @@ use junkyard::grid::trace::IntensityTrace;
 use junkyard::microsim::app::hotel_reservation;
 use junkyard::microsim::network::NetworkModel;
 use junkyard::planner::{
-    evaluate_batch, search, CohortOption, EvalCache, Fidelity, FleetEvaluator, PlannerSpace,
-    SearchConfig, Slo,
+    search, CohortOption, EvalCache, Fidelity, FleetEvaluator, PlannerSpace, SearchConfig, Slo,
 };
 use proptest::prelude::*;
 
@@ -112,15 +112,11 @@ proptest! {
         prop_assert_eq!(&fresh_a, &fresh_b);
         // … and the cached replay is the same bits with no new runs.
         let mut cache = EvalCache::new();
-        let mut fresh_count = 0;
-        let first = evaluate_batch(
-            &mut cache, &evaluator, std::slice::from_ref(&candidate), fidelity, 1, &mut fresh_count,
-        );
-        prop_assert_eq!(fresh_count, 1);
-        let replay = evaluate_batch(
-            &mut cache, &evaluator, std::slice::from_ref(&candidate), fidelity, 1, &mut fresh_count,
-        );
-        prop_assert_eq!(fresh_count, 1, "replay must be served from the cache");
+        let batch = std::slice::from_ref(&candidate);
+        let first = cache.score(&evaluator, batch, fidelity, 1);
+        prop_assert_eq!(cache.len(), 1);
+        let replay = cache.score(&evaluator, batch, fidelity, 1);
+        prop_assert_eq!(cache.len(), 1, "replay must be served from the cache");
         prop_assert_eq!(&first, &replay);
         prop_assert_eq!(first[0].clone().unwrap(), fresh_a);
     }
@@ -156,7 +152,8 @@ proptest! {
     }
 }
 
-/// Scores one candidate directly through the [`junkyard::planner::Evaluator`] trait.
+/// Scores one candidate alone, on a fresh slice table, directly through
+/// the [`junkyard::planner::Evaluator`] trait.
 fn evaluator_eval(
     evaluator: &FleetEvaluator,
     candidate: &junkyard::planner::CandidateDeployment,
@@ -164,6 +161,8 @@ fn evaluator_eval(
 ) -> junkyard::planner::Evaluation {
     use junkyard::planner::Evaluator as _;
     evaluator
-        .evaluate(candidate, fidelity)
+        .evaluate(&[candidate], fidelity, &mut MeasuredSlices::new(), 2)
+        .pop()
+        .expect("one result per candidate")
         .expect("pixel cohorts build and simulate")
 }
