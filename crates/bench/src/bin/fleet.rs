@@ -40,7 +40,7 @@ fn main() {
     println!(
         "carbon-aware saves {:.1}% ({} windows, {} sites)",
         result.savings_percent(),
-        result.baseline().windows(),
+        result.baseline().window_health().len(),
         result.baseline().site_names().len(),
     );
 

@@ -6,19 +6,20 @@
 //! grid and its antipodal twin), with a c5.9xlarge datacenter backend on a
 //! flat gas-heavy grid. A diurnal compose-post load is routed across the
 //! three either with the paper's static capacity-proportional placement or
-//! with the carbon-aware policy that fills the cleanest region first; the
-//! fleet simulation measures serving performance per window with the
-//! compiled microsim engine and integrates operational plus amortised
-//! embodied carbon into gCO2e per request.
+//! with the carbon-aware policy that fills the cleanest region first. The
+//! three sites are leased [`LifecycleSite`]s of a one-day [`LifecycleSim`],
+//! which measures serving performance per window with the compiled
+//! microsim engine and integrates operational plus amortised embodied
+//! carbon into gCO2e per request.
 
+use junkyard_carbon::convert::count_f64;
 use junkyard_carbon::embodied::battery_replacement_carbon;
 use junkyard_carbon::units::{GramsCo2e, TimeSpan, Watts};
 use junkyard_devices::catalog;
 use junkyard_devices::components::ComponentBreakdown;
-use junkyard_fleet::lifecycle::LifecycleConfig;
+use junkyard_fleet::lifecycle::{LifecycleConfig, LifecycleResult, LifecycleSim, LifecycleSite};
 use junkyard_fleet::routing::RoutingPolicy;
 use junkyard_fleet::schedule::DiurnalSchedule;
-use junkyard_fleet::sim::{FleetResult, FleetSim};
 use junkyard_fleet::site::{second_life_embodied, smart_charging_scale, FleetSite, GridRegion};
 use junkyard_grid::synth::CaisoSynthesizer;
 use junkyard_grid::trace::IntensityTrace;
@@ -52,7 +53,8 @@ pub struct FleetStudy {
 
 impl FleetStudy {
     /// The full-scale study: one simulated day in 24 one-hour windows, a
-    /// 4-second measured slice per cell, a 4,000-QPS peak-hour demand.
+    /// 4-second measured slice per window load, a 4,000-QPS peak-hour
+    /// demand.
     #[must_use]
     pub fn paper_scale() -> Self {
         Self {
@@ -171,17 +173,19 @@ impl FleetStudy {
         CloudletWorkload::SocialNetworkWrite.paper_phone_qps()
     }
 
-    /// Assembles the three-site fleet under `policy`.
+    /// Assembles the three-site fleet under `policy`: a one-day
+    /// [`LifecycleSim`] whose sites are all leased, so capacity, power and
+    /// embodied carbon hold every window.
     ///
     /// # Errors
     ///
     /// Returns [`DeploymentError`] if any site cannot be built.
-    pub fn build_fleet(&self, policy: RoutingPolicy) -> Result<FleetSim, DeploymentError> {
+    pub fn build_fleet(&self, policy: RoutingPolicy) -> Result<LifecycleSim, DeploymentError> {
         let (west, east) = self.two_region_traces();
         let sites = vec![
-            self.phone_site("cloudlet-west", west)?,
-            self.phone_site("cloudlet-east", east)?,
-            c5_datacenter_site("datacenter")?,
+            LifecycleSite::try_leased(self.phone_site("cloudlet-west", west)?)?,
+            LifecycleSite::try_leased(self.phone_site("cloudlet-east", east)?)?,
+            LifecycleSite::try_leased(c5_datacenter_site("datacenter")?)?,
         ];
         let schedule = DiurnalSchedule::office_day(BASE_QPS);
         let mut config = LifecycleConfig::days(1)
@@ -192,7 +196,7 @@ impl FleetStudy {
         if let Some(workers) = self.parallelism {
             config = config.parallelism(workers);
         }
-        Ok(FleetSim::new(sites, schedule, policy, config))
+        Ok(LifecycleSim::new(sites, schedule, policy, config))
     }
 
     /// Runs the study: the static-placement baseline and the carbon-aware
@@ -203,18 +207,14 @@ impl FleetStudy {
     /// Returns [`DeploymentError`] if a deployment cannot be built or a
     /// simulation fails.
     pub fn run(&self) -> Result<FleetStudyResult, DeploymentError> {
-        // Build the fleet once — sites (compiled simulations, traces,
-        // smart-charging scales) are policy-independent — and rerun it
-        // under each routing policy.
-        let fleet = self.build_fleet(RoutingPolicy::Static)?;
-        let baseline = fleet.run().map_err(DeploymentError::Sim)?;
-        let carbon_aware = fleet
-            .with_policy(RoutingPolicy::CarbonAware)
-            .run()
-            .map_err(DeploymentError::Sim)?;
+        let run = |policy| {
+            self.build_fleet(policy)?
+                .run()
+                .map_err(DeploymentError::Sim)
+        };
         Ok(FleetStudyResult {
-            baseline,
-            carbon_aware,
+            baseline: run(RoutingPolicy::Static)?,
+            carbon_aware: run(RoutingPolicy::CarbonAware)?,
         })
     }
 }
@@ -222,20 +222,20 @@ impl FleetStudy {
 /// Result of the fleet study: the same fleet under both routing policies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetStudyResult {
-    baseline: FleetResult,
-    carbon_aware: FleetResult,
+    baseline: LifecycleResult,
+    carbon_aware: LifecycleResult,
 }
 
 impl FleetStudyResult {
     /// The static-placement baseline.
     #[must_use]
-    pub fn baseline(&self) -> &FleetResult {
+    pub fn baseline(&self) -> &LifecycleResult {
         &self.baseline
     }
 
     /// The carbon-aware run.
     #[must_use]
-    pub fn carbon_aware(&self) -> &FleetResult {
+    pub fn carbon_aware(&self) -> &LifecycleResult {
         &self.carbon_aware
     }
 
@@ -254,20 +254,23 @@ impl FleetStudyResult {
         (1.0 - aware / base) * 100.0
     }
 
-    /// Carbon per request over the day, one line per policy.
+    /// Carbon per request at each site over the day, one line per policy.
+    /// A site the policy sent no traffic to has no point.
     #[must_use]
     pub fn chart(&self) -> Chart {
         let mut chart = Chart::new(
-            "fleet — carbon per request over the day",
-            "window start (hours)",
+            "fleet — carbon per request by site",
+            "site (0 = cloudlet-west, 1 = cloudlet-east, 2 = datacenter)",
             "mgCO2e/request",
         );
         for result in [&self.baseline, &self.carbon_aware] {
-            let points = (0..result.windows())
-                .filter_map(|w| {
-                    result
-                        .window_grams_per_request(w)
-                        .map(|g| (result.window_duration().hours() * w as f64, g * 1_000.0))
+            let points = (0..result.site_names().len())
+                .filter_map(|site| {
+                    let cell = result.cell(0, site);
+                    (cell.requests() > 0.0).then(|| {
+                        let grams = cell.carbon().grams() / cell.requests();
+                        (count_f64(site), grams * 1_000.0)
+                    })
                 })
                 .collect();
             chart.push_line(SeriesLine::new(result.policy().label(), points));
@@ -290,12 +293,14 @@ impl FleetStudyResult {
         );
         for result in [&self.baseline, &self.carbon_aware] {
             for (site, name) in result.site_names().iter().enumerate() {
+                // One day is one (year, site) cell per site.
+                let cell = result.cell(0, site);
                 table.push_row(vec![
                     result.policy().label().to_owned(),
                     name.clone(),
-                    format!("{:.3}", result.site_requests(site) / 1e6),
-                    format!("{:.2}", result.site_carbon(site).kilograms()),
-                    format!("{:.1}", result.site_worst_tail_ms(site)),
+                    format!("{:.3}", cell.requests() / 1e6),
+                    format!("{:.2}", cell.carbon().kilograms()),
+                    format!("{:.1}", cell.worst_tail_ms()),
                 ]);
             }
         }
@@ -367,6 +372,5 @@ mod tests {
         // Smart charging saves a few percent of operational carbon.
         let scale = site.operational_scale_factor();
         assert!(scale < 1.0 && scale > 0.8, "scale {scale}");
-        assert!(site.power_at(0.0).value() > 0.0);
     }
 }

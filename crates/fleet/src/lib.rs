@@ -12,22 +12,13 @@
 //! * [`site`] — [`FleetSite`], the one fixed-capacity site model: one
 //!   compiled cloudlet (or datacenter backend) simulation, its grid
 //!   region, its power model and its amortised embodied carbon (via the
-//!   paper's Reuse Factor, Eq. 8). The lifecycle's leased backend is a
-//!   `FleetSite`, and [`FleetSite::scaled`] rents a share of one.
+//!   paper's Reuse Factor, Eq. 8). Wrapped by
+//!   [`LifecycleSite::try_leased`] it is a leased lifecycle site, and
+//!   [`FleetSite::scaled`] rents a share of one.
 //! * [`routing`] — per-window traffic assignment: the paper's static
 //!   placement as baseline, and a carbon-aware policy that shifts load
 //!   towards the region that is cleanest *right now*; plus the route
-//!   tracing both simulators share.
-//! * [`sim`] — [`FleetSim`]: drives every
-//!   (window, site) cell through the compiled engine, integrates
-//!   operational carbon from measured utilisation and amortised embodied
-//!   carbon per window, and reports fleet-wide gCO2e per request. Cells
-//!   fan out with `junkyard_microsim::fanout::fan_out`, which returns
-//!   them in cell order, so results are identical serial or threaded.
-//!   The module also holds the one slice measurement (warm-up, ramp,
-//!   whole-second utilisation buckets, percentiles, drop fraction) that
-//!   [`FleetSim`] and [`LifecycleSim`] both run, configured by the one
-//!   [`LifecycleConfig`] both take.
+//!   tracing.
 //! * [`faults`] — correlated fault injection and the failure-aware
 //!   serving path: deterministic [`FaultPlan`]s of
 //!   grid outages, firmware-batch failures and thermal shutdowns; a
@@ -36,25 +27,30 @@
 //!   attempt charged its carbon; and a degradation ladder
 //!   (reroute → shed low-priority → brown-out) when retries exhaust.
 //!   Every lifecycle window is resolved through it.
-//! * [`lifecycle`] — [`LifecycleSim`]: the
-//!   multi-year coupling of all of the above. Device cohorts wear their
-//!   batteries day by day under the simulated smart-charging schedule,
-//!   fail stochastically and are refilled from junkyard stock; routing
-//!   re-plans every window as capacity shrinks and recovers. A run is
-//!   planned, measured and accounted: [`LifecycleSim::run_batch`] takes
-//!   the plans of several fleets, runs the union of their distinct
-//!   microsim slices in one `fan_out`, and keeps them in a caller-owned
-//!   [`MeasuredSlices`] table, so a slice shared between fleets or
-//!   batches is measured once.
+//! * [`lifecycle`] — [`LifecycleSim`], the crate's one fleet engine:
+//!   the coupling of all of the above over any horizon, one day of
+//!   leased sites (the carbon-aware fleet study) to a decade of device
+//!   cohorts. Cohorts wear their batteries day by day under the
+//!   simulated smart-charging schedule, fail stochastically and are
+//!   refilled from junkyard stock; routing re-plans every window as
+//!   capacity shrinks and recovers. Each window is priced from one
+//!   measured microsim slice (warm-up, ramp, whole-second utilisation
+//!   buckets, percentiles, drop fraction): operational carbon from the
+//!   measured utilisation plus embodied carbon amortised per day gives
+//!   gCO2e per request. A run is planned, measured and accounted:
+//!   [`LifecycleSim::run_batch`] takes the plans of several fleets, runs
+//!   the union of their distinct microsim slices in one `fan_out`, and
+//!   keeps them in a caller-owned [`MeasuredSlices`] table, so a slice
+//!   shared between fleets or batches is measured once. Slices come back
+//!   in plan order, so results are identical serial or threaded.
 //!
 //! # Example
 //!
 //! ```
 //! use junkyard_carbon::units::{CarbonIntensity, TimeSpan, Watts};
-//! use junkyard_fleet::lifecycle::LifecycleConfig;
+//! use junkyard_fleet::lifecycle::{LifecycleConfig, LifecycleSim, LifecycleSite};
 //! use junkyard_fleet::routing::RoutingPolicy;
 //! use junkyard_fleet::schedule::DiurnalSchedule;
-//! use junkyard_fleet::sim::FleetSim;
 //! use junkyard_fleet::site::{FleetSite, GridRegion};
 //! use junkyard_grid::trace::IntensityTrace;
 //! use junkyard_microsim::app::hotel_reservation;
@@ -79,8 +75,8 @@
 //! let site = FleetSite::new("two-phones", &sim, region, 800.0)
 //!     .power(Watts::new(1.5), Watts::new(2.8));
 //!
-//! let fleet = FleetSim::new(
-//!     vec![site],
+//! let fleet = LifecycleSim::new(
+//!     vec![LifecycleSite::try_leased(site).unwrap()],
 //!     DiurnalSchedule::flat(150.0),
 //!     RoutingPolicy::Static,
 //!     LifecycleConfig::days(1).windows_per_day(4).sim_slice_s(1.0).warmup_s(0.0),
@@ -96,7 +92,6 @@ pub mod faults;
 pub mod lifecycle;
 pub mod routing;
 pub mod schedule;
-pub mod sim;
 pub mod site;
 #[cfg(test)]
 pub(crate) mod testutil;
@@ -110,5 +105,4 @@ pub use lifecycle::{
 };
 pub use routing::{RoutingPolicy, SiteWindowInput, WindowAssignment};
 pub use schedule::{DiurnalSchedule, LoadWindow};
-pub use sim::{FleetCell, FleetResult, FleetSim};
 pub use site::{second_life_embodied, smart_charging_scale, FleetSite, GridRegion};

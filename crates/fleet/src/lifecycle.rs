@@ -1,6 +1,7 @@
-//! Multi-year, day-stepped fleet lifecycle simulation, and the one run
-//! config ([`LifecycleConfig`]) that it and the per-window fleet engine
-//! take.
+//! Multi-year, day-stepped fleet lifecycle simulation, the crate's one
+//! fleet engine, and its run config ([`LifecycleConfig`]). A one-day run
+//! over leased sites is the per-window fleet study; a decade over device
+//! cohorts is the lifecycle study.
 //!
 //! The paper's headline claim rests on *amortisation over time*: a
 //! junk-phone cloudlet only beats a cloud instance on lifetime carbon if
@@ -65,7 +66,7 @@ use junkyard_battery::charging::SmartChargePolicy;
 use junkyard_battery::sim::simulate_day;
 use junkyard_battery::state::BatteryState;
 use junkyard_battery::trace_ext::DayStats;
-use junkyard_carbon::convert::{count_f64, counts_ratio, index_u64, unit_draw};
+use junkyard_carbon::convert::{count_f64, counts_ratio, floor_index, index_u64, unit_draw};
 use junkyard_carbon::units::{CarbonIntensity, GramsCo2e, Millis, Qps, TimeSpan, Watts};
 use junkyard_devices::battery::BatterySpec;
 use junkyard_devices::components::ComponentBreakdown;
@@ -74,7 +75,7 @@ use junkyard_devices::power::LoadProfile;
 use junkyard_grid::trace::IntensityTrace;
 use junkyard_microsim::compiled::CompiledSim;
 use junkyard_microsim::fanout::{self, fan_out};
-use junkyard_microsim::sim::{SimError, Simulation};
+use junkyard_microsim::sim::{Phase, SimError, Simulation, Workload};
 use junkyard_microsim::sweep::decorrelate_seed;
 use junkyard_obs::{ConservedLedger, EventKind, NoopRecorder, Recorder, TraceEvent};
 
@@ -82,10 +83,9 @@ use crate::faults::{
     resolve_window, FaultConfig, FaultPlan, ResiliencePolicy, RetryPolicy, WindowResolution,
 };
 use crate::routing::{
-    plan_window_inputs, record_routes, RoutingPolicy, SiteWindowInput, WindowAssignment,
+    plan_window, record_routes, RoutingPolicy, SiteWindowInput, WindowAssignment,
 };
 use crate::schedule::{DiurnalSchedule, LoadWindow};
-use crate::sim::{measure_slice, SliceMeasure};
 use crate::site::{second_life_embodied, FleetSite, GridRegion};
 
 /// Days per simulated year (the lifecycle steps whole days; leap days are
@@ -332,10 +332,11 @@ impl LifecycleSite {
         })
     }
 
-    /// Creates a leased site (the datacenter backend) from a fixed-capacity
-    /// [`FleetSite`]: its capacity, power model, operational scale and
-    /// request type hold every day of the horizon, and its embodied
-    /// carbon is charged a day's share of its lease each day.
+    /// Creates a leased site from a fixed-capacity [`FleetSite`] (the
+    /// datacenter backend, or any site of the one-day fleet study): its
+    /// capacity, power model, operational scale and request type hold
+    /// every day of the horizon, and its embodied carbon is charged a
+    /// day's share of its lease each day.
     ///
     /// # Errors
     ///
@@ -486,12 +487,9 @@ impl LifecycleSite {
     }
 }
 
-/// The one run config of both fleet engines, [`FleetSim`] and
-/// [`LifecycleSim`]: the horizon in days, the routing/accounting windows
-/// per day, the measured microsim slice and its warm-up, the root seed
-/// and the worker cap.
-///
-/// [`FleetSim`]: crate::sim::FleetSim
+/// The run config of a [`LifecycleSim`]: the horizon in days, the
+/// routing/accounting windows per day, the measured microsim slice and its
+/// warm-up, the root seed and the worker cap.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LifecycleConfig {
     pub(crate) days: usize,
@@ -1198,6 +1196,77 @@ impl LifecycleResult {
     }
 }
 
+/// What one microsim slice measured: the utilisation that prices the
+/// window's energy, the latency percentiles the SLO hooks track, and the
+/// fraction of accepted requests dropped at bounded queues.
+#[derive(Debug, Clone, Copy)]
+struct SliceMeasure {
+    utilization: f64,
+    median: Millis,
+    tail: Millis,
+    p99: Millis,
+    drop_fraction: f64,
+}
+
+impl SliceMeasure {
+    /// The measure of a slice nothing was delivered to: no simulation
+    /// runs, so no utilisation, latency or drops.
+    const IDLE: Self = Self {
+        utilization: 0.0,
+        median: Millis::from_millis(0.0),
+        tail: Millis::from_millis(0.0),
+        p99: Millis::from_millis(0.0),
+        drop_fraction: 0.0,
+    };
+}
+
+/// Runs one representative microsim slice of a window — `warmup` at the
+/// start rate, then `slice` ramping from the start to the end rate — and
+/// measures it over the ramp alone.
+///
+/// The warm-up and slice are whole seconds (the run config enforces it), so
+/// the bucket range covers exactly the measured slice: no warm-up work
+/// leaks in and no partial trailing one-second utilisation bucket
+/// dilutes it.
+fn measure_slice(
+    sim: &CompiledSim,
+    request_type: Option<&str>,
+    warmup: TimeSpan,
+    slice: TimeSpan,
+    start: Qps,
+    end: Qps,
+    seed: u64,
+) -> Result<SliceMeasure, SimError> {
+    let warm = warmup.seconds();
+    let slice = slice.seconds();
+    let (qps_start, qps_end) = (start.per_second(), end.per_second());
+    let mut phases = Vec::with_capacity(2);
+    if warm > 0.0 {
+        phases.push(Phase::new(qps_start, warm, request_type));
+    }
+    phases.push(Phase::ramp(qps_start, qps_end, slice, request_type));
+    let metrics = sim.run(&Workload::phased(phases, seed))?;
+    let stats = metrics.latency_stats_between(warm, warm + slice);
+    let from_bucket = floor_index(warm);
+    let to_bucket = floor_index(warm + slice);
+    let nodes = metrics.node_utilization();
+    let utilization = nodes
+        .iter()
+        .map(|u| u.mean_percent_between(from_bucket, to_bucket))
+        .sum::<f64>()
+        / count_f64(nodes.len())
+        / 100.0;
+    Ok(SliceMeasure {
+        utilization,
+        median: Millis::from_millis(stats.median_ms().unwrap_or(0.0)),
+        tail: Millis::from_millis(stats.tail_ms().unwrap_or(0.0)),
+        p99: Millis::from_millis(stats.p99_ms().unwrap_or(0.0)),
+        // The slice's drop share extrapolates to the window the same way
+        // latency and utilisation do (0.0 for zero-offered slices).
+        drop_fraction: metrics.drop_fraction_between(warm, warm + slice),
+    })
+}
+
 /// A site's compiled simulation and request-type restriction: what its
 /// slices run on.
 type ServingSim = (Arc<CompiledSim>, Option<String>);
@@ -1672,7 +1741,7 @@ impl LifecycleSim {
                     intensity: window_intensities[s],
                 })
                 .collect();
-            let plan = plan_window_inputs(self.policy, &inputs, window);
+            let plan = plan_window(self.policy, &inputs, window);
             record_routes(
                 recorder,
                 window,
@@ -2665,6 +2734,26 @@ mod tests {
     }
 
     #[test]
+    fn idle_fleet_still_pays_idle_power_and_embodied() {
+        let sim = LifecycleSim::new(
+            vec![leased_site(500.0)],
+            DiurnalSchedule::flat(0.0),
+            RoutingPolicy::Static,
+            quick(LifecycleConfig::days(1)),
+        );
+        let mut slices = MeasuredSlices::new();
+        let result = run_through(&sim, &mut slices).unwrap();
+        // Nothing was offered, so no slice ran and nothing was served...
+        assert!(slices.is_empty());
+        assert_eq!(result.offered_requests(), 0.0);
+        assert!(result.grams_per_request().is_none());
+        assert_eq!(result.worst_tail_ms(), 0.0);
+        // ...but the site still draws idle power and amortises its lease.
+        assert!(result.total_operational().grams() > 0.0);
+        assert!(result.total_embodied().grams() > 0.0);
+    }
+
+    #[test]
     fn trajectory_amortises_the_install_over_years() {
         let sim = LifecycleSim::new(
             vec![cohort_site(11, 3)],
@@ -2971,6 +3060,17 @@ mod tests {
         assert!(result.router_declined_requests() > 0.0);
         assert_eq!(result.failed_requests(), 0.0);
         assert_eq!(result.availability(), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one site")]
+    fn empty_fleet_panics() {
+        let _ = LifecycleSim::new(
+            vec![],
+            DiurnalSchedule::flat(10.0),
+            RoutingPolicy::Static,
+            LifecycleConfig::days(1),
+        );
     }
 
     #[test]

@@ -27,14 +27,14 @@
 //! * **Queue dropped** — requests a site *accepted* but then lost at a
 //!   bounded application queue inside the microsim (see
 //!   `junkyard_microsim::ServerModel::with_queue_size`). The router never
-//!   sees these; the fleet and lifecycle simulators measure them per cell
-//!   and surface them as `queue_dropped_requests`.
+//!   sees these; the lifecycle simulator measures them per slice and
+//!   surfaces them as `queue_dropped_requests`.
 //!
 //! Fleet-level *shed* is the sum of the two. At this layer nothing has
 //! been simulated yet, so a [`WindowAssignment`] reports only the
 //! declined component.
 //!
-//! Both simulators trace each window's plan through one crate-private
+//! The simulator traces each window's plan through the crate-private
 //! `record_routes`: a `route` event per site that took traffic and one
 //! for the declined demand, recorded on the serial side before any
 //! slice runs.
@@ -43,7 +43,6 @@ use junkyard_carbon::units::CarbonIntensity;
 use junkyard_obs::{EventKind, Recorder, TraceEvent};
 
 use crate::schedule::LoadWindow;
-use crate::site::FleetSite;
 
 /// A traffic-assignment policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,7 +103,7 @@ impl WindowAssignment {
 /// The per-site facts a routing policy needs to split one window: how
 /// much the site can take and how dirty its grid is over the window. The
 /// lifecycle simulator re-plans every window from these as cohort
-/// capacity shrinks and recovers, without rebuilding [`FleetSite`]s.
+/// capacity shrinks and recovers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SiteWindowInput {
     /// Highest offered load the router may assign, requests/second.
@@ -113,33 +112,14 @@ pub struct SiteWindowInput {
     pub intensity: CarbonIntensity,
 }
 
-/// Plans one window's assignment under `policy`.
+/// Plans one window's assignment under `policy` from each site's
+/// capacity and window-mean intensity.
 ///
 /// The split is computed against the window's *peak* rate, so the
 /// per-site assignment respects the capacity cap at every instant of the
 /// window, not just on average.
 #[must_use]
 pub fn plan_window(
-    policy: RoutingPolicy,
-    sites: &[FleetSite],
-    window: &LoadWindow,
-) -> WindowAssignment {
-    let inputs: Vec<SiteWindowInput> = sites
-        .iter()
-        .map(|s| SiteWindowInput {
-            capacity_qps: s.capacity_qps(),
-            intensity: s
-                .region()
-                .mean_intensity_between(window.start(), window.end()),
-        })
-        .collect();
-    plan_window_inputs(policy, &inputs, window)
-}
-
-/// Plans one window's assignment from pre-computed per-site inputs (see
-/// [`plan_window`] for the capacity semantics).
-#[must_use]
-pub fn plan_window_inputs(
     policy: RoutingPolicy,
     sites: &[SiteWindowInput],
     window: &LoadWindow,
@@ -206,8 +186,8 @@ pub fn plan_window_inputs(
 
 /// Traces one window's routing decisions: a `route` event per site the
 /// plan assigned traffic to, keyed by `site_names` in fleet site order,
-/// and one for the demand it declined. Both fleet engines call this on
-/// their serial side, so tracing never touches the measured results.
+/// and one for the demand it declined. The lifecycle calls this on its
+/// serial side, so tracing never touches the measured results.
 pub(crate) fn record_routes<'a, R: Recorder>(
     recorder: &mut R,
     window: &LoadWindow,
@@ -236,10 +216,12 @@ pub(crate) fn record_routes<'a, R: Recorder>(
 mod tests {
     use super::*;
     use crate::schedule::DiurnalSchedule;
-    use crate::testutil::{flat_region, tiny_sim};
 
-    fn site(name: &str, grams: f64, capacity: f64) -> FleetSite {
-        FleetSite::new(name, &tiny_sim(), flat_region(grams), capacity)
+    fn site(grams: f64, capacity_qps: f64) -> SiteWindowInput {
+        SiteWindowInput {
+            capacity_qps,
+            intensity: CarbonIntensity::from_grams_per_kwh(grams),
+        }
     }
 
     fn one_window(qps: f64) -> LoadWindow {
@@ -248,7 +230,7 @@ mod tests {
 
     #[test]
     fn static_shares_are_capacity_proportional() {
-        let sites = vec![site("a", 300.0, 600.0), site("b", 200.0, 200.0)];
+        let sites = [site(300.0, 600.0), site(200.0, 200.0)];
         let plan = plan_window(RoutingPolicy::Static, &sites, &one_window(400.0));
         assert!((plan.site_mean_qps(0) - 300.0).abs() < 1e-9);
         assert!((plan.site_mean_qps(1) - 100.0).abs() < 1e-9);
@@ -257,7 +239,7 @@ mod tests {
 
     #[test]
     fn carbon_aware_fills_the_cleanest_region_first() {
-        let sites = vec![site("dirty", 400.0, 600.0), site("clean", 100.0, 600.0)];
+        let sites = [site(400.0, 600.0), site(100.0, 600.0)];
         let plan = plan_window(RoutingPolicy::CarbonAware, &sites, &one_window(500.0));
         // The clean site absorbs everything it can before the dirty one.
         assert!((plan.site_mean_qps(1) - 500.0).abs() < 1e-9);
@@ -270,13 +252,13 @@ mod tests {
 
     #[test]
     fn both_policies_respect_capacity_and_record_shed() {
-        let sites = vec![site("a", 300.0, 400.0), site("b", 200.0, 100.0)];
+        let sites = [site(300.0, 400.0), site(200.0, 100.0)];
         for policy in [RoutingPolicy::Static, RoutingPolicy::CarbonAware] {
             let plan = plan_window(policy, &sites, &one_window(1_000.0));
             for (i, s) in sites.iter().enumerate() {
                 let (start, end) = plan.shares()[i];
-                assert!(start <= s.capacity_qps() + 1e-9);
-                assert!(end <= s.capacity_qps() + 1e-9);
+                assert!(start <= s.capacity_qps + 1e-9);
+                assert!(end <= s.capacity_qps + 1e-9);
             }
             let placed: f64 = (0..sites.len()).map(|i| plan.site_mean_qps(i)).sum();
             assert!((placed + plan.declined_mean_qps() - 1_000.0).abs() < 1e-9);
@@ -289,8 +271,11 @@ mod tests {
 
     #[test]
     fn idle_windows_assign_nothing() {
-        let sites = vec![site("a", 100.0, 1_000.0)];
-        let plan = plan_window(RoutingPolicy::Static, &sites, &one_window(0.0));
+        let plan = plan_window(
+            RoutingPolicy::Static,
+            &[site(100.0, 1_000.0)],
+            &one_window(0.0),
+        );
         assert_eq!(plan.shares(), &[(0.0, 0.0)]);
         assert_eq!(plan.declined_mean_qps(), 0.0);
     }

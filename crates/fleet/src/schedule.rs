@@ -7,7 +7,7 @@
 //! of a base rate, linearly interpolated between hours and periodic by
 //! day. It holds one day: the run config's horizon says how many days
 //! [`DiurnalSchedule::windows`] tiles it over, as [`LoadWindow`]s — the
-//! accounting granularity of both fleet engines.
+//! routing and slice granularity of the lifecycle engine.
 
 use junkyard_carbon::convert::{count_f64, floor_index};
 use junkyard_carbon::units::TimeSpan;

@@ -155,8 +155,7 @@ impl FleetSite {
     }
 
     /// Sets the attributable embodied carbon and the lifetime it amortises
-    /// over: each accounting window is charged
-    /// `embodied * window / amortization`.
+    /// over: each simulated day is charged `embodied * day / amortization`.
     ///
     /// # Panics
     ///
@@ -253,13 +252,7 @@ impl FleetSite {
         self.dynamic_power
     }
 
-    /// Electrical power at `utilization` (0–1).
-    #[must_use]
-    pub fn power_at(&self, utilization: f64) -> Watts {
-        self.idle_power + self.dynamic_power * utilization.clamp(0.0, 1.0)
-    }
-
-    /// Embodied carbon charged to one window of `duration`.
+    /// Embodied carbon amortised over `duration`.
     #[must_use]
     pub fn embodied_over(&self, duration: TimeSpan) -> GramsCo2e {
         self.embodied * (duration.seconds() / self.amortization.seconds())
@@ -291,17 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn power_model_interpolates_between_idle_and_full_load() {
-        let site = FleetSite::new("s", &tiny_sim(), flat_region(257.0), 500.0)
-            .power(Watts::new(7.0), Watts::new(14.0));
-        assert!((site.power_at(0.0).value() - 7.0).abs() < 1e-9);
-        assert!((site.power_at(0.5).value() - 14.0).abs() < 1e-9);
-        assert!((site.power_at(1.0).value() - 21.0).abs() < 1e-9);
-        // Utilisation clamps.
-        assert!((site.power_at(1.7).value() - 21.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn embodied_amortises_linearly_over_the_lifetime() {
         let site = FleetSite::new("s", &tiny_sim(), flat_region(257.0), 500.0)
             .embodied(GramsCo2e::from_kilograms(36.0), TimeSpan::from_years(3.0));
@@ -324,8 +306,8 @@ mod tests {
             .operational_scale(0.9);
         let half = full.scaled(0.5);
         assert_eq!(half.capacity_qps(), 400.0);
-        assert_eq!(half.power_at(0.0), Watts::new(60.0));
-        assert_eq!(half.power_at(1.0), Watts::new(105.0));
+        assert_eq!(half.idle_power(), Watts::new(60.0));
+        assert_eq!(half.dynamic_power(), Watts::new(45.0));
         let year = TimeSpan::from_years(1.0);
         assert_eq!(half.embodied_over(year), full.embodied_over(year) * 0.5);
         // What is rented, not resized, is kept.

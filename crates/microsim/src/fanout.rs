@@ -1,7 +1,7 @@
 //! The one order-preserving fan-out every parallel layer runs on.
 //!
-//! Sweep points (of one sweep or of a batch of sweeps), fleet cells,
-//! lifecycle slices and planner candidates are independent jobs.
+//! Sweep points (of one sweep or of a batch of sweeps), lifecycle slices
+//! and planner candidates are independent jobs.
 //! [`fan_out`] runs them on scoped worker threads that claim the highest
 //! unclaimed index first from one shared queue, and hands the outputs
 //! back in item order, so a result is bit-identical at any worker count.

@@ -10,29 +10,45 @@
 
 use junkyard::core::fleet_study::FleetStudy;
 use junkyard::fleet::routing::RoutingPolicy;
+use junkyard::obs::{EventKind, TraceRecorder};
+
+const SITES: [&str; 3] = ["cloudlet-west", "cloudlet-east", "datacenter"];
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let study = FleetStudy::quick();
 
-    // Peek at the routing plan before running anything: the carbon-aware
-    // policy's assignments depend only on the schedule, the capacities and
-    // the intensity traces.
-    let fleet = study.build_fleet(RoutingPolicy::CarbonAware)?;
+    // Peek at the carbon-aware routing plan: a traced run records one
+    // `route` event per (window, site) share, keyed by site name and
+    // detailed with the window index.
+    let mut recorder = TraceRecorder::new();
+    let windows = study
+        .build_fleet(RoutingPolicy::CarbonAware)?
+        .run_with(&mut recorder)?
+        .window_health()
+        .len();
+    let mut plan = vec![[0.0; 3]; windows];
+    for (_, event) in recorder.events_in_order() {
+        let site = SITES.iter().position(|name| *name == event.key);
+        if let (EventKind::Route, Some(site)) = (event.kind, site) {
+            let window: usize = event.detail.trim_start_matches('w').parse()?;
+            plan[window][site] = event.value;
+        }
+    }
     println!("Carbon-aware plan (mean qps per window):");
     println!(
         "  {:>8} {:>14} {:>14} {:>12}",
-        "window", "cloudlet-west", "cloudlet-east", "datacenter"
+        "window", SITES[0], SITES[1], SITES[2]
     );
-    for (w, assignment) in fleet.assignments().iter().enumerate() {
+    for (w, qps) in plan.iter().enumerate() {
         println!(
             "  {w:>8} {:>14.0} {:>14.0} {:>12.0}",
-            assignment.site_mean_qps(0),
-            assignment.site_mean_qps(1),
-            assignment.site_mean_qps(2),
+            qps[0], qps[1], qps[2]
         );
     }
 
-    println!("\nSimulating both policies (every window x site cell runs the compiled engine)...\n");
+    println!(
+        "\nSimulating both policies (each distinct window load runs the compiled engine)...\n"
+    );
     let result = study.run()?;
     println!("{}", result.chart());
     println!("{}", result.table());

@@ -5,9 +5,9 @@
 //! Each field is bound to a local of the same name and asserted against
 //! the conservation identity it participates in, so a field can neither
 //! silently disappear from the accounting nor drift out of its identity
-//! without a test noticing. If a numeric field is added to `RunMetrics`,
-//! `FleetResult` or `LifecycleResult` and not pinned here (or in another
-//! test under `tests/`), `cargo run -p junkyard_lint` fails.
+//! without a test noticing. If a numeric field is added to `RunMetrics`
+//! or `LifecycleResult` and not pinned here (or in another test under
+//! `tests/`), `cargo run -p junkyard_lint` fails.
 
 use junkyard::carbon::units::{CarbonIntensity, GramsCo2e, TimeSpan, Watts};
 use junkyard::devices::battery::BatterySpec;
@@ -17,7 +17,6 @@ use junkyard::fleet::lifecycle::{
 };
 use junkyard::fleet::routing::RoutingPolicy;
 use junkyard::fleet::schedule::DiurnalSchedule;
-use junkyard::fleet::sim::FleetSim;
 use junkyard::fleet::site::{FleetSite, GridRegion};
 use junkyard::grid::synth::CaisoSynthesizer;
 use junkyard::grid::trace::IntensityTrace;
@@ -68,10 +67,10 @@ fn run_metrics_extent_and_offered_conservation() {
     assert!(events as usize >= offered, "each request takes >= 1 event");
 }
 
-/// `FleetResult`: the `windows` grid dimension and the five conserved
-/// totals. With bounded queues, offered demand decomposes exactly into
-/// served + router-declined + queue-dropped, and carbon into
-/// operational + embodied.
+/// A one-day fleet of one leased site (the fleet study's shape): with
+/// bounded queues, offered demand decomposes exactly into served +
+/// router-declined + queue-dropped, and carbon into operational +
+/// embodied.
 #[test]
 fn fleet_result_conserves_offered_demand_and_carbon() {
     let model = ServerModel::new()
@@ -83,16 +82,19 @@ fn fleet_result_conserves_offered_demand_and_carbon() {
         TimeSpan::from_days(1.0),
     );
     let sim = tiny_sim().with_server_model(model);
-    let site = FleetSite::new("a", &sim, GridRegion::new("a", trace), 500.0)
-        .power(Watts::new(3.0), Watts::new(12.0))
-        .embodied(GramsCo2e::from_kilograms(5.0), TimeSpan::from_years(3.0));
+    let site = LifecycleSite::try_leased(
+        FleetSite::new("a", &sim, GridRegion::new("a", trace), 500.0)
+            .power(Watts::new(3.0), Watts::new(12.0))
+            .embodied(GramsCo2e::from_kilograms(5.0), TimeSpan::from_years(3.0)),
+    )
+    .expect("the test capacity is valid");
     let schedule = DiurnalSchedule::office_day(1_200.0);
     let offered: f64 = schedule
         .windows(1, 4)
         .iter()
         .map(|w| w.mean_qps() * w.duration().seconds())
         .sum();
-    let fleet = FleetSim::new(
+    let fleet = LifecycleSim::new(
         vec![site],
         schedule,
         RoutingPolicy::Static,
@@ -104,9 +106,8 @@ fn fleet_result_conserves_offered_demand_and_carbon() {
     );
     let result = fleet.run().unwrap();
 
-    let windows = result.windows();
-    assert_eq!(windows, 4);
-    assert_eq!(result.cells().len(), windows);
+    assert_eq!(result.window_health().len(), 4);
+    assert_eq!(result.cells().len(), 1);
 
     let total_requests = result.total_requests();
     let declined_requests = result.router_declined_requests();

@@ -1,14 +1,14 @@
 //! Property tests on the fleet layer's carbon accounting and routing
-//! invariants: the accounting is conservative (per-cell contributions sum
-//! to the fleet totals) and the router is capacity-safe (no site is ever
-//! assigned more than its declared capacity, shed traffic included in the
-//! balance).
+//! invariants, over one-day fleets of leased sites (the fleet study's
+//! shape): the accounting is conservative (per-cell contributions sum to
+//! the fleet totals, and offered demand lands in exactly one bucket) and
+//! the router is capacity-safe (no site is ever assigned more than its
+//! declared capacity, shed traffic included in the balance).
 
 use junkyard::carbon::units::{CarbonIntensity, GramsCo2e, TimeSpan, Watts};
-use junkyard::fleet::lifecycle::LifecycleConfig;
-use junkyard::fleet::routing::{plan_window, RoutingPolicy};
+use junkyard::fleet::lifecycle::{LifecycleConfig, LifecycleSim, LifecycleSite};
+use junkyard::fleet::routing::{plan_window, RoutingPolicy, SiteWindowInput};
 use junkyard::fleet::schedule::DiurnalSchedule;
-use junkyard::fleet::sim::FleetSim;
 use junkyard::fleet::site::{FleetSite, GridRegion};
 use junkyard::grid::synth::CaisoSynthesizer;
 use junkyard::grid::trace::IntensityTrace;
@@ -27,35 +27,45 @@ fn tiny_sim() -> Simulation {
     Simulation::new(app, nodes, placement, NetworkModel::phone_wifi()).unwrap()
 }
 
-fn flat_site(name: &str, grams: f64, capacity: f64) -> FleetSite {
-    let trace = IntensityTrace::constant(
+/// A leased site serving `sim` from `trace`'s grid.
+fn leased(name: &str, sim: &Simulation, trace: IntensityTrace, capacity: f64) -> LifecycleSite {
+    LifecycleSite::try_leased(
+        FleetSite::new(name, sim, GridRegion::new(name, trace), capacity)
+            .power(Watts::new(3.0), Watts::new(12.0))
+            .embodied(GramsCo2e::from_kilograms(5.0), TimeSpan::from_years(3.0)),
+    )
+    .expect("the test capacity is valid")
+}
+
+fn flat_trace(grams: f64) -> IntensityTrace {
+    IntensityTrace::constant(
         CarbonIntensity::from_grams_per_kwh(grams),
         TimeSpan::from_hours(1.0),
         TimeSpan::from_days(1.0),
-    );
-    FleetSite::new(name, &tiny_sim(), GridRegion::new(name, trace), capacity)
-        .power(Watts::new(3.0), Watts::new(12.0))
-        .embodied(GramsCo2e::from_kilograms(5.0), TimeSpan::from_years(3.0))
+    )
+}
+
+fn flat_site(name: &str, grams: f64, capacity: f64) -> LifecycleSite {
+    leased(name, &tiny_sim(), flat_trace(grams), capacity)
 }
 
 /// A flat-grid site whose simulation drops at bounded application queues.
-fn bounded_site(name: &str, grams: f64, capacity: f64, model: ServerModel) -> FleetSite {
-    let trace = IntensityTrace::constant(
-        CarbonIntensity::from_grams_per_kwh(grams),
-        TimeSpan::from_hours(1.0),
-        TimeSpan::from_days(1.0),
-    );
+fn bounded_site(name: &str, grams: f64, capacity: f64, model: ServerModel) -> LifecycleSite {
     let sim = tiny_sim().with_server_model(model);
-    FleetSite::new(name, &sim, GridRegion::new(name, trace), capacity)
-        .power(Watts::new(3.0), Watts::new(12.0))
-        .embodied(GramsCo2e::from_kilograms(5.0), TimeSpan::from_years(3.0))
+    leased(name, &sim, flat_trace(grams), capacity)
 }
 
-fn diurnal_site(name: &str, seed: u64, capacity: f64) -> FleetSite {
+fn diurnal_site(name: &str, seed: u64, capacity: f64) -> LifecycleSite {
     let trace = CaisoSynthesizer::new(seed, 1).intensity_trace();
-    FleetSite::new(name, &tiny_sim(), GridRegion::new(name, trace), capacity)
-        .power(Watts::new(3.0), Watts::new(12.0))
-        .embodied(GramsCo2e::from_kilograms(5.0), TimeSpan::from_years(3.0))
+    leased(name, &tiny_sim(), trace, capacity)
+}
+
+/// One day in `windows` windows, 1-second slices without warm-up.
+fn one_day(windows: usize) -> LifecycleConfig {
+    LifecycleConfig::days(1)
+        .windows_per_day(windows)
+        .sim_slice_s(1.0)
+        .warmup_s(0.0)
 }
 
 proptest! {
@@ -76,31 +86,20 @@ proptest! {
         } else {
             RoutingPolicy::Static
         };
-        let fleet = FleetSim::new(
-            vec![
-                diurnal_site("a", seed, 600.0),
-                flat_site("b", 400.0, 300.0),
-            ],
+        let fleet = LifecycleSim::new(
+            vec![diurnal_site("a", seed, 600.0), flat_site("b", 400.0, 300.0)],
             DiurnalSchedule::office_day(base_qps),
             policy,
-            LifecycleConfig::days(1)
-                .windows_per_day(4)
-                .sim_slice_s(1.0)
-                .warmup_s(0.0)
-                .seed(seed),
+            one_day(4).seed(seed),
         );
         let result = fleet.run().unwrap();
-        let sites = result.site_names().len();
+        prop_assert_eq!(result.window_health().len(), 4);
+        prop_assert_eq!(result.cells().len(), result.years() * 2);
         let mut operational = 0.0;
         let mut embodied = 0.0;
         let mut requests = 0.0;
-        for site in 0..sites {
-            let site_cells: Vec<_> = result
-                .cells()
-                .iter()
-                .filter(|c| c.site() == site)
-                .collect();
-            prop_assert_eq!(site_cells.len(), result.windows());
+        for site in 0..result.site_names().len() {
+            let site_cells: Vec<_> = (0..result.years()).map(|y| result.cell(y, site)).collect();
             operational += site_cells.iter().map(|c| c.operational().grams()).sum::<f64>();
             embodied += site_cells.iter().map(|c| c.embodied().grams()).sum::<f64>();
             requests += site_cells.iter().map(|c| c.requests()).sum::<f64>();
@@ -113,8 +112,10 @@ proptest! {
             ((operational + embodied) - result.total_carbon().grams()).abs()
                 <= tol.max(result.total_carbon().grams() * tol)
         );
-        // Per-cell totals are themselves consistent.
+        // Per-cell totals are themselves consistent (a fault-free fleet
+        // charges no retry carbon).
         for cell in result.cells() {
+            prop_assert_eq!(cell.retry_carbon(), GramsCo2e::ZERO);
             prop_assert!(
                 (cell.carbon().grams() - (cell.operational() + cell.embodied()).grams()).abs()
                     <= tol
@@ -139,10 +140,12 @@ proptest! {
         } else {
             RoutingPolicy::Static
         };
-        let sites = vec![
-            flat_site("a", 150.0, cap_a),
-            flat_site("b", 450.0, cap_b),
-        ];
+        let sites = [(150.0, cap_a), (450.0, cap_b)].map(|(grams, capacity_qps)| {
+            SiteWindowInput {
+                capacity_qps,
+                intensity: CarbonIntensity::from_grams_per_kwh(grams),
+            }
+        });
         let schedule = DiurnalSchedule::office_day(base_qps);
         for window in schedule.windows(1, windows_per_day) {
             let plan = plan_window(policy, &sites, &window);
@@ -151,14 +154,14 @@ proptest! {
                 let (start, end) = plan.shares()[i];
                 prop_assert!(start >= 0.0 && end >= 0.0);
                 prop_assert!(
-                    start <= site.capacity_qps() + 1e-9,
+                    start <= site.capacity_qps + 1e-9,
                     "site {i} start {start} over capacity {}",
-                    site.capacity_qps()
+                    site.capacity_qps
                 );
                 prop_assert!(
-                    end <= site.capacity_qps() + 1e-9,
+                    end <= site.capacity_qps + 1e-9,
                     "site {i} end {end} over capacity {}",
-                    site.capacity_qps()
+                    site.capacity_qps
                 );
                 placed_mean += plan.site_mean_qps(i);
             }
@@ -189,25 +192,20 @@ proptest! {
                 QueueDiscipline::CentralizedFcfs
             })
             .with_queue_size(Some(queue_size));
-        let config = LifecycleConfig::days(1)
-            .windows_per_day(4)
-            .sim_slice_s(1.0)
-            .warmup_s(0.0)
-            .seed(seed);
         let schedule = DiurnalSchedule::office_day(base_qps);
         let offered: f64 = schedule
             .windows(1, 4)
             .iter()
             .map(|w| w.mean_qps() * w.duration().seconds())
             .sum();
-        let fleet = FleetSim::new(
+        let fleet = LifecycleSim::new(
             vec![
                 bounded_site("a", 150.0, cap, model),
                 bounded_site("b", 450.0, cap / 2.0, model),
             ],
             schedule,
             RoutingPolicy::Static,
-            config,
+            one_day(4).seed(seed),
         );
         let result = fleet.run().unwrap();
         let accounted = result.total_requests()
@@ -217,6 +215,7 @@ proptest! {
             (accounted - offered).abs() <= 1e-9 * offered.max(1.0),
             "accounted {accounted} vs offered {offered}"
         );
+        prop_assert!((result.offered_requests() - accounted).abs() <= 1e-9 * offered.max(1.0));
         prop_assert!(
             (result.shed_requests()
                 - result.router_declined_requests()
@@ -226,31 +225,31 @@ proptest! {
         );
         prop_assert!(result.router_declined_requests() >= 0.0);
         prop_assert!(result.queue_dropped_requests() >= 0.0);
-        // Per-cell accounting: assigned demand = served + dropped.
-        for cell in result.cells() {
-            prop_assert!(
-                (cell.offered_requests() - cell.requests() - cell.dropped_requests()).abs()
-                    <= 1e-9 * cell.offered_requests().max(1.0)
-            );
-            prop_assert!(cell.dropped_requests() >= 0.0);
+        // Per-window accounting: the demand the router placed is served
+        // or queue-dropped, nothing fails and nothing is shed on a
+        // fault-free fleet.
+        let placed: f64 = result.window_health().iter().map(|w| w.offered()).sum();
+        prop_assert!(
+            (placed - result.total_requests() - result.queue_dropped_requests()).abs()
+                <= 1e-9 * placed.max(1.0)
+        );
+        for window in result.window_health() {
+            prop_assert_eq!(window.failed(), 0.0);
+            prop_assert_eq!(window.served(), window.offered());
         }
     }
 }
 
-/// The fleet's slot-threading is deterministic: a serial run and runs at
-/// several worker counts produce identical results, cell for cell.
+/// The fleet's fan-out is deterministic: a serial run and runs at several
+/// worker counts produce identical results, cell for cell.
 #[test]
 fn fleet_runs_are_identical_across_worker_counts() {
     let run = |workers: usize| {
-        FleetSim::new(
+        LifecycleSim::new(
             vec![diurnal_site("a", 7, 500.0), flat_site("b", 380.0, 400.0)],
             DiurnalSchedule::office_day(600.0),
             RoutingPolicy::CarbonAware,
-            LifecycleConfig::days(1)
-                .windows_per_day(5)
-                .sim_slice_s(1.0)
-                .warmup_s(0.0)
-                .parallelism(workers),
+            one_day(5).parallelism(workers),
         )
         .run()
         .unwrap()

@@ -1,13 +1,12 @@
 //! Golden regression pins for the fault-free serving path.
 //!
-//! PR 7 grows the lifecycle and fleet layers a failure-aware serving
-//! path (fault plans, health views, retries, degradation). With faults
-//! disabled that machinery must be completely invisible: these tests pin
-//! the exact bit patterns two fixed fault-free scenarios produced
-//! *before* the fault layer existed, so any accidental perturbation of
-//! the default path — a reordered float expression, a changed memo key,
-//! a scaled idle-power term — fails loudly rather than drifting the
-//! paper's numbers.
+//! The lifecycle has a failure-aware serving path (fault plans, health
+//! views, retries, degradation). With faults disabled that machinery must
+//! be completely invisible: these tests pin the exact bit patterns a
+//! fixed fault-free scenario produced *before* the fault layer existed,
+//! so any accidental perturbation of the default path — a reordered float
+//! expression, a changed memo key, a scaled idle-power term — fails
+//! loudly rather than drifting the paper's numbers.
 
 use junkyard::carbon::units::{CarbonIntensity, GramsCo2e, TimeSpan, Watts};
 use junkyard::devices::battery::BatterySpec;
@@ -16,7 +15,6 @@ use junkyard::fleet::lifecycle::{
 };
 use junkyard::fleet::routing::RoutingPolicy;
 use junkyard::fleet::schedule::DiurnalSchedule;
-use junkyard::fleet::sim::{FleetResult, FleetSim};
 use junkyard::fleet::site::{FleetSite, GridRegion};
 use junkyard::grid::synth::CaisoSynthesizer;
 use junkyard::grid::trace::IntensityTrace;
@@ -98,39 +96,14 @@ fn lifecycle_scenario() -> LifecycleResult {
     .unwrap()
 }
 
-/// The pinned fault-free fleet scenario: two flat-grid sites under
-/// carbon-aware routing, four windows, default server model.
-fn fleet_scenario() -> FleetResult {
-    let site = |name: &str, grams: f64| {
-        FleetSite::new(name, &tiny_sim(), flat_region(grams), 700.0)
-            .power(Watts::new(2.0), Watts::new(14.0))
-            .embodied(GramsCo2e::from_kilograms(3.0), TimeSpan::from_years(3.0))
-    };
-    FleetSim::new(
-        vec![site("clean", 100.0), site("dirty", 400.0)],
-        DiurnalSchedule::office_day(600.0),
-        RoutingPolicy::CarbonAware,
-        LifecycleConfig::days(1)
-            .windows_per_day(4)
-            .sim_slice_s(1.0)
-            .warmup_s(1.0)
-            .seed(42),
-    )
-    .run()
-    .unwrap()
-}
-
-/// The exact bit patterns the two scenarios produced before the fault
-/// layer existed (captured on the pre-PR tree, release profile).
+/// The exact bit patterns the scenario produced before the fault layer
+/// existed (release profile).
 const LIFECYCLE_REQUESTS_BITS: u64 = 0x41d1_a361_7fff_ffff;
 const LIFECYCLE_OPERATIONAL_BITS: u64 = 0x40d4_afbd_afce_4dac;
 const LIFECYCLE_EMBODIED_BITS: u64 = 0x40e0_b1a8_203d_ada6;
 const LIFECYCLE_WORST_MEDIAN_BITS: u64 = 0x4040_e68e_2427_82ad;
 const LIFECYCLE_WORST_TAIL_BITS: u64 = 0x4040_e784_eedd_9b0b;
 const LIFECYCLE_WORST_P99_BITS: u64 = 0x4040_eac6_3df7_f030;
-const FLEET_REQUESTS_BITS: u64 = 0x4181_ebe4_0000_0000;
-const FLEET_OPERATIONAL_BITS: u64 = 0x403e_8155_275c_a32d;
-const FLEET_EMBODIED_BITS: u64 = 0x4015_e71e_5040_7b5a;
 
 #[test]
 fn fault_free_lifecycle_is_bit_identical_to_pre_fault_layer_outputs() {
@@ -161,19 +134,6 @@ fn fault_free_lifecycle_is_bit_identical_to_pre_fault_layer_outputs() {
         (f64::from_bits(LIFECYCLE_OPERATIONAL_BITS) + f64::from_bits(LIFECYCLE_EMBODIED_BITS))
             .to_bits()
     );
-}
-
-#[test]
-fn fault_free_fleet_is_bit_identical_to_pre_fault_layer_outputs() {
-    let f = fleet_scenario();
-    assert_eq!(f.total_requests().to_bits(), FLEET_REQUESTS_BITS);
-    assert_eq!(
-        f.total_operational().grams().to_bits(),
-        FLEET_OPERATIONAL_BITS
-    );
-    assert_eq!(f.total_embodied().grams().to_bits(), FLEET_EMBODIED_BITS);
-    assert_eq!(f.router_declined_requests().to_bits(), 0);
-    assert_eq!(f.queue_dropped_requests().to_bits(), 0);
 }
 
 #[test]
