@@ -11,7 +11,9 @@
 //! the JSON. The sweep entry reports the worker count actually used, so
 //! a silently capped fan-out (one-core runner,
 //! `available_parallelism() == 1`) is visible in the numbers instead of
-//! masquerading as a threading regression.
+//! masquerading as a threading regression. The `"host"` entry times a
+//! fixed single-thread spin ([`HOST_SPIN_ITERATIONS`]), so a reader
+//! comparing reports across PRs can tell a slower host from slower code.
 //!
 //! After writing both files the report checks its own numbers against two
 //! performance floors ([`MIN_EVENTS_PER_SEC`], [`MIN_SWEEP_SPEEDUP`]),
@@ -68,6 +70,11 @@ const SWEEP_PAIRS: usize = 15;
 /// host runs the first seconds of a threaded sweep at serial speed, so
 /// pairs timed straight away measure the host waking up, not the fan-out.
 const SWEEP_SPIN: Duration = Duration::from_secs(3);
+
+/// Iterations of the host-speed spin: tens of milliseconds on a current
+/// core, and the count perfbench's host calibration spins, so the two
+/// reports' `spin_ms` compare.
+const HOST_SPIN_ITERATIONS: u64 = 40_000_000;
 
 /// The floor verdict on one report: one printable line per check and
 /// whether it passed (a skipped check passes). Takes each scenario's
@@ -167,6 +174,25 @@ fn spin(workers: usize, duration: Duration) {
     });
 }
 
+/// Milliseconds one thread takes for [`HOST_SPIN_ITERATIONS`] rounds of
+/// an integer xorshift the optimiser cannot fold: a fixed amount of work,
+/// the fastest of three runs like every scenario's wall clock.
+fn host_spin_ms() -> f64 {
+    (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            let mut x = black_box(0x9e37_79b9_7f4a_7c15_u64);
+            for _ in 0..HOST_SPIN_ITERATIONS {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+            }
+            black_box(x);
+            start.elapsed().as_secs_f64() * 1_000.0
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// The middle value (`values` is non-empty and odd-sized here).
 fn median(mut values: Vec<f64>) -> f64 {
     values.sort_by(f64::total_cmp);
@@ -189,6 +215,11 @@ fn main() -> ExitCode {
 
     let mut profiler = Profiler::new();
     profiler.start("perf_report");
+
+    // The host's speed next to the timings below: CPUs this process may
+    // use and a fixed single-thread spin.
+    let nproc = thread::available_parallelism().map_or(1, |n| n.get());
+    let spin_ms = profiler.time("host", host_spin_ms);
 
     let (social, hotel) = profiler.time("compile", || {
         (
@@ -307,7 +338,11 @@ fn main() -> ExitCode {
     );
 
     let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"microsim_engine\",\n  \"scenarios\": [\n");
+    let _ = write!(
+        json,
+        "{{\n  \"bench\": \"microsim_engine\",\n  \"host\": {{\"nproc\": {nproc}, \
+         \"spin_ms\": {spin_ms:.3}}},\n  \"scenarios\": [\n"
+    );
     for (i, s) in scenarios.iter().enumerate() {
         let rt = s
             .request_type
@@ -412,6 +447,7 @@ fn main() -> ExitCode {
     std::fs::write(&folded_output, profiler.folded()).expect("folded file is writable");
 
     println!("Engine perf report (written to {output}):\n");
+    println!("  host: {nproc} CPUs, {HOST_SPIN_ITERATIONS}-round spin in {spin_ms:.1} ms\n");
     println!(
         "  {:16} {:20} {:>7} {:>9} {:>9} {:>12} {:>10}",
         "app", "request type", "qps", "offered", "wall ms", "events/sec", "median ms"

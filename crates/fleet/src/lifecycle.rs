@@ -82,10 +82,8 @@ use junkyard_obs::{ConservedLedger, EventKind, NoopRecorder, Recorder, TraceEven
 use crate::faults::{
     resolve_window, FaultConfig, FaultPlan, ResiliencePolicy, RetryPolicy, WindowResolution,
 };
-use crate::routing::{
-    plan_window, record_routes, RoutingPolicy, SiteWindowInput, WindowAssignment,
-};
-use crate::schedule::{DiurnalSchedule, LoadWindow};
+use crate::routing::{plan_window, record_routes, RoutingPolicy, SiteWindowInput};
+use crate::schedule::DiurnalSchedule;
 use crate::site::{second_life_embodied, FleetSite, GridRegion};
 
 /// Days per simulated year (the lifecycle steps whole days; leap days are
@@ -768,12 +766,6 @@ impl LifecycleCell {
     pub fn worst_p99_ms(&self) -> f64 {
         self.worst_p99_ms.millis()
     }
-
-    /// The site's per-day ledger for the year.
-    #[must_use]
-    pub fn daily(&self) -> &[DayLedger] {
-        &self.daily
-    }
 }
 
 /// The serving health of one routing window: what the router assigned to
@@ -1364,18 +1356,17 @@ fn cell_days(year: usize, total_days: usize) -> Range<usize> {
 }
 
 /// The load one window's measured slice replays at one site, or `None`
-/// when nothing was delivered there and no slice is measured. The slice
-/// replays only the traffic delivered on first attempt: the planned
-/// endpoints times the delivered ratio, which is exactly 1.0 (so the
-/// bits stay untouched) wherever the site took its whole share. Slice
-/// planning and cell accounting both call this, so they agree on every
-/// slice.
+/// when nothing was delivered there and no slice is measured, from the
+/// router's `(start, end)` rates for the site. The slice replays only the
+/// traffic delivered on first attempt: the planned endpoints times the
+/// delivered ratio, which is exactly 1.0 (so the bits stay untouched)
+/// wherever the site took its whole share. Slice planning and cell
+/// accounting both call this, so they agree on every slice.
 fn slice_endpoints(
-    plan: &WindowAssignment,
+    (qps_start, qps_end): (f64, f64),
     resolution: &WindowResolution,
     site: usize,
 ) -> Option<(f64, f64)> {
-    let (qps_start, qps_end) = plan.shares()[site];
     let ratio = resolution.delivered_ratio[site];
     let (eff_start, eff_end) = (qps_start * ratio, qps_end * ratio);
     ((eff_start + eff_end) / 2.0 > 0.0).then_some((eff_start, eff_end))
@@ -1411,9 +1402,11 @@ pub struct LifecycleSim {
 }
 
 /// A lifecycle run after its serial passes and before its slices are
-/// measured ([`LifecycleSim::plan`]): the per-site daily dynamics, the
-/// window plans with their resolved outcomes and intensities, and each
-/// cell's distinct slice loads. It holds no cohort, grid trace or fault
+/// measured ([`LifecycleSim::plan`]): the per-site daily dynamics, each
+/// window's routed shares, declined rate and intensities, the resolved
+/// outcomes, and each cell's distinct slice loads. Per-window state is
+/// flat numbers, window-major; a window's span and load are derived from
+/// the schedule when needed. It holds no cohort, grid trace or fault
 /// plan, only a shared handle on each site's simulation, so a batch
 /// ([`LifecycleSim::run_batch`]) keeps plans rather than fleets.
 #[derive(Debug)]
@@ -1423,8 +1416,14 @@ pub struct LifecyclePlan {
     site_names: Vec<String>,
     /// Each site's simulation, until the batch registers it in the table.
     serving: Vec<ServingSim>,
-    windows: Vec<LoadWindow>,
-    plans: Vec<WindowAssignment>,
+    /// The day curve the windows are cut from
+    /// ([`DiurnalSchedule::window`]).
+    schedule: DiurnalSchedule,
+    /// Window-major: the router's `(qps_start, qps_end)` for site `s` in
+    /// window `w` is `shares[w * sites + s]`.
+    shares: Vec<(f64, f64)>,
+    /// The mean rate the router declined in each window.
+    declined_qps: Vec<f64>,
     /// Window-major: `intensities[w * sites + s]`.
     intensities: Vec<CarbonIntensity>,
     dynamics: Vec<Vec<DayDynamics>>,
@@ -1674,7 +1673,7 @@ impl LifecycleSim {
         let days = self.config.days;
         let wpd = self.config.windows_per_day;
         let sites = self.sites.len();
-        let windows = self.schedule.windows(days, wpd);
+        let windows = days * wpd;
 
         // Pass 1: per-site daily dynamics.
         let dynamics: Vec<Vec<DayDynamics>> = (0..sites)
@@ -1688,7 +1687,7 @@ impl LifecycleSim {
         // looks healthy.
         let fault_plan = FaultPlan::generate(
             &self.faults,
-            windows.len(),
+            windows,
             sites,
             wpd,
             decorrelate_seed(self.config.seed, 1 << 32),
@@ -1711,16 +1710,18 @@ impl LifecycleSim {
         // resolved: first attempts against *true* capacity, the retry
         // rounds aimed by the stale view, the hedge and the degradation
         // ladder. Only the outcomes that differ from the healthy one are
-        // kept, so a fault-free run stores none.
+        // kept, so a fault-free run stores none. Each plan's shares and
+        // declined rate are copied into the window-major rows.
         let healthy = WindowResolution::healthy(sites);
         let mut resolutions: BTreeMap<usize, WindowResolution> = BTreeMap::new();
-        let mut intensities: Vec<CarbonIntensity> = Vec::with_capacity(windows.len() * sites);
-        let mut plans: Vec<WindowAssignment> = Vec::with_capacity(windows.len());
+        let mut intensities: Vec<CarbonIntensity> = Vec::with_capacity(windows * sites);
+        let mut shares: Vec<(f64, f64)> = Vec::with_capacity(windows * sites);
+        let mut declined_qps: Vec<f64> = Vec::with_capacity(windows);
         let (mut true_cap, mut observed_cap) = (vec![0.0; sites], vec![0.0; sites]);
         let (mut avail, mut assigned) = (vec![0.0; sites], vec![0.0; sites]);
-        for window in &windows {
-            let day = window.index() / wpd;
-            let w = window.index();
+        for w in 0..windows {
+            let window = self.schedule.window(w, wpd);
+            let day = w / wpd;
             intensities.extend(self.sites.iter().map(|site| {
                 site.region()
                     .mean_intensity_between(window.start(), window.end())
@@ -1741,10 +1742,10 @@ impl LifecycleSim {
                     intensity: window_intensities[s],
                 })
                 .collect();
-            let plan = plan_window(self.policy, &inputs, window);
+            let plan = plan_window(self.policy, &inputs, &window);
             record_routes(
                 recorder,
-                window,
+                &window,
                 &plan,
                 self.sites.iter().map(LifecycleSite::name),
             );
@@ -1761,13 +1762,14 @@ impl LifecycleSim {
             if resolution != healthy {
                 resolutions.insert(w, resolution);
             }
-            plans.push(plan);
+            shares.extend_from_slice(plan.shares());
+            declined_qps.push(plan.declined_mean_qps());
         }
         if recorder.enabled() {
             // A window with a fault differs from the healthy outcome in
             // its availability, so the stored outcomes hold every event.
             for (&w, r) in &resolutions {
-                let t = windows[w].start().seconds();
+                let t = self.schedule.window(w, wpd).start().seconds();
                 for (s, site) in self.sites.iter().enumerate() {
                     if r.avail[s] < 1.0 {
                         recorder.event(
@@ -1816,7 +1818,8 @@ impl LifecycleSim {
                 let mut loads = CellLoads::default();
                 for w in cell_days(year, days).flat_map(|day| day * wpd..(day + 1) * wpd) {
                     let resolution = resolutions.get(&w).unwrap_or(&healthy);
-                    let Some((qps_start, qps_end)) = slice_endpoints(&plans[w], resolution, site)
+                    let Some((qps_start, qps_end)) =
+                        slice_endpoints(shares[w * sites + site], resolution, site)
                     else {
                         continue;
                     };
@@ -1844,8 +1847,9 @@ impl LifecycleSim {
                     (Arc::clone(sim), request_type.map(str::to_owned))
                 })
                 .collect(),
-            windows,
-            plans,
+            schedule: self.schedule.clone(),
+            shares,
+            declined_qps,
             intensities,
             dynamics,
             resolutions,
@@ -2038,9 +2042,11 @@ impl LifecyclePlan {
         recorder: &mut R,
     ) -> LifecycleResult {
         let days = self.config.days;
+        let wpd = self.config.windows_per_day;
         let sites = self.site_names.len();
-        let windows = &self.windows;
-        let plans = &self.plans;
+        let windows = self.declined_qps.len();
+        let duration = self.schedule.window(0, wpd).duration();
+        let window_s = duration.seconds();
         let healthy = WindowResolution::healthy(sites);
 
         // Each cell's accounting from the measured slices.
@@ -2050,14 +2056,7 @@ impl LifecyclePlan {
             .zip(positions)
             .enumerate()
             .map(|(cell, (loads, cell_positions))| {
-                self.account_cell(
-                    cell / sites,
-                    cell % sites,
-                    &healthy,
-                    loads,
-                    cell_positions,
-                    measures,
-                )
+                self.account_cell(cell, duration, &healthy, loads, cell_positions, measures)
             })
             .collect();
 
@@ -2089,8 +2088,7 @@ impl LifecyclePlan {
                 merged.retry += ledger.retry;
             }
         }
-        let window_s = windows[0].duration().seconds();
-        let declined_requests = plans.iter().map(|p| p.declined_mean_qps() * window_s).sum();
+        let declined_requests = self.declined_qps.iter().map(|qps| qps * window_s).sum();
 
         // Availability accounting: the resolved outcomes rolled up into
         // horizon totals and the per-window health series.
@@ -2100,11 +2098,13 @@ impl LifecyclePlan {
         let mut rerouted_requests = 0.0;
         let mut brownout_requests = 0.0;
         let mut low_priority_shed_requests = 0.0;
-        let mut window_health = Vec::with_capacity(windows.len());
-        for window in windows {
-            let w = window.index();
-            let offered: f64 =
-                (0..sites).map(|s| plans[w].site_mean_qps(s)).sum::<f64>() * window_s;
+        let mut window_health = Vec::with_capacity(windows);
+        for (w, window_shares) in self.shares.chunks_exact(sites).enumerate() {
+            let offered: f64 = window_shares
+                .iter()
+                .map(|(start, end)| (start + end) / 2.0)
+                .sum::<f64>()
+                * window_s;
             let r = self.resolutions.get(&w).unwrap_or(&healthy);
             let failed = r.failed_mean * window_s;
             let lp_shed = r.lp_shed_mean * window_s;
@@ -2127,10 +2127,8 @@ impl LifecyclePlan {
         // trace witnesses the leak instead of silently absorbing it.
         if recorder.enabled() {
             let mut ledger = ConservedLedger::new();
-            for window in windows {
-                let w = window.index();
-                let health = &window_health[w];
-                let declined = plans[w].declined_mean_qps() * window_s;
+            for (w, health) in window_health.iter().enumerate() {
+                let declined = self.declined_qps[w] * window_s;
                 let shed = health.offered - health.served - health.failed;
                 if let Err(err) = ledger.record_requests(
                     health.offered + declined,
@@ -2143,7 +2141,7 @@ impl LifecyclePlan {
                     recorder.event(
                         TraceEvent::new(
                             EventKind::Ledger,
-                            window.start().seconds(),
+                            self.schedule.window(w, wpd).start().seconds(),
                             "violation",
                             health.offered,
                         )
@@ -2164,7 +2162,7 @@ impl LifecyclePlan {
                     );
                 }
             }
-            recorder.event(ledger.snapshot(count_f64(windows.len()) * window_s));
+            recorder.event(ledger.snapshot(count_f64(windows) * window_s));
         }
 
         LifecycleResult {
@@ -2186,18 +2184,18 @@ impl LifecyclePlan {
             low_priority_shed_requests,
             total_retry_carbon,
             window_health,
-            horizon_seconds: count_f64(windows.len()) * window_s,
+            horizon_seconds: count_f64(windows) * window_s,
         }
     }
 
-    /// Aggregates one (year, site) cell: every window of the year at this
-    /// site, priced from the measured slices. Windows without a stored
-    /// outcome take `healthy`. `positions` places each of the cell's
-    /// distinct loads (`loads`) in `measures`.
+    /// Aggregates (year, site) cell `cell`: every window of the year at
+    /// this site, each `duration` long, priced from the measured slices.
+    /// Windows without a stored outcome take `healthy`. `positions` places
+    /// each of the cell's distinct loads (`loads`) in `measures`.
     fn account_cell(
         &self,
-        year: usize,
-        site_idx: usize,
+        cell: usize,
+        duration: TimeSpan,
         healthy: &WindowResolution,
         loads: &CellLoads,
         positions: &[usize],
@@ -2205,7 +2203,9 @@ impl LifecyclePlan {
     ) -> LifecycleCell {
         let wpd = self.config.windows_per_day;
         let sites = self.site_names.len();
-        let (windows, plans, dynamics) = (&self.windows, &self.plans, &self.dynamics);
+        let (year, site_idx) = (cell / sites, cell % sites);
+        let dynamics = &self.dynamics;
+        let window_s = duration.seconds();
 
         let mut requests = 0.0;
         let mut dropped_requests = 0.0;
@@ -2219,9 +2219,9 @@ impl LifecyclePlan {
         let mut worst_tail_ms: f64 = 0.0;
         let mut worst_p99_ms: f64 = 0.0;
 
-        let cell = cell_days(year, dynamics[site_idx].len());
-        let cell_start = cell.start;
-        let year_days = &dynamics[site_idx][cell];
+        let span = cell_days(year, dynamics[site_idx].len());
+        let cell_start = span.start;
+        let year_days = &dynamics[site_idx][span];
         let mut daily = Vec::with_capacity(year_days.len());
         for (offset, state) in year_days.iter().enumerate() {
             let day = cell_start + offset;
@@ -2233,9 +2233,8 @@ impl LifecyclePlan {
             let mut day_retry = GramsCo2e::ZERO;
             for k in 0..wpd {
                 let w = day * wpd + k;
-                let window = &windows[w];
-                let (qps_start, qps_end) = plans[w].shares()[site_idx];
-                let mean_qps = (qps_start + qps_end) / 2.0;
+                let share = self.shares[w * sites + site_idx];
+                let mean_qps = (share.0 + share.1) / 2.0;
                 // The window's resolved outcome at this site: delivered
                 // first-attempt ratio, true availability, and the
                 // retry/hedge/degradation traffic landed here. A healthy
@@ -2249,7 +2248,7 @@ impl LifecyclePlan {
                     r.extra_served_mean[site_idx],
                     r.retry_attempt_mean[site_idx],
                 );
-                let endpoints = slice_endpoints(&plans[w], r, site_idx);
+                let endpoints = slice_endpoints(share, r, site_idx);
                 let (measured, utilization) = match endpoints {
                     Some((eff_start, eff_end)) => {
                         let load = (eff_start.to_bits(), eff_end.to_bits());
@@ -2275,9 +2274,8 @@ impl LifecyclePlan {
                 // power; a fully dark site loses its overhead draw too.
                 let idle_effective = state.idle_power * avail;
                 let dynamic_effective = state.dynamic_power * avail;
-                let device_energy =
-                    (idle_effective + dynamic_effective * utilization) * window.duration();
-                let overhead_energy = state.overhead_power * window.duration();
+                let device_energy = (idle_effective + dynamic_effective * utilization) * duration;
+                let overhead_energy = state.overhead_power * duration;
                 let intensity = self.intensities[w * sites + site_idx];
                 let op = intensity.emissions_for(device_energy) * state.operational_scale
                     + if avail > 0.0 {
@@ -2292,27 +2290,26 @@ impl LifecyclePlan {
                 // site's queues; retry/degradation traffic landed here is
                 // added on top (its queueing is folded into the marginal
                 // retry-carbon charge below).
-                let delivered = mean_qps * window.duration().seconds() * ratio;
+                let delivered = mean_qps * window_s * ratio;
                 day_requests += delivered * (1.0 - drop_fraction);
                 dropped_requests += delivered * drop_fraction;
                 if extra_mean > 0.0 {
-                    day_requests += extra_mean * window.duration().seconds();
+                    day_requests += extra_mean * window_s;
                 }
                 // Every retry/hedge attempt aimed here is charged its
                 // network carbon whether it landed or not; the extras
                 // that did land are charged the marginal compute of the
                 // surviving devices serving them.
                 if attempt_mean > 0.0 || extra_mean > 0.0 {
-                    let network = GramsCo2e::new(
-                        attempt_mean * window.duration().seconds() * self.retry_attempt.grams(),
-                    );
+                    let network =
+                        GramsCo2e::new(attempt_mean * window_s * self.retry_attempt.grams());
                     let available_capacity = state.capacity_qps * avail;
                     let extra_util = if available_capacity > 0.0 {
                         (extra_mean / available_capacity).min(1.0)
                     } else {
                         0.0
                     };
-                    let marginal = dynamic_effective * extra_util * window.duration();
+                    let marginal = dynamic_effective * extra_util * duration;
                     day_retry +=
                         network + intensity.emissions_for(marginal) * state.operational_scale;
                 }
@@ -2344,6 +2341,49 @@ impl LifecyclePlan {
             worst_p99_ms: Millis::from_millis(worst_p99_ms),
             daily,
         }
+    }
+}
+
+#[cfg(test)]
+impl LifecyclePlan {
+    /// The bytes the plan's vectors and maps hold: each vector's
+    /// capacity times its element size, each map's entries times its
+    /// entry size, nested ones included.
+    fn retained_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * mem::size_of::<T>()
+        }
+        let names =
+            bytes(&self.site_names) + self.site_names.iter().map(String::capacity).sum::<usize>();
+        let dynamics = bytes(&self.dynamics) + self.dynamics.iter().map(bytes).sum::<usize>();
+        let resolutions: usize = self
+            .resolutions
+            .values()
+            .map(|r| {
+                mem::size_of::<(usize, WindowResolution)>()
+                    + bytes(&r.avail)
+                    + bytes(&r.delivered_ratio)
+                    + bytes(&r.extra_served_mean)
+                    + bytes(&r.retry_attempt_mean)
+            })
+            .sum();
+        let cell_loads = bytes(&self.cell_loads)
+            + self
+                .cell_loads
+                .iter()
+                .map(|loads| {
+                    loads.position.len() * mem::size_of::<((u64, u64), usize)>()
+                        + bytes(&loads.first)
+                })
+                .sum::<usize>();
+        names
+            + bytes(&self.serving)
+            + bytes(&self.shares)
+            + bytes(&self.declined_qps)
+            + bytes(&self.intensities)
+            + dynamics
+            + resolutions
+            + cell_loads
     }
 }
 
@@ -2451,8 +2491,30 @@ mod tests {
         assert!(result.total_device_failures() > 0);
         assert!(result.total_devices_replaced() > 0);
         // Day 0 carries the cloudlet's install embodied.
-        let first_day = result.cell(0, 0).daily()[0];
+        let first_day = result.cell(0, 0).daily[0];
         assert!(first_day.embodied().kilograms() >= 20.0);
+        // Each cell's own daily ledger reproduces the cell.
+        for cell in result.cells() {
+            let daily: f64 = cell.daily.iter().map(DayLedger::requests).sum();
+            assert!((daily - cell.requests()).abs() <= 1e-9 * cell.requests().max(1.0));
+        }
+    }
+
+    #[test]
+    fn a_plan_holds_under_40_bytes_per_window_and_site() {
+        // Two years of hourly windows over two sites. The flat,
+        // window-major rows hold about 31 bytes per (window, site); a
+        // window object and a routed plan with its own shares buffer per
+        // window would hold about 67.
+        let sim = LifecycleSim::new(
+            vec![cohort_site(9, 4), leased_site(800.0)],
+            DiurnalSchedule::office_day(900.0),
+            RoutingPolicy::CarbonAware,
+            LifecycleConfig::years(2).windows_per_day(24),
+        );
+        let pairs = 2 * DAYS_PER_YEAR * 24 * 2;
+        let per_pair = count_f64(sim.plan().retained_bytes()) / count_f64(pairs);
+        assert!(per_pair < 40.0, "{per_pair:.1} bytes per (window, site)");
     }
 
     #[test]
@@ -2787,14 +2849,14 @@ mod tests {
         let short = sim(quick(LifecycleConfig::days(3))).run().unwrap();
         assert_eq!(short.cells().len(), 1);
         assert_eq!(short.day_ledger().len(), 3);
-        assert_eq!(short.cell(0, 0).daily().len(), 3);
+        assert_eq!(short.cell(0, 0).daily.len(), 3);
         assert!(short.total_requests() > 0.0);
         // 400 days span two cells: a full year and a 35-day remainder.
         let spanning = sim(quick(LifecycleConfig::days(400))).run().unwrap();
         assert_eq!(spanning.years(), 2);
         assert_eq!(spanning.cells().len(), 2);
-        assert_eq!(spanning.cell(0, 0).daily().len(), DAYS_PER_YEAR);
-        assert_eq!(spanning.cell(1, 0).daily().len(), 35);
+        assert_eq!(spanning.cell(0, 0).daily.len(), DAYS_PER_YEAR);
+        assert_eq!(spanning.cell(1, 0).daily.len(), 35);
         assert_eq!(spanning.day_ledger().len(), 400);
         // The day-capped prefix agrees with the plain run's first days.
         let full = sim(quick(LifecycleConfig::years(1))).run().unwrap();

@@ -7,7 +7,8 @@
 //! of a base rate, linearly interpolated between hours and periodic by
 //! day. It holds one day: the run config's horizon says how many days
 //! [`DiurnalSchedule::windows`] tiles it over, as [`LoadWindow`]s — the
-//! routing and slice granularity of the lifecycle engine.
+//! routing and slice granularity of the lifecycle engine, which derives
+//! each one on demand with [`DiurnalSchedule::window`].
 
 use junkyard_carbon::convert::{count_f64, floor_index};
 use junkyard_carbon::units::TimeSpan;
@@ -95,20 +96,31 @@ impl DiurnalSchedule {
     #[must_use]
     pub fn windows(&self, days: usize, windows_per_day: usize) -> Vec<LoadWindow> {
         assert!(windows_per_day > 0, "need at least one window per day");
-        let duration = TimeSpan::from_hours(24.0 / count_f64(windows_per_day));
-        let count = days * windows_per_day;
-        (0..count)
-            .map(|index| {
-                let start = TimeSpan::from_secs(duration.seconds() * count_f64(index));
-                LoadWindow {
-                    index,
-                    start,
-                    duration,
-                    qps_start: self.qps_at(start),
-                    qps_end: self.qps_at(start + duration),
-                }
-            })
+        (0..days * windows_per_day)
+            .map(|index| self.window(index, windows_per_day))
             .collect()
+    }
+
+    /// Window `index` of the schedule sliced into `windows_per_day` equal
+    /// windows per day: the [`DiurnalSchedule::windows`] entry at that
+    /// index, derived on its own, so a caller can walk a long horizon
+    /// without holding every window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `windows_per_day` is zero.
+    #[must_use]
+    pub fn window(&self, index: usize, windows_per_day: usize) -> LoadWindow {
+        assert!(windows_per_day > 0, "need at least one window per day");
+        let duration = TimeSpan::from_hours(24.0 / count_f64(windows_per_day));
+        let start = TimeSpan::from_secs(duration.seconds() * count_f64(index));
+        LoadWindow {
+            index,
+            start,
+            duration,
+            qps_start: self.qps_at(start),
+            qps_end: self.qps_at(start + duration),
+        }
     }
 }
 
@@ -250,6 +262,12 @@ mod tests {
     #[should_panic(expected = "at least one window")]
     fn zero_windows_panics() {
         let _ = DiurnalSchedule::flat(10.0).windows(1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one window")]
+    fn one_window_of_zero_per_day_panics() {
+        let _ = DiurnalSchedule::flat(10.0).window(0, 0);
     }
 
     #[test]

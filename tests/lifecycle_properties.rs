@@ -1,11 +1,13 @@
 //! Property tests on the lifecycle layer: the multi-year accounting is
 //! conservative (per-(year, site) cells sum to the lifetime totals and to
-//! the per-day ledger) and the slot-threaded slice fan-out is
-//! deterministic at any worker count.
+//! the per-day ledger), a shorter horizon is a bit-identical prefix of a
+//! longer one, and the slot-threaded slice fan-out is deterministic at
+//! any worker count.
 
 use junkyard::battery::state::BatteryState;
 use junkyard::carbon::units::{CarbonIntensity, GramsCo2e, TimeSpan, Watts};
 use junkyard::devices::battery::BatterySpec;
+use junkyard::fleet::faults::{FaultConfig, ResiliencePolicy, RetryPolicy};
 use junkyard::fleet::lifecycle::{
     CohortDevice, LifecycleConfig, LifecycleSim, LifecycleSite, DAYS_PER_YEAR,
 };
@@ -122,16 +124,20 @@ proptest! {
                 site_requests += cell.requests();
                 site_operational += cell.operational().grams();
                 site_embodied += cell.embodied().grams();
-                // Each cell's own daily ledger reproduces the cell.
-                let daily_requests: f64 = cell.daily().iter().map(|d| d.requests()).sum();
-                prop_assert!((daily_requests - cell.requests()).abs()
-                    <= 1e-9f64.max(cell.requests().abs() * 1e-9));
             }
             requests += site_requests;
             operational += site_operational;
             embodied += site_embodied;
         }
         let tol = |reference: f64| 1e-9f64.max(reference.abs() * 1e-9);
+        // Each year's cells reproduce that year's days of the merged
+        // ledger.
+        for year in 0..years {
+            let cells: f64 = (0..2).map(|site| result.cell(year, site).requests()).sum();
+            let days = &result.day_ledger()[year * DAYS_PER_YEAR..(year + 1) * DAYS_PER_YEAR];
+            let ledger: f64 = days.iter().map(|d| d.requests()).sum();
+            prop_assert!((ledger - cells).abs() <= tol(cells));
+        }
         prop_assert!((requests - result.total_requests()).abs() <= tol(result.total_requests()));
         prop_assert!(
             (operational - result.total_operational().grams()).abs()
@@ -149,6 +155,56 @@ proptest! {
             <= tol(result.total_requests()));
         prop_assert!((ledger_carbon - result.total_carbon().grams()).abs()
             <= tol(result.total_carbon().grams()));
+    }
+
+    /// A shorter horizon is a prefix of a longer one: the `d`-day run's
+    /// day ledger and window health equal the first `d` days and
+    /// `d × windows_per_day` windows of the `D`-day run, bit for bit,
+    /// fault-free and under lagged, retried faults. So the window-major
+    /// plan is indexed by window alone, never by the horizon, across a
+    /// year boundary too.
+    #[test]
+    fn a_shorter_horizon_is_a_bit_identical_prefix(
+        seed in 0u64..1_000,
+        short_days in 1usize..365,
+        extra_days in 1usize..400,
+    ) {
+        let long_days = short_days + extra_days;
+        let run = |days: usize, faulty: bool| {
+            let sim = LifecycleSim::new(
+                vec![cohort_site(seed, 2, 400.0), leased_site(300.0)],
+                DiurnalSchedule::office_day(600.0),
+                RoutingPolicy::CarbonAware,
+                LifecycleConfig::days(days)
+                    .windows_per_day(2)
+                    .sim_slice_s(1.0)
+                    .warmup_s(0.0)
+                    .seed(seed),
+            );
+            let sim = if faulty {
+                sim.with_faults(
+                    FaultConfig::disabled()
+                        .grid_outages(8.0, 2)
+                        .firmware_batches(6.0, 0.5, 3),
+                )
+                .with_resilience(
+                    ResiliencePolicy::new()
+                        .detection_lag_windows(2)
+                        .retry(RetryPolicy::new(2)),
+                )
+            } else {
+                sim
+            };
+            sim.run().unwrap()
+        };
+        for faulty in [false, true] {
+            let (short, long) = (run(short_days, faulty), run(long_days, faulty));
+            prop_assert_eq!(short.day_ledger(), &long.day_ledger()[..short_days]);
+            prop_assert_eq!(
+                short.window_health(),
+                &long.window_health()[..short_days * 2]
+            );
+        }
     }
 
     /// Serial and threaded lifecycle runs are bit-identical — for a
