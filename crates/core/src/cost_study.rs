@@ -2,9 +2,10 @@
 //! cloudlet versus renting a c5.9xlarge for the same deployment length.
 
 use junkyard_carbon::units::{TimeSpan, Watts};
+use junkyard_cluster::Peripheral;
 use junkyard_devices::catalog::{self, C5Size};
 
-use crate::deployments::{FAN_WATTS, PHONE_SERVING_WATTS};
+use crate::deployments::PHONE_SERVING_WATTS;
 use crate::report::Table;
 
 /// Default California retail electricity price used by the study, USD/kWh.
@@ -52,7 +53,7 @@ impl DeploymentCost {
             "Junkyard cloudlet (10x Pixel 3A)",
             per_phone * 10.0 + 60.0, // phones plus the fan and charging hardware
             0.0,
-            Watts::new(PHONE_SERVING_WATTS * 10.0 + FAN_WATTS),
+            Watts::new(PHONE_SERVING_WATTS * 10.0) + Peripheral::server_fan(1).total_power(),
             CALIFORNIA_ELECTRICITY_USD_PER_KWH,
         )
     }

@@ -1,7 +1,8 @@
 //! Ready-made simulation deployments for the Section 6 evaluation: the
 //! ten-phone junkyard cloudlet and the EC2 C5 comparison instances, the
 //! rented c5.9xlarge datacenter site every study compares against, and
-//! the cloudlet constants the studies share.
+//! the per-phone serving power the studies share (the cloudlet's server
+//! fan is `junkyard_cluster`'s `Peripheral::server_fan`).
 
 use junkyard_carbon::units::{CarbonIntensity, TimeSpan, Watts};
 use junkyard_devices::catalog::{self, C5Size};
@@ -18,10 +19,6 @@ use crate::cloudlet_study::CloudletWorkload;
 
 /// Serving power per phone under load, watts (Section 6.3).
 pub(crate) const PHONE_SERVING_WATTS: f64 = 1.7;
-/// Always-on draw of a cloudlet's server fan, watts.
-pub(crate) const FAN_WATTS: f64 = 4.0;
-/// Embodied carbon of a cloudlet's server fan, kgCO2e (Section 5.2).
-pub(crate) const FAN_EMBODIED_KG: f64 = 9.3;
 /// Flat carbon intensity of the datacenter's gas-heavy grid, gCO2e/kWh.
 const DATACENTER_GRID_G_PER_KWH: f64 = 420.0;
 

@@ -14,7 +14,8 @@
 
 use junkyard_carbon::convert::count_f64;
 use junkyard_carbon::embodied::battery_replacement_carbon;
-use junkyard_carbon::units::{GramsCo2e, TimeSpan, Watts};
+use junkyard_carbon::units::{TimeSpan, Watts};
+use junkyard_cluster::Peripheral;
 use junkyard_devices::catalog;
 use junkyard_devices::components::ComponentBreakdown;
 use junkyard_fleet::lifecycle::{LifecycleConfig, LifecycleResult, LifecycleSim, LifecycleSite};
@@ -28,7 +29,7 @@ use junkyard_microsim::app::{social_network, SN_COMPOSE_POST};
 use crate::cloudlet_study::CloudletWorkload;
 use crate::deployments::{
     build_deployment, c5_datacenter_site, two_region_traces, DeploymentError, DeploymentKind,
-    FAN_EMBODIED_KG, FAN_WATTS, PHONE_SERVING_WATTS,
+    PHONE_SERVING_WATTS,
 };
 use crate::report::{Chart, SeriesLine, Table};
 
@@ -140,8 +141,8 @@ impl FleetStudy {
             amortization,
             battery.projected_lifetime(Watts::new(PHONE_SERVING_WATTS)),
         );
-        let embodied =
-            per_phone * 10.0 + GramsCo2e::from_kilograms(FAN_EMBODIED_KG) + replacements * 10.0;
+        let fan = Peripheral::server_fan(1);
+        let embodied = per_phone * 10.0 + fan.total_embodied() + replacements * 10.0;
 
         // Operational: smart charging shifts wall draw into the region's
         // cleanest hours; its median daily saving scales the site's
@@ -149,7 +150,7 @@ impl FleetStudy {
         let charging_scale = smart_charging_scale(Watts::new(PHONE_SERVING_WATTS), battery, &trace);
 
         // Idle/full-load power from the measured Pixel curve, plus the fan.
-        let idle = Watts::new(10.0 * pixel.power().idle().value() + FAN_WATTS);
+        let idle = Watts::new(10.0 * pixel.power().idle().value()) + fan.total_power();
         let dynamic = Watts::new(
             10.0 * (pixel.power().at_full_load().value() - pixel.power().idle().value()),
         );
@@ -368,7 +369,8 @@ mod tests {
         let site = study.phone_site("west", west).unwrap();
         // Reuse factor < 1 leaves a non-zero embodied share; battery
         // replacements and the fan add to it.
-        assert!(site.embodied_over(TimeSpan::from_years(3.0)).kilograms() > FAN_EMBODIED_KG);
+        let fan = Peripheral::server_fan(1).total_embodied();
+        assert!(site.embodied_over(TimeSpan::from_years(3.0)) > fan);
         // Smart charging saves a few percent of operational carbon.
         let scale = site.operational_scale_factor();
         assert!(scale < 1.0 && scale > 0.8, "scale {scale}");

@@ -16,7 +16,8 @@
 //! weeks — and crosses below it well within the paper's reported horizon
 //! as service amortises it away.
 
-use junkyard_carbon::units::{GramsCo2e, TimeSpan, Watts};
+use junkyard_carbon::units::{GramsCo2e, TimeSpan};
+use junkyard_cluster::Peripheral;
 use junkyard_devices::catalog;
 use junkyard_fleet::lifecycle::{
     CohortDevice, LifecycleConfig, LifecycleResult, LifecycleSim, LifecycleSite, DAYS_PER_YEAR,
@@ -33,9 +34,7 @@ use junkyard_microsim::placement::Placement;
 use junkyard_microsim::sim::Simulation;
 
 use crate::cloudlet_study::CloudletWorkload;
-use crate::deployments::{
-    c5_datacenter_site, two_region_traces, DeploymentError, FAN_EMBODIED_KG, FAN_WATTS,
-};
+use crate::deployments::{c5_datacenter_site, two_region_traces, DeploymentError};
 use crate::report::{Chart, SeriesLine, Table};
 
 /// Pixel 3A slots per cloudlet.
@@ -212,17 +211,18 @@ impl LifecycleStudy {
         let sim = Simulation::new(app, nodes, placement, NetworkModel::phone_wifi())
             .map_err(DeploymentError::Sim)?;
 
+        let fan = Peripheral::server_fan(1);
         let install: GramsCo2e = devices
             .iter()
             .map(CohortDevice::replacement_embodied)
             .sum::<GramsCo2e>()
-            + GramsCo2e::from_kilograms(FAN_EMBODIED_KG);
+            + fan.total_embodied();
 
         let site =
             LifecycleSite::try_cohort(name, &sim, GridRegion::new(name, trace), devices, install)
                 .map_err(DeploymentError::SiteConfig)?
                 .request_type(SN_COMPOSE_POST)
-                .overhead_power(Watts::new(FAN_WATTS))
+                .overhead_power(fan.total_power())
                 .failures(MEAN_DAYS_BETWEEN_FAILURES, REPLACEMENT_LAG_DAYS)
                 .map_err(DeploymentError::SiteConfig)?;
         Ok(site)

@@ -17,7 +17,8 @@
 //! hand-built candidate through the same evaluator and cache at the
 //! same final fidelity to report the comparison.
 
-use junkyard_carbon::units::{GramsCo2e, TimeSpan, Watts};
+use junkyard_carbon::units::TimeSpan;
+use junkyard_cluster::Peripheral;
 use junkyard_devices::catalog;
 use junkyard_fleet::routing::RoutingPolicy;
 use junkyard_fleet::site::GridRegion;
@@ -28,7 +29,7 @@ use junkyard_planner::{
     PlannedDeployment, PlannerSpace, SearchConfig, SearchOutcome, Slo,
 };
 
-use crate::deployments::{c5_datacenter_site, DeploymentError, FAN_EMBODIED_KG, FAN_WATTS};
+use crate::deployments::{c5_datacenter_site, DeploymentError};
 use crate::lifecycle_study::{
     office_day_demand, LifecycleStudy, MEAN_DAYS_BETWEEN_FAILURES, NEXUSES_PER_SITE,
     PIXELS_PER_SITE,
@@ -202,6 +203,7 @@ impl PlannerStudy {
     /// Returns [`DeploymentError`] if the c5.9xlarge site cannot be
     /// assembled or a screen sweep fails to simulate.
     pub fn evaluator(&self) -> Result<FleetEvaluator, DeploymentError> {
+        let fan = Peripheral::server_fan(1);
         FleetEvaluator::new(
             self.space(),
             social_network(),
@@ -211,10 +213,7 @@ impl PlannerStudy {
         )
         .request_type(SN_COMPOSE_POST)
         .leased(c5_datacenter_site("leased-c5")?)
-        .site_overhead(
-            Watts::new(FAN_WATTS),
-            GramsCo2e::from_kilograms(FAN_EMBODIED_KG),
-        )
+        .site_overhead(fan.total_power(), fan.total_embodied())
         .failures(MEAN_DAYS_BETWEEN_FAILURES)
         .amortize_install(TimeSpan::from_years(SERVICE_LIFETIME_YEARS))
         .with_saturation_screen(self.parallelism)

@@ -9,9 +9,9 @@
 //! mass-shutdowns temporarily zero a site's capacity. This module models
 //! those events and what a serving stack does about them:
 //!
-//! * [`FaultConfig`] → [`FaultPlan`]: a deterministic schedule of
-//!   correlated fault events, seeded through `decorrelate_seed` so the
-//!   plan is bit-identical at any worker count. The plan reduces to a
+//! * [`FaultConfig`] → [`FaultPlan`]: correlated fault events drawn
+//!   through `decorrelate_seed`, so the plan is bit-identical at any
+//!   worker count, and kept only as what they leave standing: a
 //!   per-(window, site) *availability* multiplier in `[0, 1]`.
 //! * Health view with detection lag: the router plans window `w` from
 //!   the availability that was true at window `w - lag`. With a stale
@@ -36,62 +36,6 @@
 
 use junkyard_carbon::convert::{count_f64, index_u64, unit_draw};
 use junkyard_microsim::sweep::decorrelate_seed;
-
-/// The kind of a correlated fault event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum FaultKind {
-    /// A regional grid outage: the whole site is dark for the duration.
-    GridOutage,
-    /// A firmware-batch failure: a correlated fraction of the cohort
-    /// drops out at once.
-    FirmwareBatch,
-    /// A thermal mass-shutdown: every device throttles to zero capacity
-    /// until the site cools.
-    ThermalShutdown,
-}
-
-impl FaultKind {
-    /// Display label for reports.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultKind::GridOutage => "grid-outage",
-            FaultKind::FirmwareBatch => "firmware-batch",
-            FaultKind::ThermalShutdown => "thermal-shutdown",
-        }
-    }
-}
-
-/// One correlated fault event of a [`FaultPlan`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultEvent {
-    site: usize,
-    kind: FaultKind,
-    start_window: usize,
-    duration_windows: usize,
-    severity: f64,
-}
-
-impl FaultEvent {
-    /// Index of the struck site.
-    #[must_use]
-    pub fn site(&self) -> usize {
-        self.site
-    }
-
-    /// What kind of fault this is.
-    #[must_use]
-    pub fn kind(&self) -> FaultKind {
-        self.kind
-    }
-
-    /// First routing window the event covers.
-    #[must_use]
-    pub fn start_window(&self) -> usize {
-        self.start_window
-    }
-}
 
 /// Rates and shapes of the correlated fault processes. All three kinds
 /// default to disabled; enable each with its builder.
@@ -203,59 +147,42 @@ impl FaultConfig {
             && self.thermal_mean_days <= 0.0
     }
 
-    /// The three processes as `(kind, mean_days, duration, severity)`
+    /// The three processes — grid outages, firmware batches and thermal
+    /// shutdowns, in that order — as `(mean_days, duration, severity)`
     /// rows, disabled ones included with a zero rate.
-    fn processes(&self) -> [(FaultKind, f64, usize, f64); 3] {
+    fn processes(&self) -> [(f64, usize, f64); 3] {
         [
             (
-                FaultKind::GridOutage,
                 self.grid_outage_mean_days,
                 self.grid_outage_duration_windows,
                 1.0,
             ),
             (
-                FaultKind::FirmwareBatch,
                 self.firmware_mean_days,
                 self.firmware_duration_windows,
                 self.firmware_fraction,
             ),
-            (
-                FaultKind::ThermalShutdown,
-                self.thermal_mean_days,
-                self.thermal_duration_windows,
-                1.0,
-            ),
+            (self.thermal_mean_days, self.thermal_duration_windows, 1.0),
         ]
     }
 }
 
-/// A deterministic schedule of correlated fault events over a horizon,
-/// reduced to a per-(window, site) availability multiplier.
+/// The correlated faults of a horizon, kept as the per-(window, site)
+/// availability multiplier they leave standing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
-    windows: usize,
     sites: usize,
     /// Window-major: `availability[window * sites + site]`, in `[0, 1]`.
     availability: Vec<f64>,
-    events: Vec<FaultEvent>,
 }
 
 impl FaultPlan {
-    /// The fault-free plan: availability 1.0 everywhere, no events.
-    fn none(windows: usize, sites: usize) -> Self {
-        Self {
-            windows,
-            sites,
-            availability: vec![1.0; windows * sites],
-            events: Vec::new(),
-        }
-    }
-
     /// Generates the plan for `windows` routing windows over `sites`
     /// sites at `windows_per_day` windows per day. Every draw comes from
     /// a [`decorrelate_seed`] chain indexed by (kind, site, window), so
     /// the plan is a pure function of its arguments — bit-identical at
-    /// any worker count and stable when other seeded draws change.
+    /// any worker count and stable when other seeded draws change. A
+    /// disabled config generates availability 1.0 everywhere.
     #[must_use]
     pub fn generate(
         config: &FaultConfig,
@@ -264,11 +191,14 @@ impl FaultPlan {
         windows_per_day: usize,
         seed: u64,
     ) -> Self {
-        let mut plan = Self::none(windows, sites);
+        let mut plan = Self {
+            sites,
+            availability: vec![1.0; windows * sites],
+        };
         if config.is_disabled() {
             return plan;
         }
-        for (kind_index, (kind, mean_days, duration, severity)) in
+        for (kind_index, (mean_days, duration, severity)) in
             config.processes().into_iter().enumerate()
         {
             if mean_days <= 0.0 {
@@ -284,15 +214,13 @@ impl FaultPlan {
                 while window < windows {
                     let draw = unit_draw(decorrelate_seed(site_seed, index_u64(window) + 1));
                     if draw < hazard {
-                        plan.push_event(FaultEvent {
-                            site,
-                            kind,
-                            start_window: window,
-                            duration_windows: duration,
-                            severity,
-                        });
-                        // One event of a kind at a time per site: skip to
-                        // the end of this event before drawing again.
+                        // The event covers `duration` windows, clipped to
+                        // the horizon. One event of a kind at a time per
+                        // site: skip to its end before drawing again.
+                        for struck in window..(window + duration).min(windows) {
+                            let cell = &mut plan.availability[struck * sites + site];
+                            *cell = (*cell * (1.0 - severity)).max(0.0);
+                        }
                         window += duration;
                     } else {
                         window += 1;
@@ -303,33 +231,21 @@ impl FaultPlan {
         plan
     }
 
-    fn push_event(&mut self, event: FaultEvent) {
-        let end = (event.start_window + event.duration_windows).min(self.windows);
-        for window in event.start_window..end {
-            let cell = &mut self.availability[window * self.sites + event.site];
-            *cell = (*cell * (1.0 - event.severity)).max(0.0);
-        }
-        self.events.push(event);
-    }
-
-    /// Number of routing windows the plan covers.
-    #[must_use]
-    pub fn windows(&self) -> usize {
-        self.windows
-    }
-
     /// The availability multiplier of one (window, site) pair, in
     /// `[0, 1]`: the fraction of the site's capacity the faults leave
     /// standing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `site` or `window` is outside the plan.
     #[must_use]
     pub fn availability(&self, window: usize, site: usize) -> f64 {
+        assert!(
+            site < self.sites,
+            "site index {site} out of range ({} sites)",
+            self.sites
+        );
         self.availability[window * self.sites + site]
-    }
-
-    /// Every scheduled fault event, in generation order.
-    #[must_use]
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
     }
 }
 
@@ -394,7 +310,6 @@ impl RetryPolicy {
 /// the remainder at degraded quality by stretching capacity.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradationLadder {
-    reroute: bool,
     low_priority_fraction: f64,
     brownout_stretch: f64,
 }
@@ -405,7 +320,6 @@ impl DegradationLadder {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            reroute: true,
             low_priority_fraction: 0.0,
             brownout_stretch: 1.0,
         }
@@ -564,9 +478,6 @@ pub struct WindowResolution {
     /// Retry/hedge attempts aimed at each site (landed or not); each is
     /// charged the retry policy's network carbon.
     pub retry_attempt_mean: Vec<f64>,
-    /// First-attempt failures: traffic sent to capacity that was not
-    /// actually there.
-    pub failed_first_mean: f64,
     /// Recovered via client retries.
     pub retried_ok_mean: f64,
     /// Recovered via the hedge to the fallback site.
@@ -592,7 +503,6 @@ impl WindowResolution {
             delivered_ratio: vec![1.0; sites],
             extra_served_mean: vec![0.0; sites],
             retry_attempt_mean: vec![0.0; sites],
-            failed_first_mean: 0.0,
             retried_ok_mean: 0.0,
             hedged_mean: 0.0,
             rerouted_mean: 0.0,
@@ -638,7 +548,6 @@ pub fn resolve_window(
         }
         spare[s] = (true_cap[s] - first).max(0.0);
     }
-    let failed_first = pool;
 
     let mut retried_ok = 0.0;
     let mut hedged = 0.0;
@@ -729,7 +638,6 @@ pub fn resolve_window(
         delivered_ratio,
         extra_served_mean: extra,
         retry_attempt_mean: attempts,
-        failed_first_mean: failed_first,
         retried_ok_mean: retried_ok,
         hedged_mean: hedged,
         rerouted_mean: rerouted,
@@ -746,8 +654,6 @@ mod tests {
     #[test]
     fn disabled_config_generates_the_fault_free_plan() {
         let plan = FaultPlan::generate(&FaultConfig::disabled(), 48, 3, 6, 42);
-        assert!(plan.events().is_empty());
-        assert_eq!(plan, FaultPlan::none(48, 3));
         for w in 0..48 {
             for s in 0..3 {
                 assert_eq!(plan.availability(w, s), 1.0);
@@ -766,18 +672,26 @@ mod tests {
         assert_eq!(a, b);
         let c = FaultPlan::generate(&config, 240, 2, 6, 8);
         assert_ne!(a, c, "a different seed should reschedule the faults");
-        assert!(!a.events().is_empty(), "these rates strike within 40 days");
-        // Availability stays in [0, 1] and every event maps onto it.
+        // Availability stays in [0, 1], and these rates strike within 40
+        // days.
+        let mut struck = 0;
         for w in 0..240 {
             for s in 0..2 {
                 let avail = a.availability(w, s);
                 assert!((0.0..=1.0).contains(&avail));
+                struck += usize::from(avail < 1.0);
             }
         }
-        for event in a.events() {
-            let window = event.start_window();
-            assert!(a.availability(window, event.site()) < 1.0);
-        }
+        assert!(struck > 0, "no window lost capacity");
+    }
+
+    #[test]
+    #[should_panic(expected = "site index 2 out of range")]
+    fn an_out_of_range_site_panics_instead_of_reading_the_next_window() {
+        // Window 0, site 2 of a two-site plan would otherwise read
+        // window 1's first site.
+        let plan = FaultPlan::generate(&FaultConfig::disabled(), 4, 2, 2, 1);
+        let _ = plan.availability(0, 2);
     }
 
     #[test]
@@ -816,7 +730,8 @@ mod tests {
             (total - offered).abs() < 1e-9 * offered,
             "conservation: {total} vs {offered}"
         );
-        assert!(res.failed_first_mean > 0.0);
+        // The dark site delivers only its surviving quarter first time.
+        assert_eq!(res.delivered_ratio[0], 0.25);
         assert!(res.hedged_mean > 0.0, "the fallback has spare capacity");
     }
 

@@ -20,8 +20,9 @@
 //!   towards the region that is cleanest *right now*; plus the route
 //!   tracing.
 //! * [`faults`] — correlated fault injection and the failure-aware
-//!   serving path: deterministic [`FaultPlan`]s of
-//!   grid outages, firmware-batch failures and thermal shutdowns; a
+//!   serving path: deterministic [`FaultPlan`]s, the per-(window, site)
+//!   availability that grid outages, firmware-batch failures and
+//!   thermal shutdowns leave standing; a
 //!   stale health view with detection lag; bounded
 //!   [`RetryPolicy`] retries and hedging, every
 //!   attempt charged its carbon; and a degradation ladder
@@ -96,13 +97,11 @@ pub mod site;
 #[cfg(test)]
 pub(crate) mod testutil;
 
-pub use faults::{
-    DegradationLadder, FaultConfig, FaultEvent, FaultKind, FaultPlan, ResiliencePolicy, RetryPolicy,
-};
+pub use faults::{DegradationLadder, FaultConfig, FaultPlan, ResiliencePolicy, RetryPolicy};
 pub use lifecycle::{
     CohortDevice, LifecycleCell, LifecycleConfig, LifecyclePlan, LifecycleResult, LifecycleSim,
     LifecycleSite, MeasuredSlices, SiteConfigError, WindowHealth,
 };
-pub use routing::{RoutingPolicy, SiteWindowInput, WindowAssignment};
+pub use routing::RoutingPolicy;
 pub use schedule::{DiurnalSchedule, LoadWindow};
 pub use site::{second_life_embodied, smart_charging_scale, FleetSite, GridRegion};

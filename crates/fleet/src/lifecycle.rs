@@ -82,7 +82,7 @@ use junkyard_obs::{ConservedLedger, EventKind, NoopRecorder, Recorder, TraceEven
 use crate::faults::{
     resolve_window, FaultConfig, FaultPlan, ResiliencePolicy, RetryPolicy, WindowResolution,
 };
-use crate::routing::{plan_window, record_routes, RoutingPolicy, SiteWindowInput};
+use crate::routing::{plan_window, record_routes, RoutingPolicy};
 use crate::schedule::DiurnalSchedule;
 use crate::site::{second_life_embodied, FleetSite, GridRegion};
 
@@ -114,12 +114,11 @@ impl std::fmt::Display for SiteConfigError {
 
 impl std::error::Error for SiteConfigError {}
 
-/// One device slot of a cohort site: the phone model occupying it, its
-/// battery, what a junkyard replacement costs in embodied carbon and what
-/// the slot contributes to serving capacity and power.
+/// One device slot of a cohort site: the battery of the phone occupying
+/// it, what a junkyard replacement costs in embodied carbon and what the
+/// slot contributes to serving capacity and power.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CohortDevice {
-    model: String,
     serving_power: Watts,
     battery: BatterySpec,
     replacement_embodied: GramsCo2e,
@@ -141,7 +140,6 @@ impl CohortDevice {
     /// positive.
     #[must_use]
     pub fn new(
-        model: impl Into<String>,
         serving_power: Watts,
         battery: BatterySpec,
         replacement_embodied: GramsCo2e,
@@ -153,7 +151,6 @@ impl CohortDevice {
         );
         assert!(capacity_qps > 0.0, "device capacity must be positive");
         Self {
-            model: model.into(),
             serving_power,
             battery,
             replacement_embodied,
@@ -186,7 +183,6 @@ impl CohortDevice {
             .reuse_factor(&ComponentBreakdown::compute_node_role());
         let curve = device.power();
         Ok(Self::new(
-            device.name(),
             device.average_power(&LoadProfile::light_medium()),
             battery,
             second_life_embodied(device.embodied(), &reuse),
@@ -606,11 +602,10 @@ impl LifecycleConfig {
 }
 
 /// The per-day state of one site, produced by the serial dynamics pass:
-/// who is alive, what the site can serve, what its power model looks like
-/// and what embodied carbon the day's events charged.
+/// what the site can serve, what its power model looks like and what
+/// embodied carbon the day's events charged.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct DayDynamics {
-    alive: usize,
     capacity_qps: f64,
     idle_power: Watts,
     dynamic_power: Watts,
@@ -670,10 +665,10 @@ impl DayLedger {
     }
 }
 
-/// One (year, site) cell of the lifecycle accounting grid.
+/// One (year, site) cell of the lifecycle accounting grid; its place in
+/// [`LifecycleResult::cells`] says which.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LifecycleCell {
-    year: usize,
     requests: f64,
     dropped_requests: f64,
     operational: GramsCo2e,
@@ -685,16 +680,9 @@ pub struct LifecycleCell {
     worst_median_ms: Millis,
     worst_tail_ms: Millis,
     worst_p99_ms: Millis,
-    daily: Vec<DayLedger>,
 }
 
 impl LifecycleCell {
-    /// Year index of the cell (0-based).
-    #[must_use]
-    pub fn year(&self) -> usize {
-        self.year
-    }
-
     /// Requests the site served during the year (assigned demand minus
     /// the slice-measured queue-drop share).
     #[must_use]
@@ -867,9 +855,18 @@ impl LifecycleResult {
     }
 
     /// The cell of one (year, site) pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `site` or `year` is outside the run.
     #[must_use]
     pub fn cell(&self, year: usize, site: usize) -> &LifecycleCell {
-        &self.cells[year * self.site_names.len() + site]
+        let sites = self.site_names.len();
+        assert!(
+            site < sites,
+            "site index {site} out of range ({sites} sites)"
+        );
+        &self.cells[year * sites + site]
     }
 
     /// The fleet-wide per-day ledger, one entry per day of the horizon.
@@ -994,15 +991,6 @@ impl LifecycleResult {
     #[must_use]
     pub fn window_health(&self) -> &[WindowHealth] {
         &self.window_health
-    }
-
-    /// Per-window success rates, in window order.
-    #[must_use]
-    pub fn window_success_rates(&self) -> Vec<f64> {
-        self.window_health
-            .iter()
-            .map(WindowHealth::success_rate)
-            .collect()
     }
 
     /// Number of downtime windows: windows whose success rate fell
@@ -1503,7 +1491,6 @@ impl LifecycleSim {
                 let daily_embodied = site.embodied_over(TimeSpan::from_days(1.0));
                 (0..days)
                     .map(|_| DayDynamics {
-                        alive: 0,
                         capacity_qps: site.capacity_qps(),
                         idle_power: site.idle_power(),
                         dynamic_power: site.dynamic_power(),
@@ -1628,7 +1615,6 @@ impl LifecycleSim {
                     }
 
                     dynamics.push(DayDynamics {
-                        alive,
                         capacity_qps: capacity,
                         idle_power: idle,
                         dynamic_power: dynamic,
@@ -1704,53 +1690,53 @@ impl LifecycleSim {
 
         // Pass 2: per-window routing plans against the capacity the
         // router *believes* is alive that day (true capacity times the
-        // observed availability; a standby fallback site is planned at
+        // observed availability; a standby fallback site is observed at
         // zero so it takes no primary traffic), plus the window-mean
-        // intensities the cells will charge energy at. Each plan is then
-        // resolved: first attempts against *true* capacity, the retry
+        // intensities the cells will charge energy at. The router writes
+        // each window's split straight into its share row. Each plan is
+        // then resolved: first attempts against *true* capacity, the retry
         // rounds aimed by the stale view, the hedge and the degradation
         // ladder. Only the outcomes that differ from the healthy one are
-        // kept, so a fault-free run stores none. Each plan's shares and
-        // declined rate are copied into the window-major rows.
+        // kept, so a fault-free run stores none.
         let healthy = WindowResolution::healthy(sites);
         let mut resolutions: BTreeMap<usize, WindowResolution> = BTreeMap::new();
         let mut intensities: Vec<CarbonIntensity> = Vec::with_capacity(windows * sites);
-        let mut shares: Vec<(f64, f64)> = Vec::with_capacity(windows * sites);
+        let mut shares = vec![(0.0, 0.0); windows * sites];
         let mut declined_qps: Vec<f64> = Vec::with_capacity(windows);
         let (mut true_cap, mut observed_cap) = (vec![0.0; sites], vec![0.0; sites]);
         let (mut avail, mut assigned) = (vec![0.0; sites], vec![0.0; sites]);
-        for w in 0..windows {
+        for (w, row) in shares.chunks_exact_mut(sites).enumerate() {
             let window = self.schedule.window(w, wpd);
             let day = w / wpd;
             intensities.extend(self.sites.iter().map(|site| {
                 site.region()
                     .mean_intensity_between(window.start(), window.end())
             }));
-            let window_intensities = &intensities[w * sites..];
             for s in 0..sites {
                 avail[s] = fault_plan.availability(w, s);
                 true_cap[s] = dynamics[s][day].capacity_qps * avail[s];
-                observed_cap[s] = dynamics[s][day].capacity_qps * observed_avail(w, s);
+                observed_cap[s] = if Some(s) == fallback {
+                    0.0
+                } else {
+                    dynamics[s][day].capacity_qps * observed_avail(w, s)
+                };
             }
-            let inputs: Vec<SiteWindowInput> = (0..sites)
-                .map(|s| SiteWindowInput {
-                    capacity_qps: if Some(s) == fallback {
-                        0.0
-                    } else {
-                        observed_cap[s]
-                    },
-                    intensity: window_intensities[s],
-                })
-                .collect();
-            let plan = plan_window(self.policy, &inputs, &window);
+            let declined = plan_window(
+                self.policy,
+                &observed_cap,
+                &intensities[w * sites..],
+                &window,
+                row,
+            );
             record_routes(
                 recorder,
                 &window,
-                &plan,
+                row,
+                declined,
                 self.sites.iter().map(LifecycleSite::name),
             );
-            for (s, rate) in assigned.iter_mut().enumerate() {
-                *rate = plan.site_mean_qps(s);
+            for (rate, (start, end)) in assigned.iter_mut().zip(&*row) {
+                *rate = (start + end) / 2.0;
             }
             let resolution = resolve_window(
                 &assigned,
@@ -1762,8 +1748,7 @@ impl LifecycleSim {
             if resolution != healthy {
                 resolutions.insert(w, resolution);
             }
-            shares.extend_from_slice(plan.shares());
-            declined_qps.push(plan.declined_mean_qps());
+            declined_qps.push(declined);
         }
         if recorder.enabled() {
             // A window with a fault differs from the healthy outcome in
@@ -2049,17 +2034,8 @@ impl LifecyclePlan {
         let window_s = duration.seconds();
         let healthy = WindowResolution::healthy(sites);
 
-        // Each cell's accounting from the measured slices.
-        let cells: Vec<LifecycleCell> = self
-            .cell_loads
-            .iter()
-            .zip(positions)
-            .enumerate()
-            .map(|(cell, (loads, cell_positions))| {
-                self.account_cell(cell, duration, &healthy, loads, cell_positions, measures)
-            })
-            .collect();
-
+        // Each cell's accounting from the measured slices, its days added
+        // into the fleet's day ledger in cell order.
         let mut day_ledger = vec![
             DayLedger {
                 requests: 0.0,
@@ -2069,6 +2045,21 @@ impl LifecyclePlan {
             };
             days
         ];
+        let cells: Vec<LifecycleCell> = positions
+            .iter()
+            .enumerate()
+            .map(|(cell, cell_positions)| {
+                self.account_cell(
+                    cell,
+                    duration,
+                    &healthy,
+                    cell_positions,
+                    measures,
+                    &mut day_ledger,
+                )
+            })
+            .collect();
+
         let mut total_requests = 0.0;
         let mut dropped_requests = 0.0;
         let mut total_operational = GramsCo2e::ZERO;
@@ -2080,13 +2071,6 @@ impl LifecyclePlan {
             total_operational += cell.operational;
             total_embodied += cell.embodied;
             total_retry_carbon += cell.retry_carbon;
-            for (offset, ledger) in cell.daily.iter().enumerate() {
-                let merged = &mut day_ledger[cell.year * DAYS_PER_YEAR + offset];
-                merged.requests += ledger.requests;
-                merged.operational += ledger.operational;
-                merged.embodied += ledger.embodied;
-                merged.retry += ledger.retry;
-            }
         }
         let declined_requests = self.declined_qps.iter().map(|qps| qps * window_s).sum();
 
@@ -2189,21 +2173,23 @@ impl LifecyclePlan {
     }
 
     /// Aggregates (year, site) cell `cell`: every window of the year at
-    /// this site, each `duration` long, priced from the measured slices.
-    /// Windows without a stored outcome take `healthy`. `positions` places
-    /// each of the cell's distinct loads (`loads`) in `measures`.
+    /// this site, each `duration` long, priced from the measured slices,
+    /// and adds each of its days into `day_ledger`. Windows without a
+    /// stored outcome take `healthy`. `positions` places each of the
+    /// cell's distinct loads ([`CellLoads`]) in `measures`.
     fn account_cell(
         &self,
         cell: usize,
         duration: TimeSpan,
         healthy: &WindowResolution,
-        loads: &CellLoads,
         positions: &[usize],
         measures: &[SliceMeasure],
+        day_ledger: &mut [DayLedger],
     ) -> LifecycleCell {
         let wpd = self.config.windows_per_day;
         let sites = self.site_names.len();
         let (year, site_idx) = (cell / sites, cell % sites);
+        let loads = &self.cell_loads[cell];
         let dynamics = &self.dynamics;
         let window_s = duration.seconds();
 
@@ -2222,7 +2208,6 @@ impl LifecyclePlan {
         let span = cell_days(year, dynamics[site_idx].len());
         let cell_start = span.start;
         let year_days = &dynamics[site_idx][span];
-        let mut daily = Vec::with_capacity(year_days.len());
         for (offset, state) in year_days.iter().enumerate() {
             let day = cell_start + offset;
             battery_replacements += state.battery_replacements;
@@ -2318,16 +2303,14 @@ impl LifecyclePlan {
             operational += day_operational;
             retry_carbon += day_retry;
             embodied += state.embodied;
-            daily.push(DayLedger {
-                requests: day_requests,
-                operational: day_operational,
-                embodied: state.embodied,
-                retry: day_retry,
-            });
+            let ledger = &mut day_ledger[day];
+            ledger.requests += day_requests;
+            ledger.operational += day_operational;
+            ledger.embodied += state.embodied;
+            ledger.retry += day_retry;
         }
 
         LifecycleCell {
-            year,
             requests,
             dropped_requests,
             operational,
@@ -2339,7 +2322,6 @@ impl LifecyclePlan {
             worst_median_ms: Millis::from_millis(worst_median_ms),
             worst_tail_ms: Millis::from_millis(worst_tail_ms),
             worst_p99_ms: Millis::from_millis(worst_p99_ms),
-            daily,
         }
     }
 }
@@ -2399,7 +2381,6 @@ mod tests {
 
     fn phone_slot(capacity: f64) -> CohortDevice {
         CohortDevice::new(
-            "Pixel 3A",
             Watts::new(1.7),
             BatterySpec::pixel_3a(),
             GramsCo2e::from_kilograms(5.5),
@@ -2457,7 +2438,6 @@ mod tests {
             .reuse_factor(&ComponentBreakdown::compute_node_role());
         let curve = pixel.power();
         let expected = CohortDevice::new(
-            pixel.name(),
             pixel.average_power(&LoadProfile::light_medium()),
             pixel.battery().unwrap(),
             second_life_embodied(pixel.embodied(), &reuse),
@@ -2491,12 +2471,17 @@ mod tests {
         assert!(result.total_device_failures() > 0);
         assert!(result.total_devices_replaced() > 0);
         // Day 0 carries the cloudlet's install embodied.
-        let first_day = result.cell(0, 0).daily[0];
-        assert!(first_day.embodied().kilograms() >= 20.0);
-        // Each cell's own daily ledger reproduces the cell.
-        for cell in result.cells() {
-            let daily: f64 = cell.daily.iter().map(DayLedger::requests).sum();
-            assert!((daily - cell.requests()).abs() <= 1e-9 * cell.requests().max(1.0));
+        assert!(result.day_ledger()[0].embodied().kilograms() >= 20.0);
+        // Each year's days of the day ledger reproduce that year's cells.
+        for year in 0..3 {
+            let days = &result.day_ledger()[cell_days(year, 3 * DAYS_PER_YEAR)];
+            let cells = [result.cell(year, 0), result.cell(year, 1)];
+            let requests: f64 = cells.iter().map(|c| c.requests()).sum();
+            let ledger: f64 = days.iter().map(DayLedger::requests).sum();
+            assert!((ledger - requests).abs() <= 1e-9 * requests.max(1.0));
+            let embodied: f64 = cells.iter().map(|c| c.embodied().grams()).sum();
+            let ledger: f64 = days.iter().map(|d| d.embodied().grams()).sum();
+            assert!((ledger - embodied).abs() <= 1e-9 * embodied);
         }
     }
 
@@ -2528,10 +2513,10 @@ mod tests {
         let dynamics = sim.simulate_dynamics(0, 2 * DAYS_PER_YEAR);
         let full = dynamics[0].capacity_qps;
         assert!((full - 1_200.0).abs() < 1e-9);
-        // Outage days exist and carry reduced capacity.
-        let shrunk: Vec<&DayDynamics> = dynamics.iter().filter(|d| d.alive < 4).collect();
+        // Outage days exist, and each loses whole 300-QPS device slots.
+        let shrunk: Vec<&DayDynamics> = dynamics.iter().filter(|d| d.capacity_qps < full).collect();
         assert!(!shrunk.is_empty(), "no outages in two years");
-        assert!(shrunk.iter().all(|d| d.capacity_qps < full));
+        assert!(shrunk.iter().all(|d| d.capacity_qps % 300.0 == 0.0));
         // And capacity recovers after the lag.
         assert!(dynamics.last().unwrap().capacity_qps > 0.0);
         // The run itself stays capacity-safe while capacity moves.
@@ -2845,19 +2830,24 @@ mod tests {
                 config,
             )
         };
+        // A one-site cell's requests are its days of the day ledger,
+        // summed in day order.
+        let days_sum = |days: &[DayLedger]| days.iter().map(DayLedger::requests).sum::<f64>();
         // Three days fit inside one (short) year cell.
         let short = sim(quick(LifecycleConfig::days(3))).run().unwrap();
         assert_eq!(short.cells().len(), 1);
         assert_eq!(short.day_ledger().len(), 3);
-        assert_eq!(short.cell(0, 0).daily.len(), 3);
+        assert_eq!(short.cell(0, 0).requests(), days_sum(short.day_ledger()));
         assert!(short.total_requests() > 0.0);
         // 400 days span two cells: a full year and a 35-day remainder.
         let spanning = sim(quick(LifecycleConfig::days(400))).run().unwrap();
         assert_eq!(spanning.years(), 2);
         assert_eq!(spanning.cells().len(), 2);
-        assert_eq!(spanning.cell(0, 0).daily.len(), DAYS_PER_YEAR);
-        assert_eq!(spanning.cell(1, 0).daily.len(), 35);
         assert_eq!(spanning.day_ledger().len(), 400);
+        let (first_year, rest) = spanning.day_ledger().split_at(DAYS_PER_YEAR);
+        assert_eq!(spanning.cell(0, 0).requests(), days_sum(first_year));
+        assert_eq!(rest.len(), 35);
+        assert_eq!(spanning.cell(1, 0).requests(), days_sum(rest));
         // The day-capped prefix agrees with the plain run's first days.
         let full = sim(quick(LifecycleConfig::years(1))).run().unwrap();
         assert_eq!(full.day_ledger()[..3], *short.day_ledger());
@@ -2980,7 +2970,10 @@ mod tests {
             "a 5-day outage MTBF over 40 days with a stale router must fail requests"
         );
         assert!(stale.availability() < 1.0);
-        assert!(!stale.window_success_rates().iter().all(|&r| r >= 1.0));
+        assert!(stale
+            .window_health()
+            .iter()
+            .any(|health| health.success_rate() < 1.0));
         // Detection lag zero: the router sees the truth every window, so
         // nothing lands on dead capacity and nothing fails.
         let omniscient = build(0).run().unwrap();
@@ -3122,6 +3115,23 @@ mod tests {
         assert!(result.router_declined_requests() > 0.0);
         assert_eq!(result.failed_requests(), 0.0);
         assert_eq!(result.availability(), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "site index 2 out of range")]
+    fn an_out_of_range_site_panics_instead_of_reading_the_next_year() {
+        // Year 0, site 2 of a two-site, two-year run would otherwise
+        // read year 1's first cell. Nothing is offered, so no slice runs.
+        let result = LifecycleSim::new(
+            vec![leased_site(500.0), leased_site(500.0)],
+            DiurnalSchedule::flat(0.0),
+            RoutingPolicy::Static,
+            quick(LifecycleConfig::years(2)),
+        )
+        .run()
+        .unwrap();
+        assert_eq!(result.cells().len(), 4);
+        let _ = result.cell(0, 2);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! * **Router declined** — demand the planner could not place anywhere
 //!   because the fleet's aggregate (capped) capacity was exhausted. This
 //!   is decided here, per window, before any simulation runs, and is
-//!   reported by [`WindowAssignment::declined_mean_qps`].
+//!   the rate [`plan_window`] returns.
 //! * **Queue dropped** — requests a site *accepted* but then lost at a
 //!   bounded application queue inside the microsim (see
 //!   `junkyard_microsim::ServerModel::with_queue_size`). The router never
@@ -31,8 +31,8 @@
 //!   surfaces them as `queue_dropped_requests`.
 //!
 //! Fleet-level *shed* is the sum of the two. At this layer nothing has
-//! been simulated yet, so a [`WindowAssignment`] reports only the
-//! declined component.
+//! been simulated yet, so a window's plan carries only the declined
+//! component.
 //!
 //! The simulator traces each window's plan through the crate-private
 //! `record_routes`: a `route` event per site that took traffic and one
@@ -65,88 +65,49 @@ impl RoutingPolicy {
     }
 }
 
-/// The per-site split of one window's traffic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowAssignment {
-    window: usize,
-    /// Per-site `(qps_start, qps_end)`, same order as the fleet's sites.
-    shares: Vec<(f64, f64)>,
-    declined_mean_qps: f64,
-}
-
-impl WindowAssignment {
-    /// Per-site `(qps_start, qps_end)` pairs, in fleet site order.
-    #[must_use]
-    pub fn shares(&self) -> &[(f64, f64)] {
-        &self.shares
-    }
-
-    /// Mean offered load the *router* could not place (demand beyond the
-    /// aggregate capacity cap), requests per second.
-    ///
-    /// This is only the router-declined component of shed — sites may
-    /// additionally drop accepted requests at bounded queues (see the
-    /// module docs on shed semantics).
-    #[must_use]
-    pub fn declined_mean_qps(&self) -> f64 {
-        self.declined_mean_qps
-    }
-
-    /// Time-averaged rate assigned to site `site`.
-    #[must_use]
-    pub fn site_mean_qps(&self, site: usize) -> f64 {
-        let (start, end) = self.shares[site];
-        (start + end) / 2.0
-    }
-}
-
-/// The per-site facts a routing policy needs to split one window: how
-/// much the site can take and how dirty its grid is over the window. The
-/// lifecycle simulator re-plans every window from these as cohort
-/// capacity shrinks and recovers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SiteWindowInput {
-    /// Highest offered load the router may assign, requests/second.
-    pub capacity_qps: f64,
-    /// Window-mean carbon intensity of the site's grid region.
-    pub intensity: CarbonIntensity,
-}
-
-/// Plans one window's assignment under `policy` from each site's
-/// capacity and window-mean intensity.
+/// Plans one window's split under `policy` from each site's capacity
+/// (requests/second) and window-mean grid intensity, both in fleet site
+/// order. Site `s`'s `(qps_start, qps_end)` is written to `shares[s]`, and
+/// the mean rate the router could not place anywhere (demand beyond the
+/// aggregate capacity cap) is returned — only the router-declined
+/// component of shed (see the module docs on shed semantics).
 ///
 /// The split is computed against the window's *peak* rate, so the
 /// per-site assignment respects the capacity cap at every instant of the
 /// window, not just on average.
-#[must_use]
+///
+/// # Panics
+///
+/// Panics if `intensities` or `shares` is shorter than `capacities`.
 pub fn plan_window(
     policy: RoutingPolicy,
-    sites: &[SiteWindowInput],
+    capacities: &[f64],
+    intensities: &[CarbonIntensity],
     window: &LoadWindow,
-) -> WindowAssignment {
+    shares: &mut [(f64, f64)],
+) -> f64 {
+    let sites = capacities.len();
+    let (intensities, shares) = (&intensities[..sites], &mut shares[..sites]);
     let peak = window.peak_qps();
     if peak <= 0.0 {
-        return WindowAssignment {
-            window: window.index(),
-            shares: vec![(0.0, 0.0); sites.len()],
-            declined_mean_qps: 0.0,
-        };
+        shares.fill((0.0, 0.0));
+        return 0.0;
     }
     // `fractions[i]` is the share of the window's demand routed to site i;
     // the policies differ only in how these are chosen.
     let fractions: Vec<f64> = match policy {
         RoutingPolicy::Static => {
-            let total_cap: f64 = sites.iter().map(|s| s.capacity_qps).sum();
+            let total_cap: f64 = capacities.iter().sum();
             if total_cap <= 0.0 {
                 // Nothing can serve: everything sheds.
-                vec![0.0; sites.len()]
+                vec![0.0; sites]
             } else {
                 // Proportional shares saturate all sites simultaneously, so
                 // a single scale factor keeps every site within capacity.
                 let scale = (total_cap / peak).min(1.0);
-                sites
+                capacities
                     .iter()
-                    .map(|s| s.capacity_qps / total_cap * scale)
+                    .map(|capacity| capacity / total_cap * scale)
                     .collect()
             }
         }
@@ -154,44 +115,41 @@ pub fn plan_window(
             // Order sites by their grid's window-mean intensity; fill the
             // cleanest first. Ties break on site index, so the plan is
             // deterministic.
-            let mut order: Vec<(usize, f64)> = sites
+            let mut order: Vec<(usize, f64)> = intensities
                 .iter()
                 .enumerate()
-                .map(|(i, s)| (i, s.intensity.grams_per_kwh()))
+                .map(|(i, intensity)| (i, intensity.grams_per_kwh()))
                 .collect();
             order.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            let mut fractions = vec![0.0; sites.len()];
+            let mut fractions = vec![0.0; sites];
             let mut remaining = peak;
             for (index, _) in order {
                 if remaining <= 0.0 {
                     break;
                 }
-                let take = remaining.min(sites[index].capacity_qps);
+                let take = remaining.min(capacities[index]);
                 fractions[index] = take / peak;
                 remaining -= take;
             }
             fractions
         }
     };
-    let placed: f64 = fractions.iter().sum();
-    WindowAssignment {
-        window: window.index(),
-        shares: fractions
-            .iter()
-            .map(|f| (f * window.qps_start(), f * window.qps_end()))
-            .collect(),
-        declined_mean_qps: (1.0 - placed).max(0.0) * window.mean_qps(),
+    for (share, f) in shares.iter_mut().zip(&fractions) {
+        *share = (f * window.qps_start(), f * window.qps_end());
     }
+    let placed: f64 = fractions.iter().sum();
+    (1.0 - placed).max(0.0) * window.mean_qps()
 }
 
 /// Traces one window's routing decisions: a `route` event per site the
-/// plan assigned traffic to, keyed by `site_names` in fleet site order,
-/// and one for the demand it declined. The lifecycle calls this on its
-/// serial side, so tracing never touches the measured results.
+/// plan's `shares` assigned traffic to, keyed by `site_names` in fleet
+/// site order, and one for the `declined` rate. The lifecycle calls this
+/// on its serial side, so tracing never touches the measured results.
 pub(crate) fn record_routes<'a, R: Recorder>(
     recorder: &mut R,
     window: &LoadWindow,
-    plan: &WindowAssignment,
+    shares: &[(f64, f64)],
+    declined: f64,
     site_names: impl Iterator<Item = &'a str>,
 ) {
     if !recorder.enabled() {
@@ -199,13 +157,12 @@ pub(crate) fn record_routes<'a, R: Recorder>(
     }
     let t = window.start().seconds();
     let detail = format!("w{}", window.index());
-    for (s, name) in site_names.enumerate() {
-        let qps = plan.site_mean_qps(s);
+    for (&(start, end), name) in shares.iter().zip(site_names) {
+        let qps = (start + end) / 2.0;
         if qps > 0.0 {
             recorder.event(TraceEvent::new(EventKind::Route, t, name, qps).with_detail(&detail));
         }
     }
-    let declined = plan.declined_mean_qps();
     if declined > 0.0 {
         recorder
             .event(TraceEvent::new(EventKind::Route, t, "declined", declined).with_detail(&detail));
@@ -217,66 +174,72 @@ mod tests {
     use super::*;
     use crate::schedule::DiurnalSchedule;
 
-    fn site(grams: f64, capacity_qps: f64) -> SiteWindowInput {
-        SiteWindowInput {
-            capacity_qps,
-            intensity: CarbonIntensity::from_grams_per_kwh(grams),
-        }
-    }
-
     fn one_window(qps: f64) -> LoadWindow {
         DiurnalSchedule::flat(qps).windows(1, 1)[0]
     }
 
+    /// Plans one window over sites given as `(grams/kWh, capacity)`:
+    /// each site's mean rate and the declined rate.
+    fn plan(policy: RoutingPolicy, sites: &[(f64, f64)], qps: f64) -> (Vec<f64>, f64) {
+        let capacities: Vec<f64> = sites.iter().map(|&(_, capacity)| capacity).collect();
+        let intensities: Vec<CarbonIntensity> = sites
+            .iter()
+            .map(|&(grams, _)| CarbonIntensity::from_grams_per_kwh(grams))
+            .collect();
+        let mut shares = vec![(f64::NAN, f64::NAN); sites.len()];
+        let declined = plan_window(
+            policy,
+            &capacities,
+            &intensities,
+            &one_window(qps),
+            &mut shares,
+        );
+        for (&(start, end), capacity) in shares.iter().zip(&capacities) {
+            assert!(start <= capacity + 1e-9 && end <= capacity + 1e-9);
+        }
+        let means = shares.iter().map(|(start, end)| (start + end) / 2.0);
+        (means.collect(), declined)
+    }
+
     #[test]
     fn static_shares_are_capacity_proportional() {
-        let sites = [site(300.0, 600.0), site(200.0, 200.0)];
-        let plan = plan_window(RoutingPolicy::Static, &sites, &one_window(400.0));
-        assert!((plan.site_mean_qps(0) - 300.0).abs() < 1e-9);
-        assert!((plan.site_mean_qps(1) - 100.0).abs() < 1e-9);
-        assert_eq!(plan.declined_mean_qps(), 0.0);
+        let (means, declined) = plan(
+            RoutingPolicy::Static,
+            &[(300.0, 600.0), (200.0, 200.0)],
+            400.0,
+        );
+        assert!((means[0] - 300.0).abs() < 1e-9);
+        assert!((means[1] - 100.0).abs() < 1e-9);
+        assert_eq!(declined, 0.0);
     }
 
     #[test]
     fn carbon_aware_fills_the_cleanest_region_first() {
-        let sites = [site(400.0, 600.0), site(100.0, 600.0)];
-        let plan = plan_window(RoutingPolicy::CarbonAware, &sites, &one_window(500.0));
+        let sites = [(400.0, 600.0), (100.0, 600.0)];
+        let (means, _) = plan(RoutingPolicy::CarbonAware, &sites, 500.0);
         // The clean site absorbs everything it can before the dirty one.
-        assert!((plan.site_mean_qps(1) - 500.0).abs() < 1e-9);
-        assert_eq!(plan.site_mean_qps(0), 0.0);
+        assert!((means[1] - 500.0).abs() < 1e-9);
+        assert_eq!(means[0], 0.0);
         // With more demand than the clean site's cap, the overflow spills.
-        let plan = plan_window(RoutingPolicy::CarbonAware, &sites, &one_window(900.0));
-        assert!((plan.site_mean_qps(1) - 600.0).abs() < 1e-9);
-        assert!((plan.site_mean_qps(0) - 300.0).abs() < 1e-9);
+        let (means, _) = plan(RoutingPolicy::CarbonAware, &sites, 900.0);
+        assert!((means[1] - 600.0).abs() < 1e-9);
+        assert!((means[0] - 300.0).abs() < 1e-9);
     }
 
     #[test]
     fn both_policies_respect_capacity_and_record_shed() {
-        let sites = [site(300.0, 400.0), site(200.0, 100.0)];
         for policy in [RoutingPolicy::Static, RoutingPolicy::CarbonAware] {
-            let plan = plan_window(policy, &sites, &one_window(1_000.0));
-            for (i, s) in sites.iter().enumerate() {
-                let (start, end) = plan.shares()[i];
-                assert!(start <= s.capacity_qps + 1e-9);
-                assert!(end <= s.capacity_qps + 1e-9);
-            }
-            let placed: f64 = (0..sites.len()).map(|i| plan.site_mean_qps(i)).sum();
-            assert!((placed + plan.declined_mean_qps() - 1_000.0).abs() < 1e-9);
-            assert!(
-                (plan.declined_mean_qps() - 500.0).abs() < 1e-9,
-                "{policy:?}"
-            );
+            let (means, declined) = plan(policy, &[(300.0, 400.0), (200.0, 100.0)], 1_000.0);
+            let placed: f64 = means.iter().sum();
+            assert!((placed + declined - 1_000.0).abs() < 1e-9);
+            assert!((declined - 500.0).abs() < 1e-9, "{policy:?}");
         }
     }
 
     #[test]
     fn idle_windows_assign_nothing() {
-        let plan = plan_window(
-            RoutingPolicy::Static,
-            &[site(100.0, 1_000.0)],
-            &one_window(0.0),
-        );
-        assert_eq!(plan.shares(), &[(0.0, 0.0)]);
-        assert_eq!(plan.declined_mean_qps(), 0.0);
+        let (means, declined) = plan(RoutingPolicy::Static, &[(100.0, 1_000.0)], 0.0);
+        assert_eq!(means, [0.0]);
+        assert_eq!(declined, 0.0);
     }
 }

@@ -183,12 +183,6 @@ impl LoadWindow {
     pub fn peak_qps(&self) -> f64 {
         self.qps_start.max(self.qps_end)
     }
-
-    /// Requests offered over the whole window.
-    #[must_use]
-    pub fn requests(&self) -> f64 {
-        self.mean_qps() * self.duration.seconds()
-    }
 }
 
 #[cfg(test)]
@@ -254,7 +248,6 @@ mod tests {
         for w in &windows {
             assert!(w.peak_qps() <= 2_000.0 * 1.15 + 1e-9);
             assert!(w.mean_qps() > 0.0);
-            assert!((w.requests() - w.mean_qps() * w.duration().seconds()).abs() < 1e-9);
         }
     }
 

@@ -116,23 +116,18 @@ pub struct Evaluation {
     worst_tail_ms: f64,
     worst_p99_ms: f64,
     shed_fraction: f64,
-    requests: f64,
-    total_carbon_kg: f64,
     devices: usize,
 }
 
 impl Evaluation {
     /// Assembles an evaluation from measured results.
     #[must_use]
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         grams_per_request: Option<f64>,
         worst_median_ms: f64,
         worst_tail_ms: f64,
         worst_p99_ms: f64,
         shed_fraction: f64,
-        requests: f64,
-        total_carbon_kg: f64,
         devices: usize,
     ) -> Self {
         Self {
@@ -141,33 +136,8 @@ impl Evaluation {
             worst_tail_ms,
             worst_p99_ms,
             shed_fraction,
-            requests,
-            total_carbon_kg,
             devices,
         }
-    }
-
-    /// A shorthand constructor for unit tests.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn for_tests(
-        grams_per_request: Option<f64>,
-        median: f64,
-        tail: f64,
-        p99: f64,
-        shed: f64,
-        devices: usize,
-    ) -> Self {
-        Self::new(
-            grams_per_request,
-            median,
-            tail,
-            p99,
-            shed,
-            1_000.0,
-            1.0,
-            devices,
-        )
     }
 
     /// The objective: amortised grams of CO2e per served request, or
@@ -199,12 +169,6 @@ impl Evaluation {
     #[must_use]
     pub fn shed_fraction(&self) -> f64 {
         self.shed_fraction
-    }
-
-    /// Requests served over the evaluated horizon.
-    #[must_use]
-    pub fn requests(&self) -> f64 {
-        self.requests
     }
 
     /// Phones the candidate provisions — a frontier axis.
@@ -438,14 +402,7 @@ mod tests {
                 .map(|&candidate| {
                     scored.push(candidate.clone());
                     let devices = candidate.site_cohorts().iter().sum();
-                    Ok(Evaluation::for_tests(
-                        Some(1.0),
-                        5.0,
-                        9.0,
-                        12.0,
-                        0.0,
-                        devices,
-                    ))
+                    Ok(Evaluation::new(Some(1.0), 5.0, 9.0, 12.0, 0.0, devices))
                 })
                 .collect()
         }

@@ -621,8 +621,6 @@ mod tests {
                         median * 2.0 * scale,
                         median * 3.0 * scale,
                         0.0,
-                        1_000.0,
-                        Self::grams(candidate),
                         devices,
                     ))
                 })

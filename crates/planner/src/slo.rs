@@ -99,7 +99,7 @@ mod tests {
     use super::*;
 
     fn eval(median: f64, tail: f64, shed: f64) -> Evaluation {
-        Evaluation::for_tests(Some(0.5), median, tail, tail * 1.5, shed, 10)
+        Evaluation::new(Some(0.5), median, tail, tail * 1.5, shed, 10)
     }
 
     #[test]
@@ -116,7 +116,7 @@ mod tests {
     #[test]
     fn deployments_that_served_nothing_are_never_admitted() {
         let slo = Slo::new(50.0, 100.0).shed_ceiling(1.0);
-        let starved = Evaluation::for_tests(None, 0.0, 0.0, 0.0, 1.0, 0);
+        let starved = Evaluation::new(None, 0.0, 0.0, 0.0, 1.0, 0);
         assert!(!slo.admits(&starved));
     }
 

@@ -11,7 +11,6 @@ use junkyard_carbon::units::{GramsCo2e, Watts};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerFan {
     rated_cooling: Watts,
-    electrical_power: Watts,
     embodied: GramsCo2e,
 }
 
@@ -22,27 +21,22 @@ impl ServerFan {
     ///
     /// Panics if the rated cooling capacity is not strictly positive.
     #[must_use]
-    pub fn new(rated_cooling: Watts, electrical_power: Watts, embodied: GramsCo2e) -> Self {
+    pub fn new(rated_cooling: Watts, embodied: GramsCo2e) -> Self {
         assert!(
             rated_cooling.value() > 0.0,
             "cooling capacity must be positive"
         );
         Self {
             rated_cooling,
-            electrical_power,
             embodied,
         }
     }
 
-    /// The paper's commodity fan: rated for 500 W of heat, drawing 4 W,
-    /// embodying about 9.3 kgCO2e.
+    /// The paper's commodity fan: rated for 500 W of heat, embodying about
+    /// 9.3 kgCO2e.
     #[must_use]
     pub fn paper_cots_fan() -> Self {
-        Self::new(
-            Watts::new(500.0),
-            Watts::new(4.0),
-            GramsCo2e::from_kilograms(9.3),
-        )
+        Self::new(Watts::new(500.0), GramsCo2e::from_kilograms(9.3))
     }
 
     /// Heat the fan is rated to remove.
@@ -156,6 +150,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "cooling capacity must be positive")]
     fn zero_capacity_fan_panics() {
-        let _ = ServerFan::new(Watts::ZERO, Watts::new(4.0), GramsCo2e::ZERO);
+        let _ = ServerFan::new(Watts::ZERO, GramsCo2e::ZERO);
     }
 }

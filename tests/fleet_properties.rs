@@ -7,7 +7,7 @@
 
 use junkyard::carbon::units::{CarbonIntensity, GramsCo2e, TimeSpan, Watts};
 use junkyard::fleet::lifecycle::{LifecycleConfig, LifecycleSim, LifecycleSite};
-use junkyard::fleet::routing::{plan_window, RoutingPolicy, SiteWindowInput};
+use junkyard::fleet::routing::{plan_window, RoutingPolicy};
 use junkyard::fleet::schedule::DiurnalSchedule;
 use junkyard::fleet::site::{FleetSite, GridRegion};
 use junkyard::grid::synth::CaisoSynthesizer;
@@ -140,36 +140,30 @@ proptest! {
         } else {
             RoutingPolicy::Static
         };
-        let sites = [(150.0, cap_a), (450.0, cap_b)].map(|(grams, capacity_qps)| {
-            SiteWindowInput {
-                capacity_qps,
-                intensity: CarbonIntensity::from_grams_per_kwh(grams),
-            }
-        });
+        let capacities = [cap_a, cap_b];
+        let intensities = [150.0, 450.0].map(CarbonIntensity::from_grams_per_kwh);
         let schedule = DiurnalSchedule::office_day(base_qps);
+        let mut shares = [(0.0, 0.0); 2];
         for window in schedule.windows(1, windows_per_day) {
-            let plan = plan_window(policy, &sites, &window);
+            let declined = plan_window(policy, &capacities, &intensities, &window, &mut shares);
             let mut placed_mean = 0.0;
-            for (i, site) in sites.iter().enumerate() {
-                let (start, end) = plan.shares()[i];
+            for (i, (&(start, end), capacity)) in shares.iter().zip(capacities).enumerate() {
                 prop_assert!(start >= 0.0 && end >= 0.0);
                 prop_assert!(
-                    start <= site.capacity_qps + 1e-9,
-                    "site {i} start {start} over capacity {}",
-                    site.capacity_qps
+                    start <= capacity + 1e-9,
+                    "site {i} start {start} over capacity {capacity}"
                 );
                 prop_assert!(
-                    end <= site.capacity_qps + 1e-9,
-                    "site {i} end {end} over capacity {}",
-                    site.capacity_qps
+                    end <= capacity + 1e-9,
+                    "site {i} end {end} over capacity {capacity}"
                 );
-                placed_mean += plan.site_mean_qps(i);
+                placed_mean += (start + end) / 2.0;
             }
             prop_assert!(
-                (placed_mean + plan.declined_mean_qps() - window.mean_qps()).abs()
+                (placed_mean + declined - window.mean_qps()).abs()
                     <= 1e-9 * window.mean_qps().max(1.0)
             );
-            prop_assert!(plan.declined_mean_qps() >= 0.0);
+            prop_assert!(declined >= 0.0);
         }
     }
 

@@ -33,7 +33,6 @@ fn tiny_sim() -> Simulation {
 
 fn phone_slot(capacity: f64) -> CohortDevice {
     CohortDevice::new(
-        "Pixel 3A",
         Watts::new(1.7),
         BatterySpec::pixel_3a(),
         GramsCo2e::from_kilograms(5.5),
