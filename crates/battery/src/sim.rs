@@ -24,7 +24,6 @@ pub struct SmartChargingConfig {
     label: String,
     device_power: Watts,
     battery: BatterySpec,
-    policy: SmartChargePolicy,
 }
 
 impl SmartChargingConfig {
@@ -41,27 +40,7 @@ impl SmartChargingConfig {
             label: label.into(),
             device_power,
             battery,
-            policy: SmartChargePolicy::paper_default(),
         }
-    }
-
-    /// Overrides the charging policy.
-    #[must_use]
-    pub fn policy(mut self, policy: SmartChargePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// The device label used in reports.
-    #[must_use]
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// The battery pack being managed.
-    #[must_use]
-    pub fn battery(&self) -> BatterySpec {
-        self.battery
     }
 
     /// Runs the simulation over `trace`, which must cover at least one whole
@@ -95,7 +74,7 @@ impl SmartChargingConfig {
             let mut charging_flags = Vec::with_capacity(day_trace.len());
             let warmup = previous_stats.is_none();
             let run = simulate_day(
-                self.policy,
+                SmartChargePolicy::paper_default(),
                 self.device_power,
                 &mut battery,
                 &day_trace,
@@ -104,7 +83,6 @@ impl SmartChargingConfig {
             );
             days.push(DayOutcome {
                 day_index,
-                threshold: run.threshold(),
                 baseline_carbon: run.baseline_carbon(),
                 smart_carbon: run.smart_carbon(),
                 charging_flags,
@@ -127,20 +105,12 @@ impl SmartChargingConfig {
 /// Carbon ledger of one simulated day of smart charging.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DayRun {
-    threshold: CarbonIntensity,
     baseline_carbon: GramsCo2e,
     smart_carbon: GramsCo2e,
     packs_replaced: u32,
 }
 
 impl DayRun {
-    /// The charging threshold in force at the day's last decision (fixed
-    /// all day when a previous day seeded it).
-    #[must_use]
-    pub fn threshold(&self) -> CarbonIntensity {
-        self.threshold
-    }
-
     /// Carbon a device drawing wall power continuously would have emitted.
     #[must_use]
     pub fn baseline_carbon(&self) -> GramsCo2e {
@@ -230,7 +200,6 @@ pub fn simulate_day(
     }
 
     DayRun {
-        threshold,
         baseline_carbon: baseline,
         smart_carbon: smart,
         packs_replaced: battery.replacements() - start_replacements,
@@ -241,7 +210,6 @@ pub fn simulate_day(
 #[derive(Debug, Clone, PartialEq)]
 pub struct DayOutcome {
     day_index: usize,
-    threshold: CarbonIntensity,
     baseline_carbon: GramsCo2e,
     smart_carbon: GramsCo2e,
     charging_flags: Vec<bool>,
@@ -262,12 +230,6 @@ impl DayOutcome {
     #[must_use]
     pub fn is_warmup(&self) -> bool {
         self.warmup
-    }
-
-    /// The carbon-intensity threshold used for green charging that day.
-    #[must_use]
-    pub fn threshold(&self) -> CarbonIntensity {
-        self.threshold
     }
 
     /// Carbon emitted by a device drawing wall power continuously.

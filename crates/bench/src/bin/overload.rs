@@ -30,7 +30,6 @@ fn main() {
     );
     for variant in result.curves() {
         let worst = variant
-            .curve()
             .points()
             .iter()
             .map(|p| p.drop_fraction())
@@ -63,7 +62,6 @@ fn main() {
         .iter()
         .map(|variant| {
             let points: Vec<String> = variant
-                .curve()
                 .points()
                 .iter()
                 .map(|p| {

@@ -33,6 +33,7 @@ use std::process::ExitCode;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use junkyard_core::deployments::{build_deployment, DeploymentKind};
 use junkyard_core::fleet_study::FleetStudy;
 use junkyard_core::lifecycle_study::LifecycleStudy;
 use junkyard_core::planner_study::PlannerStudy;
@@ -40,10 +41,7 @@ use junkyard_core::planner_study::PlannerStudy;
 use junkyard_bench::profiler::Profiler;
 use junkyard_microsim::app::{hotel_reservation, social_network, SN_COMPOSE_POST};
 use junkyard_microsim::compiled::CompiledSim;
-use junkyard_microsim::network::NetworkModel;
-use junkyard_microsim::node::ten_pixel_cloudlet;
-use junkyard_microsim::placement::Placement;
-use junkyard_microsim::sim::{Simulation, Workload};
+use junkyard_microsim::sim::Workload;
 use junkyard_microsim::sweep::SweepConfig;
 use junkyard_obs::TraceRecorder;
 
@@ -199,12 +197,6 @@ fn median(mut values: Vec<f64>) -> f64 {
     values[values.len() / 2]
 }
 
-fn phone_cloudlet(app: junkyard_microsim::app::Application) -> Simulation {
-    let nodes = ten_pixel_cloudlet();
-    let placement = Placement::swarm_spread(&app, &nodes, 11).expect("cloudlet fits");
-    Simulation::new(app, nodes, placement, NetworkModel::phone_wifi()).expect("sim builds")
-}
-
 fn main() -> ExitCode {
     let output = std::env::args()
         .nth(1)
@@ -222,10 +214,12 @@ fn main() -> ExitCode {
     let spin_ms = profiler.time("host", host_spin_ms);
 
     let (social, hotel) = profiler.time("compile", || {
-        (
-            phone_cloudlet(social_network()).compile(),
-            phone_cloudlet(hotel_reservation()).compile(),
-        )
+        let cloudlet = |app| {
+            build_deployment(DeploymentKind::PhoneCloudlet, &app, 11)
+                .expect("the ten-phone cloudlet builds")
+                .compile()
+        };
+        (cloudlet(social_network()), cloudlet(hotel_reservation()))
     });
 
     let load_points = [1_000.0, 3_000.0, 5_000.0];

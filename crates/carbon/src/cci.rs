@@ -116,12 +116,6 @@ impl Cci {
         self.grams_per_op * 1_000.0
     }
 
-    /// The unit of work the denominator is measured in.
-    #[must_use]
-    pub fn unit(self) -> OpUnit {
-        self.unit
-    }
-
     /// Ratio of this CCI to `other` (how many times more carbon-intense this
     /// system is). Both must use the same work unit.
     ///
@@ -312,12 +306,6 @@ impl CciCalculator {
         assert!(factor >= 0.0, "operational scale cannot be negative");
         self.operational_scale = factor;
         self
-    }
-
-    /// The work unit of this calculator.
-    #[must_use]
-    pub fn unit(&self) -> OpUnit {
-        self.unit
     }
 
     /// The carbon breakdown after `lifetime` of service.

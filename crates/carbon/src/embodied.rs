@@ -35,12 +35,6 @@ impl EmbodiedItem {
         &self.label
     }
 
-    /// Number of units.
-    #[must_use]
-    pub fn quantity(&self) -> f64 {
-        self.quantity
-    }
-
     /// Total embodied carbon of the line item.
     #[must_use]
     pub fn total(&self) -> GramsCo2e {

@@ -41,12 +41,6 @@ impl Pue {
         }
     }
 
-    /// IT equipment power.
-    #[must_use]
-    pub fn it_power(self) -> Watts {
-        self.it
-    }
-
     /// Total facility power.
     #[must_use]
     pub fn total_power(self) -> Watts {

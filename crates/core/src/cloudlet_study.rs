@@ -99,18 +99,6 @@ pub struct Figure7Result {
 }
 
 impl Figure7Result {
-    /// The per-deployment latency curves.
-    #[must_use]
-    pub fn curves(&self) -> &[LatencyCurve] {
-        &self.curves
-    }
-
-    /// The curve for one deployment.
-    #[must_use]
-    pub fn curve(&self, label: &str) -> Option<&LatencyCurve> {
-        self.curves.iter().find(|c| c.label() == label)
-    }
-
     /// Maximum sustainable throughput per deployment under the paper's
     /// informal "before the latencies shoot up" criterion (median ≤ 100 ms,
     /// tail ≤ 200 ms).

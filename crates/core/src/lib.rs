@@ -61,7 +61,7 @@ pub use datacenter_study::DatacenterStudy;
 pub use deployments::{build_deployment, DeploymentKind};
 pub use fleet_study::{FleetStudy, FleetStudyResult};
 pub use lifecycle_study::{LifecycleStudy, LifecycleStudyResult};
-pub use overload_study::{OverloadCurve, OverloadStudy, OverloadStudyResult};
+pub use overload_study::{OverloadStudy, OverloadStudyResult};
 pub use planner_study::{PlannerStudy, PlannerStudyResult};
 pub use report::{Chart, SeriesLine, Table};
 pub use resilience_study::{

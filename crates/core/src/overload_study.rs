@@ -23,6 +23,9 @@ use junkyard_microsim::sweep::{LatencyCurve, SweepConfig};
 
 use crate::deployments::{build_deployment, DeploymentError, DeploymentKind};
 
+/// The per-queue bound applied to every overload variant.
+const QUEUE_SLOTS: usize = 64;
+
 /// Display label of a queue discipline.
 #[must_use]
 pub fn discipline_label(discipline: QueueDiscipline) -> &'static str {
@@ -41,54 +44,13 @@ pub fn layout_label(layout: CoreLayout) -> String {
     }
 }
 
-/// One (discipline, layout) variant's drop/latency curve over the load
-/// multipliers.
-#[derive(Debug, Clone)]
-pub struct OverloadCurve {
-    discipline: QueueDiscipline,
-    layout: CoreLayout,
-    curve: LatencyCurve,
-}
-
-impl OverloadCurve {
-    /// The queue discipline of the variant.
-    #[must_use]
-    pub fn discipline(&self) -> QueueDiscipline {
-        self.discipline
-    }
-
-    /// The core layout of the variant.
-    #[must_use]
-    pub fn layout(&self) -> CoreLayout {
-        self.layout
-    }
-
-    /// `"cFCFS/combined"`-style display label.
-    #[must_use]
-    pub fn label(&self) -> String {
-        format!(
-            "{}/{}",
-            discipline_label(self.discipline),
-            layout_label(self.layout)
-        )
-    }
-
-    /// The measured curve; point order matches the study's multipliers.
-    #[must_use]
-    pub fn curve(&self) -> &LatencyCurve {
-        &self.curve
-    }
-}
-
 /// Result of an overload study: the baseline knee and one curve per
 /// (discipline × layout) variant.
 #[derive(Debug, Clone)]
 pub struct OverloadStudyResult {
     knee_qps: f64,
-    queue_size: usize,
     multipliers: Vec<f64>,
-    baseline: LatencyCurve,
-    curves: Vec<OverloadCurve>,
+    curves: Vec<LatencyCurve>,
 }
 
 impl OverloadStudyResult {
@@ -102,7 +64,7 @@ impl OverloadStudyResult {
     /// The per-queue bound applied to every overload variant.
     #[must_use]
     pub fn queue_size(&self) -> usize {
-        self.queue_size
+        QUEUE_SLOTS
     }
 
     /// The load multipliers (× knee) every variant was measured at.
@@ -111,15 +73,11 @@ impl OverloadStudyResult {
         &self.multipliers
     }
 
-    /// The unbounded default-model sweep the knee was read from.
+    /// One curve per (discipline × layout) variant, each labelled with
+    /// its variant (`"cFCFS/combined"`); point order matches
+    /// [`Self::multipliers`].
     #[must_use]
-    pub fn baseline(&self) -> &LatencyCurve {
-        &self.baseline
-    }
-
-    /// One curve per (discipline × layout) variant.
-    #[must_use]
-    pub fn curves(&self) -> &[OverloadCurve] {
+    pub fn curves(&self) -> &[LatencyCurve] {
         &self.curves
     }
 
@@ -127,8 +85,7 @@ impl OverloadStudyResult {
     #[must_use]
     pub fn drop_free_below_knee(&self) -> bool {
         self.curves.iter().all(|c| {
-            c.curve
-                .points()
+            c.points()
                 .iter()
                 .filter(|p| p.qps() < self.knee_qps)
                 .all(|p| p.drop_fraction() == 0.0)
@@ -140,8 +97,7 @@ impl OverloadStudyResult {
     #[must_use]
     pub fn all_variants_drop_at(&self, multiplier: f64) -> bool {
         self.curves.iter().all(|c| {
-            c.curve
-                .points()
+            c.points()
                 .iter()
                 .filter(|p| p.qps() >= multiplier * self.knee_qps - 1e-9)
                 .all(|p| p.drop_fraction() > 0.0)
@@ -154,7 +110,6 @@ impl OverloadStudyResult {
 pub struct OverloadStudy {
     baseline_qps_points: Vec<f64>,
     multipliers: Vec<f64>,
-    queue_size: usize,
     duration_s: f64,
     warmup_s: f64,
     seed: u64,
@@ -168,7 +123,6 @@ impl OverloadStudy {
         Self {
             baseline_qps_points: (1..=8).map(|i| f64::from(i) * 700.0).collect(),
             multipliers: vec![0.25, 0.5, 0.75, 2.0, 4.0, 6.0, 8.0, 10.0],
-            queue_size: 64,
             duration_s: 5.0,
             warmup_s: 1.0,
             seed: 42,
@@ -181,36 +135,10 @@ impl OverloadStudy {
         Self {
             baseline_qps_points: vec![1_000.0, 2_000.0, 3_000.0, 4_000.0, 5_000.0],
             multipliers: vec![0.25, 0.5, 2.0, 4.0],
-            queue_size: 64,
             duration_s: 2.0,
             warmup_s: 1.0,
             seed: 42,
         }
-    }
-
-    /// Overrides the per-queue bound used for the overload variants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if zero — a zero-length queue admits only work that starts
-    /// immediately, which is a degenerate study.
-    #[must_use]
-    pub fn queue_size(mut self, slots: usize) -> Self {
-        assert!(slots > 0, "the overload study needs at least one slot");
-        self.queue_size = slots;
-        self
-    }
-
-    /// Overrides the load multipliers (× knee).
-    ///
-    /// # Panics
-    ///
-    /// Panics if empty.
-    #[must_use]
-    pub fn multipliers(mut self, multipliers: Vec<f64>) -> Self {
-        assert!(!multipliers.is_empty(), "need at least one multiplier");
-        self.multipliers = multipliers;
-        self
     }
 
     /// Sets the root seed of every sweep.
@@ -269,34 +197,23 @@ impl OverloadStudy {
             let model = ServerModel::new()
                 .with_discipline(discipline)
                 .with_layout(layout)
-                .with_queue_size(Some(self.queue_size));
+                .with_queue_size(Some(QUEUE_SLOTS));
             let sim = build_deployment(DeploymentKind::PhoneCloudlet, &app, 11)?
                 .with_server_model(model)
                 .compile();
-            sims.push((discipline, layout, sim));
+            let label = format!("{}/{}", discipline_label(discipline), layout_label(layout));
+            sims.push((label, sim));
         }
         // Every variant runs the same load points: one batch measures
         // them all.
         let overload = sweep(self.multipliers.iter().map(|m| m * knee_qps).collect());
-        let batch = sims.iter().map(|&(discipline, layout, ref sim)| {
-            let label = format!("{}/{}", discipline_label(discipline), layout_label(layout));
-            (&overload, label, sim)
-        });
-        let curves = SweepConfig::run_batch(batch)
-            .map_err(DeploymentError::Sim)?
-            .into_iter()
-            .zip(&sims)
-            .map(|(curve, &(discipline, layout, _))| OverloadCurve {
-                discipline,
-                layout,
-                curve,
-            })
-            .collect();
+        let batch = sims
+            .iter()
+            .map(|(label, sim)| (&overload, label.as_str(), sim));
+        let curves = SweepConfig::run_batch(batch).map_err(DeploymentError::Sim)?;
         Ok(OverloadStudyResult {
             knee_qps,
-            queue_size: self.queue_size,
             multipliers: self.multipliers.clone(),
-            baseline,
             curves,
         })
     }
@@ -315,17 +232,5 @@ mod tests {
             layout_label(CoreLayout::Dedicated { network_cores: 2 }),
             "dedicated-2net"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one multiplier")]
-    fn empty_multipliers_panic() {
-        let _ = OverloadStudy::quick().multipliers(vec![]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one slot")]
-    fn zero_queue_panics() {
-        let _ = OverloadStudy::quick().queue_size(0);
     }
 }

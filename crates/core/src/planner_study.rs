@@ -63,7 +63,6 @@ pub struct PlannerStudy {
     seed: u64,
     parallelism: Option<usize>,
     rungs: Vec<Fidelity>,
-    slo: Slo,
     rich_space: bool,
 }
 
@@ -79,7 +78,6 @@ impl PlannerStudy {
             seed: 42,
             parallelism: None,
             rungs: vec![Fidelity::coarse(), Fidelity::medium(), Fidelity::fine()],
-            slo: study_slo(),
             rich_space: true,
         }
     }
@@ -93,7 +91,6 @@ impl PlannerStudy {
             seed: 42,
             parallelism: None,
             rungs: vec![Fidelity::coarse(), Fidelity::new(4, 2, 1.0, 0.0)],
-            slo: study_slo(),
             rich_space: false,
         }
     }
@@ -103,13 +100,6 @@ impl PlannerStudy {
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides the SLO the search enforces.
-    #[must_use]
-    pub fn slo(mut self, slo: Slo) -> Self {
-        self.slo = slo;
         self
     }
 
@@ -129,7 +119,7 @@ impl PlannerStudy {
     /// The SLO the search enforces.
     #[must_use]
     pub fn slo_bounds(&self) -> Slo {
-        self.slo
+        study_slo()
     }
 
     /// The cohort options of the search space. Index
@@ -269,7 +259,7 @@ impl PlannerStudy {
         let outcome = search(
             evaluator.space(),
             &evaluator,
-            &self.slo,
+            &study_slo(),
             &config,
             &mut cache,
         );
@@ -291,11 +281,7 @@ impl PlannerStudy {
             evaluator.space().describe(&baseline_candidate),
         );
 
-        Ok(PlannerStudyResult {
-            outcome,
-            baseline,
-            slo: self.slo,
-        })
+        Ok(PlannerStudyResult { outcome, baseline })
     }
 }
 
@@ -305,7 +291,6 @@ impl PlannerStudy {
 pub struct PlannerStudyResult {
     outcome: SearchOutcome,
     baseline: PlannedDeployment,
-    slo: Slo,
 }
 
 impl PlannerStudyResult {
@@ -330,7 +315,7 @@ impl PlannerStudyResult {
     /// The SLO the search enforced.
     #[must_use]
     pub fn slo(&self) -> Slo {
-        self.slo
+        study_slo()
     }
 
     /// Carbon-per-request improvement of the planner's argmin over the

@@ -33,7 +33,6 @@ use junkyard_microsim::sim::SimError;
 
 use crate::deployments::{c5_datacenter_site, DeploymentError};
 use crate::lifecycle_study::{office_day_demand, LifecycleStudy};
-use crate::report::Table;
 
 /// Spare Pixel slots per cloudlet under N+1 overprovisioning.
 const SPARE_PIXELS: usize = 2;
@@ -437,37 +436,6 @@ impl ResilienceStudyResult {
         }
         Some((better.grams_per_request() - worse.grams_per_request()) / delta_nines)
     }
-
-    /// The strategy comparison table the README quotes.
-    #[must_use]
-    pub fn summary_table(&self) -> Table {
-        let mut table = Table::new(
-            "buying availability with carbon (identical fault plan)",
-            vec![
-                "strategy".into(),
-                "availability".into(),
-                "nines".into(),
-                "failed (M)".into(),
-                "shed (M)".into(),
-                "gCO2e/request".into(),
-                "retry kg".into(),
-                "downtime windows".into(),
-            ],
-        );
-        for s in &self.strategies {
-            table.push_row(vec![
-                s.name().to_owned(),
-                format!("{:.6}", s.availability()),
-                format!("{:.2}", s.nines()),
-                format!("{:.3}", s.result().failed_requests() / 1e6),
-                format!("{:.3}", s.result().low_priority_shed_requests() / 1e6),
-                format!("{:.6}", s.grams_per_request()),
-                format!("{:.3}", s.retry_grams() / 1e3),
-                s.result().downtime_windows(0.5).to_string(),
-            ]);
-        }
-        table
-    }
 }
 
 #[cfg(test)]
@@ -518,7 +486,6 @@ mod tests {
             .grams_per_nine("unmitigated", "retry-to-fallback")
             .is_some());
         assert_eq!(result.strategies().len(), 5);
-        assert_eq!(result.summary_table().rows().len(), 5);
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! (see `DESIGN.md`). EC2 C5 instance power and embodied carbon follow the
 //! public estimates the paper uses in Section 6.3.
 
-use junkyard_carbon::units::{DataRate, GramsCo2e, Watts};
+use junkyard_carbon::units::{GramsCo2e, Watts};
 
 use crate::battery::BatterySpec;
 use crate::benchmark::{Benchmark, BenchmarkSuite};
 use crate::components::ComponentBreakdown;
-use crate::device::{DeviceClass, DeviceSpec, RadioSpec};
+use crate::device::{DeviceClass, DeviceSpec};
 use crate::power::PowerCurve;
 
 /// The Dell PowerEdge R740 baseline server (2017).
@@ -88,10 +88,6 @@ pub fn thinkpad_x1_carbon_g3() -> DeviceSpec {
         ))
         .battery(BatterySpec::thinkpad_x1_carbon_g3())
         .embodied(GramsCo2e::from_kilograms(250.0))
-        .radios(RadioSpec::new(
-            Some(DataRate::from_megabits_per_sec(433.0)),
-            None,
-        ))
         .purchase_cost_usd(250.0)
         .build()
 }
@@ -120,10 +116,6 @@ pub fn pixel_3a() -> DeviceSpec {
         .components(ComponentBreakdown::scaled_like_nexus_4(
             GramsCo2e::from_kilograms(37.0),
         ))
-        .radios(RadioSpec::new(
-            Some(DataRate::from_megabits_per_sec(433.0)),
-            Some(DataRate::from_megabits_per_sec(100.0)),
-        ))
         .purchase_cost_usd(65.0)
         .build()
 }
@@ -150,10 +142,6 @@ pub fn nexus_4() -> DeviceSpec {
         .battery(BatterySpec::nexus_4())
         .embodied(GramsCo2e::from_kilograms(49.5))
         .components(ComponentBreakdown::nexus_4())
-        .radios(RadioSpec::new(
-            Some(DataRate::from_megabits_per_sec(150.0)),
-            Some(DataRate::from_megabits_per_sec(42.0)),
-        ))
         .purchase_cost_usd(25.0)
         .build()
 }
@@ -334,7 +322,6 @@ mod tests {
     fn phones_have_batteries_and_radios() {
         for phone in [pixel_3a(), nexus_4()] {
             assert!(phone.battery().is_some(), "{}", phone.name());
-            assert_ne!(phone.radios(), RadioSpec::none(), "{}", phone.name());
         }
         assert!(poweredge_r740().battery().is_none());
     }

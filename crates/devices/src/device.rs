@@ -4,7 +4,7 @@
 use std::fmt;
 
 use junkyard_carbon::ops::Throughput;
-use junkyard_carbon::units::{DataRate, GramsCo2e, Watts};
+use junkyard_carbon::units::{GramsCo2e, Watts};
 
 use crate::battery::BatterySpec;
 use crate::benchmark::{Benchmark, BenchmarkSuite};
@@ -45,27 +45,6 @@ impl fmt::Display for DeviceClass {
     }
 }
 
-/// Wireless interfaces available on a device.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RadioSpec {
-    wifi: Option<DataRate>,
-    lte: Option<DataRate>,
-}
-
-impl RadioSpec {
-    /// A device with no radios (servers, laptops on wired networks).
-    #[must_use]
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Creates a radio specification with optional WiFi and LTE link rates.
-    #[must_use]
-    pub fn new(wifi: Option<DataRate>, lte: Option<DataRate>) -> Self {
-        Self { wifi, lte }
-    }
-}
-
 /// Full specification of a device.
 ///
 /// Use [`DeviceSpec::builder`] to construct one; the catalog module provides
@@ -82,7 +61,6 @@ pub struct DeviceSpec {
     battery: Option<BatterySpec>,
     embodied: GramsCo2e,
     components: Option<ComponentBreakdown>,
-    radios: RadioSpec,
     purchase_cost_usd: Option<f64>,
     hourly_cost_usd: Option<f64>,
 }
@@ -147,12 +125,6 @@ impl DeviceSpec {
     #[must_use]
     pub fn components(&self) -> Option<&ComponentBreakdown> {
         self.components.as_ref()
-    }
-
-    /// Wireless interfaces.
-    #[must_use]
-    pub fn radios(&self) -> RadioSpec {
-        self.radios
     }
 
     /// Second-hand purchase cost in USD, if applicable.
@@ -224,7 +196,6 @@ impl DeviceSpecBuilder {
                 battery: None,
                 embodied: GramsCo2e::ZERO,
                 components: None,
-                radios: RadioSpec::none(),
                 purchase_cost_usd: None,
                 hourly_cost_usd: None,
             },
@@ -284,13 +255,6 @@ impl DeviceSpecBuilder {
     #[must_use]
     pub fn components(mut self, components: ComponentBreakdown) -> Self {
         self.spec.components = Some(components);
-        self
-    }
-
-    /// Sets the radio interfaces.
-    #[must_use]
-    pub fn radios(mut self, radios: RadioSpec) -> Self {
-        self.spec.radios = radios;
         self
     }
 

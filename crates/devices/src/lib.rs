@@ -53,5 +53,5 @@ pub mod release_db;
 pub use battery::BatterySpec;
 pub use benchmark::{Benchmark, BenchmarkScore, BenchmarkSuite};
 pub use components::{Component, ComponentBreakdown};
-pub use device::{DeviceClass, DeviceSpec, DeviceSpecBuilder, RadioSpec};
+pub use device::{DeviceClass, DeviceSpec, DeviceSpecBuilder};
 pub use power::{LoadProfile, LoadSegment, PowerCurve};

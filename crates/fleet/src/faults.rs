@@ -139,14 +139,6 @@ impl FaultConfig {
         self
     }
 
-    /// `true` when every fault process is disabled.
-    #[must_use]
-    pub fn is_disabled(&self) -> bool {
-        self.grid_outage_mean_days <= 0.0
-            && self.firmware_mean_days <= 0.0
-            && self.thermal_mean_days <= 0.0
-    }
-
     /// The three processes — grid outages, firmware batches and thermal
     /// shutdowns, in that order — as `(mean_days, duration, severity)`
     /// rows, disabled ones included with a zero rate.
@@ -195,9 +187,6 @@ impl FaultPlan {
             sites,
             availability: vec![1.0; windows * sites],
         };
-        if config.is_disabled() {
-            return plan;
-        }
         for (kind_index, (mean_days, duration, severity)) in
             config.processes().into_iter().enumerate()
         {

@@ -65,12 +65,6 @@ impl CaisoSynthesizer {
         self
     }
 
-    /// Number of days the generator will produce.
-    #[must_use]
-    pub fn days(&self) -> usize {
-        self.days
-    }
-
     /// Solar output shape at `hour` of day, in `[0, 1]`, peaking at 13:00.
     #[must_use]
     pub fn solar_shape(hour: f64) -> f64 {

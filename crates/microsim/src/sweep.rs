@@ -260,12 +260,6 @@ impl SweepConfig {
         self
     }
 
-    /// The offered-load points.
-    #[must_use]
-    pub fn qps_points(&self) -> &[f64] {
-        &self.qps_points
-    }
-
     /// The workload seed used for the load point at `index`.
     fn point_seed(&self, index: usize) -> u64 {
         if self.decorrelate_seeds {

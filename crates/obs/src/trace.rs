@@ -43,17 +43,6 @@ impl TraceShard {
             counts: [0; KIND_COUNT],
         }
     }
-
-    /// Stored events, in (simulated time, sequence) order.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.values()
-    }
-
-    /// Aggregate count per kind, indexed by [`EventKind::index`].
-    #[must_use]
-    pub fn counts(&self) -> &[u64; KIND_COUNT] {
-        &self.counts
-    }
 }
 
 impl Recorder for TraceShard {

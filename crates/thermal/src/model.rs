@@ -8,8 +8,6 @@
 //! own simplification (footnote 3): each phone is a block of silicon-like
 //! material exchanging heat with a uniform body of enclosed air.
 
-use junkyard_carbon::units::Watts;
-
 /// Specific heat capacity of air at constant pressure, J/(kg·K).
 pub const AIR_SPECIFIC_HEAT: f64 = 1_005.0;
 /// Density of air at room temperature, kg/m³.
@@ -33,8 +31,6 @@ pub struct PhoneThermalModel {
     min_performance: f64,
     /// Internal temperature at which the phone powers itself off, °C.
     shutdown_temp: f64,
-    /// Thermal design power of the SoC, W.
-    tdp: Watts,
     /// Equivalent silicon mass used in the paper's Eq. 9 estimate, kg.
     silicon_mass_kg: f64,
 }
@@ -46,7 +42,6 @@ impl PhoneThermalModel {
     ///
     /// Panics if any capacity/conductance/mass is not strictly positive, the
     /// throttle window is inverted, or `min_performance` is outside `(0, 1]`.
-    #[allow(clippy::too_many_arguments)]
     #[must_use]
     pub fn new(
         heat_capacity: f64,
@@ -55,7 +50,6 @@ impl PhoneThermalModel {
         throttle_full: f64,
         min_performance: f64,
         shutdown_temp: f64,
-        tdp: Watts,
         silicon_mass_kg: f64,
     ) -> Self {
         assert!(heat_capacity > 0.0, "heat capacity must be positive");
@@ -80,7 +74,6 @@ impl PhoneThermalModel {
             throttle_full,
             min_performance,
             shutdown_temp,
-            tdp,
             silicon_mass_kg,
         }
     }
@@ -89,20 +82,14 @@ impl PhoneThermalModel {
     /// internal (which the experiment reaches once the box air is ~40 °C).
     #[must_use]
     pub fn nexus_4() -> Self {
-        Self::new(98.0, 0.060, 45.0, 70.0, 0.60, 77.0, Watts::new(5.0), 0.139)
+        Self::new(98.0, 0.060, 45.0, 70.0, 0.60, 77.0, 0.139)
     }
 
     /// The Nexus 5 model: slightly better heat spreading and a higher
     /// shutdown set point — it survived both of the paper's scenarios.
     #[must_use]
     pub fn nexus_5() -> Self {
-        Self::new(92.0, 0.115, 45.0, 70.0, 0.40, 90.0, Watts::new(5.0), 0.130)
-    }
-
-    /// A Pixel 3A model (used for cloudlet cooling projections).
-    #[must_use]
-    pub fn pixel_3a() -> Self {
-        Self::new(105.0, 0.120, 47.0, 72.0, 0.45, 85.0, Watts::new(6.0), 0.150)
+        Self::new(92.0, 0.115, 45.0, 70.0, 0.40, 90.0, 0.130)
     }
 
     /// Effective thermal mass, J/K.
@@ -265,14 +252,9 @@ mod tests {
     }
 
     #[test]
-    fn tdp_is_5w_for_the_nexus_4() {
-        assert!((PhoneThermalModel::nexus_4().tdp.value() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "throttle window")]
     fn inverted_throttle_window_panics() {
-        let _ = PhoneThermalModel::new(100.0, 0.1, 60.0, 50.0, 0.5, 80.0, Watts::new(5.0), 0.03);
+        let _ = PhoneThermalModel::new(100.0, 0.1, 60.0, 50.0, 0.5, 80.0, 0.03);
     }
 
     #[test]

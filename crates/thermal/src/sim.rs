@@ -6,6 +6,9 @@ use junkyard_devices::power::{LoadProfile, PowerCurve};
 
 use crate::model::{Enclosure, PhoneThermalModel, SILICON_SPECIFIC_HEAT};
 
+/// Integration and sampling step of every stress test, seconds.
+const STEP_S: f64 = 5.0;
+
 /// One phone placed in the enclosure for a stress test.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TestPhone {
@@ -38,12 +41,11 @@ impl TestPhone {
     }
 }
 
-/// Temperature and performance trajectory of one phone during a test.
+/// Temperature trajectory of one phone during a test.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhoneTimeline {
     label: String,
     temperatures: Vec<f64>,
-    job_latencies: Vec<Option<f64>>,
     shutdown_at: Option<TimeSpan>,
 }
 
@@ -159,8 +161,6 @@ pub struct StressTest {
     phones: Vec<TestPhone>,
     workload: LoadProfile,
     duration: TimeSpan,
-    step: TimeSpan,
-    base_job_latency: f64,
 }
 
 impl StressTest {
@@ -168,8 +168,8 @@ impl StressTest {
     ///
     /// # Panics
     ///
-    /// Panics if no phones are supplied or the duration/step are not
-    /// strictly positive.
+    /// Panics if no phones are supplied or the duration is not strictly
+    /// positive.
     #[must_use]
     pub fn new(
         enclosure: Enclosure,
@@ -184,8 +184,6 @@ impl StressTest {
             phones,
             workload,
             duration,
-            step: TimeSpan::from_secs(5.0),
-            base_job_latency: 5.0,
         }
     }
 
@@ -227,18 +225,6 @@ impl StressTest {
         )
     }
 
-    /// Overrides the integration step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the step is not strictly positive.
-    #[must_use]
-    pub fn step(mut self, step: TimeSpan) -> Self {
-        assert!(step.seconds() > 0.0, "step must be positive");
-        self.step = step;
-        self
-    }
-
     /// The phones under test.
     #[must_use]
     pub fn phones(&self) -> &[TestPhone] {
@@ -261,8 +247,8 @@ impl StressTest {
     /// Runs the simulation.
     #[must_use]
     pub fn run(&self) -> ThermalTimeline {
-        let steps = (self.duration.seconds() / self.step.seconds()).ceil() as usize;
-        let dt = self.step.seconds();
+        let steps = (self.duration.seconds() / STEP_S).ceil() as usize;
+        let dt = STEP_S;
         let target_load = self.workload.average_load();
         let ambient = self.enclosure.ambient_temp();
 
@@ -273,8 +259,6 @@ impl StressTest {
 
         let mut air_series = Vec::with_capacity(steps + 1);
         let mut temp_series: Vec<Vec<f64>> = vec![Vec::with_capacity(steps + 1); self.phones.len()];
-        let mut latency_series: Vec<Vec<Option<f64>>> =
-            vec![Vec::with_capacity(steps + 1); self.phones.len()];
 
         for step_index in 0..=steps {
             air_series.push(air_temp);
@@ -282,7 +266,6 @@ impl StressTest {
             for (i, phone) in self.phones.iter().enumerate() {
                 temp_series[i].push(phone_temps[i]);
                 if !alive[i] {
-                    latency_series[i].push(None);
                     // A dead phone still exchanges heat passively.
                     let flow = phone.thermal.conductance_to_air() * (phone_temps[i] - air_temp);
                     phone_temps[i] -= flow * dt / phone.thermal.heat_capacity();
@@ -292,7 +275,6 @@ impl StressTest {
                 let performance = phone.thermal.performance_at(phone_temps[i]);
                 let effective_load = (target_load * performance).clamp(0.0, 1.0);
                 let electrical = phone.power.power_at(effective_load).value();
-                latency_series[i].push(Some(self.base_job_latency / performance));
 
                 let flow_to_air = phone.thermal.conductance_to_air() * (phone_temps[i] - air_temp);
                 phone_temps[i] += (electrical - flow_to_air) * dt / phone.thermal.heat_capacity();
@@ -314,13 +296,12 @@ impl StressTest {
             .map(|(i, phone)| PhoneTimeline {
                 label: phone.label.clone(),
                 temperatures: std::mem::take(&mut temp_series[i]),
-                job_latencies: std::mem::take(&mut latency_series[i]),
                 shutdown_at: shutdowns[i],
             })
             .collect();
 
         ThermalTimeline {
-            step: self.step,
+            step: TimeSpan::from_secs(STEP_S),
             air_temperatures: air_series,
             phones,
         }
@@ -400,13 +381,21 @@ mod tests {
 
     #[test]
     fn latency_rises_as_phones_heat_up() {
-        let (_, timeline) = run_full_load();
-        let phone = &timeline.phones()[0];
-        let first = phone.job_latencies[0].unwrap();
-        let last_alive = phone.job_latencies.iter().rev().find_map(|l| *l).unwrap();
-        assert!(last_alive > first, "latency should grow with temperature");
-        assert!((first - 5.0).abs() < 1e-9);
-        assert!(last_alive < 20.0);
+        // A job's latency scales as 1 / performance, so throttling is
+        // what slows jobs down as the phone heats up.
+        let (test, timeline) = run_full_load();
+        let model = test.phones()[0].thermal();
+        let temperatures = timeline.phones()[0].temperatures();
+        assert_eq!(model.performance_at(temperatures[0]), 1.0);
+        let hottest = temperatures
+            .iter()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max);
+        let throttled = model.performance_at(hottest);
+        assert!(
+            throttled < 1.0 && throttled > 0.25,
+            "performance {throttled} at {hottest} °C"
+        );
     }
 
     #[test]

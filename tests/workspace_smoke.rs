@@ -45,7 +45,7 @@ fn every_facade_module_resolves() {
 
     let _ = Benchmark::Dijkstra;
     let _ = SmartChargePolicy::paper_default();
-    let _ = PhoneThermalModel::pixel_3a();
+    let _ = PhoneThermalModel::nexus_4();
     let _ = ten_phone_prototype();
     let app = hotel_reservation();
     assert!(!app.services().is_empty());
