@@ -96,7 +96,6 @@ impl SmartChargingConfig {
             label: self.label.clone(),
             days,
             battery_replacements: battery.replacements(),
-            replacement_carbon: battery.replacement_carbon(),
             amortized_replacement_carbon: battery.amortized_replacement_carbon(),
         }
     }
@@ -274,7 +273,6 @@ pub struct SmartChargingOutcome {
     label: String,
     days: Vec<DayOutcome>,
     battery_replacements: u32,
-    replacement_carbon: GramsCo2e,
     amortized_replacement_carbon: GramsCo2e,
 }
 
@@ -295,13 +293,6 @@ impl SmartChargingOutcome {
     #[must_use]
     pub fn battery_replacements(&self) -> u32 {
         self.battery_replacements
-    }
-
-    /// Embodied carbon of the packs actually replaced during the run
-    /// (whole packs only; zero until the first pack wears out).
-    #[must_use]
-    pub fn replacement_carbon(&self) -> GramsCo2e {
-        self.replacement_carbon
     }
 
     /// Replacement embodied carbon amortised over the wear the simulated

@@ -70,19 +70,12 @@ impl BatteryState {
         self.replacements
     }
 
-    /// Embodied carbon of the replacement packs fitted so far (the original
-    /// pack came with the reused device and is free).
-    #[must_use]
-    pub fn replacement_carbon(&self) -> GramsCo2e {
-        self.spec.embodied() * f64::from(self.replacements)
-    }
-
     /// Replacement embodied carbon amortised over the wear actually
     /// accrued: every equivalent cycle consumed brings the next (paid)
     /// replacement pack `1 / cycle_life` closer, so the steady-state
     /// replacement rate prices wear at `embodied / cycle_life` per cycle
-    /// whatever the current pack's remaining headroom. Unlike
-    /// [`BatteryState::replacement_carbon`] this is continuous in time —
+    /// whatever the current pack's remaining headroom. Unlike charging
+    /// whole packs as they are replaced, this is continuous in time —
     /// short simulations are charged their fair share of a pack instead of
     /// rounding to whole replacements.
     #[must_use]
@@ -209,7 +202,10 @@ mod tests {
         b.replace();
         assert!(!b.is_worn_out());
         assert_eq!(b.replacements(), 1);
-        assert!((b.replacement_carbon().kilograms() - 2.0).abs() < 1e-9);
+        // The replacement is charged as packs replaced × the pack's
+        // embodied carbon (the original pack came with the device).
+        let charged = b.spec().embodied() * f64::from(b.replacements());
+        assert!((charged.kilograms() - 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * [`FaultConfig`] → [`FaultPlan`]: correlated fault events drawn
 //!   through `decorrelate_seed`, so the plan is bit-identical at any
 //!   worker count, and kept only as what they leave standing: a
-//!   per-(window, site) *availability* multiplier in `[0, 1]`.
+//!   per-(window, site) *availability* multiplier in `[0, 1]`, allocated
+//!   at the first strike, so a plan nothing struck holds no grid.
 //! * Health view with detection lag: the router plans window `w` from
 //!   the availability that was true at window `w - lag`. With a stale
 //!   view, requests land on dead capacity and fail — detection lag is
@@ -52,7 +53,7 @@ pub struct FaultConfig {
 
 impl FaultConfig {
     /// A configuration with every fault process disabled. The generated
-    /// plan is all-ones and the serving path treats it as fault-free.
+    /// plan is fault-free: availability 1.0 everywhere, and no grid.
     #[must_use]
     pub fn disabled() -> Self {
         Self {
@@ -163,8 +164,10 @@ impl FaultConfig {
 /// availability multiplier they leave standing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
+    windows: usize,
     sites: usize,
     /// Window-major: `availability[window * sites + site]`, in `[0, 1]`.
+    /// Empty until the first strike: every pair is then fully available.
     availability: Vec<f64>,
 }
 
@@ -174,7 +177,8 @@ impl FaultPlan {
     /// a [`decorrelate_seed`] chain indexed by (kind, site, window), so
     /// the plan is a pure function of its arguments — bit-identical at
     /// any worker count and stable when other seeded draws change. A
-    /// disabled config generates availability 1.0 everywhere.
+    /// disabled config, or one that never strikes, generates availability
+    /// 1.0 everywhere and allocates no grid.
     #[must_use]
     pub fn generate(
         config: &FaultConfig,
@@ -184,8 +188,9 @@ impl FaultPlan {
         seed: u64,
     ) -> Self {
         let mut plan = Self {
+            windows,
             sites,
-            availability: vec![1.0; windows * sites],
+            availability: Vec::new(),
         };
         for (kind_index, (mean_days, duration, severity)) in
             config.processes().into_iter().enumerate()
@@ -206,6 +211,9 @@ impl FaultPlan {
                         // The event covers `duration` windows, clipped to
                         // the horizon. One event of a kind at a time per
                         // site: skip to its end before drawing again.
+                        if plan.availability.is_empty() {
+                            plan.availability = vec![1.0; windows * sites];
+                        }
                         for struck in window..(window + duration).min(windows) {
                             let cell = &mut plan.availability[struck * sites + site];
                             *cell = (*cell * (1.0 - severity)).max(0.0);
@@ -234,7 +242,22 @@ impl FaultPlan {
             "site index {site} out of range ({} sites)",
             self.sites
         );
-        self.availability[window * self.sites + site]
+        assert!(
+            window < self.windows,
+            "window index {window} out of range ({} windows)",
+            self.windows
+        );
+        self.availability
+            .get(window * self.sites + site)
+            .copied()
+            .unwrap_or(1.0)
+    }
+
+    /// The bytes the availability grid holds (none until the first
+    /// strike).
+    #[cfg(test)]
+    pub(crate) fn grid_bytes(&self) -> usize {
+        self.availability.capacity() * std::mem::size_of::<f64>()
     }
 }
 
@@ -648,6 +671,7 @@ mod tests {
                 assert_eq!(plan.availability(w, s), 1.0);
             }
         }
+        assert_eq!(plan.grid_bytes(), 0);
     }
 
     #[test]
@@ -672,6 +696,14 @@ mod tests {
             }
         }
         assert!(struck > 0, "no window lost capacity");
+        assert_eq!(a.grid_bytes(), 240 * 2 * 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "window index 4 out of range")]
+    fn an_out_of_range_window_panics_on_a_plan_without_a_grid() {
+        let plan = FaultPlan::generate(&FaultConfig::disabled(), 4, 2, 2, 1);
+        let _ = plan.availability(4, 0);
     }
 
     #[test]

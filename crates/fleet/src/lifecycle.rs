@@ -34,22 +34,27 @@
 //! it are stored, so a fault-free run stores no resolution at all.
 //!
 //! A run has three phases, and any number of fleets can share the middle
-//! one. *Plan* ([`LifecycleSim::plan`]) runs the serial passes: daily
-//! dynamics, routing, window resolution, and each cell's distinct slices.
-//! Within a cell, identical `(start, end)` load windows share one slice,
-//! seeded from the first window with that pair (the schedule repeats
-//! daily and capacities are piecewise-constant between failure events,
-//! so a multi-year horizon needs only a few hundred slices). A plan is a
-//! pure function of its fleet and holds none of its sites. *Measure*
-//! ([`LifecycleSim::run_batch`]) looks every member's slices up in a
-//! caller-owned [`MeasuredSlices`] table and runs the union of the
-//! missing ones in one [`fan_out`], whose workers claim them one at a
-//! time and hand them back in plan order. *Account* prices each member's
-//! cells from the measured slices in input order. A slice is a pure
-//! function of its key, so every member's result is bit-identical to its
-//! own [`LifecycleSim::run`] (a batch of one on a fresh table), serial or
-//! threaded, and fleets that replay the same slices (the resilience
-//! study's strategies, the planner's rungs) simulate each one once.
+//! one. *Plan* ([`LifecycleSim::plan`]) steps each site's daily dynamics,
+//! one site per worker, then walks the windows once: it routes each
+//! window, resolves it and adds each site's slice load to its (year,
+//! site) cell. Within a cell, identical `(start, end)` load windows share
+//! one slice, seeded from the first window with that pair (the schedule
+//! repeats daily and capacities are piecewise-constant between failure
+//! events, so a multi-year horizon needs only a few hundred slices). A
+//! plan is a pure function of its fleet and holds none of its sites. It
+//! keeps the router's inputs, not its per-window output: a fault-free
+//! hourly plan holds about 3 bytes per (window, site), most of it the
+//! daily dynamics. *Measure* ([`LifecycleSim::run_batch`]) looks every
+//! member's slices up in a caller-owned [`MeasuredSlices`] table and runs
+//! the union of the missing ones in one [`fan_out`], whose workers claim
+//! them one at a time and hand them back in plan order. *Account* walks
+//! each member's windows again in the same order, routes each one again
+//! with the same function and prices it from the measured slices,
+//! members in input order. A slice is a pure function of its key, so
+//! every member's result is bit-identical to its own [`LifecycleSim::run`]
+//! (a batch of one on a fresh table), serial or threaded, and fleets
+//! that replay the same slices (the resilience study's strategies, the
+//! planner's rungs) simulate each one once.
 //!
 //! While part of a cohort is down the full-strength compiled topology
 //! still serves the slice and the measured utilisation is scaled by the
@@ -59,7 +64,6 @@
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::mem;
-use std::ops::Range;
 use std::sync::Arc;
 
 use junkyard_battery::charging::SmartChargePolicy;
@@ -83,7 +87,7 @@ use crate::faults::{
     resolve_window, FaultConfig, FaultPlan, ResiliencePolicy, RetryPolicy, WindowResolution,
 };
 use crate::routing::{plan_window, record_routes, RoutingPolicy};
-use crate::schedule::DiurnalSchedule;
+use crate::schedule::{DiurnalSchedule, LoadWindow};
 use crate::site::{second_life_embodied, FleetSite, GridRegion};
 
 /// Days per simulated year (the lifecycle steps whole days; leap days are
@@ -601,7 +605,7 @@ impl LifecycleConfig {
     }
 }
 
-/// The per-day state of one site, produced by the serial dynamics pass:
+/// The per-day state of one site, produced by the dynamics pass:
 /// what the site can serve, what its power model looks like and what
 /// embodied carbon the day's events charged.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -624,7 +628,7 @@ struct DayDynamics {
 /// The per-day ledger merged across a fleet: what the day served and
 /// emitted, for cumulative (lifetime-amortised) trajectories at day
 /// granularity.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DayLedger {
     requests: f64,
     operational: GramsCo2e,
@@ -633,6 +637,14 @@ pub struct DayLedger {
 }
 
 impl DayLedger {
+    /// Adds another ledger's day, term by term.
+    fn add(&mut self, day: &DayLedger) {
+        self.requests += day.requests;
+        self.operational += day.operational;
+        self.embodied += day.embodied;
+        self.retry += day.retry;
+    }
+
     /// Requests served during the day.
     #[must_use]
     pub fn requests(&self) -> f64 {
@@ -667,7 +679,7 @@ impl DayLedger {
 
 /// One (year, site) cell of the lifecycle accounting grid; its place in
 /// [`LifecycleResult::cells`] says which.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LifecycleCell {
     requests: f64,
     dropped_requests: f64,
@@ -683,6 +695,26 @@ pub struct LifecycleCell {
 }
 
 impl LifecycleCell {
+    /// Adds one of the site's days: what it served and emitted, and the
+    /// day's battery, failure and refill events.
+    fn add_day(&mut self, day: &DayLedger, state: &DayDynamics) {
+        self.requests += day.requests;
+        self.operational += day.operational;
+        self.retry_carbon += day.retry;
+        self.embodied += day.embodied;
+        self.battery_replacements += state.battery_replacements;
+        self.device_failures += state.device_failures;
+        self.devices_replaced += state.devices_replaced;
+    }
+
+    /// Widens the cell's worst latencies to a measured slice's.
+    fn observe(&mut self, measured: &SliceMeasure) {
+        let worse = |a: Millis, b: Millis| Millis::from_millis(a.millis().max(b.millis()));
+        self.worst_median_ms = worse(self.worst_median_ms, measured.median);
+        self.worst_tail_ms = worse(self.worst_tail_ms, measured.tail);
+        self.worst_p99_ms = worse(self.worst_p99_ms, measured.p99);
+    }
+
     /// Requests the site served during the year (assigned demand minus
     /// the slice-measured queue-drop share).
     #[must_use]
@@ -1337,12 +1369,6 @@ impl MeasuredSlices {
     }
 }
 
-/// The days of one (year, site) cell: at most one year, and a day-capped
-/// horizon leaves the last cell short.
-fn cell_days(year: usize, total_days: usize) -> Range<usize> {
-    year * DAYS_PER_YEAR..((year + 1) * DAYS_PER_YEAR).min(total_days)
-}
-
 /// The load one window's measured slice replays at one site, or `None`
 /// when nothing was delivered there and no slice is measured, from the
 /// router's `(start, end)` rates for the site. The slice replays only the
@@ -1389,14 +1415,15 @@ pub struct LifecycleSim {
     resilience: ResiliencePolicy,
 }
 
-/// A lifecycle run after its serial passes and before its slices are
-/// measured ([`LifecycleSim::plan`]): the per-site daily dynamics, each
-/// window's routed shares, declined rate and intensities, the resolved
-/// outcomes, and each cell's distinct slice loads. Per-window state is
-/// flat numbers, window-major; a window's span and load are derived from
-/// the schedule when needed. It holds no cohort, grid trace or fault
-/// plan, only a shared handle on each site's simulation, so a batch
-/// ([`LifecycleSim::run_batch`]) keeps plans rather than fleets.
+/// A lifecycle run after its planning passes and before its slices are
+/// measured ([`LifecycleSim::plan`]): the router's inputs, the resolved
+/// outcomes that differ from the healthy one, and each cell's distinct
+/// slice loads. The inputs are the schedule, each site's grid region
+/// (sharing the site's trace), the per-site daily dynamics and the fault
+/// plan (no grid when nothing strikes), from which one function rebuilds
+/// any window's routing, so no per-window row is kept. It holds no
+/// cohort, and each site's simulation only as a shared handle, so a
+/// batch ([`LifecycleSim::run_batch`]) keeps plans rather than fleets.
 #[derive(Debug)]
 pub struct LifecyclePlan {
     policy: RoutingPolicy,
@@ -1407,20 +1434,42 @@ pub struct LifecyclePlan {
     /// The day curve the windows are cut from
     /// ([`DiurnalSchedule::window`]).
     schedule: DiurnalSchedule,
-    /// Window-major: the router's `(qps_start, qps_end)` for site `s` in
-    /// window `w` is `shares[w * sites + s]`.
-    shares: Vec<(f64, f64)>,
-    /// The mean rate the router declined in each window.
-    declined_qps: Vec<f64>,
-    /// Window-major: `intensities[w * sites + s]`.
-    intensities: Vec<CarbonIntensity>,
+    /// Each site's grid region, whose window means the router reads.
+    regions: Vec<GridRegion>,
     dynamics: Vec<Vec<DayDynamics>>,
+    /// The correlated fault schedule: the true availability, and the
+    /// router's view of it `lag` windows late.
+    faults: FaultPlan,
+    lag: usize,
+    /// The standby site, observed at zero capacity so it takes no
+    /// primary traffic.
+    fallback: Option<usize>,
     /// The window outcomes that differ from the healthy one.
     resolutions: BTreeMap<usize, WindowResolution>,
     /// The network carbon of one retry attempt.
     retry_attempt: GramsCo2e,
     /// Year-major, like the result's cells.
     cell_loads: Vec<CellLoads>,
+}
+
+/// One window's routing as [`LifecyclePlan::route`] builds it, in buffers
+/// reused from window to window: each site's window-mean intensity and
+/// observed capacity, and the router's `(start, end)` split.
+#[derive(Debug)]
+struct RouteRow {
+    intensities: Vec<CarbonIntensity>,
+    observed_cap: Vec<f64>,
+    shares: Vec<(f64, f64)>,
+}
+
+impl RouteRow {
+    fn new(sites: usize) -> Self {
+        Self {
+            intensities: Vec::with_capacity(sites),
+            observed_cap: vec![0.0; sites],
+            shares: vec![(0.0, 0.0); sites],
+        }
+    }
 }
 
 impl LifecycleSim {
@@ -1481,10 +1530,10 @@ impl LifecycleSim {
         self
     }
 
-    /// The serial dynamics pass for one site: day-stepped battery wear
-    /// under the smart-charging schedule, pack replacements, stochastic
-    /// failures and junkyard refills. Deterministic for a given seed —
-    /// worker threads never touch this state.
+    /// The dynamics pass for one site: day-stepped battery wear under the
+    /// smart-charging schedule, pack replacements, stochastic failures
+    /// and junkyard refills. It reads only the site's own seeded draws,
+    /// so the days it returns are the same on any thread.
     fn simulate_dynamics(&self, site_index: usize, days: usize) -> Vec<DayDynamics> {
         match &self.sites[site_index].backend {
             Backend::Leased(site) => {
@@ -1640,14 +1689,15 @@ impl LifecycleSim {
         }
     }
 
-    /// Plans the run: the serial passes that decide what to measure.
-    /// They are the per-site daily dynamics, the per-window routing plans
-    /// with their resolved outcomes and window-mean intensities, and the
-    /// distinct slice loads of each (year, site) cell. Within a cell a
-    /// slice takes its seed from the first window with its `(start, end)`
-    /// load pair. The plan is a pure function of the fleet, so fleets can
-    /// be planned on any thread and dropped once planned;
-    /// [`LifecycleSim::run_batch`] measures and accounts the plans.
+    /// Plans the run: the passes that decide what to measure. They are
+    /// the per-site daily dynamics, one site per worker (capped at
+    /// [`LifecycleConfig::parallelism`]), then one serial walk over the
+    /// windows that routes and resolves each and adds its slice loads to
+    /// their (year, site) cells. Within a cell a slice takes its seed
+    /// from the first window with its `(start, end)` load pair. The plan
+    /// is a pure function of the fleet, so fleets can be planned on any
+    /// thread and dropped once planned; [`LifecycleSim::run_batch`]
+    /// measures and accounts the plans.
     #[must_use]
     pub fn plan(&self) -> LifecyclePlan {
         self.plan_with(&mut NoopRecorder)
@@ -1661,99 +1711,109 @@ impl LifecycleSim {
         let sites = self.sites.len();
         let windows = days * wpd;
 
-        // Pass 1: per-site daily dynamics.
-        let dynamics: Vec<Vec<DayDynamics>> = (0..sites)
-            .map(|s| self.simulate_dynamics(s, days))
-            .collect();
+        // Pass 1: per-site daily dynamics, one site per worker (on the
+        // caller's thread when the plan is itself a fan-out's job). A
+        // lost worker's sites are redone here.
+        let site_dynamics = |s| self.simulate_dynamics(s, days);
+        let dynamics: Vec<Vec<DayDynamics>> = fan_out(
+            0..sites,
+            fanout::workers(self.config.parallelism, sites),
+            |_, s| site_dynamics(s),
+        )
+        .unwrap_or_else(|_| (0..sites).map(site_dynamics).collect());
 
-        // The correlated fault schedule (all-ones when every process is
-        // disabled) and the router's possibly stale health view of it:
-        // window `w` is planned from the availability that was true `lag`
-        // windows ago; before anything could be observed, everything
-        // looks healthy.
-        let fault_plan = FaultPlan::generate(
-            &self.faults,
-            windows,
-            sites,
-            wpd,
-            decorrelate_seed(self.config.seed, 1 << 32),
-        );
-        let fallback = self.resilience.fallback();
-        let lag = self.resilience.lag_windows();
-        let observed_avail = |w: usize, s: usize| {
-            if w >= lag {
-                fault_plan.availability(w - lag, s)
-            } else {
-                1.0
-            }
+        let mut plan = LifecyclePlan {
+            policy: self.policy,
+            config: self.config,
+            site_names: self.sites.iter().map(|s| s.name().to_owned()).collect(),
+            serving: self
+                .sites
+                .iter()
+                .map(|site| {
+                    let (sim, request_type) = site.serving();
+                    (Arc::clone(sim), request_type.map(str::to_owned))
+                })
+                .collect(),
+            schedule: self.schedule.clone(),
+            regions: self.sites.iter().map(|s| s.region().clone()).collect(),
+            dynamics,
+            faults: FaultPlan::generate(
+                &self.faults,
+                windows,
+                sites,
+                wpd,
+                decorrelate_seed(self.config.seed, 1 << 32),
+            ),
+            lag: self.resilience.lag_windows(),
+            fallback: self.resilience.fallback(),
+            resolutions: BTreeMap::new(),
+            retry_attempt: GramsCo2e::new(
+                self.resilience
+                    .retry_policy()
+                    .map_or(0.0, RetryPolicy::attempt_grams),
+            ),
+            cell_loads: (0..days.div_ceil(DAYS_PER_YEAR) * sites)
+                .map(|_| CellLoads::default())
+                .collect(),
         };
 
-        // Pass 2: per-window routing plans against the capacity the
-        // router *believes* is alive that day (true capacity times the
-        // observed availability; a standby fallback site is observed at
-        // zero so it takes no primary traffic), plus the window-mean
-        // intensities the cells will charge energy at. The router writes
-        // each window's split straight into its share row. Each plan is
-        // then resolved: first attempts against *true* capacity, the retry
-        // rounds aimed by the stale view, the hedge and the degradation
-        // ladder. Only the outcomes that differ from the healthy one are
-        // kept, so a fault-free run stores none.
+        // Pass 2, one walk over the windows. Each is routed
+        // (`LifecyclePlan::route`) and then resolved: first attempts
+        // against *true* capacity, the retry rounds aimed by the stale
+        // view, the hedge and the degradation ladder. Only the outcomes
+        // that differ from the healthy one are kept, so a fault-free run
+        // stores none. Each site's slice load goes to its (year, site)
+        // cell, seeded from the first window carrying it.
         let healthy = WindowResolution::healthy(sites);
-        let mut resolutions: BTreeMap<usize, WindowResolution> = BTreeMap::new();
-        let mut intensities: Vec<CarbonIntensity> = Vec::with_capacity(windows * sites);
-        let mut shares = vec![(0.0, 0.0); windows * sites];
-        let mut declined_qps: Vec<f64> = Vec::with_capacity(windows);
-        let (mut true_cap, mut observed_cap) = (vec![0.0; sites], vec![0.0; sites]);
-        let (mut avail, mut assigned) = (vec![0.0; sites], vec![0.0; sites]);
-        for (w, row) in shares.chunks_exact_mut(sites).enumerate() {
-            let window = self.schedule.window(w, wpd);
-            let day = w / wpd;
-            intensities.extend(self.sites.iter().map(|site| {
-                site.region()
-                    .mean_intensity_between(window.start(), window.end())
-            }));
-            for s in 0..sites {
-                avail[s] = fault_plan.availability(w, s);
-                true_cap[s] = dynamics[s][day].capacity_qps * avail[s];
-                observed_cap[s] = if Some(s) == fallback {
-                    0.0
-                } else {
-                    dynamics[s][day].capacity_qps * observed_avail(w, s)
-                };
-            }
-            let declined = plan_window(
-                self.policy,
-                &observed_cap,
-                &intensities[w * sites..],
-                &window,
-                row,
-            );
+        let mut row = RouteRow::new(sites);
+        let (mut true_cap, mut avail, mut assigned) =
+            (vec![0.0; sites], vec![0.0; sites], vec![0.0; sites]);
+        for w in 0..windows {
+            let (window, declined) = plan.route(w, &mut row);
             record_routes(
                 recorder,
                 &window,
-                row,
+                &row.shares,
                 declined,
                 self.sites.iter().map(LifecycleSite::name),
             );
-            for (rate, (start, end)) in assigned.iter_mut().zip(&*row) {
+            let day = w / wpd;
+            for s in 0..sites {
+                avail[s] = plan.faults.availability(w, s);
+                true_cap[s] = plan.dynamics[s][day].capacity_qps * avail[s];
+            }
+            for (rate, (start, end)) in assigned.iter_mut().zip(&row.shares) {
                 *rate = (start + end) / 2.0;
             }
             let resolution = resolve_window(
                 &assigned,
                 &true_cap,
-                &observed_cap,
+                &row.observed_cap,
                 &avail,
                 &self.resilience,
             );
-            if resolution != healthy {
-                resolutions.insert(w, resolution);
+            let year_cells = &mut plan.cell_loads[day / DAYS_PER_YEAR * sites..][..sites];
+            for (site, loads) in year_cells.iter_mut().enumerate() {
+                let Some((qps_start, qps_end)) =
+                    slice_endpoints(row.shares[site], &resolution, site)
+                else {
+                    continue;
+                };
+                let load = (qps_start.to_bits(), qps_end.to_bits());
+                if let Entry::Vacant(slot) = loads.position.entry(load) {
+                    slot.insert(loads.first.len());
+                    let seed = decorrelate_seed(self.config.seed, index_u64(w * sites + site) + 1);
+                    loads.first.push((load, seed));
+                }
             }
-            declined_qps.push(declined);
+            if resolution != healthy {
+                plan.resolutions.insert(w, resolution);
+            }
         }
         if recorder.enabled() {
             // A window with a fault differs from the healthy outcome in
             // its availability, so the stored outcomes hold every event.
-            for (&w, r) in &resolutions {
+            for (&w, r) in &plan.resolutions {
                 let t = self.schedule.window(w, wpd).start().seconds();
                 for (s, site) in self.sites.iter().enumerate() {
                     if r.avail[s] < 1.0 {
@@ -1794,64 +1854,14 @@ impl LifecycleSim {
                 }
             }
         }
-
-        // Pass 3: each cell's distinct slice loads, seeded from the first
-        // window carrying each.
-        let cell_loads = (0..days.div_ceil(DAYS_PER_YEAR) * sites)
-            .map(|cell| {
-                let (year, site) = (cell / sites, cell % sites);
-                let mut loads = CellLoads::default();
-                for w in cell_days(year, days).flat_map(|day| day * wpd..(day + 1) * wpd) {
-                    let resolution = resolutions.get(&w).unwrap_or(&healthy);
-                    let Some((qps_start, qps_end)) =
-                        slice_endpoints(shares[w * sites + site], resolution, site)
-                    else {
-                        continue;
-                    };
-                    let load = (qps_start.to_bits(), qps_end.to_bits());
-                    if let Entry::Vacant(slot) = loads.position.entry(load) {
-                        slot.insert(loads.first.len());
-                        let seed =
-                            decorrelate_seed(self.config.seed, index_u64(w * sites + site) + 1);
-                        loads.first.push((load, seed));
-                    }
-                }
-                loads
-            })
-            .collect();
-
-        LifecyclePlan {
-            policy: self.policy,
-            config: self.config,
-            site_names: self.sites.iter().map(|s| s.name().to_owned()).collect(),
-            serving: self
-                .sites
-                .iter()
-                .map(|site| {
-                    let (sim, request_type) = site.serving();
-                    (Arc::clone(sim), request_type.map(str::to_owned))
-                })
-                .collect(),
-            schedule: self.schedule.clone(),
-            shares,
-            declined_qps,
-            intensities,
-            dynamics,
-            resolutions,
-            retry_attempt: GramsCo2e::new(
-                self.resilience
-                    .retry_policy()
-                    .map_or(0.0, RetryPolicy::attempt_grams),
-            ),
-            cell_loads,
-        }
+        plan
     }
 
     /// Runs the lifecycle and returns the accounting grid: a batch of one
     /// ([`LifecycleSim::run_batch`]) against a fresh slice table, so
     /// nothing is kept between calls.
     ///
-    /// The serial passes ([`LifecycleSim::plan`]) run first. The distinct
+    /// The planning passes ([`LifecycleSim::plan`]) run first. The distinct
     /// slices then fan out across worker threads with [`fan_out`], and a
     /// serial pass accounts every (year, site) cell from them, so the
     /// result is bit-identical at any worker count.
@@ -2015,11 +2025,57 @@ fn run_plans<R: Recorder>(
 }
 
 impl LifecyclePlan {
+    /// Routes window `w` into `row`: each site's window-mean intensity,
+    /// the capacity the router believes is alive that day (true capacity
+    /// times the availability observed `lag` windows ago, all of it before
+    /// anything could be observed; a standby fallback site is observed at
+    /// zero), then the router's split. Returns the window and the rate
+    /// the router declined. The plan pass and the accounting pass both
+    /// route through here, so they see the same bits.
+    fn route(&self, w: usize, row: &mut RouteRow) -> (LoadWindow, f64) {
+        let wpd = self.config.windows_per_day;
+        let window = self.schedule.window(w, wpd);
+        let day = w / wpd;
+        row.intensities.clear();
+        row.intensities.extend(
+            self.regions
+                .iter()
+                .map(|region| region.mean_intensity_between(window.start(), window.end())),
+        );
+        for (s, observed_cap) in row.observed_cap.iter_mut().enumerate() {
+            let observed_avail = if w >= self.lag {
+                self.faults.availability(w - self.lag, s)
+            } else {
+                1.0
+            };
+            *observed_cap = if Some(s) == self.fallback {
+                0.0
+            } else {
+                self.dynamics[s][day].capacity_qps * observed_avail
+            };
+        }
+        let declined = plan_window(
+            self.policy,
+            &row.observed_cap,
+            &row.intensities,
+            &window,
+            &mut row.shares,
+        );
+        (window, declined)
+    }
+
     /// Accounts the planned run from the measured slices: every (year,
     /// site) cell, the fleet-wide day ledger, the availability roll-ups
     /// and, into `recorder`, the conservation ledger. `positions` holds
     /// each cell's slices as positions in `measures`, in the order of
     /// [`CellLoads::first`].
+    ///
+    /// One walk over the windows, in the plan pass's order, routes each
+    /// window again and prices every site's share into its (year, site)
+    /// cell and the site's day. Each day then goes to its cell and, in
+    /// site order, to the fleet's day ledger. A cell takes its windows
+    /// and days in order, and the ledger its sites, so every sum is
+    /// taken in window, day and site order.
     fn account<R: Recorder>(
         &self,
         positions: &[Vec<usize>],
@@ -2029,36 +2085,103 @@ impl LifecyclePlan {
         let days = self.config.days;
         let wpd = self.config.windows_per_day;
         let sites = self.site_names.len();
-        let windows = self.declined_qps.len();
+        let windows = days * wpd;
         let duration = self.schedule.window(0, wpd).duration();
         let window_s = duration.seconds();
         let healthy = WindowResolution::healthy(sites);
 
-        // Each cell's accounting from the measured slices, its days added
-        // into the fleet's day ledger in cell order.
-        let mut day_ledger = vec![
-            DayLedger {
-                requests: 0.0,
-                operational: GramsCo2e::ZERO,
-                embodied: GramsCo2e::ZERO,
-                retry: GramsCo2e::ZERO,
-            };
-            days
-        ];
-        let cells: Vec<LifecycleCell> = positions
-            .iter()
-            .enumerate()
-            .map(|(cell, cell_positions)| {
-                self.account_cell(
-                    cell,
-                    duration,
-                    &healthy,
-                    cell_positions,
-                    measures,
-                    &mut day_ledger,
-                )
-            })
-            .collect();
+        let mut row = RouteRow::new(sites);
+        let mut cells = vec![LifecycleCell::default(); self.cell_loads.len()];
+        let mut day_ledger = Vec::with_capacity(days);
+        let mut site_days = vec![DayLedger::default(); sites];
+        // Availability accounting: the resolved outcomes rolled up into
+        // horizon totals and the per-window health series. The live
+        // conservation ledger re-checks every window's request identity
+        // and every day's carbon identity at record time; a violation
+        // becomes a `ledger` event keyed `"violation"`, so the trace
+        // witnesses the leak instead of silently absorbing it.
+        let mut declined_requests = 0.0;
+        let mut failed_requests = 0.0;
+        let mut retried_ok_requests = 0.0;
+        let mut hedged_requests = 0.0;
+        let mut rerouted_requests = 0.0;
+        let mut brownout_requests = 0.0;
+        let mut low_priority_shed_requests = 0.0;
+        let mut window_health = Vec::with_capacity(windows);
+        let mut ledger = ConservedLedger::new();
+        for day in 0..days {
+            let first_cell = day / DAYS_PER_YEAR * sites;
+            site_days.fill(DayLedger::default());
+            for w in day * wpd..(day + 1) * wpd {
+                let (window, declined_qps) = self.route(w, &mut row);
+                let r = self.resolutions.get(&w).unwrap_or(&healthy);
+                for (site, site_day) in site_days.iter_mut().enumerate() {
+                    let cell = first_cell + site;
+                    let measure =
+                        |load| measures[positions[cell][self.cell_loads[cell].position[&load]]];
+                    self.price_window(
+                        (site, day),
+                        &row,
+                        r,
+                        duration,
+                        measure,
+                        (&mut cells[cell], site_day),
+                    );
+                }
+
+                let offered: f64 = row
+                    .shares
+                    .iter()
+                    .map(|(start, end)| (start + end) / 2.0)
+                    .sum::<f64>()
+                    * window_s;
+                let declined = declined_qps * window_s;
+                let failed = r.failed_mean * window_s;
+                let lp_shed = r.lp_shed_mean * window_s;
+                declined_requests += declined;
+                failed_requests += failed;
+                retried_ok_requests += r.retried_ok_mean * window_s;
+                hedged_requests += r.hedged_mean * window_s;
+                rerouted_requests += r.rerouted_mean * window_s;
+                brownout_requests += r.brownout_mean * window_s;
+                low_priority_shed_requests += lp_shed;
+                let health = WindowHealth {
+                    offered,
+                    served: offered - failed - lp_shed,
+                    failed,
+                };
+                if recorder.enabled() {
+                    let shed = health.offered - health.served - health.failed;
+                    if let Err(err) = ledger.record_requests(
+                        health.offered + declined,
+                        health.served,
+                        declined,
+                        0.0,
+                        shed,
+                        health.failed,
+                    ) {
+                        recorder.event(
+                            TraceEvent::new(
+                                EventKind::Ledger,
+                                window.start().seconds(),
+                                "violation",
+                                health.offered,
+                            )
+                            .with_detail(&err.to_string()),
+                        );
+                    }
+                }
+                window_health.push(health);
+            }
+            let mut entry = DayLedger::default();
+            for (site, site_day) in site_days.iter_mut().enumerate() {
+                let state = &self.dynamics[site][day];
+                site_day.embodied = state.embodied;
+                cells[first_cell + site].add_day(site_day, state);
+                entry.add(site_day);
+            }
+            day_ledger.push(entry);
+        }
 
         let mut total_requests = 0.0;
         let mut dropped_requests = 0.0;
@@ -2072,67 +2195,8 @@ impl LifecyclePlan {
             total_embodied += cell.embodied;
             total_retry_carbon += cell.retry_carbon;
         }
-        let declined_requests = self.declined_qps.iter().map(|qps| qps * window_s).sum();
 
-        // Availability accounting: the resolved outcomes rolled up into
-        // horizon totals and the per-window health series.
-        let mut failed_requests = 0.0;
-        let mut retried_ok_requests = 0.0;
-        let mut hedged_requests = 0.0;
-        let mut rerouted_requests = 0.0;
-        let mut brownout_requests = 0.0;
-        let mut low_priority_shed_requests = 0.0;
-        let mut window_health = Vec::with_capacity(windows);
-        for (w, window_shares) in self.shares.chunks_exact(sites).enumerate() {
-            let offered: f64 = window_shares
-                .iter()
-                .map(|(start, end)| (start + end) / 2.0)
-                .sum::<f64>()
-                * window_s;
-            let r = self.resolutions.get(&w).unwrap_or(&healthy);
-            let failed = r.failed_mean * window_s;
-            let lp_shed = r.lp_shed_mean * window_s;
-            failed_requests += failed;
-            retried_ok_requests += r.retried_ok_mean * window_s;
-            hedged_requests += r.hedged_mean * window_s;
-            rerouted_requests += r.rerouted_mean * window_s;
-            brownout_requests += r.brownout_mean * window_s;
-            low_priority_shed_requests += lp_shed;
-            window_health.push(WindowHealth {
-                offered,
-                served: offered - failed - lp_shed,
-                failed,
-            });
-        }
-
-        // The live conservation ledger: every window's request identity
-        // and every day's carbon identity re-checked at record time. A
-        // violation becomes a `ledger` event keyed `"violation"` — the
-        // trace witnesses the leak instead of silently absorbing it.
         if recorder.enabled() {
-            let mut ledger = ConservedLedger::new();
-            for (w, health) in window_health.iter().enumerate() {
-                let declined = self.declined_qps[w] * window_s;
-                let shed = health.offered - health.served - health.failed;
-                if let Err(err) = ledger.record_requests(
-                    health.offered + declined,
-                    health.served,
-                    declined,
-                    0.0,
-                    shed,
-                    health.failed,
-                ) {
-                    recorder.event(
-                        TraceEvent::new(
-                            EventKind::Ledger,
-                            self.schedule.window(w, wpd).start().seconds(),
-                            "violation",
-                            health.offered,
-                        )
-                        .with_detail(&err.to_string()),
-                    );
-                }
-            }
             for (day, entry) in day_ledger.iter().enumerate() {
                 let operational = entry.operational.grams();
                 let embodied = entry.embodied.grams();
@@ -2172,156 +2236,92 @@ impl LifecyclePlan {
         }
     }
 
-    /// Aggregates (year, site) cell `cell`: every window of the year at
-    /// this site, each `duration` long, priced from the measured slices,
-    /// and adds each of its days into `day_ledger`. Windows without a
-    /// stored outcome take `healthy`. `positions` places each of the
-    /// cell's distinct loads ([`CellLoads`]) in `measures`.
-    fn account_cell(
+    /// Prices site `site`'s share of window `row` on `day`, `duration`
+    /// long, resolved as `r`: its served requests and its operational and
+    /// retry carbon go to the site's `site_day`, its queue drops and its
+    /// slice's latencies to its `cell`. `measure` looks the cell's slice
+    /// up by its load bits.
+    fn price_window(
         &self,
-        cell: usize,
+        (site, day): (usize, usize),
+        row: &RouteRow,
+        r: &WindowResolution,
         duration: TimeSpan,
-        healthy: &WindowResolution,
-        positions: &[usize],
-        measures: &[SliceMeasure],
-        day_ledger: &mut [DayLedger],
-    ) -> LifecycleCell {
-        let wpd = self.config.windows_per_day;
-        let sites = self.site_names.len();
-        let (year, site_idx) = (cell / sites, cell % sites);
-        let loads = &self.cell_loads[cell];
-        let dynamics = &self.dynamics;
+        measure: impl Fn((u64, u64)) -> SliceMeasure,
+        (cell, site_day): (&mut LifecycleCell, &mut DayLedger),
+    ) {
+        let state = &self.dynamics[site][day];
         let window_s = duration.seconds();
-
-        let mut requests = 0.0;
-        let mut dropped_requests = 0.0;
-        let mut retry_carbon = GramsCo2e::ZERO;
-        let mut operational = GramsCo2e::ZERO;
-        let mut embodied = GramsCo2e::ZERO;
-        let mut battery_replacements = 0;
-        let mut device_failures = 0;
-        let mut devices_replaced = 0;
-        let mut worst_median_ms: f64 = 0.0;
-        let mut worst_tail_ms: f64 = 0.0;
-        let mut worst_p99_ms: f64 = 0.0;
-
-        let span = cell_days(year, dynamics[site_idx].len());
-        let cell_start = span.start;
-        let year_days = &dynamics[site_idx][span];
-        for (offset, state) in year_days.iter().enumerate() {
-            let day = cell_start + offset;
-            battery_replacements += state.battery_replacements;
-            device_failures += state.device_failures;
-            devices_replaced += state.devices_replaced;
-            let mut day_requests = 0.0;
-            let mut day_operational = GramsCo2e::ZERO;
-            let mut day_retry = GramsCo2e::ZERO;
-            for k in 0..wpd {
-                let w = day * wpd + k;
-                let share = self.shares[w * sites + site_idx];
-                let mean_qps = (share.0 + share.1) / 2.0;
-                // The window's resolved outcome at this site: delivered
-                // first-attempt ratio, true availability, and the
-                // retry/hedge/degradation traffic landed here. A healthy
-                // window's ratio and availability of exactly 1.0 change no
-                // bit below (`x * 1.0 == x` for these finite quantities),
-                // and its zero extras skip the retry terms.
-                let r = self.resolutions.get(&w).unwrap_or(healthy);
-                let (ratio, avail, extra_mean, attempt_mean) = (
-                    r.delivered_ratio[site_idx],
-                    r.avail[site_idx],
-                    r.extra_served_mean[site_idx],
-                    r.retry_attempt_mean[site_idx],
-                );
-                let endpoints = slice_endpoints(share, r, site_idx);
-                let (measured, utilization) = match endpoints {
-                    Some((eff_start, eff_end)) => {
-                        let load = (eff_start.to_bits(), eff_end.to_bits());
-                        let measured = measures[positions[loads.position[&load]]];
-                        // The alive *and available* devices do all the
-                        // work: the independent-failure scale is further
-                        // inflated by the fault availability (strictly
-                        // positive here, or nothing would have been
-                        // delivered to measure).
-                        let scaled = measured.utilization * (state.utilization_scale / avail);
-                        (measured, scaled.min(1.0))
-                    }
-                    None => (SliceMeasure::IDLE, 0.0),
-                };
-                let drop_fraction = measured.drop_fraction;
-                worst_median_ms = worst_median_ms.max(measured.median.millis());
-                worst_tail_ms = worst_tail_ms.max(measured.tail.millis());
-                worst_p99_ms = worst_p99_ms.max(measured.p99.millis());
-                // Battery-backed device energy earns the smart-charging
-                // scale; the overhead draw (fan, switch) has no battery
-                // to time-shift it and is billed at face value. During a
-                // fault, only the surviving fraction of devices draws
-                // power; a fully dark site loses its overhead draw too.
-                let idle_effective = state.idle_power * avail;
-                let dynamic_effective = state.dynamic_power * avail;
-                let device_energy = (idle_effective + dynamic_effective * utilization) * duration;
-                let overhead_energy = state.overhead_power * duration;
-                let intensity = self.intensities[w * sites + site_idx];
-                let op = intensity.emissions_for(device_energy) * state.operational_scale
-                    + if avail > 0.0 {
-                        intensity.emissions_for(overhead_energy)
-                    } else {
-                        GramsCo2e::ZERO
-                    };
-                day_operational += op;
-                // The day ledger and cell totals count *served* requests;
-                // the queue-dropped share is accumulated separately. Only
-                // the delivered first-attempt share passes through the
-                // site's queues; retry/degradation traffic landed here is
-                // added on top (its queueing is folded into the marginal
-                // retry-carbon charge below).
-                let delivered = mean_qps * window_s * ratio;
-                day_requests += delivered * (1.0 - drop_fraction);
-                dropped_requests += delivered * drop_fraction;
-                if extra_mean > 0.0 {
-                    day_requests += extra_mean * window_s;
-                }
-                // Every retry/hedge attempt aimed here is charged its
-                // network carbon whether it landed or not; the extras
-                // that did land are charged the marginal compute of the
-                // surviving devices serving them.
-                if attempt_mean > 0.0 || extra_mean > 0.0 {
-                    let network =
-                        GramsCo2e::new(attempt_mean * window_s * self.retry_attempt.grams());
-                    let available_capacity = state.capacity_qps * avail;
-                    let extra_util = if available_capacity > 0.0 {
-                        (extra_mean / available_capacity).min(1.0)
-                    } else {
-                        0.0
-                    };
-                    let marginal = dynamic_effective * extra_util * duration;
-                    day_retry +=
-                        network + intensity.emissions_for(marginal) * state.operational_scale;
-                }
+        let share = row.shares[site];
+        let mean_qps = (share.0 + share.1) / 2.0;
+        // The window's resolved outcome at this site: delivered
+        // first-attempt ratio, true availability, and the
+        // retry/hedge/degradation traffic landed here. A healthy window's
+        // ratio and availability of exactly 1.0 change no bit below
+        // (`x * 1.0 == x` for these finite quantities), and its zero
+        // extras skip the retry terms.
+        let (ratio, avail, extra_mean, attempt_mean) = (
+            r.delivered_ratio[site],
+            r.avail[site],
+            r.extra_served_mean[site],
+            r.retry_attempt_mean[site],
+        );
+        let (measured, utilization) = match slice_endpoints(share, r, site) {
+            Some((eff_start, eff_end)) => {
+                let measured = measure((eff_start.to_bits(), eff_end.to_bits()));
+                // The alive *and available* devices do all the work: the
+                // independent-failure scale is further inflated by the
+                // fault availability (strictly positive here, or nothing
+                // would have been delivered to measure).
+                let scaled = measured.utilization * (state.utilization_scale / avail);
+                (measured, scaled.min(1.0))
             }
-            requests += day_requests;
-            operational += day_operational;
-            retry_carbon += day_retry;
-            embodied += state.embodied;
-            let ledger = &mut day_ledger[day];
-            ledger.requests += day_requests;
-            ledger.operational += day_operational;
-            ledger.embodied += state.embodied;
-            ledger.retry += day_retry;
+            None => (SliceMeasure::IDLE, 0.0),
+        };
+        let drop_fraction = measured.drop_fraction;
+        cell.observe(&measured);
+        // Battery-backed device energy earns the smart-charging scale;
+        // the overhead draw (fan, switch) has no battery to time-shift it
+        // and is billed at face value. During a fault, only the surviving
+        // fraction of devices draws power; a fully dark site loses its
+        // overhead draw too.
+        let idle_effective = state.idle_power * avail;
+        let dynamic_effective = state.dynamic_power * avail;
+        let device_energy = (idle_effective + dynamic_effective * utilization) * duration;
+        let overhead_energy = state.overhead_power * duration;
+        let intensity = row.intensities[site];
+        let op = intensity.emissions_for(device_energy) * state.operational_scale
+            + if avail > 0.0 {
+                intensity.emissions_for(overhead_energy)
+            } else {
+                GramsCo2e::ZERO
+            };
+        site_day.operational += op;
+        // The day ledger and cell totals count *served* requests; the
+        // queue-dropped share is accumulated separately. Only the
+        // delivered first-attempt share passes through the site's queues;
+        // retry/degradation traffic landed here is added on top (its
+        // queueing is folded into the marginal retry-carbon charge below).
+        let delivered = mean_qps * window_s * ratio;
+        site_day.requests += delivered * (1.0 - drop_fraction);
+        cell.dropped_requests += delivered * drop_fraction;
+        if extra_mean > 0.0 {
+            site_day.requests += extra_mean * window_s;
         }
-
-        LifecycleCell {
-            requests,
-            dropped_requests,
-            operational,
-            embodied,
-            retry_carbon,
-            battery_replacements,
-            device_failures,
-            devices_replaced,
-            worst_median_ms: Millis::from_millis(worst_median_ms),
-            worst_tail_ms: Millis::from_millis(worst_tail_ms),
-            worst_p99_ms: Millis::from_millis(worst_p99_ms),
+        // Every retry/hedge attempt aimed here is charged its network
+        // carbon whether it landed or not; the extras that did land are
+        // charged the marginal compute of the surviving devices serving
+        // them.
+        if attempt_mean > 0.0 || extra_mean > 0.0 {
+            let network = GramsCo2e::new(attempt_mean * window_s * self.retry_attempt.grams());
+            let available_capacity = state.capacity_qps * avail;
+            let extra_util = if available_capacity > 0.0 {
+                (extra_mean / available_capacity).min(1.0)
+            } else {
+                0.0
+            };
+            let marginal = dynamic_effective * extra_util * duration;
+            site_day.retry += network + intensity.emissions_for(marginal) * state.operational_scale;
         }
     }
 }
@@ -2330,13 +2330,20 @@ impl LifecyclePlan {
 impl LifecyclePlan {
     /// The bytes the plan's vectors and maps hold: each vector's
     /// capacity times its element size, each map's entries times its
-    /// entry size, nested ones included.
+    /// entry size, nested ones included. A handle shared with the fleet
+    /// (a simulation or a grid trace) counts only its own size.
     fn retained_bytes(&self) -> usize {
         fn bytes<T>(v: &Vec<T>) -> usize {
             v.capacity() * mem::size_of::<T>()
         }
         let names =
             bytes(&self.site_names) + self.site_names.iter().map(String::capacity).sum::<usize>();
+        let regions = bytes(&self.regions)
+            + self
+                .regions
+                .iter()
+                .map(|region| region.name().len())
+                .sum::<usize>();
         let dynamics = bytes(&self.dynamics) + self.dynamics.iter().map(bytes).sum::<usize>();
         let resolutions: usize = self
             .resolutions
@@ -2360,10 +2367,9 @@ impl LifecyclePlan {
                 .sum::<usize>();
         names
             + bytes(&self.serving)
-            + bytes(&self.shares)
-            + bytes(&self.declined_qps)
-            + bytes(&self.intensities)
+            + regions
             + dynamics
+            + self.faults.grid_bytes()
             + resolutions
             + cell_loads
     }
@@ -2474,7 +2480,7 @@ mod tests {
         assert!(result.day_ledger()[0].embodied().kilograms() >= 20.0);
         // Each year's days of the day ledger reproduce that year's cells.
         for year in 0..3 {
-            let days = &result.day_ledger()[cell_days(year, 3 * DAYS_PER_YEAR)];
+            let days = &result.day_ledger()[year * DAYS_PER_YEAR..(year + 1) * DAYS_PER_YEAR];
             let cells = [result.cell(year, 0), result.cell(year, 1)];
             let requests: f64 = cells.iter().map(|c| c.requests()).sum();
             let ledger: f64 = days.iter().map(DayLedger::requests).sum();
@@ -2485,21 +2491,203 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_plan_holds_under_40_bytes_per_window_and_site() {
-        // Two years of hourly windows over two sites. The flat,
-        // window-major rows hold about 31 bytes per (window, site); a
-        // window object and a routed plan with its own shares buffer per
-        // window would hold about 67.
-        let sim = LifecycleSim::new(
+    /// Two years of hourly windows over a cohort and a leased site.
+    fn two_year_hourly_fleet() -> LifecycleSim {
+        LifecycleSim::new(
             vec![cohort_site(9, 4), leased_site(800.0)],
             DiurnalSchedule::office_day(900.0),
             RoutingPolicy::CarbonAware,
             LifecycleConfig::years(2).windows_per_day(24),
-        );
+        )
+    }
+
+    /// The bytes a plan of [`two_year_hourly_fleet`] holds per (window,
+    /// site).
+    fn bytes_per_window_and_site(sim: &LifecycleSim) -> f64 {
         let pairs = 2 * DAYS_PER_YEAR * 24 * 2;
-        let per_pair = count_f64(sim.plan().retained_bytes()) / count_f64(pairs);
-        assert!(per_pair < 40.0, "{per_pair:.1} bytes per (window, site)");
+        count_f64(sim.plan().retained_bytes()) / count_f64(pairs)
+    }
+
+    #[test]
+    fn a_fault_free_plan_holds_under_8_bytes_per_window_and_site() {
+        // The plan keeps the router's inputs, not its rows: the daily
+        // dynamics (a day's 72 bytes spread over 24 windows) and each
+        // cell's distinct loads, with no fault grid and no stored
+        // outcome. Keeping each window's shares, intensities and declined
+        // rate would add about 28 bytes.
+        let per_pair = bytes_per_window_and_site(&two_year_hourly_fleet());
+        assert!(per_pair < 8.0, "{per_pair:.1} bytes per (window, site)");
+    }
+
+    #[test]
+    fn a_faulty_plan_holds_under_16_bytes_per_window_and_site() {
+        // Faults add the 8-byte availability grid and the outcomes of the
+        // windows they disturb.
+        let faulty = two_year_hourly_fleet()
+            .with_faults(
+                FaultConfig::disabled()
+                    .grid_outages(30.0, 4)
+                    .firmware_batches(20.0, 0.5, 3),
+            )
+            .with_resilience(
+                ResiliencePolicy::new()
+                    .detection_lag_windows(1)
+                    .retry(RetryPolicy::new(2)),
+            );
+        let per_pair = bytes_per_window_and_site(&faulty);
+        assert!(per_pair < 16.0, "{per_pair:.1} bytes per (window, site)");
+    }
+
+    /// What a plan pass routes: each window's row and declined rate,
+    /// the outcomes that differ from the healthy one, and each cell's
+    /// loads with their seeds in first-window order.
+    struct Routed {
+        rows: Vec<(RouteRow, f64)>,
+        resolutions: BTreeMap<usize, WindowResolution>,
+        loads: Vec<Vec<((u64, u64), u64)>>,
+    }
+
+    /// The reference [`Routed`], rebuilt from the fleet alone: a fresh
+    /// fault plan and dynamics, and each window routed and resolved in
+    /// turn with the routing expressions written out here.
+    fn routed_from_the_fleet(sim: &LifecycleSim) -> Routed {
+        let (days, wpd, sites) = (sim.config.days, sim.config.windows_per_day, sim.sites.len());
+        let dynamics: Vec<Vec<DayDynamics>> =
+            (0..sites).map(|s| sim.simulate_dynamics(s, days)).collect();
+        let faults = FaultPlan::generate(
+            &sim.faults,
+            days * wpd,
+            sites,
+            wpd,
+            decorrelate_seed(sim.config.seed, 1 << 32),
+        );
+        let lag = sim.resilience.lag_windows();
+        let healthy = WindowResolution::healthy(sites);
+        let (mut rows, mut resolutions) = (Vec::new(), BTreeMap::new());
+        let mut loads = vec![Vec::new(); days.div_ceil(DAYS_PER_YEAR) * sites];
+        for w in 0..days * wpd {
+            let (window, day) = (sim.schedule.window(w, wpd), w / wpd);
+            let mut row = RouteRow::new(sites);
+            let (mut true_cap, mut avail) = (vec![0.0; sites], vec![0.0; sites]);
+            for (s, site) in sim.sites.iter().enumerate() {
+                row.intensities.push(
+                    site.region()
+                        .mean_intensity_between(window.start(), window.end()),
+                );
+                avail[s] = faults.availability(w, s);
+                true_cap[s] = dynamics[s][day].capacity_qps * avail[s];
+                let observed = if w >= lag {
+                    faults.availability(w - lag, s)
+                } else {
+                    1.0
+                };
+                row.observed_cap[s] = if Some(s) == sim.resilience.fallback() {
+                    0.0
+                } else {
+                    dynamics[s][day].capacity_qps * observed
+                };
+            }
+            let declined = plan_window(
+                sim.policy,
+                &row.observed_cap,
+                &row.intensities,
+                &window,
+                &mut row.shares,
+            );
+            let assigned: Vec<f64> = row.shares.iter().map(|(a, b)| (a + b) / 2.0).collect();
+            let resolution = resolve_window(
+                &assigned,
+                &true_cap,
+                &row.observed_cap,
+                &avail,
+                &sim.resilience,
+            );
+            for s in 0..sites {
+                if let Some((start, end)) = slice_endpoints(row.shares[s], &resolution, s) {
+                    let cell: &mut Vec<((u64, u64), u64)> =
+                        &mut loads[day / DAYS_PER_YEAR * sites + s];
+                    let load = (start.to_bits(), end.to_bits());
+                    if cell.iter().all(|&(known, _)| known != load) {
+                        let seed = decorrelate_seed(sim.config.seed, index_u64(w * sites + s) + 1);
+                        cell.push((load, seed));
+                    }
+                }
+            }
+            if resolution != healthy {
+                resolutions.insert(w, resolution);
+            }
+            rows.push((row, declined));
+        }
+        Routed {
+            rows,
+            resolutions,
+            loads,
+        }
+    }
+
+    /// Every number of a routed row, as bits.
+    fn row_bits(row: &RouteRow, declined: f64) -> Vec<u64> {
+        let intensities = row.intensities.iter().map(|i| i.grams_per_kwh());
+        let shares = row.shares.iter().flat_map(|&(start, end)| [start, end]);
+        intensities
+            .chain(row.observed_cap.iter().copied())
+            .chain(shares)
+            .chain([declined])
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    #[test]
+    fn accounting_re_derives_the_rows_the_plan_pass_routed() {
+        // Random fault configurations over a cohort, a leased site and a
+        // standby fallback, each with a lagged health view, retries and a
+        // hedge: the plan's stored outcomes and cell loads are those of
+        // the rows routed from the fleet itself, and re-routing each
+        // window from the finished plan, as the accounting pass does,
+        // gives those rows bit for bit.
+        for case in 0..8_u64 {
+            let draw = |k: u64| unit_draw(decorrelate_seed(case, k));
+            let windows = |k: u64| 1 + floor_index(draw(k) * 6.0);
+            let faults = FaultConfig::disabled()
+                .grid_outages(1.0 + draw(1) * 9.0, windows(2))
+                .firmware_batches(1.0 + draw(3) * 9.0, 0.1 + draw(4) * 0.9, windows(5))
+                .thermal_shutdowns(2.0 + draw(6) * 18.0, windows(7));
+            let sim = LifecycleSim::new(
+                vec![cohort_site(case, 3), leased_site(700.0), leased_site(400.0)],
+                DiurnalSchedule::office_day(900.0),
+                RoutingPolicy::CarbonAware,
+                LifecycleConfig::days(30).windows_per_day(6).seed(case),
+            )
+            .with_faults(faults)
+            .with_resilience(
+                ResiliencePolicy::new()
+                    .detection_lag_windows(windows(8))
+                    .retry(RetryPolicy::new(2).hedge_to_fallback())
+                    .fallback_site(2),
+            );
+            let plan = sim.plan();
+            let Routed {
+                rows,
+                resolutions,
+                loads,
+            } = routed_from_the_fleet(&sim);
+            assert!(
+                !resolutions.is_empty(),
+                "case {case}: no window was disturbed"
+            );
+            assert_eq!(plan.resolutions, resolutions, "case {case}");
+            let planned: Vec<_> = plan.cell_loads.iter().map(|c| c.first.clone()).collect();
+            assert_eq!(planned, loads, "case {case}");
+            let mut row = RouteRow::new(3);
+            for (w, (routed, routed_declined)) in rows.iter().enumerate() {
+                let (_, declined) = plan.route(w, &mut row);
+                assert_eq!(
+                    row_bits(&row, declined),
+                    row_bits(routed, *routed_declined),
+                    "case {case}, window {w}"
+                );
+            }
+        }
     }
 
     #[test]

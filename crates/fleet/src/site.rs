@@ -18,11 +18,13 @@ use junkyard_microsim::sim::Simulation;
 
 /// A grid region: a named carbon-intensity trace, treated as periodic (the
 /// trace wraps, matching [`IntensityTrace::value_at`] semantics), that a
-/// site draws its power from.
+/// site draws its power from. Clones share the trace, so a site, a
+/// lifecycle plan or a planner candidate holds a handle on it, never a
+/// copy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridRegion {
     name: String,
-    trace: IntensityTrace,
+    trace: Arc<IntensityTrace>,
 }
 
 impl GridRegion {
@@ -31,7 +33,7 @@ impl GridRegion {
     pub fn new(name: impl Into<String>, trace: IntensityTrace) -> Self {
         Self {
             name: name.into(),
-            trace,
+            trace: Arc::new(trace),
         }
     }
 
@@ -315,6 +317,7 @@ mod tests {
         assert_eq!(half.sim(), full.sim());
         assert!(Arc::ptr_eq(half.shared_sim(), full.shared_sim()));
         assert_eq!(half.region(), full.region());
+        assert!(Arc::ptr_eq(&half.region().trace, &full.region().trace));
         assert_eq!(half.request_type_name(), Some("search_hotel"));
         assert_eq!(half.operational_scale_factor(), 0.9);
     }

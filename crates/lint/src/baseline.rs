@@ -105,7 +105,7 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
+    fn eat(&mut self, byte: u8) -> Result<(), String> {
         if self.bytes.get(self.pos) == Some(&byte) {
             self.pos += 1;
             Ok(())
@@ -118,7 +118,7 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<Vec<(String, Value)>, String> {
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         let mut entries = Vec::new();
         self.skip_ws();
         if self.bytes.get(self.pos) == Some(&b'}') {
@@ -133,7 +133,7 @@ impl Parser<'_> {
                 return Err(format!("duplicate key `{key}` at offset {at}"));
             }
             self.skip_ws();
-            self.expect(b':')?;
+            self.eat(b':')?;
             self.skip_ws();
             let value = self.value()?;
             entries.push((key, value));
@@ -171,7 +171,7 @@ impl Parser<'_> {
     }
 
     fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let start = self.pos;
         while let Some(&b) = self.bytes.get(self.pos) {
             if b == b'"' {

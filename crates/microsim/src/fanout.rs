@@ -11,14 +11,22 @@
 //! claiming one job at a time spreads jobs of unequal cost evenly.
 //!
 //! This is the only module that starts threads or reads the machine's
-//! parallelism.
+//! parallelism. A fan-out started from inside another fan-out's job runs
+//! on that job's thread: the outer fan-out already holds every worker
+//! its caller allowed, so nesting never multiplies the threads.
 
+use std::cell::Cell;
 use std::num::NonZero;
 use std::panic;
 use std::sync::{Mutex, PoisonError};
 use std::thread;
 
 use crate::sim::SimError;
+
+thread_local! {
+    /// Set on a fan-out's worker threads, for their whole life.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// The worker count for a fan-out over `items` jobs: `parallelism` when
 /// set, else the machine's available parallelism, capped by `items` and
@@ -34,10 +42,11 @@ pub fn workers(parallelism: Option<usize>, items: usize) -> usize {
 /// Runs `job(index, item)` for every item and returns the outputs in
 /// item order.
 ///
-/// With `workers <= 1`, or at most one item, every job runs on the
-/// caller's thread in index order and nothing is spawned. Otherwise up
-/// to `workers` scoped threads each claim the highest unclaimed index
-/// from one shared queue until it is empty.
+/// With `workers <= 1`, at most one item, or a caller that is itself a
+/// fan-out's worker, every job runs on the caller's thread in index
+/// order and nothing is spawned. Otherwise up to `workers` scoped threads
+/// each claim the highest unclaimed index from one shared queue until it
+/// is empty.
 ///
 /// # Errors
 ///
@@ -60,7 +69,7 @@ where
     let queue: Vec<I> = items.into_iter().collect();
     let n = queue.len();
     let workers = workers.min(n);
-    if workers <= 1 {
+    if workers <= 1 || IN_WORKER.with(Cell::get) {
         return Ok(queue
             .into_iter()
             .enumerate()
@@ -78,6 +87,7 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
+                    IN_WORKER.with(|in_worker| in_worker.set(true));
                     let mut done = Vec::new();
                     while let Some((index, item)) = claim() {
                         done.push((index, job(index, item)));
@@ -148,6 +158,25 @@ mod tests {
             let ids = fan_out(items, workers, |_, _| thread::current().id()).unwrap();
             assert!(ids.iter().all(|&id| id == caller));
         }
+    }
+
+    #[test]
+    fn a_fan_out_inside_a_job_stays_on_its_workers_thread() {
+        let nested = fan_out(0..4u64, 2, |_, outer| {
+            let worker = thread::current().id();
+            let inner = fan_out(0..3u64, 3, |_, inner| {
+                (thread::current().id(), outer * inner)
+            });
+            let (ids, products): (Vec<_>, Vec<_>) = inner.unwrap().into_iter().unzip();
+            assert_eq!(products, vec![0, outer, 2 * outer]);
+            ids.iter().all(|&id| id == worker)
+        })
+        .unwrap();
+        assert_eq!(nested, vec![true; 4]);
+        // The caller's own thread is no worker, so a later fan-out spawns.
+        let caller = thread::current().id();
+        let ids = fan_out(0..2u64, 2, |_, _| thread::current().id()).unwrap();
+        assert!(ids.iter().all(|&id| id != caller));
     }
 
     #[test]

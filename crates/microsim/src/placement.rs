@@ -104,11 +104,11 @@ impl Placement {
         let mut services: Vec<&ServiceSpec> = app.services().iter().collect();
         let mut rng = StdRng::seed_from_u64(seed);
         services.shuffle(&mut rng);
-        services.sort_by(|a, b| {
-            b.memory_gib()
-                .partial_cmp(&a.memory_gib())
-                .expect("memory footprints are finite")
-        });
+        // `total_cmp` orders these keys as `partial_cmp` would: a
+        // footprint is never NaN or −0.0 (`ServiceSpec::new`), and free
+        // memory starts strictly positive (`NodeSpec::new`) and only loses
+        // a footprint it covers, so it stays at `+0.0` or above.
+        services.sort_by(|a, b| b.memory_gib().total_cmp(&a.memory_gib()));
 
         let mut free: Vec<f64> = nodes.iter().map(NodeSpec::memory_gib).collect();
         let mut counts: Vec<usize> = vec![0; nodes.len()];
@@ -116,13 +116,7 @@ impl Placement {
         for service in services {
             let best = (0..nodes.len())
                 .filter(|&i| free[i] >= service.memory_gib())
-                .min_by(|&a, &b| {
-                    counts[a].cmp(&counts[b]).then_with(|| {
-                        free[b]
-                            .partial_cmp(&free[a])
-                            .expect("free memory is finite")
-                    })
-                })
+                .min_by(|&a, &b| counts[a].cmp(&counts[b]).then(free[b].total_cmp(&free[a])))
                 .ok_or_else(|| PlacementError::ServiceTooLarge {
                     service: service.name().to_owned(),
                 })?;

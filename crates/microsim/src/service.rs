@@ -60,10 +60,14 @@ impl ServiceSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the memory footprint is negative.
+    /// Panics if the memory footprint is NaN or negative, −0.0 included
+    /// (placement orders footprints with `total_cmp`).
     #[must_use]
     pub fn new(name: impl Into<String>, kind: ServiceKind, memory_gib: f64) -> Self {
-        assert!(memory_gib >= 0.0, "memory footprint cannot be negative");
+        assert!(
+            memory_gib >= 0.0 && memory_gib.is_sign_positive(),
+            "memory footprint cannot be negative"
+        );
         Self {
             name: name.into(),
             kind,
@@ -118,6 +122,12 @@ mod tests {
     #[should_panic(expected = "cannot be negative")]
     fn negative_memory_panics() {
         let _ = ServiceSpec::new("bad", ServiceKind::Cache, -1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot be negative")]
+    fn negative_zero_memory_panics() {
+        let _ = ServiceSpec::new("bad", ServiceKind::Cache, -0.0);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! its shorter run measured. Because every evaluation is a pure function
 //! of its inputs, the whole search is bit-identical at any worker count.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use junkyard_microsim::fanout;
@@ -285,6 +286,14 @@ fn rank_key(result: &Result<Evaluation, EvalError>, slo: &Slo) -> (u8, f64) {
     }
 }
 
+/// Orders two [`rank_key`]s: class first, then grams per request. The
+/// grams never read −0.0, where `total_cmp` and `partial_cmp` would part:
+/// a lifecycle's carbon is a sum of non-negative terms from `+0.0`, and
+/// its requests are positive wherever it reports a ratio.
+fn by_rank(a: (u8, f64), b: (u8, f64)) -> Ordering {
+    a.0.cmp(&b.0).then(a.1.total_cmp(&b.1))
+}
+
 /// Runs the full planner search over `space` with `evaluator` as the
 /// black box, under `slo` as a hard constraint.
 ///
@@ -428,9 +437,7 @@ pub fn search_with<E: Evaluator + ?Sized, R: Recorder>(
         order.sort_by(|&a, &b| {
             let ka = rank_key(&results[a], slo);
             let kb = rank_key(&results[b], slo);
-            ka.partial_cmp(&kb)
-                .expect("rank keys are comparable")
-                .then_with(|| rung_pop[a].fingerprint().cmp(&rung_pop[b].fingerprint()))
+            by_rank(ka, kb).then_with(|| rung_pop[a].fingerprint().cmp(&rung_pop[b].fingerprint()))
         });
         let keep = ((rung_pop.len() as f64 * config.survivor_fraction).ceil() as usize)
             .max(config.min_survivors)
@@ -486,9 +493,7 @@ pub fn search_with<E: Evaluator + ?Sized, R: Recorder>(
         order.sort_by(|&a, &b| {
             let ka = rank_key(&scored[a].1, slo);
             let kb = rank_key(&scored[b].1, slo);
-            ka.partial_cmp(&kb)
-                .expect("rank keys are comparable")
-                .then_with(|| scored[a].0.fingerprint().cmp(&scored[b].0.fingerprint()))
+            by_rank(ka, kb).then_with(|| scored[a].0.fingerprint().cmp(&scored[b].0.fingerprint()))
         });
         order.truncate(config.elites);
         order

@@ -1,9 +1,11 @@
 //! Property tests on the lifecycle layer: the multi-year accounting is
 //! conservative (per-(year, site) cells sum to the lifetime totals and to
 //! the per-day ledger), a shorter horizon is a bit-identical prefix of a
-//! longer one, and the slot-threaded slice fan-out is deterministic at
-//! any worker count.
+//! longer one, and the site and slice fan-outs are deterministic at any
+//! worker count.
 
+use junkyard::battery::charging::SmartChargePolicy;
+use junkyard::battery::sim::simulate_day;
 use junkyard::battery::state::BatteryState;
 use junkyard::carbon::units::{CarbonIntensity, GramsCo2e, TimeSpan, Watts};
 use junkyard::devices::battery::BatterySpec;
@@ -207,8 +209,9 @@ proptest! {
     }
 
     /// Serial and threaded lifecycle runs are bit-identical — for a
-    /// two-site, two-year fleet and for a single-site, single-year one,
-    /// whose one cell still fans its slices across every worker.
+    /// two-site, two-year fleet, whose dynamics run one site per worker,
+    /// and for a single-site, single-year one, whose one cell still fans
+    /// its slices across every worker.
     #[test]
     fn lifecycle_runs_are_identical_across_worker_counts(
         base_qps in 50.0f64..700.0,
@@ -252,7 +255,24 @@ fn lifecycle_battery_replacements_track_wear() {
         let _ = battery.charge_from_wall(TimeSpan::from_hours(1.0));
     }
     assert!(battery.is_worn_out());
-    battery.replace();
+    // The lifecycle's day step replaces the worn pack and charges each
+    // pack it replaced the pack's embodied carbon.
+    let day = IntensityTrace::constant(
+        CarbonIntensity::from_grams_per_kwh(300.0),
+        TimeSpan::from_minutes(5.0),
+        TimeSpan::from_days(1.0),
+    );
+    let run = simulate_day(
+        SmartChargePolicy::paper_default(),
+        Watts::new(1.7),
+        &mut battery,
+        &day,
+        None,
+        None,
+    );
+    assert_eq!(run.packs_replaced(), 1);
     assert_eq!(battery.replacements(), 1);
-    assert!(battery.replacement_carbon().grams() > 0.0);
+    let charged = battery.spec().embodied() * f64::from(run.packs_replaced());
+    assert!(charged.grams() > 0.0);
+    assert_eq!(charged, BatterySpec::pixel_3a().embodied());
 }
